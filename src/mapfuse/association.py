@@ -32,7 +32,7 @@ class ClusterConfig:
     min_pts: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.min_pts < 1:
             raise ValueError("min_pts must be at least 1")

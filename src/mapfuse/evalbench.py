@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from mapfuse.fusion import GlobalMap
 from mapfuse.geometry import ObjectState, iou_bev
 from mapfuse.simworld import Scenario
 
@@ -116,6 +115,44 @@ def tag_objects(
     return tags, density
 
 
+def overlap_rows(
+    predictions: Sequence[tuple[ObjectState, float]],
+    truths: Sequence[ObjectState],
+    iou_threshold: float = IOU_THRESHOLD,
+) -> list[list[tuple[int, float]]]:
+    """The IoU pass: per prediction, the (truth index, IoU) pairs that
+    reach the threshold, in truth order."""
+    rows = []
+    for state, _ in predictions:
+        ious = [iou_bev(state, truth) for truth in truths]
+        rows.append([(j, v) for j, v in enumerate(ious)
+                     if v >= iou_threshold])
+    return rows
+
+
+def greedy_assign(
+    scores: Sequence[float],
+    rows: Sequence[Sequence[tuple[int, float]]],
+    truth_mask: Sequence[bool] | None = None,
+) -> list[int | None]:
+    """Greedy one-to-one assignment on an IoU pass; see match_detections.
+
+    With a mask only truths flagged True can be claimed, which is matching
+    against that subset of the truths.
+    """
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    assigned: list[int | None] = [None] * len(scores)
+    taken = set()
+    for i in order:
+        free = [(j, v) for j, v in rows[i] if j not in taken
+                and (truth_mask is None or truth_mask[j])]
+        if free:
+            # max keeps the first of equal overlaps: the lowest index.
+            assigned[i] = max(free, key=lambda c: c[1])[0]
+            taken.add(assigned[i])
+    return assigned
+
+
 def match_detections(
     predictions: Sequence[tuple[ObjectState, float]],
     truths: Sequence[ObjectState],
@@ -126,26 +163,11 @@ def match_detections(
     Returns, per prediction, the index of the matched truth or None.
     Equal scores are broken by the lower prediction index; each prediction
     takes the unclaimed truth with the highest overlap at or above the
-    threshold.
+    threshold, the lower truth index on ties.  This is one IoU pass and
+    one greedy run on it.
     """
-    order = sorted(
-        range(len(predictions)), key=lambda i: (-predictions[i][1], i)
-    )
-    assigned: list[int | None] = [None] * len(predictions)
-    taken = [False] * len(truths)
-    for i in order:
-        state = predictions[i][0]
-        best_j, best_iou = None, iou_threshold
-        for j, truth in enumerate(truths):
-            if taken[j]:
-                continue
-            iou = iou_bev(state, truth)
-            if iou >= best_iou and (best_j is None or iou > best_iou):
-                best_j, best_iou = j, iou
-        if best_j is not None:
-            assigned[i] = best_j
-            taken[best_j] = True
-    return assigned
+    rows = overlap_rows(predictions, truths, iou_threshold)
+    return greedy_assign([score for _, score in predictions], rows)
 
 
 def average_precision(
@@ -177,19 +199,62 @@ def average_precision(
 
 
 @dataclass
-class _SliceAccumulator:
+class SliceRecords:
+    """(score, is_true_positive) records and truth count of one AP slice."""
+
     records: list[tuple[float, bool]] = field(default_factory=list)
     num_truths: int = 0
 
+    def add(
+        self,
+        scores: Sequence[float],
+        assigned: Sequence[int | None],
+        in_slice: Sequence[bool],
+    ) -> None:
+        """Add one frame's assignment; in_slice flags each truth."""
+        self.num_truths += sum(bool(b) for b in in_slice)
+        for score, j in zip(scores, assigned):
+            if j is not None and not in_slice[j]:
+                # Matched a truth outside the slice: ignore, do not
+                # penalize.
+                continue
+            self.records.append((score, j is not None))
+
+    def result(self) -> float | None:
+        return average_precision(self.records, self.num_truths)
+
+
+def slice_membership(
+    tags: Sequence[BenchmarkTag], density: str
+) -> dict[str, list[bool]]:
+    """Per slice, which of a frame's truths belong to it.  The density
+    slice the frame is not in is left out: it gets no truths or records."""
+    return {
+        name: [
+            name in ("overall", density, t.distance_slice, t.occlusion_slice)
+            for t in tags
+        ]
+        for name in SLICE_NAMES
+        if name not in ("LD", "HD") or name == density
+    }
+
 
 class Accumulator:
-    """Streams matched frames into per-slice AP statistics."""
+    """Streams assigned frames into per-slice AP statistics."""
 
-    def __init__(self, thresholds: SliceThresholds | None = None,
-                 iou_threshold: float = IOU_THRESHOLD):
-        self.thresholds = thresholds or SliceThresholds()
+    def __init__(self, iou_threshold: float = IOU_THRESHOLD):
         self.iou_threshold = iou_threshold
-        self.slices = {name: _SliceAccumulator() for name in SLICE_NAMES}
+        self.slices = {name: SliceRecords() for name in SLICE_NAMES}
+
+    def add(
+        self,
+        scores: Sequence[float],
+        assigned: Sequence[int | None],
+        membership: dict[str, Sequence[bool]],
+    ) -> None:
+        """Add one frame's assignment given each slice's truth flags."""
+        for name, in_slice in membership.items():
+            self.slices[name].add(scores, assigned, in_slice)
 
     def add_frame(
         self,
@@ -198,62 +263,21 @@ class Accumulator:
         tags: Sequence[BenchmarkTag],
         density: str,
     ) -> None:
+        """Match one frame's predictions to its tagged truths and add it."""
         if len(tags) != len(truths):
             raise ValueError("one tag per ground-truth object required")
         assigned = match_detections(predictions, truths, self.iou_threshold)
-        slice_of_truth = [
-            {"overall", t.distance_slice, t.occlusion_slice, density}
-            for t in tags
-        ]
+        self.add([score for _, score in predictions], assigned,
+                 slice_membership(tags, density))
+
+    def extend(self, other: "Accumulator") -> None:
+        """Pool another accumulator's records and truths into this one."""
         for name, acc in self.slices.items():
-            if name in ("LD", "HD") and name != density:
-                continue
-            in_slice = [name in s for s in slice_of_truth]
-            acc.num_truths += sum(in_slice)
-            for (state, score), j in zip(predictions, assigned):
-                if j is not None and not in_slice[j]:
-                    # Matched a truth outside the slice: ignore, do not
-                    # penalize.
-                    continue
-                acc.records.append((score, j is not None))
+            acc.records += other.slices[name].records
+            acc.num_truths += other.slices[name].num_truths
 
     def results(self) -> dict[str, float | None]:
-        return {
-            name: average_precision(acc.records, acc.num_truths)
-            for name, acc in self.slices.items()
-        }
-
-
-class PartialTruthAccumulator:
-    """AP against a subset of the truths.
-
-    Predictions that match a truth outside the subset are ignored rather
-    than counted as false positives; used to score a shared fused map
-    against one vehicle's visible objects.
-    """
-
-    def __init__(self, iou_threshold: float = IOU_THRESHOLD):
-        self.iou_threshold = iou_threshold
-        self.records: list[tuple[float, bool]] = []
-        self.num_truths = 0
-
-    def add_frame(
-        self,
-        predictions: Sequence[tuple[ObjectState, float]],
-        truths: Sequence[ObjectState],
-        in_subset: Sequence[bool],
-    ) -> None:
-        if len(in_subset) != len(truths):
-            raise ValueError("one subset flag per truth required")
-        assigned = match_detections(predictions, truths, self.iou_threshold)
-        self.num_truths += sum(bool(b) for b in in_subset)
-        for (_, score), j in zip(predictions, assigned):
-            if j is not None and not in_subset[j]:
-                continue
-            self.records.append((score, j is not None))
-
-    def result(self) -> float | None:
-        return average_precision(self.records, self.num_truths)
+        return {name: acc.result() for name, acc in self.slices.items()}
 
 
 @dataclass
@@ -343,17 +367,3 @@ class EvalReport:
             writer.writerow(row)
         return buf.getvalue()
 
-
-def evaluate_global_maps(
-    scenario: Scenario,
-    maps: dict[int, GlobalMap],
-    thresholds: SliceThresholds | None = None,
-    iou_threshold: float = IOU_THRESHOLD,
-) -> dict[str, float | None]:
-    """AP of per-frame fused maps against the fleet's visible objects."""
-    acc = Accumulator(thresholds, iou_threshold)
-    for frame, gmap in sorted(maps.items()):
-        tags, density = tag_objects(scenario, frame, acc.thresholds)
-        truths = [scenario.object_state(frame, t.object_id) for t in tags]
-        acc.add_frame(list(gmap.objects), truths, tags, density)
-    return acc.results()

@@ -143,12 +143,20 @@ class TrainConfig:
     sampling_ratio: int = 3
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
+        # Written as "not (valid)" so that NaN fails every check.
+        if not self.learning_rate >= 0.0:
             raise ValueError("learning rate must be non-negative")
-        if self.local_epochs < 1 or self.max_rounds < 0:
+        if not (self.local_epochs >= 1 and self.max_rounds >= 0):
             raise ValueError("invalid epoch/round counts")
-        if any(b < 0 for b in self.loss_coefficients):
+        if not self.batch_size >= 1:
+            raise ValueError("batch size must be at least 1")
+        if not all(b >= 0 for b in self.loss_coefficients):
             raise ValueError("loss coefficients must be non-negative")
+        lo, hi = self.train_window
+        if not 0.0 <= lo < hi:
+            raise ValueError("train window must satisfy 0 <= start < end")
+        if not self.sampling_ratio >= 1:
+            raise ValueError("sampling ratio must be at least 1")
 
 
 @dataclass(frozen=True)

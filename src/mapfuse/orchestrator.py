@@ -30,8 +30,12 @@ from mapfuse.evalbench import (
     EvalReport,
     IOU_THRESHOLD,
     MethodResult,
-    PartialTruthAccumulator,
+    SliceRecords,
     SliceThresholds,
+    greedy_assign,
+    match_detections,
+    overlap_rows,
+    slice_membership,
     tag_objects,
 )
 from mapfuse.fedlearn import (
@@ -544,6 +548,11 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     that vehicle can see; fused methods score the broadcast map against
     everything the fleet can see.  All sensing draws are shared across
     methods, so differences come only from the model and fusion rule.
+
+    Each frame makes one IoU pass per prediction set (a broadcast map or
+    one vehicle's map) against the fleet's truths.  Every assignment the
+    frame's scores need, against the fleet or masked to one vehicle's
+    truths, is a greedy run on that pass.
     """
     scenario = generate_scenario(cfg.scenario, cfg.seed)
     spec = ModelSpec()
@@ -567,30 +576,18 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         )
 
     k_count = scenario.num_vehicles
-    fused = [m for m in cfg.methods if m in _FUSED_FNS]
-    local = [m for m in cfg.methods if m not in _FUSED_FNS]
-    fleet_acc = {m: Accumulator(cfg.thresholds, cfg.iou_threshold)
-                 for m in fused}
-    veh_acc = {
-        m: [Accumulator(cfg.thresholds, cfg.iou_threshold)
-            for _ in range(k_count)]
-        for m in local
-    }
-    # Fused per-vehicle scores judge the one broadcast map against each
-    # vehicle's visible objects; hits on other fleet objects are ignored.
-    fused_veh_acc = {
-        m: [PartialTruthAccumulator(cfg.iou_threshold)
-            for _ in range(k_count)]
-        for m in fused
-    }
-    # A local method's per-vehicle number treats that vehicle's map as a
-    # stand-alone global map: judged against everything the fleet sees.
-    local_veh_acc = {
-        m: [PartialTruthAccumulator(cfg.iou_threshold)
-            for _ in range(k_count)]
-        for m in local
-    }
-    ledgers = {m: ByteLedger() for m in fused}
+    # Fleet AP: a fused method's broadcast map against every object the
+    # fleet sees; a local method pools its vehicles' own maps, each against
+    # what that vehicle sees, vehicle after vehicle.
+    fleet_acc = {m: Accumulator() for m in cfg.methods}
+    veh_acc = {m: [Accumulator() for _ in range(k_count)]
+               for m in cfg.methods if m not in _FUSED_FNS}
+    # Per-vehicle AP: the broadcast map against one vehicle's objects (hits
+    # on other fleet objects are ignored), or one vehicle's own map as a
+    # stand-alone global map against everything the fleet sees.
+    per_vehicle = {m: [SliceRecords() for _ in range(k_count)]
+                   for m in cfg.methods}
+    ledgers = {m: ByteLedger() for m in cfg.methods if m in _FUSED_FNS}
 
     for f in test_frames:
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
@@ -598,40 +595,31 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         fleet_tags, density = tag_objects(scenario, f, cfg.thresholds)
         fleet_truths = [scenario.object_state(f, t.object_id)
                         for t in fleet_tags]
-        veh_tags = {}
-        veh_masks = {}
+        fleet_slices = slice_membership(fleet_tags, density)
+        fleet_index = {t.object_id: j for j, t in enumerate(fleet_tags)}
+        all_in = [True] * len(fleet_tags)
+        # Each vehicle's visible objects are a subset of the fleet's, in
+        # the same object-id order: a vehicle's truths are the fleet truths
+        # under a mask, and veh_local maps a fleet index to its own tag.
+        veh_masks, veh_slices, veh_local = [], [], []
         for k in range(k_count):
             tags, dens_k = tag_objects(scenario, f, cfg.thresholds,
                                        vehicles=[k])
-            truths = [scenario.object_state(f, t.object_id) for t in tags]
-            veh_tags[k] = (tags, truths, dens_k)
-            own = {t.object_id for t in tags}
-            veh_masks[k] = [t.object_id in own for t in fleet_tags]
+            veh_local.append({fleet_index[t.object_id]: i
+                              for i, t in enumerate(tags)})
+            veh_masks.append([j in veh_local[k]
+                              for j in range(len(fleet_tags))])
+            veh_slices.append(slice_membership(tags, dens_k))
 
-        refined_maps = {}
-        global_preds = {}
-        for pname in {_PARAMS_OF[m] for m in cfg.methods}:
-            maps = []
-            preds = []
-            for k in range(k_count):
-                raw_map, sensor_frame = sensed[k]
-                dets = predict(params[pname], sensor_frame, spec)
-                maps.append(
-                    LocalMap(
-                        vehicle_id=k,
-                        frame_time=raw_map.frame_time,
-                        detections=tuple(dets),
-                        pose=raw_map.pose,
-                    )
-                )
-                preds.append(
-                    [
-                        (transform_to_global(d.state, raw_map.pose), d.score)
-                        for d in dets
-                    ]
-                )
-            refined_maps[pname] = maps
-            global_preds[pname] = preds
+        refined_maps = {
+            pname: [
+                LocalMap(k, raw.frame_time,
+                         tuple(predict(params[pname], sensor_frame, spec)),
+                         raw.pose)
+                for k, (raw, sensor_frame) in enumerate(sensed)
+            ]
+            for pname in {_PARAMS_OF[m] for m in cfg.methods}
+        }
 
         for m in cfg.methods:
             pname = _PARAMS_OF[m]
@@ -642,51 +630,38 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                     local_maps=refined_maps[pname],
                     fuse_fn=_FUSED_FNS[m],
                 )
-                fleet_acc[m].add_frame(
-                    list(gmap.objects), fleet_truths, fleet_tags, density
-                )
+                preds = list(gmap.objects)
+                scores = [score for _, score in preds]
+                assigned = match_detections(preds, fleet_truths,
+                                            cfg.iou_threshold)
+                fleet_acc[m].add(scores, assigned, fleet_slices)
                 for k in range(k_count):
-                    fused_veh_acc[m][k].add_frame(
-                        list(gmap.objects), fleet_truths, veh_masks[k]
-                    )
+                    per_vehicle[m][k].add(scores, assigned, veh_masks[k])
             else:
-                all_in = [True] * len(fleet_truths)
-                for k in range(k_count):
-                    tags, truths, dens_k = veh_tags[k]
-                    veh_acc[m][k].add_frame(
-                        global_preds[pname][k], truths, tags, dens_k
+                for k, lm in enumerate(refined_maps[pname]):
+                    preds = [(transform_to_global(d.state, lm.pose), d.score)
+                             for d in lm.detections]
+                    scores = [score for _, score in preds]
+                    rows = overlap_rows(preds, fleet_truths,
+                                        cfg.iou_threshold)
+                    per_vehicle[m][k].add(
+                        scores, greedy_assign(scores, rows), all_in
                     )
-                    local_veh_acc[m][k].add_frame(
-                        global_preds[pname][k], fleet_truths, all_in
+                    own = greedy_assign(scores, rows, veh_masks[k])
+                    veh_acc[m][k].add(
+                        scores,
+                        [None if j is None else veh_local[k][j] for j in own],
+                        veh_slices[k],
                     )
 
     methods = {}
     for m in cfg.methods:
-        if m in _FUSED_FNS:
-            per_vehicle = {
-                k: fused_veh_acc[m][k].result() for k in range(k_count)
-            }
-            ap = fleet_acc[m].results()
-            bytes_sent = ledgers[m].total
-        else:
-            per_vehicle = {
-                k: local_veh_acc[m][k].result() for k in range(k_count)
-            }
-            # A purely local method has no single fused map; pool every
-            # vehicle's records against its own visible set.
-            pooled = Accumulator(cfg.thresholds, cfg.iou_threshold)
-            for acc in veh_acc[m]:
-                for name in pooled.slices:
-                    pooled.slices[name].records.extend(
-                        acc.slices[name].records
-                    )
-                    pooled.slices[name].num_truths += acc.slices[
-                        name
-                    ].num_truths
-            ap = pooled.results()
-            bytes_sent = 0
+        for acc in veh_acc.get(m, ()):
+            fleet_acc[m].extend(acc)
         methods[m] = MethodResult(
-            name=m, ap=ap, per_vehicle_ap=per_vehicle, bytes_sent=bytes_sent
+            m, fleet_acc[m].results(),
+            {k: records.result() for k, records in enumerate(per_vehicle[m])},
+            ledgers[m].total if m in ledgers else 0,
         )
     return EvalReport(
         scenario_seed=cfg.seed, frames=tuple(test_frames), methods=methods

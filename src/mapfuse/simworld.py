@@ -76,13 +76,18 @@ class DetectorNoiseSpec:
     fp_score_sigma: float = 0.5
 
     def __post_init__(self):
+        # Written as "not (valid)" so that NaN fails every check.
         for p in (self.miss_prob, self.flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
         for s in (self.center_sigma, self.extent_sigma, self.yaw_sigma,
                   self.score_sigma, self.fp_score_sigma):
-            if s < 0.0:
+            if not s >= 0.0:
                 raise ValueError("noise sigmas must be non-negative")
+        if not self.false_positive_rate >= 0.0:
+            raise ValueError("false positive rate must be non-negative")
+        if len(self.bias) != 7:
+            raise ValueError("bias needs 7 entries (x, y, z, l, w, h, yaw)")
         object.__setattr__(self, "bias", tuple(float(b) for b in self.bias))
 
 

@@ -1,20 +1,23 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from mapfuse.evalbench import (
     Accumulator,
     BenchmarkTag,
     EvalReport,
     MethodResult,
-    PartialTruthAccumulator,
     SLICE_NAMES,
     SliceThresholds,
     average_precision,
-    evaluate_global_maps,
+    greedy_assign,
     match_detections,
+    overlap_rows,
     tag_objects,
 )
 from mapfuse.fusion import three_stage_fuse
-from mapfuse.geometry import ObjectState
+from mapfuse.geometry import ObjectState, iou_bev
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     ScenarioConfig,
@@ -108,13 +111,70 @@ def test_accumulator_density_slices_are_frame_level():
     assert res["HD"] == 0.0
 
 
-def test_partial_truth_accumulator_masks_foreign_matches():
-    acc = PartialTruthAccumulator()
+def test_accumulator_masks_foreign_matches():
+    acc = Accumulator()
     truths = [box(0, 0), box(50, 0)]
     preds = [(box(0, 0), 2.0), (box(50, 0), 1.0)]
-    acc.add_frame(preds, truths, [True, False])
-    assert acc.num_truths == 1
-    assert acc.result() == 1.0
+    scores = [score for _, score in preds]
+    acc.add(scores, match_detections(preds, truths),
+            {"overall": [True, False]})
+    assert acc.slices["overall"].num_truths == 1
+    assert acc.results()["overall"] == 1.0
+
+
+def reference_match(predictions, truths, iou_threshold):
+    """Greedy matching as one scalar loop, skipping claimed truths."""
+    order = sorted(range(len(predictions)),
+                   key=lambda i: (-predictions[i][1], i))
+    assigned = [None] * len(predictions)
+    taken = [False] * len(truths)
+    for i in order:
+        best_j, best_iou = None, iou_threshold
+        for j, truth in enumerate(truths):
+            if taken[j]:
+                continue
+            iou = iou_bev(predictions[i][0], truth)
+            if iou >= best_iou and (best_j is None or iou > best_iou):
+                best_j, best_iou = j, iou
+        if best_j is not None:
+            assigned[i] = best_j
+            taken[best_j] = True
+    return assigned
+
+
+small_box_st = st.builds(
+    lambda x, y, yaw, l, w: box(x, y, yaw, l, w),
+    st.floats(-3, 3), st.floats(-3, 3), st.floats(-math.pi, math.pi),
+    st.floats(1, 5), st.floats(1, 3),
+)
+
+
+@given(
+    preds=st.lists(
+        st.tuples(small_box_st, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        max_size=6,
+    ),
+    truths_masks=st.lists(st.tuples(small_box_st, st.booleans()),
+                          max_size=6),
+    iou_threshold=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+)
+def test_masked_greedy_equals_matching_the_subset(preds, truths_masks,
+                                                  iou_threshold):
+    truths = [t for t, _ in truths_masks]
+    mask = [m for _, m in truths_masks]
+    subset = [j for j, m in enumerate(mask) if m]
+    scores = [score for _, score in preds]
+    rows = overlap_rows(preds, truths, iou_threshold)
+    direct = match_detections(preds, [truths[j] for j in subset],
+                              iou_threshold)
+    assert greedy_assign(scores, rows, mask) == [
+        None if i is None else subset[i] for i in direct
+    ]
+    assert direct == reference_match(preds, [truths[j] for j in subset],
+                                     iou_threshold)
+    assert greedy_assign(scores, rows) == reference_match(
+        preds, truths, iou_threshold
+    )
 
 
 def test_tag_objects_counts_witnesses():
@@ -136,6 +196,16 @@ def test_tag_objects_counts_witnesses():
         assert t.distance_slice == thresholds.distance_slice(d)
     want = ("HD" if any(w >= 3 for _, _, w in seen.values()) else "LD")
     assert density == want
+
+
+def evaluate_global_maps(scenario, maps):
+    """AP of per-frame fused maps against the fleet's visible objects."""
+    acc = Accumulator()
+    for frame, gmap in sorted(maps.items()):
+        tags, density = tag_objects(scenario, frame)
+        truths = [scenario.object_state(frame, t.object_id) for t in tags]
+        acc.add_frame(list(gmap.objects), truths, tags, density)
+    return acc.results()
 
 
 def test_evaluate_noiseless_maps_is_perfect():

@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mapfuse.fedlearn import TrainConfig, default_init_params
-from mapfuse.fusion import ScoredDetection, three_stage_fuse
-from mapfuse.geometry import ObjectState, iou_3d
+from mapfuse.association import ClusterConfig
+from mapfuse.distill import run_edfl, run_perfect_fl
+from mapfuse.evalbench import (
+    Accumulator,
+    average_precision,
+    match_detections,
+    tag_objects,
+)
+from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
+from mapfuse.fusion import LocalMap, ScoredDetection, three_stage_fuse
+from mapfuse.geometry import ObjectState, iou_3d, transform_to_global
 from mapfuse.orchestrator import (
+    _FUSED_FNS,
+    _PARAMS_OF,
     BROADCAST_ID,
     ByteLedger,
     CodecError,
@@ -22,6 +32,7 @@ from mapfuse.orchestrator import (
     SERVER_ID,
     TeacherSpec,
     V2xMessage,
+    build_teacher_registry,
     decode_message,
     default_benchmark_config,
     encode_message,
@@ -206,6 +217,24 @@ def test_run_config_from_dict_builds_nested():
     assert cfg.seed == 9
 
 
+@pytest.mark.parametrize("cls, section, key, value", [
+    (ClusterConfig, ("fusion", "cluster"), "eps", math.nan),
+    (TrainConfig, ("train",), "batch_size", 0),
+    (TrainConfig, ("train",), "sampling_ratio", 0),
+    (TrainConfig, ("train",), "train_window", [5.0, 1.0]),
+    (DetectorNoiseSpec, ("noise",), "bias", [1.0, 2.0, 3.0]),
+    (DetectorNoiseSpec, ("noise",), "false_positive_rate", -1.0),
+])
+def test_config_rejects_invalid_values(cls, section, key, value):
+    with pytest.raises(ValueError):
+        cls(**{key: tuple(value) if isinstance(value, list) else value})
+    payload = {key: value}
+    for name in reversed(section):
+        payload = {name: payload}
+    with pytest.raises(ConfigError):
+        run_config_from_dict(payload)
+
+
 def test_frame_windows():
     sc = ScenarioConfig()
     tr = TrainConfig()
@@ -246,6 +275,107 @@ def test_run_experiment_small_and_deterministic():
     assert a.methods["local_no_fl"].bytes_sent == 0
     assert ts.ap["overall"] is not None
     assert set(ts.per_vehicle_ap) == set(range(5))
+
+
+def reference_scores(cfg, frames):
+    """Scores run_experiment's methods with one direct match_detections
+    call per prediction set and truth set: a local map against its
+    vehicle's truths and against the fleet's, a fused map against the
+    fleet's once for the fleet AP and once per vehicle.
+
+    Returns {method: (ap, per_vehicle_ap)}.
+    """
+    scenario = generate_scenario(cfg.scenario, cfg.seed)
+    spec = ModelSpec()
+    init = default_init_params(spec)
+    tr_frames = training_frames(cfg.scenario, cfg.train)
+    params = {"none": init}
+    needed = {_PARAMS_OF[m] for m in cfg.methods}
+    if "perfect" in needed:
+        params["perfect"] = run_perfect_fl(
+            scenario, tr_frames, cfg.noise, init, cfg.train, cfg.fusion,
+            spec, cfg.sensor_seed)
+    if "edfl" in needed:
+        params["edfl"] = run_edfl(
+            scenario, tr_frames, cfg.noise, init, cfg.train, cfg.fusion,
+            spec, cfg.sensor_seed,
+            registry=build_teacher_registry(cfg, scenario))
+    k_count = scenario.num_vehicles
+    thr = cfg.iou_threshold
+    fleet_acc = {m: Accumulator() for m in cfg.methods}
+    own_acc = {m: [Accumulator() for _ in range(k_count)]
+               for m in cfg.methods}
+    # Per method and vehicle: [(score, hit) records, truth count].
+    veh = {m: [[[], 0] for _ in range(k_count)] for m in cfg.methods}
+
+    for f in frames:
+        fleet_tags, density = tag_objects(scenario, f, cfg.thresholds)
+        fleet_truths = [scenario.object_state(f, t.object_id)
+                        for t in fleet_tags]
+        veh_tags = [tag_objects(scenario, f, cfg.thresholds, vehicles=[k])
+                    for k in range(k_count)]
+        sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
+                  for k in range(k_count)]
+        for m in cfg.methods:
+            p = params[_PARAMS_OF[m]]
+            maps = [LocalMap(k, raw.frame_time,
+                             tuple(predict(p, sf, spec)), raw.pose)
+                    for k, (raw, sf) in enumerate(sensed)]
+            if m in _FUSED_FNS:
+                gmap, _ = run_frame(
+                    scenario, f, cfg.noise, p, cfg.fusion, spec,
+                    cfg.sensor_seed, local_maps=maps, fuse_fn=_FUSED_FNS[m])
+                preds = list(gmap.objects)
+                fleet_acc[m].add_frame(preds, fleet_truths, fleet_tags,
+                                       density)
+                for k, (tags, _) in enumerate(veh_tags):
+                    seen = {t.object_id for t in tags}
+                    assigned = match_detections(preds, fleet_truths, thr)
+                    for (_, score), j in zip(preds, assigned):
+                        if (j is None
+                                or fleet_tags[j].object_id in seen):
+                            veh[m][k][0].append((score, j is not None))
+                    veh[m][k][1] += len(seen)
+            else:
+                for k, (tags, dens_k) in enumerate(veh_tags):
+                    preds = [(transform_to_global(d.state, maps[k].pose),
+                              d.score) for d in maps[k].detections]
+                    truths = [scenario.object_state(f, t.object_id)
+                              for t in tags]
+                    own_acc[m][k].add_frame(preds, truths, tags, dens_k)
+                    assigned = match_detections(preds, fleet_truths, thr)
+                    veh[m][k][0].extend(
+                        (score, j is not None)
+                        for (_, score), j in zip(preds, assigned))
+                    veh[m][k][1] += len(fleet_truths)
+
+    out = {}
+    for m in cfg.methods:
+        if m in _FUSED_FNS:
+            ap = fleet_acc[m].results()
+        else:
+            ap = {}
+            for name in fleet_acc[m].slices:
+                records, count = [], 0
+                for acc in own_acc[m]:
+                    records += acc.slices[name].records
+                    count += acc.slices[name].num_truths
+                ap[name] = average_precision(records, count)
+        per_vehicle = {k: average_precision(records, count)
+                       for k, (records, count) in enumerate(veh[m])}
+        out[m] = (ap, per_vehicle)
+    return out
+
+
+def test_run_experiment_matches_direct_matching_reference():
+    cfg = small_run_config()
+    frames = list(range(60, 120, 10))
+    report = run_experiment(cfg, test_frames=frames)
+    reference = reference_scores(cfg, frames)
+    for m in cfg.methods:
+        ap, per_vehicle = reference[m]
+        assert report.methods[m].ap == ap, m
+        assert report.methods[m].per_vehicle_ap == per_vehicle, m
 
 
 def test_default_benchmark_config_composition():
