@@ -1,10 +1,11 @@
 """Detection-to-object association across vehicles.
 
-All vehicles' global-frame detections are clustered with DBSCAN over the
-ground-plane centers.  Each cluster becomes one global object; the result
-is the predicted object count and one binary assignment matrix per
-vehicle.  A transitive-closure oracle with the same conventions is kept
-alongside for testing.
+All vehicles' global-frame detections are grouped into the connected
+components of the graph that links two detections whose ground-plane
+centers lie within eps of each other.  This is DBSCAN with MinPts = 1:
+every detection is a core point, so there is neither noise nor border.
+Each component becomes one global object; the result is the predicted
+object count and one binary assignment matrix per vehicle.
 """
 
 from __future__ import annotations
@@ -16,26 +17,20 @@ import numpy as np
 
 from mapfuse.geometry import ObjectState
 
-ORACLE_MAX_POINTS = 200
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """DBSCAN hyperparameters: neighborhood radius (m) and core threshold.
+    """Neighborhood radius (m) of the association graph.
 
-    The neighborhood boundary is inclusive (distance <= eps).  With the
-    default min_pts of 1 every detection is a core point, so an object
-    witnessed by a single vehicle still enters the global map.
+    The boundary is inclusive (distance <= eps).  An object witnessed by a
+    single vehicle becomes a cluster of its own.
     """
 
     eps: float = 2.0
-    min_pts: int = 1
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be at least 1")
 
 
 @dataclass
@@ -61,109 +56,31 @@ def _neighbor_matrix(points: np.ndarray, eps: float) -> np.ndarray:
     return dist2 <= eps * eps
 
 
-def _attach_borders(labels, core_mask, neighbors, points, keys):
-    """Assign each non-core point to its nearest core neighbor's cluster.
+def _components(entries, eps: float) -> tuple[int, list[int]]:
+    """Connected components of the eps graph as (count, label per entry).
 
-    Ties are broken by the smallest (vehicle_id, detection_index) core.
-    Non-core points without a core neighbor keep label -1 (noise).
+    Components are numbered by their smallest (vehicle_id,
+    detection_index) key, which fixes the column order of the matrices.
     """
-    for i in np.flatnonzero(~core_mask):
-        cores = np.flatnonzero(neighbors[i] & core_mask)
-        if cores.size == 0:
+    points = np.array(
+        [[e[2].center[0], e[2].center[1]] for e in entries], dtype=float
+    ).reshape(-1, 2)
+    neighbors = _neighbor_matrix(points, eps)
+    labels = [-1] * len(entries)
+    count = 0
+    for seed in sorted(range(len(entries)), key=lambda i: entries[i][:2]):
+        if labels[seed] >= 0:
             continue
-        dists = np.linalg.norm(points[cores] - points[i], axis=1)
-        best = min(zip(dists, (keys[j] for j in cores), cores))
-        labels[i] = labels[best[2]]
-
-
-def _partition(entries, cfg: ClusterConfig) -> list[int]:
-    """Raw DBSCAN cluster labels (noise promoted to singletons later)."""
-    n = len(entries)
-    points = np.array([[e[2].center[0], e[2].center[1]] for e in entries])
-    keys = [(e[0], e[1]) for e in entries]
-    neighbors = _neighbor_matrix(points, cfg.eps)
-    core_mask = neighbors.sum(axis=1) >= cfg.min_pts
-    labels = np.full(n, -1, dtype=int)
-    next_label = 0
-    for seed in range(n):
-        if not core_mask[seed] or labels[seed] >= 0:
-            continue
-        labels[seed] = next_label
+        labels[seed] = count
         frontier = [seed]
         while frontier:
             cur = frontier.pop()
-            for j in np.flatnonzero(neighbors[cur] & core_mask):
+            for j in np.flatnonzero(neighbors[cur]):
                 if labels[j] < 0:
-                    labels[j] = next_label
+                    labels[j] = count
                     frontier.append(j)
-        next_label += 1
-    _attach_borders(labels, core_mask, neighbors, points, keys)
-    return list(labels)
-
-
-def _closure_partition(entries, cfg: ClusterConfig) -> list[int]:
-    """Same partition computed by explicit transitive closure."""
-    n = len(entries)
-    points = np.array([[e[2].center[0], e[2].center[1]] for e in entries])
-    keys = [(e[0], e[1]) for e in entries]
-    neighbors = _neighbor_matrix(points, cfg.eps)
-    core_mask = neighbors.sum(axis=1) >= cfg.min_pts
-    core_adj = neighbors & core_mask[None, :] & core_mask[:, None]
-    reach = core_adj.copy()
-    while True:
-        nxt = reach | ((reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0)
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-    labels = np.full(n, -1, dtype=int)
-    next_label = 0
-    for i in range(n):
-        if not core_mask[i] or labels[i] >= 0:
-            continue
-        members = np.flatnonzero(reach[i] & core_mask)
-        labels[members] = next_label
-        labels[i] = next_label
-        next_label += 1
-    _attach_borders(labels, core_mask, neighbors, points, keys)
-    return list(labels)
-
-
-def _finalize(entries, labels, vehicle_ids):
-    """Promote noise to singletons, order clusters, build matrices."""
-    labels = list(labels)
-    next_label = max(labels, default=-1) + 1
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            labels[i] = next_label
-            next_label += 1
-    # Deterministic ordering: by the smallest (vehicle_id, detection_index)
-    # among each cluster's members.
-    rep: dict[int, tuple[int, int]] = {}
-    for (veh, idx, _), lab in zip(entries, labels):
-        key = (veh, idx)
-        if lab not in rep or key < rep[lab]:
-            rep[lab] = key
-    order = sorted(rep, key=rep.get)
-    remap = {lab: m for m, lab in enumerate(order)}
-    num_objects = len(order)
-
-    if vehicle_ids is None:
-        vehicle_ids = sorted({veh for veh, _, _ in entries})
-    counts = {veh: 0 for veh in vehicle_ids}
-    for veh, idx, _ in entries:
-        if veh not in counts:
-            raise ValueError(f"detection references unknown vehicle {veh}")
-        counts[veh] = max(counts[veh], idx + 1)
-    matrices = {
-        veh: np.zeros((counts[veh], num_objects), dtype=np.int8)
-        for veh in vehicle_ids
-    }
-    for (veh, idx, _), lab in zip(entries, labels):
-        matrices[veh][idx, remap[lab]] = 1
-    return num_objects, [
-        AssociationMatrix(vehicle_id=veh, entries=matrices[veh])
-        for veh in vehicle_ids
-    ]
+        count += 1
+    return count, labels
 
 
 def cluster_detections(
@@ -174,33 +91,25 @@ def cluster_detections(
     """Cluster global-frame detections into global objects.
 
     detections are (vehicle_id, detection_index, state) triples.  Returns
-    the predicted object count and one association matrix per vehicle.
-    Noise points are promoted to singleton clusters so that no detection
-    vanishes before the pruning stage can adjudicate it.
+    the predicted object count and one association matrix per vehicle
+    (by default, per vehicle seen, in id order); every detection lands in
+    exactly one cluster.
     """
-    if not detections:
-        if vehicle_ids:
-            return 0, [
-                AssociationMatrix(veh, np.zeros((0, 0), dtype=np.int8))
-                for veh in vehicle_ids
-            ]
-        return 0, []
-    labels = _partition(detections, cfg)
-    return _finalize(detections, labels, vehicle_ids)
-
-
-def cluster_brute_force_oracle(
-    detections: Sequence[tuple[int, int, ObjectState]],
-    cfg: ClusterConfig,
-    vehicle_ids: Sequence[int] | None = None,
-) -> tuple[int, list[AssociationMatrix]]:
-    """Reference clustering via transitive closure; capped at 200 points."""
-    if len(detections) > ORACLE_MAX_POINTS:
-        raise ValueError(
-            f"oracle capped at {ORACLE_MAX_POINTS} detections, "
-            f"got {len(detections)}"
-        )
-    if not detections:
-        return cluster_detections(detections, cfg, vehicle_ids)
-    labels = _closure_partition(detections, cfg)
-    return _finalize(detections, labels, vehicle_ids)
+    if vehicle_ids is None:
+        vehicle_ids = sorted({veh for veh, _, _ in detections})
+    num_objects, labels = _components(detections, cfg.eps)
+    counts = {veh: 0 for veh in vehicle_ids}
+    for veh, idx, _ in detections:
+        if veh not in counts:
+            raise ValueError(f"detection references unknown vehicle {veh}")
+        counts[veh] = max(counts[veh], idx + 1)
+    matrices = {
+        veh: np.zeros((counts[veh], num_objects), dtype=np.int8)
+        for veh in vehicle_ids
+    }
+    for (veh, idx, _), label in zip(detections, labels):
+        matrices[veh][idx, label] = 1
+    return num_objects, [
+        AssociationMatrix(vehicle_id=veh, entries=matrices[veh])
+        for veh in vehicle_ids
+    ]

@@ -11,6 +11,7 @@ angle, box, direction) of the full-scale system.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -143,6 +144,11 @@ class TrainConfig:
     sampling_ratio: int = 3
 
     def __post_init__(self):
+        counts = (self.local_epochs, self.max_rounds, self.batch_size,
+                  self.sampling_ratio)
+        if not all(isinstance(c, numbers.Integral) for c in counts):
+            raise ValueError("epoch, round, batch and sampling counts "
+                             "must be integers")
         # Written as "not (valid)" so that NaN fails every check.
         if not self.learning_rate >= 0.0:
             raise ValueError("learning rate must be non-negative")

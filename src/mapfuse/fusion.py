@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from mapfuse.geometry import (
     wrap_angle,
 )
 
-WEIGHT_MODES = ("confidence", "literal", "uniform")
+WEIGHT_MODES = ("confidence", "literal")
 
 CATEGORY_NAMES = {0: "Car", 1: "Pedestrian", 2: "Cyclist"}
 
@@ -73,19 +73,6 @@ class GlobalMap:
 
 
 @dataclass(frozen=True)
-class FusionWeights:
-    """Normalized per-detection weights within one cluster."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.size and abs(values.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-
-@dataclass(frozen=True)
 class FusionConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     weight_mode: str = "confidence"
@@ -123,35 +110,36 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 
 
 def compute_weights(
-    cluster: Sequence[ScoredDetection], mode: str = "confidence"
-) -> FusionWeights:
-    """Normalized fusion weights for one cluster of detections.
+    scores: Sequence[float], mode: str = "confidence"
+) -> np.ndarray:
+    """Normalized fusion weights for one cluster's raw scores.
 
     'confidence' weights by the sigmoid of the score (increasing in
     score).  'literal' weights by (1 + exp(s))^-1, which is decreasing in
     the score; it is kept as an alternate convention rather than silently
-    corrected.  'uniform' gives every member the same weight.
+    corrected.
     """
-    if not cluster:
-        raise ValueError("cluster must be non-empty")
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {mode!r}")
-    scores = np.array([d.score for d in cluster], dtype=float)
-    if mode == "confidence":
-        raw = _sigmoid(scores)
-    elif mode == "literal":
-        raw = _sigmoid(-scores)
-    else:
-        raw = np.ones_like(scores)
-    return FusionWeights(values=raw / raw.sum())
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise ValueError("cluster must be non-empty")
+    raw = _sigmoid(scores if mode == "confidence" else -scores)
+    return raw / raw.sum()
 
 
-def _fuse_states(
+def fuse_cluster(
     states: Sequence[ObjectState],
     scores: Sequence[float],
     weights: np.ndarray,
 ) -> tuple[ObjectState, float]:
-    """Weighted fusion of already-global states (see fuse_cluster)."""
+    """Fuse one cluster of global-frame states under normalized weights.
+
+    Continuous fields are the weighted mean of the members (the minimizer
+    of the weighted least-squares objective); yaw uses a weighted circular
+    mean; the category is a weighted vote; the fused score is the
+    weighted mean of the raw scores.
+    """
     w = np.asarray(weights, dtype=float)
     vecs = np.stack([s.to_vector() for s in states])
     cont = w @ vecs[:, 1:7]
@@ -189,26 +177,6 @@ def _fuse_states(
     return state, fused_score
 
 
-def fuse_cluster(
-    cluster: Sequence[tuple[ScoredDetection, Pose]],
-    weights: FusionWeights,
-) -> tuple[ObjectState, float]:
-    """Fuse one cluster of (local detection, vehicle pose) pairs.
-
-    Continuous fields are the weighted mean of the global-frame members
-    (the minimizer of the weighted least-squares objective); yaw uses a
-    weighted circular mean; the fused score is the weighted mean of the
-    raw scores.
-    """
-    if not cluster:
-        raise ValueError("cluster must be non-empty")
-    if len(cluster) != weights.values.size:
-        raise ValueError("weights are not aligned with the cluster")
-    states = [transform_to_global(det.state, pose) for det, pose in cluster]
-    scores = [det.score for det, _ in cluster]
-    return _fuse_states(states, scores, weights.values)
-
-
 def prune_overlaps(
     objects: Sequence[tuple[ObjectState, float]], delta: float
 ) -> list[tuple[ObjectState, float]]:
@@ -231,8 +199,10 @@ def prune_overlaps(
 def _fuse_frame(
     local_maps: Sequence[LocalMap],
     cfg: FusionConfig,
-    per_cluster_fuse,
+    rule: Callable[[list[ObjectState], list[float]],
+                   tuple[ObjectState, float]],
 ) -> FusionResult:
+    """Associate, fuse each cluster with rule(states, scores), and prune."""
     if not local_maps:
         return FusionResult(GlobalMap(0.0, ()), 0, [], [])
     frame_time = local_maps[0].frame_time
@@ -240,29 +210,27 @@ def _fuse_frame(
         raise ValueError("local maps must share a frame time")
 
     entries = []
-    scores: dict[tuple[int, int], float] = {}
-    globals_: dict[tuple[int, int], ObjectState] = {}
+    by_key: dict[tuple[int, int], tuple[ObjectState, float]] = {}
     for lm in local_maps:
         for n, det in enumerate(lm.detections):
             g = transform_to_global(det.state, lm.pose)
             entries.append((lm.vehicle_id, n, g))
-            scores[(lm.vehicle_id, n)] = det.score
-            globals_[(lm.vehicle_id, n)] = g
+            by_key[(lm.vehicle_id, n)] = (g, det.score)
     vehicle_ids = [lm.vehicle_id for lm in local_maps]
     num_objects, matrices = cluster_detections(entries, cfg.cluster, vehicle_ids)
 
-    members: list[list[tuple[int, int]]] = [[] for _ in range(num_objects)]
+    # Members of each cluster in vehicle order, then detection order.
+    members: list[list[tuple[ObjectState, float]]] = [
+        [] for _ in range(num_objects)
+    ]
     for mat in matrices:
         rows, cols = np.nonzero(mat.entries)
         for n, m in zip(rows, cols):
-            members[m].append((mat.vehicle_id, int(n)))
+            members[m].append(by_key[(mat.vehicle_id, int(n))])
 
-    fused_all = []
-    for group in members:
-        states = [globals_[key] for key in group]
-        member_scores = [scores[key] for key in group]
-        fused_all.append(per_cluster_fuse(states, member_scores))
-
+    fused_all = [
+        rule([g for g, _ in group], [s for _, s in group]) for group in members
+    ]
     pruned = prune_overlaps(fused_all, cfg.delta)
     return FusionResult(
         global_map=GlobalMap(frame_time, tuple(pruned)),
@@ -277,57 +245,38 @@ def three_stage_fuse(
 ) -> FusionResult:
     """Associate, score-weight-fuse and prune one frame of local maps."""
     cfg = cfg or FusionConfig()
-
-    def fuse(states, member_scores):
-        dets = [ScoredDetection(s, sc) for s, sc in zip(states, member_scores)]
-        weights = compute_weights(dets, cfg.weight_mode)
-        return _fuse_states(states, member_scores, weights.values)
-
-    return _fuse_frame(local_maps, cfg, fuse)
+    return _fuse_frame(
+        local_maps,
+        cfg,
+        lambda states, scores: fuse_cluster(
+            states, scores, compute_weights(scores, cfg.weight_mode)
+        ),
+    )
 
 
 def baseline_mean_fuse(
     local_maps: Sequence[LocalMap], cfg: FusionConfig | None = None
 ) -> FusionResult:
     """Same pipeline with uniform weights within each cluster."""
-    cfg = cfg or FusionConfig()
-
-    def fuse(states, member_scores):
-        w = np.full(len(states), 1.0 / len(states))
-        return _fuse_states(states, member_scores, w)
-
-    return _fuse_frame(local_maps, cfg, fuse)
+    return _fuse_frame(
+        local_maps,
+        cfg or FusionConfig(),
+        lambda states, scores: fuse_cluster(
+            states, scores, np.full(len(states), 1.0 / len(states))
+        ),
+    )
 
 
 def baseline_max_score_fuse(
     local_maps: Sequence[LocalMap], cfg: FusionConfig | None = None
 ) -> FusionResult:
     """Per cluster, keep only the single highest-scoring member verbatim."""
-    cfg = cfg or FusionConfig()
 
-    def fuse(states, member_scores):
-        best = max(range(len(states)), key=lambda i: (member_scores[i], -i))
-        return states[best], float(member_scores[best])
+    def keep_best(states, scores):
+        best = max(range(len(states)), key=lambda i: (scores[i], -i))
+        return states[best], float(scores[best])
 
-    return _fuse_frame(local_maps, cfg, fuse)
-
-
-def weighted_ls_objective(
-    candidate: ObjectState,
-    states: Sequence[ObjectState],
-    weights: Sequence[float],
-) -> float:
-    """Weighted squared-residual objective a fused object minimizes.
-
-    Continuous fields use plain residuals; yaw uses the wrapped angular
-    difference.  Exposed for optimality checks.
-    """
-    total = 0.0
-    cv = candidate.to_vector()[1:7]
-    for s, w in zip(states, weights):
-        r = cv - s.to_vector()[1:7]
-        total += w * (float(r @ r) + angle_diff(candidate.yaw, s.yaw) ** 2)
-    return total
+    return _fuse_frame(local_maps, cfg or FusionConfig(), keep_best)
 
 
 # --- serialization -----------------------------------------------------------

@@ -33,8 +33,8 @@ def angle_diff(a: float, b: float) -> float:
 class ObjectState:
     """One mobile object: class id, center (m), extents l/w/h (m), yaw (rad).
 
-    Extents must be strictly positive; yaw is normalized to [-pi, pi) on
-    construction.
+    Every field must be finite and extents strictly positive; yaw is
+    normalized to [-pi, pi) on construction.
     """
 
     category: int
@@ -43,15 +43,20 @@ class ObjectState:
     yaw: float
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        extents = tuple(float(e) for e in self.extents)
+        center = tuple(map(float, self.center))
+        extents = tuple(map(float, self.extents))
+        yaw = float(self.yaw)
         if len(center) != 3 or len(extents) != 3:
             raise ValueError("center and extents must have three components")
+        if not all(map(math.isfinite, (*center, *extents, yaw))):
+            raise ValueError(
+                f"box fields must be finite, got {center} {extents} {yaw}"
+            )
         if min(extents) <= 0.0:
             raise ValueError(f"extents must be strictly positive, got {extents}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
+        object.__setattr__(self, "yaw", wrap_angle(yaw))
 
     def to_vector(self) -> np.ndarray:
         """Pack as the 8-vector (category, x, y, z, l, w, h, yaw)."""
@@ -74,17 +79,20 @@ class ObjectState:
 
 @dataclass(frozen=True)
 class Pose:
-    """A vehicle pose: position (m) and heading (yaw about z, rad)."""
+    """A vehicle pose: finite position (m) and heading (yaw about z, rad)."""
 
     position: tuple[float, float, float]
     heading: float
 
     def __post_init__(self):
         position = tuple(float(c) for c in self.position)
+        heading = float(self.heading)
         if len(position) != 3:
             raise ValueError("position must have three components")
+        if not all(map(math.isfinite, (*position, heading))):
+            raise ValueError(f"pose must be finite, got {position} {heading}")
         object.__setattr__(self, "position", position)
-        object.__setattr__(self, "heading", float(self.heading))
+        object.__setattr__(self, "heading", heading)
 
 
 IDENTITY_POSE = Pose(position=(0.0, 0.0, 0.0), heading=0.0)

@@ -158,9 +158,14 @@ def _pack_scored(state: ObjectState, score: float) -> bytes:
     )
 
 
-def _unpack_scored(blob: bytes, offset: int) -> tuple[ObjectState, float]:
+def _unpack_scored(blob: bytes, offset: int, what: str) -> ScoredDetection:
+    _require(blob, offset, _SCORED_ENTRY.size, what)
     cat, x, y, z, l, w, h, yaw, score = _SCORED_ENTRY.unpack_from(blob, offset)
-    return ObjectState(cat, (x, y, z), (l, w, h), yaw), score
+    try:
+        return ScoredDetection(ObjectState(cat, (x, y, z), (l, w, h), yaw),
+                               score)
+    except ValueError as exc:
+        raise CodecError(f"invalid {what} at offset {offset}: {exc}") from None
 
 
 def encode_message(msg: V2xMessage) -> bytes:
@@ -213,21 +218,24 @@ def decode_message(blob: bytes) -> V2xMessage:
     if kind is MessageKind.LOCAL_MAP_UPLOAD:
         dets = []
         for _ in range(count):
-            _require(blob, offset, _SCORED_ENTRY.size, "detection entry")
-            state, score = _unpack_scored(blob, offset)
-            dets.append(ScoredDetection(state, score))
+            dets.append(_unpack_scored(blob, offset, "detection entry"))
             offset += _SCORED_ENTRY.size
         payload = LocalMapUpload(tuple(dets))
     elif kind is MessageKind.GLOBAL_MAP_BROADCAST:
         objs = []
         for _ in range(count):
-            _require(blob, offset, _SCORED_ENTRY.size, "object entry")
-            objs.append(_unpack_scored(blob, offset))
+            obj = _unpack_scored(blob, offset, "object entry")
+            objs.append((obj.state, obj.score))
             offset += _SCORED_ENTRY.size
         payload = GlobalMapBroadcast(tuple(objs))
     elif kind in (MessageKind.PARAMS_UPLOAD, MessageKind.PARAMS_BROADCAST):
         _require(blob, offset, 8 * count, "parameter vector")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise CodecError(
+                f"non-finite parameter at offset {offset + 8 * int(bad[0])}"
+            )
         payload = ParamsPayload(tuple(float(v) for v in values))
         offset += 8 * count
     else:
@@ -237,9 +245,13 @@ def decode_message(blob: bytes) -> V2xMessage:
             idx, cat, x, y, z, l, w, h, yaw = _LABEL_ENTRY.unpack_from(
                 blob, offset
             )
-            labels.append(
-                (idx, ObjectState(cat, (x, y, z), (l, w, h), yaw))
-            )
+            try:
+                state = ObjectState(cat, (x, y, z), (l, w, h), yaw)
+            except ValueError as exc:
+                raise CodecError(
+                    f"invalid label entry at offset {offset}: {exc}"
+                ) from None
+            labels.append((idx, state))
             offset += _LABEL_ENTRY.size
         payload = LabelBroadcast(tuple(labels))
 
@@ -392,6 +404,10 @@ class RunConfig:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
+        # A threshold <= 0 would let a prediction claim a truth it does
+        # not overlap at all; written so that NaN fails.
+        if not 0.0 < self.iou_threshold <= 1.0:
+            raise ConfigError("iou_threshold must lie in (0, 1]")
 
 
 _NESTED = {

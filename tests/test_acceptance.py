@@ -11,11 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mapfuse.association import (
-    ClusterConfig,
-    cluster_brute_force_oracle,
-    cluster_detections,
-)
+from mapfuse.association import ClusterConfig, cluster_detections
 from mapfuse.cli import main as cli_main
 from mapfuse.evalbench import average_precision, match_detections
 from mapfuse.fedlearn import (
@@ -37,15 +33,12 @@ from mapfuse.fedlearn import (
 )
 from mapfuse.distill import full_coverage_registry, run_edfl, run_perfect_fl
 from mapfuse.fusion import (
-    FusionWeights,
     ScoredDetection,
     compute_weights,
     fuse_cluster,
     three_stage_fuse,
-    weighted_ls_objective,
 )
 from mapfuse.geometry import (
-    IDENTITY_POSE,
     ObjectState,
     angle_diff,
     iou_3d,
@@ -70,6 +63,7 @@ from mapfuse.simworld import (
     generate_scenario,
     sense,
 )
+from oracles import cluster_brute_force_oracle, weighted_ls_objective
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 
@@ -182,11 +176,9 @@ def test_criterion_1_oracle_suites(capsys):
                         rng.normal(0.0, 0.03))
             for _ in range(n)
         ]
-        dets = [ScoredDetection(s, sc)
-                for s, sc in zip(states, rng.normal(1.0, 1.0, n))]
-        w = compute_weights(dets, "confidence").values
-        fused, _ = fuse_cluster([(d, IDENTITY_POSE) for d in dets],
-                                FusionWeights(w))
+        scores = rng.normal(1.0, 1.0, n)
+        w = compute_weights(scores, "confidence")
+        fused, _ = fuse_cluster(states, scores, w)
         base = weighted_ls_objective(fused, states, w)
         vec = fused.to_vector()
         for field in range(1, 8):

@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from mapfuse.association import (
     AssociationMatrix,
     ClusterConfig,
-    ORACLE_MAX_POINTS,
-    cluster_brute_force_oracle,
     cluster_detections,
 )
 from mapfuse.geometry import ObjectState
+from oracles import ORACLE_MAX_POINTS, cluster_brute_force_oracle
 
 
 def det(veh, idx, x, y):
@@ -43,8 +42,6 @@ def partition_signature(num_objects, matrices):
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        ClusterConfig(min_pts=0)
 
 
 def test_boundary_inclusive():
@@ -60,13 +57,6 @@ def test_chain_merging():
     dets = [det(0, 0, 0, 0), det(0, 1, 1.5, 0), det(1, 0, 3.0, 0)]
     m, mats = cluster_detections(dets, ClusterConfig(eps=2.0))
     assert m == 1
-
-
-def test_noise_becomes_singleton():
-    cfg = ClusterConfig(eps=1.0, min_pts=3)
-    dets = [det(0, 0, 0, 0), det(0, 1, 50, 0)]
-    m, mats = cluster_detections(dets, cfg)
-    assert m == 2  # neither is core, both survive as singletons
 
 
 def test_rows_sum_at_most_one_and_cluster_order():

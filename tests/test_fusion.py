@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from mapfuse.fusion import (
     FusionConfig,
-    FusionWeights,
     GlobalMap,
     LocalMap,
     ScoredDetection,
@@ -22,9 +21,9 @@ from mapfuse.fusion import (
     local_map_to_json,
     prune_overlaps,
     three_stage_fuse,
-    weighted_ls_objective,
 )
 from mapfuse.geometry import IDENTITY_POSE, ObjectState, Pose, angle_diff
+from oracles import weighted_ls_objective
 
 
 def box(x, y, yaw=0.0, l=4.0, w=2.0, h=1.5, z=0.75, cat=0):
@@ -37,53 +36,42 @@ def lmap(vid, dets, pose=IDENTITY_POSE, t=0.0):
 
 
 def test_weights_literal_is_decreasing_in_score():
-    dets = [ScoredDetection(box(0, 0), 0.0),
-            ScoredDetection(box(0, 0), math.log(3.0))]
-    w = compute_weights(dets, "literal").values
+    w = compute_weights([0.0, math.log(3.0)], "literal")
     # (1+e^0)^-1 = 1/2, (1+e^{ln3})^-1 = 1/4 -> normalized (2/3, 1/3).
     assert w == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
 def test_weights_confidence_is_increasing_in_score():
-    dets = [ScoredDetection(box(0, 0), 0.0),
-            ScoredDetection(box(0, 0), math.log(3.0))]
-    w = compute_weights(dets, "confidence").values
+    w = compute_weights([0.0, math.log(3.0)], "confidence")
     # sigmoid: 0.5 and 0.75 -> normalized (0.4, 0.6).
     assert w == pytest.approx([0.4, 0.6], abs=1e-12)
 
 
 def test_weights_uniform_and_validation():
-    dets = [ScoredDetection(box(0, 0), s) for s in (-3.0, 0.0, 9.0)]
-    assert compute_weights(dets, "uniform").values == pytest.approx([1 / 3] * 3)
+    # Uniform weights are the mean baseline's rule, not a weight mode.
+    scores = (-3.0, 0.0, 9.0)
+    with pytest.raises(ValueError):
+        compute_weights(scores, "uniform")
     with pytest.raises(ValueError):
         compute_weights([], "confidence")
     with pytest.raises(ValueError):
-        compute_weights(dets, "bogus")
+        compute_weights(scores, "bogus")
 
 
 @given(st.lists(st.floats(-30, 30, allow_nan=False), min_size=1, max_size=8),
-       st.sampled_from(["confidence", "literal", "uniform"]))
+       st.sampled_from(["confidence", "literal"]))
 @settings(max_examples=200, deadline=None)
 def test_weights_always_normalized(scores, mode):
-    dets = [ScoredDetection(box(0, 0), s) for s in scores]
-    w = compute_weights(dets, mode).values
+    w = compute_weights(scores, mode)
     assert abs(w.sum() - 1.0) <= 1e-9
     assert (w > 0).all()
 
 
-def test_fusion_weights_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        FusionWeights(values=np.array([0.5, 0.6]))
-
-
 def test_fuse_cluster_weighted_mean():
-    cluster = [
-        (ScoredDetection(box(0.0, 0.0), 0.0), IDENTITY_POSE),
-        (ScoredDetection(box(2.0, 0.0), math.log(3.0)), IDENTITY_POSE),
-    ]
-    state, score = fuse_cluster(cluster,
-                                compute_weights([c[0] for c in cluster],
-                                                "confidence"))
+    states = [box(0.0, 0.0), box(2.0, 0.0)]
+    scores = [0.0, math.log(3.0)]
+    state, score = fuse_cluster(states, scores,
+                                compute_weights(scores, "confidence"))
     # Weights (0.4, 0.6) -> x = 1.2; uniform mean would give 1.0.
     assert state.center[0] == pytest.approx(1.2, abs=1e-12)
     assert score == pytest.approx(0.4 * 0.0 + 0.6 * math.log(3.0), abs=1e-12)
@@ -91,33 +79,26 @@ def test_fuse_cluster_weighted_mean():
 
 def test_fuse_cluster_applies_poses():
     pose = Pose((10.0, 0.0, 0.0), math.pi / 2)
-    cluster = [(ScoredDetection(box(5.0, 0.0), 1.0), pose)]
-    state, _ = fuse_cluster(cluster, FusionWeights(np.array([1.0])))
+    maps = [lmap(0, [ScoredDetection(box(5.0, 0.0), 1.0)], pose=pose)]
+    state, _ = three_stage_fuse(maps).global_map.objects[0]
     assert state.center[0] == pytest.approx(10.0, abs=1e-9)
     assert state.center[1] == pytest.approx(5.0, abs=1e-9)
     assert state.yaw == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_fused_yaw_wraps_across_pi():
-    cluster = [
-        (ScoredDetection(box(0, 0, math.radians(350)), 0.0), IDENTITY_POSE),
-        (ScoredDetection(box(0, 0, math.radians(10)), 0.0), IDENTITY_POSE),
-    ]
-    state, _ = fuse_cluster(cluster, FusionWeights(np.array([0.5, 0.5])))
+    states = [box(0, 0, math.radians(350)), box(0, 0, math.radians(10))]
+    state, _ = fuse_cluster(states, [0.0, 0.0], np.array([0.5, 0.5]))
     assert abs(angle_diff(state.yaw, 0.0)) < 1e-9
 
 
 def test_fused_yaw_ignores_flipped_member():
     # Two aligned members and one flipped by ~pi: the flipped one is
     # rotated back before averaging instead of dragging the mean.
-    cluster = [
-        (ScoredDetection(box(0, 0, 0.05), 2.0), IDENTITY_POSE),
-        (ScoredDetection(box(0, 0, -0.05), 1.0), IDENTITY_POSE),
-        (ScoredDetection(box(0, 0, math.pi - 0.02), 0.0), IDENTITY_POSE),
-    ]
-    state, _ = fuse_cluster(
-        cluster, compute_weights([c[0] for c in cluster], "confidence")
-    )
+    states = [box(0, 0, 0.05), box(0, 0, -0.05), box(0, 0, math.pi - 0.02)]
+    scores = [2.0, 1.0, 0.0]
+    state, _ = fuse_cluster(states, scores,
+                            compute_weights(scores, "confidence"))
     assert abs(angle_diff(state.yaw, 0.0)) < 0.1
 
 
@@ -131,10 +112,8 @@ def test_weighted_ls_optimality_small_perturbations():
             for _ in range(n)
         ]
         scores = rng.normal(1.0, 1.0, n)
-        dets = [ScoredDetection(s, sc) for s, sc in zip(states, scores)]
-        w = compute_weights(dets, "confidence").values
-        fused, _ = fuse_cluster([(d, IDENTITY_POSE) for d in dets],
-                                FusionWeights(w))
+        w = compute_weights(scores, "confidence")
+        fused, _ = fuse_cluster(states, scores, w)
         base = weighted_ls_objective(fused, states, w)
         vec = fused.to_vector()
         for field in range(1, 8):

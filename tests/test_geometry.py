@@ -53,8 +53,21 @@ def test_angle_diff_shortest_arc():
 def test_object_state_validation():
     with pytest.raises(ValueError):
         make_state(0, 0, 0, -1.0, 1, 1, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for fields in ((bad, 0, 0, 1, 1, 1, 0), (0, 0, 0, bad, 1, 1, 0),
+                       (0, 0, 0, 1, 1, 1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                make_state(*fields)
     s = make_state(0, 0, 0, 1, 1, 1, 4 * math.pi + 0.3)
     assert s.yaw == pytest.approx(0.3)
+
+
+def test_pose_validation():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Pose((bad, 0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Pose((0.0, 0.0, 0.0), bad)
 
 
 def test_vector_round_trip():

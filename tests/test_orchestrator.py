@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
 from mapfuse.distill import run_edfl, run_perfect_fl
@@ -131,6 +132,60 @@ def test_codec_errors_name_offsets():
         decode_message(blob[:40])
     with pytest.raises(CodecError, match="trailing bytes at offset 86"):
         decode_message(blob + b"\x00")
+    two = encode_message(upload_msg([ScoredDetection(box(1, 2), 0.5)] * 2))
+    # The second entry starts at 20 + 66; its x is 2 bytes in, its length 26.
+    with pytest.raises(CodecError, match="detection entry at offset 86"):
+        decode_message(two[:88] + struct.pack("<d", math.nan) + two[96:])
+    with pytest.raises(CodecError, match="detection entry at offset 86"):
+        decode_message(two[:112] + struct.pack("<d", 0.0) + two[120:])
+    params = encode_message(V2xMessage(MessageKind.PARAMS_UPLOAD, 1,
+                                       SERVER_ID, ParamsPayload((1.0, 2.0))))
+    with pytest.raises(CodecError, match="parameter at offset 28"):
+        decode_message(params[:28] + struct.pack("<d", math.inf))
+
+
+def _float_offsets(msg):
+    """Byte offsets of every float64 field in msg's encoding."""
+    payload = msg.payload
+    if msg.kind is MessageKind.LOCAL_MAP_UPLOAD:
+        entries, size, skip = len(payload.detections), 66, 2
+    elif msg.kind is MessageKind.GLOBAL_MAP_BROADCAST:
+        entries, size, skip = len(payload.objects), 66, 2
+    elif msg.kind is MessageKind.LABEL_BROADCAST:
+        entries, size, skip = len(payload.labels), 62, 6
+    else:
+        entries, size, skip = len(payload.values), 8, 0
+    return [20 + size * i + j
+            for i in range(entries) for j in range(skip, size, 8)]
+
+
+framed_st = st.builds(
+    lambda kind, count, body: (struct.pack("<4sHHII", b"DMF1", 1, kind, 0, 0)
+                               + struct.pack("<I", count) + body),
+    st.integers(0, 6), st.integers(0, 4), st.binary(max_size=300),
+)
+
+
+@given(st.one_of(st.binary(max_size=300), framed_st))
+@settings(max_examples=300, deadline=None)
+def test_decode_arbitrary_bytes_raises_only_codec_error(blob):
+    try:
+        decode_message(blob)
+    except CodecError:
+        pass
+
+
+@given(message_st(), st.data(),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(max_examples=150, deadline=None)
+def test_decode_rejects_any_non_finite_float(msg, data, bad):
+    offsets = _float_offsets(msg)
+    assume(offsets)
+    at = data.draw(st.sampled_from(offsets))
+    blob = encode_message(msg)
+    blob = blob[:at] + struct.pack("<d", bad) + blob[at + 8:]
+    with pytest.raises(CodecError, match=r"at offset \d+"):
+        decode_message(blob)
 
 
 def test_payload_kind_mismatch_rejected():
@@ -224,6 +279,13 @@ def test_run_config_from_dict_builds_nested():
     (TrainConfig, ("train",), "train_window", [5.0, 1.0]),
     (DetectorNoiseSpec, ("noise",), "bias", [1.0, 2.0, 3.0]),
     (DetectorNoiseSpec, ("noise",), "false_positive_rate", -1.0),
+    (RunConfig, (), "iou_threshold", -1.0),
+    (RunConfig, (), "iou_threshold", math.nan),
+    (RunConfig, (), "iou_threshold", 1.5),
+    (TrainConfig, ("train",), "sampling_ratio", 1.5),
+    (TrainConfig, ("train",), "batch_size", 2.5),
+    (TrainConfig, ("train",), "local_epochs", 2.0),
+    (TrainConfig, ("train",), "max_rounds", 1.5),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -233,6 +295,13 @@ def test_config_rejects_invalid_values(cls, section, key, value):
         payload = {name: payload}
     with pytest.raises(ConfigError):
         run_config_from_dict(payload)
+
+
+def test_removed_options_are_rejected():
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"fusion": {"cluster": {"min_pts": 1}}})
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"fusion": {"weight_mode": "uniform"}})
 
 
 def test_frame_windows():
