@@ -93,10 +93,14 @@ def cluster_detections(
     detections are (vehicle_id, detection_index, state) triples.  Returns
     the predicted object count and one association matrix per vehicle
     (by default, per vehicle seen, in id order); every detection lands in
-    exactly one cluster.
+    exactly one cluster.  vehicle_ids must not repeat.
     """
     if vehicle_ids is None:
         vehicle_ids = sorted({veh for veh, _, _ in detections})
+    elif len(set(vehicle_ids)) != len(vehicle_ids):
+        # Detections are keyed by (vehicle_id, index): a repeated id would
+        # merge two vehicles' maps and silently drop detections.
+        raise ValueError(f"duplicate vehicle ids in {list(vehicle_ids)}")
     num_objects, labels = _components(detections, cfg.eps)
     counts = {veh: 0 for veh in vehicle_ids}
     for veh, idx, _ in detections:

@@ -30,7 +30,7 @@ from mapfuse.fusion import (
     three_stage_fuse,
 )
 from mapfuse.geometry import ObjectState, transform_to_local
-from mapfuse.simworld import DetectorNoiseSpec, Scenario, SensorSpec, sense
+from mapfuse.simworld import DetectorNoiseSpec, Scenario, sense
 
 
 @dataclass
@@ -87,94 +87,22 @@ def full_coverage_registry(scenario: Scenario) -> TeacherRegistry:
     )
 
 
-@dataclass(frozen=True)
-class StudentSelection:
-    students: frozenset[int]
-    divergence: dict[int, float]
-
-
-def _fov_columns(result: FusionResult, pose, sensor: SensorSpec):
-    """Fused-object columns inside a vehicle's sensor wedge."""
-    cols = []
-    half = sensor.fov / 2.0
-    for m, (state, _) in enumerate(result.fused_all):
-        dx = state.center[0] - pose.position[0]
-        dy = state.center[1] - pose.position[1]
-        if math.hypot(dx, dy) > sensor.range:
-            continue
-        bearing = math.atan2(dy, dx)
-        rel = (bearing - pose.heading + math.pi) % (2 * math.pi) - math.pi
-        if abs(rel) <= half:
-            cols.append(m)
-    return cols
-
-
-def select_students(
-    per_frame: Sequence[tuple[Sequence[LocalMap], FusionResult]],
-    threshold: float,
-    sensor: SensorSpec,
-) -> StudentSelection:
-    """Pick vehicles whose local maps disagree with the fused map.
-
-    Per frame and vehicle, divergence is one minus matched pairs over the
-    union of the vehicle's detections and the fused objects in its FoV;
-    fused objects supported solely by the vehicle itself are not counted
-    as consensus.  The per-vehicle score is the average over frames, and
-    vehicles above the threshold become students.
-    """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for local_maps, result in per_frame:
-        support = np.zeros(result.num_objects, dtype=int)
-        for mat in result.matrices:
-            support += (mat.entries.sum(axis=0) > 0).astype(int)
-        by_vehicle = {mat.vehicle_id: mat for mat in result.matrices}
-        for lm in local_maps:
-            mat = by_vehicle[lm.vehicle_id]
-            own = mat.entries.sum(axis=0) > 0
-            consensus = {
-                m
-                for m in _fov_columns(result, lm.pose, sensor)
-                if support[m] >= 2 or not own[m]
-            }
-            matched = 0
-            for n in range(len(lm.detections)):
-                col = mat.column_of(n)
-                if col is not None and col in consensus:
-                    matched += 1
-            union = len(lm.detections) + len(consensus) - matched
-            if union == 0:
-                continue
-            sums[lm.vehicle_id] = sums.get(lm.vehicle_id, 0.0) + (
-                1.0 - matched / union
-            )
-            counts[lm.vehicle_id] = counts.get(lm.vehicle_id, 0) + 1
-    divergence = {
-        k: sums[k] / counts[k] for k in sorted(counts)
-    }
-    students = frozenset(k for k, v in divergence.items() if v > threshold)
-    return StudentSelection(students=students, divergence=divergence)
-
-
 def distill_labels(
     local_maps: Sequence[LocalMap],
     result: FusionResult,
     frame: int,
     registry: TeacherRegistry | None = None,
-    students: frozenset[int] | None = None,
 ) -> dict[int, LabelSet]:
     """Per-vehicle label sets for one frame.
 
     Each detection associated with a fused object is labeled either by a
     covering teacher (ground truth, transformed into the vehicle frame)
     or by the fused object itself; unassociated detections stay
-    unlabeled.  With students=None every vehicle receives labels.
+    unlabeled.
     """
     by_vehicle = {mat.vehicle_id: mat for mat in result.matrices}
     out: dict[int, LabelSet] = {}
     for lm in local_maps:
-        if students is not None and lm.vehicle_id not in students:
-            continue
         mat = by_vehicle.get(lm.vehicle_id)
         if mat is None or mat.entries.shape[0] != len(lm.detections):
             raise ValueError(
@@ -208,7 +136,6 @@ def build_distilled_datasets(
     fusion_cfg: FusionConfig,
     sensor_seed: int,
     registry: TeacherRegistry | None = None,
-    students: frozenset[int] | None = None,
 ):
     """Sense, fuse and label the given frames for every vehicle."""
     k_count = scenario.num_vehicles
@@ -227,10 +154,9 @@ def build_distilled_datasets(
                 )
             )
         result = three_stage_fuse(local_maps, fusion_cfg)
-        labels = distill_labels(local_maps, result, f, registry, students)
+        labels = distill_labels(local_maps, result, f, registry)
         for k in range(k_count):
-            if k in labels:
-                datasets[k].append((sensed[k][1], labels[k]))
+            datasets[k].append((sensed[k][1], labels[k]))
     return datasets
 
 
@@ -244,8 +170,6 @@ def run_edfl(
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
     registry: TeacherRegistry | None = None,
-    students: frozenset[int] | None = None,
-    curve: list | None = None,
 ) -> ModelParams:
     """Ensemble-distillation federated learning over a training window.
 
@@ -256,12 +180,9 @@ def run_edfl(
     spec = spec or ModelSpec()
     fusion_cfg = fusion_cfg or FusionConfig()
     datasets = build_distilled_datasets(
-        scenario, frames, noise, init, spec, fusion_cfg, sensor_seed,
-        registry, students,
+        scenario, frames, noise, init, spec, fusion_cfg, sensor_seed, registry
     )
-    return run_federated(
-        datasets, init, train_cfg, spec, base_seed=sensor_seed, curve=curve
-    )
+    return run_federated(datasets, init, train_cfg, spec, base_seed=sensor_seed)
 
 
 def run_perfect_fl(
@@ -273,7 +194,6 @@ def run_perfect_fl(
     fusion_cfg: FusionConfig | None = None,
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
-    curve: list | None = None,
 ) -> ModelParams:
     """Federated training with perfect teacher labels everywhere."""
     return run_edfl(
@@ -286,5 +206,4 @@ def run_perfect_fl(
         spec,
         sensor_seed,
         registry=full_coverage_registry(scenario),
-        curve=curve,
     )

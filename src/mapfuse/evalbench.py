@@ -242,8 +242,7 @@ def slice_membership(
 class Accumulator:
     """Streams assigned frames into per-slice AP statistics."""
 
-    def __init__(self, iou_threshold: float = IOU_THRESHOLD):
-        self.iou_threshold = iou_threshold
+    def __init__(self):
         self.slices = {name: SliceRecords() for name in SLICE_NAMES}
 
     def add(
@@ -266,7 +265,7 @@ class Accumulator:
         """Match one frame's predictions to its tagged truths and add it."""
         if len(tags) != len(truths):
             raise ValueError("one tag per ground-truth object required")
-        assigned = match_detections(predictions, truths, self.iou_threshold)
+        assigned = match_detections(predictions, truths)
         self.add([score for _, score in predictions], assigned,
                  slice_membership(tags, density))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -291,7 +292,6 @@ def run_frame(
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
     ledger: ByteLedger | None = None,
-    vehicles: Sequence[int] | None = None,
     local_maps: Sequence[LocalMap] | None = None,
     fuse_fn=three_stage_fuse,
 ) -> tuple[GlobalMap, int]:
@@ -305,12 +305,9 @@ def run_frame(
     """
     spec = spec or ModelSpec()
     fusion_cfg = fusion_cfg or FusionConfig()
-    if vehicles is None:
-        vehicles = range(scenario.num_vehicles)
-    vehicles = list(vehicles)
     if local_maps is None:
         local_maps = []
-        for k in vehicles:
+        for k in range(scenario.num_vehicles):
             raw_map, sensor_frame = sense(
                 scenario, k, frame, noise, sensor_seed
             )
@@ -385,6 +382,12 @@ class TeacherSpec:
     radius: float = 0.0
     full_coverage: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ConfigError("teacher position must be finite")
+        if not self.radius >= 0.0:
+            raise ConfigError("teacher radius must be non-negative")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -408,6 +411,8 @@ class RunConfig:
         # not overlap at all; written so that NaN fails.
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigError("iou_threshold must lie in (0, 1]")
+        if not self.teacher_match_radius > 0.0:
+            raise ConfigError("teacher_match_radius must be positive")
 
 
 _NESTED = {
@@ -420,6 +425,8 @@ _NESTED = {
 
 
 def _build_dataclass(cls, mapping: dict, path: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path.rstrip('.')} must be an object")
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
@@ -459,6 +466,8 @@ def run_config_from_dict(payload: dict) -> RunConfig:
                 _build_dataclass(TeacherSpec, t, "teachers[].") for t in value
             )
         elif key == "methods":
+            if not isinstance(value, list):
+                raise ConfigError("methods must be a list")
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value

@@ -39,7 +39,7 @@ class SensorSpec:
     frame_rate: float = 20.0
 
     def __post_init__(self):
-        if self.range <= 0.0:
+        if not self.range > 0.0:
             raise ValueError("range must be positive")
         if not 0.0 < self.fov <= 2 * math.pi:
             raise ValueError("fov must lie in (0, 2*pi]")

@@ -44,6 +44,12 @@ def test_config_validation():
         ClusterConfig(eps=0.0)
 
 
+def test_duplicate_vehicle_ids_are_rejected():
+    dets = [det(0, 0, 0.0, 0.0), det(1, 0, 50.0, 0.0)]
+    with pytest.raises(ValueError, match="duplicate vehicle ids"):
+        cluster_detections(dets, ClusterConfig(), vehicle_ids=[0, 1, 0])
+
+
 def test_boundary_inclusive():
     cfg = ClusterConfig(eps=2.0)
     m, mats = cluster_detections([det(0, 0, 0, 0), det(1, 0, 2.0, 0)], cfg)

@@ -118,6 +118,15 @@ def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
     assert main(["fuse", str(bad)]) == 2
 
 
+def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path):
+    lines = open(frame_jsonl).read().strip().splitlines()
+    doc = json.loads(lines[1])
+    doc["vehicle_id"] = json.loads(lines[0])["vehicle_id"]
+    bad = tmp_path / "duplicate.jsonl"
+    bad.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+    assert main(["fuse", str(bad)]) == 2
+
+
 def test_evaluate_and_report_round_trip(small_config, tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     assert main(["evaluate", "--config", small_config,

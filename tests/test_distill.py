@@ -8,7 +8,6 @@ from mapfuse.distill import (
     full_coverage_registry,
     run_edfl,
     run_perfect_fl,
-    select_students,
 )
 from mapfuse.fedlearn import TrainConfig, default_init_params, predict
 from mapfuse.fusion import FusionConfig, LocalMap, ScoredDetection, three_stage_fuse
@@ -124,13 +123,6 @@ def test_distill_labels_teacher_branch_overrides_ensemble():
     assert hit > 0
 
 
-def test_distill_labels_respects_student_subset():
-    sc = small_scenario()
-    maps, res = sensed_frame(sc, 20)
-    out = distill_labels(maps, res, 20, students=frozenset({1, 3}))
-    assert set(out) == {1, 3}
-
-
 def test_distill_labels_rejects_misaligned_maps():
     sc = small_scenario()
     maps, res = sensed_frame(sc, 20)
@@ -145,21 +137,6 @@ def test_distill_labels_rejects_misaligned_maps():
     )
     with pytest.raises(ValueError):
         distill_labels([broken] + maps[1:], res, 20)
-
-
-def test_select_students_range_and_agreement_extremes():
-    sc = small_scenario()
-    per_frame = [sensed_frame(sc, f) for f in (0, 10, 20, 30)]
-    sel = select_students(per_frame, threshold=0.2, sensor=sc.config.sensor)
-    assert set(sel.divergence) <= set(range(sc.num_vehicles))
-    for v in sel.divergence.values():
-        assert 0.0 <= v <= 1.0
-    assert sel.students == frozenset(
-        k for k, v in sel.divergence.items() if v > 0.2
-    )
-    # threshold 1.0 selects nobody
-    none = select_students(per_frame, threshold=1.0, sensor=sc.config.sensor)
-    assert none.students == frozenset()
 
 
 def test_run_perfect_fl_equals_full_coverage_edfl():

@@ -184,6 +184,17 @@ def test_max_score_baseline_keeps_best_member_verbatim():
     assert score == 5.0
 
 
+@pytest.mark.parametrize("fuse", [three_stage_fuse, baseline_mean_fuse,
+                                  baseline_max_score_fuse])
+def test_duplicate_vehicle_ids_are_rejected(fuse):
+    # Keyed by (vehicle_id, index), the second map would overwrite the
+    # first: the fused map would hold only the x=50 box.
+    maps = [lmap(0, [ScoredDetection(box(0.0, 0.0), 1.0)]),
+            lmap(0, [ScoredDetection(box(50.0, 0.0), 1.0)])]
+    with pytest.raises(ValueError, match="duplicate vehicle ids"):
+        fuse(maps)
+
+
 def test_empty_input():
     res = three_stage_fuse([])
     assert res.num_objects == 0

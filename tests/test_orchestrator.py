@@ -46,6 +46,7 @@ from mapfuse.orchestrator import testing_frames as eval_window_frames
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     ScenarioConfig,
+    SensorSpec,
     generate_scenario,
     sense,
 )
@@ -224,7 +225,8 @@ def test_run_frame_byte_accounting_matches_closed_form():
 def test_run_frame_without_vehicles_is_empty_broadcast():
     sc = generate_scenario(ScenarioConfig(duration=5.0, num_objects=20),
                            seed=0)
-    gmap, delta = run_frame(sc, 0, QUIET, default_init_params(), vehicles=[])
+    gmap, delta = run_frame(sc, 0, QUIET, default_init_params(),
+                            local_maps=[])
     assert gmap.objects == ()
     assert delta == 20
 
@@ -253,6 +255,10 @@ def test_run_config_from_dict_rejects_unknown_keys():
         run_config_from_dict({"methods": ["warp_drive"]})
     with pytest.raises(ConfigError):
         run_config_from_dict([1, 2])
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"teachers": [1]})
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"methods": 5})
 
 
 def test_run_config_from_dict_builds_nested():
@@ -286,13 +292,21 @@ def test_run_config_from_dict_builds_nested():
     (TrainConfig, ("train",), "batch_size", 2.5),
     (TrainConfig, ("train",), "local_epochs", 2.0),
     (TrainConfig, ("train",), "max_rounds", 1.5),
+    (SensorSpec, ("scenario", "sensor"), "range", math.nan),
+    (TeacherSpec, ("teachers", "[]"), "x", math.nan),
+    (TeacherSpec, ("teachers", "[]"), "y", math.inf),
+    (TeacherSpec, ("teachers", "[]"), "radius", -1.0),
+    (TeacherSpec, ("teachers", "[]"), "radius", math.nan),
+    (RunConfig, (), "teacher_match_radius", math.nan),
+    (RunConfig, (), "teacher_match_radius", 0.0),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
         cls(**{key: tuple(value) if isinstance(value, list) else value})
+    # "[]" marks a list of objects, such as teachers.
     payload = {key: value}
     for name in reversed(section):
-        payload = {name: payload}
+        payload = [payload] if name == "[]" else {name: payload}
     with pytest.raises(ConfigError):
         run_config_from_dict(payload)
 
