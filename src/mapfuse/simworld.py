@@ -32,11 +32,10 @@ _LEFT_TURN_RADIUS = 8.0
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Forward-looking sensor: range (m), FoV wedge (rad), rate (Hz)."""
+    """Forward-looking sensor: range (m) and FoV wedge (rad)."""
 
     range: float = 100.0
     fov: float = math.pi / 2
-    frame_rate: float = 20.0
 
     def __post_init__(self):
         if not self.range > 0.0:
@@ -108,12 +107,19 @@ class ScenarioConfig:
     sensor: SensorSpec = field(default_factory=SensorSpec)
 
     def __post_init__(self):
+        # Written as "not (valid)" so that NaN fails every check.
         if self.num_vehicles > self.num_objects:
             raise ValueError("num_vehicles cannot exceed num_objects")
-        if self.speed_max >= self.speed_cap:
+        if not self.speed_max < self.speed_cap:
             raise ValueError("speed_max must stay below the speed cap")
-        if self.min_separation <= 0.0:
+        if not self.min_separation > 0.0:
             raise ValueError("min_separation must be positive")
+        for v in (self.duration, self.frame_rate):
+            if not 0.0 < v < math.inf:
+                raise ValueError("duration and frame_rate must be positive "
+                                 "and finite")
+        if self.num_frames < 1:
+            raise ValueError("duration * frame_rate gives no frame")
 
     @property
     def num_frames(self) -> int:
@@ -365,28 +371,26 @@ def _corners(xy, yaw, extents):
 
 
 def _ray_hits(origin, dirs, segments):
-    """Min positive ray parameter against a segment soup.
+    """Positive ray parameter of every ray against every segment.
 
-    dirs: (R, 2); segments: (E, 2, 2).  Returns (R,) with inf for misses.
+    dirs: (..., 2); segments: (E, 2, 2).  Returns (..., E) with inf where
+    the ray misses the segment.
     """
     p = segments[:, 0, :] - origin          # (E, 2)
     e = segments[:, 1, :] - segments[:, 0, :]
-    denom = dirs[:, 0, None] * e[None, :, 1] - dirs[:, 1, None] * e[None, :, 0]
+    dx, dy = dirs[..., 0, None], dirs[..., 1, None]
+    denom = dx * e[:, 1] - dy * e[:, 0]
     cpe = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]          # (E,)
-    cpu = p[None, :, 0] * dirs[:, 1, None] - p[None, :, 1] * dirs[:, 0, None]
+    cpu = p[:, 0] * dy - p[:, 1] * dx
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = cpe[None, :] / denom
+        t = cpe / denom
         s = cpu / denom
     valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
-    t = np.where(valid, t, np.inf)
-    return t.min(axis=1)
+    return np.where(valid, t, np.inf)
 
 
 def visible_objects(
-    scenario: Scenario,
-    vehicle: int,
-    frame: int,
-    sensor: SensorSpec | None = None,
+    scenario: Scenario, vehicle: int, frame: int
 ) -> list[tuple[int, float, float]]:
     """Objects inside the sensor wedge, with distance and occlusion.
 
@@ -394,7 +398,7 @@ def visible_objects(
     blocked by a strictly nearer object's footprint; fully occluded
     objects are dropped.
     """
-    sensor = sensor or scenario.config.sensor
+    sensor = scenario.config.sensor
     ego = scenario.xy[frame, vehicle]
     heading = scenario.yaw[frame, vehicle]
     rel = scenario.xy[frame] - ego
@@ -402,64 +406,48 @@ def visible_objects(
     dist[vehicle] = np.inf
     bearing = np.arctan2(rel[:, 1], rel[:, 0])
     ang = (bearing - heading + math.pi) % (2 * math.pi) - math.pi
-    candidates = np.flatnonzero(
-        (dist <= sensor.range) & (np.abs(ang) <= sensor.fov / 2.0)
-    )
-    if candidates.size == 0:
+    in_range = dist <= sensor.range
+    targets = np.flatnonzero(in_range & (np.abs(ang) <= sensor.fov / 2.0))
+    if targets.size == 0:
         return []
 
-    in_range = np.flatnonzero(dist <= sensor.range)
-    corners = {
-        int(i): _corners(
-            scenario.xy[frame, i : i + 1],
-            scenario.yaw[frame, i : i + 1],
-            scenario.extents[i : i + 1],
-        )[0]
-        for i in in_range
-    }
+    # Every in-range footprint is a target's own outline or a possible
+    # occluder; its four edges are segments tagged with their owner.
+    owners = np.flatnonzero(in_range)
+    corners = _corners(
+        scenario.xy[frame, owners], scenario.yaw[frame, owners],
+        scenario.extents[owners],
+    )                                                     # (n, 4, 2)
+    segments = np.stack(
+        [corners, np.roll(corners, -1, axis=1)], axis=2
+    ).reshape(-1, 2, 2)                                   # (4n, 2, 2)
+    owner = np.repeat(owners, 4)
 
-    out = []
-    for t_id in candidates:
-        tc = corners[int(t_id)]
-        corner_ang = (
-            np.arctan2(tc[:, 1] - ego[1], tc[:, 0] - ego[0])
-            - bearing[t_id] + math.pi
-        ) % (2 * math.pi) - math.pi
-        lo, hi = corner_ang.min(), corner_ang.max()
-        ray_ang = bearing[t_id] + np.linspace(lo, hi, OCCLUSION_RAYS)
-        dirs = np.stack([np.cos(ray_ang), np.sin(ray_ang)], axis=-1)
+    tc = corners[np.searchsorted(owners, targets)]        # (T, 4, 2)
+    corner_ang = (
+        np.arctan2(tc[..., 1] - ego[1], tc[..., 0] - ego[0])
+        - bearing[targets, None] + math.pi
+    ) % (2 * math.pi) - math.pi
+    ray_ang = bearing[targets, None] + np.linspace(
+        corner_ang.min(axis=1), corner_ang.max(axis=1), OCCLUSION_RAYS,
+        axis=-1,
+    )                                                     # (T, R)
+    dirs = np.stack([np.cos(ray_ang), np.sin(ray_ang)], axis=-1)
+    t = _ray_hits(ego, dirs, segments)                    # (T, R, 4n)
 
-        target_seg = np.stack([tc, np.roll(tc, -1, axis=0)], axis=1)
-        t_target = _ray_hits(ego, dirs, target_seg)
-
-        occluders = [
-            i for i in in_range
-            if i != t_id and i != vehicle and dist[i] < dist[t_id]
-        ]
-        if occluders:
-            occ_corners = np.concatenate(
-                [
-                    np.stack(
-                        [corners[int(i)], np.roll(corners[int(i)], -1, axis=0)],
-                        axis=1,
-                    )
-                    for i in occluders
-                ]
-            )
-            t_occ = _ray_hits(ego, dirs, occ_corners)
-        else:
-            t_occ = np.full(OCCLUSION_RAYS, np.inf)
-
-        hit = np.isfinite(t_target)
-        if not hit.any():
-            occl = 0.0
-        else:
-            blocked = hit & (t_occ < t_target - 1e-9)
-            occl = float(blocked.sum()) / float(hit.sum())
-        if occl >= 1.0 - 1e-12:
-            continue
-        out.append((int(t_id), float(dist[t_id]), occl))
-    return out
+    own = owner == targets[:, None, None]
+    nearer = dist[owner] < dist[targets, None, None]
+    t_target = np.where(own, t, np.inf).min(axis=2)
+    t_occ = np.where(nearer, t, np.inf).min(axis=2)
+    hit = np.isfinite(t_target)
+    blocked = hit & (t_occ < t_target - 1e-9)
+    # A target no ray hits has no blocked ray either: 0 / 1 = 0.
+    occl = blocked.sum(axis=1) / np.maximum(hit.sum(axis=1), 1)
+    return [
+        (int(i), float(dist[i]), float(o))
+        for i, o in zip(targets, occl)
+        if o < 1.0 - 1e-12
+    ]
 
 
 def _candidate_features(state, dist, occl, score, sensor):

@@ -299,6 +299,14 @@ def test_run_config_from_dict_builds_nested():
     (TeacherSpec, ("teachers", "[]"), "radius", math.nan),
     (RunConfig, (), "teacher_match_radius", math.nan),
     (RunConfig, (), "teacher_match_radius", 0.0),
+    (ScenarioConfig, ("scenario",), "min_separation", math.nan),
+    (ScenarioConfig, ("scenario",), "speed_max", math.nan),
+    (ScenarioConfig, ("scenario",), "duration", math.nan),
+    (ScenarioConfig, ("scenario",), "duration", -1.0),
+    (ScenarioConfig, ("scenario",), "duration", math.inf),
+    (ScenarioConfig, ("scenario",), "duration", 0.01),
+    (ScenarioConfig, ("scenario",), "frame_rate", math.nan),
+    (ScenarioConfig, ("scenario",), "frame_rate", -1.0),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -316,6 +324,8 @@ def test_removed_options_are_rejected():
         run_config_from_dict({"fusion": {"cluster": {"min_pts": 1}}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"fusion": {"weight_mode": "uniform"}})
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"scenario": {"sensor": {"frame_rate": 20}}})
 
 
 def test_frame_windows():

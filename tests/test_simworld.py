@@ -16,6 +16,7 @@ from mapfuse.fusion import three_stage_fuse
 from mapfuse.geometry import angle_diff, iou_3d, transform_to_global
 from mapfuse.simworld import (
     DetectorNoiseSpec,
+    Scenario,
     ScenarioConfig,
     SensorSpec,
     generate_scenario,
@@ -23,6 +24,7 @@ from mapfuse.simworld import (
     sense,
     visible_objects,
 )
+from oracles import visible_objects_per_target
 
 QUIET = DetectorNoiseSpec()
 
@@ -96,6 +98,48 @@ def test_visibility_respects_range_and_fov():
                     sensor.fov / 2 + 1e-9
                 )
                 assert 0.0 <= occl < 1.0
+
+
+@pytest.mark.parametrize("cfg, seed", [
+    (ScenarioConfig(), 0),
+    (ScenarioConfig(), 1),
+    (ScenarioConfig(num_vehicles=10, num_objects=80), 0),
+    (ScenarioConfig(sensor=SensorSpec(fov=2 * math.pi)), 0),
+], ids=["default-seed0", "default-seed1", "crowded-10x80", "fov-2pi"])
+def test_visible_objects_matches_per_target_reference(cfg, seed):
+    sc = generate_scenario(cfg, seed)
+    for f in range(0, sc.num_frames, 25):
+        for k in range(sc.num_vehicles):
+            assert visible_objects(sc, k, f) == visible_objects_per_target(
+                sc, k, f
+            )
+
+
+def still_scenario(xy, extents):
+    """One frame, every box at yaw 0, vehicle 0 at xy[0] heading +x."""
+    m = len(xy)
+    cfg = ScenarioConfig(num_vehicles=1, num_objects=m)
+    return Scenario(cfg, 0, np.array([xy], dtype=float), np.zeros((1, m)),
+                    np.array(extents, dtype=float), np.zeros(m, dtype=int))
+
+
+def test_visible_objects_without_target_in_range():
+    # One box beyond the 100 m range ahead, one in range beside the wedge.
+    sc = still_scenario([(0.0, 0.0), (150.0, 0.0), (0.0, 20.0)],
+                        [(4.5, 2.0, 1.5)] * 3)
+    assert visible_objects(sc, 0, 0) == []
+    assert visible_objects_per_target(sc, 0, 0) == []
+
+
+def test_equally_distant_object_never_occludes():
+    # Both boxes are centred 20 m ahead.  The long one's near face
+    # (x = 17.75) lies in front of the wide one's (x = 19) on the middle
+    # rays, but only a strictly nearer object occludes.
+    sc = still_scenario([(0.0, 0.0), (20.0, 0.0), (20.0, 0.0)],
+                        [(4.5, 2.0, 1.5), (4.5, 2.0, 1.5), (2.0, 6.0, 1.5)])
+    expected = [(1, 20.0, 0.0), (2, 20.0, 0.0)]
+    assert visible_objects(sc, 0, 0) == expected
+    assert visible_objects_per_target(sc, 0, 0) == expected
 
 
 def test_occlusion_blocks_hidden_object():
