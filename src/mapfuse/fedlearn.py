@@ -14,7 +14,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,8 +94,8 @@ class ModelParams:
         return self.values.size
 
 
-def _heads(params: ModelParams, spec: ModelSpec):
-    w = params.values.reshape(spec.head_rows, spec.feature_dim)
+def _heads(values: np.ndarray, spec: ModelSpec):
+    w = values.reshape(spec.head_rows, spec.feature_dim)
     box = w[0:6]
     angle = w[6]
     direction = w[7:9]
@@ -192,12 +192,15 @@ def default_init_params(spec: ModelSpec | None = None) -> ModelParams:
     return ModelParams(w.reshape(-1))
 
 
-def _check_frame(params: ModelParams, frame: SensorFrame, spec: ModelSpec):
+def _check_params(params: ModelParams, spec: ModelSpec):
     if len(params) != spec.num_params:
         raise ValueError(
             f"parameter vector length {len(params)} does not match "
             f"model size {spec.num_params}"
         )
+
+
+def _check_features(frame: SensorFrame, spec: ModelSpec):
     if frame.candidates.size and frame.candidates.shape[1] != spec.feature_dim:
         raise ValueError(
             f"candidate feature dimension {frame.candidates.shape[1]} "
@@ -210,10 +213,11 @@ def predict(
 ) -> list[ScoredDetection]:
     """Refine every candidate into a scored detection (deterministic)."""
     spec = spec or ModelSpec()
-    _check_frame(params, frame, spec)
+    _check_params(params, spec)
+    _check_features(frame, spec)
     if frame.candidates.shape[0] == 0:
         return []
-    box_h, angle_h, dir_h, cls_h = _heads(params, spec)
+    box_h, angle_h, dir_h, cls_h = _heads(params.values, spec)
     feats = frame.candidates
     scaled = feats / FEATURE_SCALES[: spec.feature_dim]
 
@@ -250,77 +254,146 @@ def _smooth_l1_grad(r: np.ndarray) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def _loss_terms(params, frame, labels, spec):
-    """Shared forward/backward pass.  Returns breakdown pieces and the
-    per-head gradients of the *unweighted* mean losses."""
-    _check_frame(params, frame, spec)
-    if len(labels.labels) != frame.candidates.shape[0]:
-        raise ValueError("labels must align with candidates")
-    mask = [i for i, lbl in enumerate(labels.labels) if lbl is not None]
-    zero = np.zeros((spec.head_rows, spec.feature_dim))
-    if not mask:
-        return None, zero
-    feats = frame.candidates[mask]
-    scaled = feats / FEATURE_SCALES[: spec.feature_dim]
-    n = feats.shape[0]
-    box_h, angle_h, dir_h, cls_h = _heads(params, spec)
+class _Rows(NamedTuple):
+    """Labelled candidates as row arrays; every loss input is per row."""
 
-    lbl_vecs = np.stack(
-        [labels.labels[i].to_vector() for i in mask]
-    )  # (n, 8): c, x..h, yaw
-    cats = lbl_vecs[:, 0].astype(int)
-    targets6 = lbl_vecs[:, 1:7]
-    yaw_t = lbl_vecs[:, 7]
+    scaled: np.ndarray        # (n, feature_dim) scaled features
+    observed: np.ndarray      # (n, 6) observed x, y, z, l, w, h
+    targets: np.ndarray       # (n, 6) label x, y, z, l, w, h
+    target_yaw: np.ndarray    # (n,)
+    categories: np.ndarray    # (n,) label class
+    observed_yaw: np.ndarray  # (n,)
+    bins: np.ndarray          # (n,) direction bin of the label yaw
+    frame_size: np.ndarray    # (n,) labelled rows in the row's frame
 
-    grad = np.zeros_like(zero)
-
-    # Box: smooth-L1 on the six refined fields, mean over fields.
-    pred6 = feats[:, F_X : F_HEIGHT + 1] + scaled @ box_h.T
-    r = pred6 - targets6
-    box_loss = float(_smooth_l1(r).mean(axis=1).mean())
-    g_r = _smooth_l1_grad(r) / (6.0 * n)
-    grad[0:6] = g_r.T @ scaled
-
-    # Angle: smooth-L1 on sin(yaw error).
-    obs_yaw = np.arctan2(feats[:, F_SIN_YAW], feats[:, F_COS_YAW])
-    yaw_p = obs_yaw + scaled @ angle_h
-    d_yaw = yaw_p - yaw_t
-    e = np.sin(d_yaw)
-    angle_loss = float(_smooth_l1(e).mean())
-    g_a = _smooth_l1_grad(e) * np.cos(d_yaw) / n
-    grad[6] = g_a @ scaled
-
-    # Direction: cross-entropy on the front/back bin of the label yaw.
-    dir_logits = scaled @ dir_h.T
-    bins = (np.cos(yaw_t) < 0.0).astype(int)
-    dz = dir_logits - dir_logits.max(axis=1, keepdims=True)
-    p_dir = np.exp(dz)
-    p_dir /= p_dir.sum(axis=1, keepdims=True)
-    dir_loss = float(-np.log(p_dir[np.arange(n), bins] + 1e-300).mean())
-    g_dir = p_dir.copy()
-    g_dir[np.arange(n), bins] -= 1.0
-    grad[7:9] = (g_dir / n).T @ scaled
-
-    # Classification: cross-entropy on the label category.
-    cls_logits = scaled @ cls_h.T
-    cz = cls_logits - cls_logits.max(axis=1, keepdims=True)
-    p_cls = np.exp(cz)
-    p_cls /= p_cls.sum(axis=1, keepdims=True)
-    cls_loss = float(-np.log(p_cls[np.arange(n), cats] + 1e-300).mean())
-    g_cls = p_cls.copy()
-    g_cls[np.arange(n), cats] -= 1.0
-    grad[9:] = (g_cls / n).T @ scaled
-
-    return (cls_loss, angle_loss, box_loss, dir_loss, n), grad
+    def take(self, index) -> "_Rows":
+        return _Rows(*(a[index] for a in self))
 
 
-def _combine(terms, coeffs) -> LossBreakdown:
-    b1, b2, b3 = coeffs
-    if terms is None:
+class PreparedDataset:
+    """A training set of (SensorFrame, LabelSet) pairs as labelled rows.
+
+    The rows of one frame are contiguous and frames keep dataset order.
+    Each row's gradient is divided by its frame's row count, so a frame
+    contributes the mean over its rows, whatever batch it lands in.
+    """
+
+    def __init__(self, dataset, spec: ModelSpec):
+        counts, feats, vectors = [], [], []
+        for frame, labels in dataset:
+            _check_features(frame, spec)
+            if len(labels.labels) != frame.candidates.shape[0]:
+                raise ValueError("labels must align with candidates")
+            mask = [i for i, lbl in enumerate(labels.labels) if lbl is not None]
+            counts.append(len(mask))
+            if mask:
+                feats.append(frame.candidates[mask])
+                vectors.extend(labels.labels[i].to_vector() for i in mask)
+        self.counts = np.array(counts, dtype=np.intp)
+        self.starts = np.cumsum(self.counts) - self.counts
+        feats = (np.concatenate(feats) if feats
+                 else np.zeros((0, spec.feature_dim)))
+        lbl = np.array(vectors).reshape(-1, 8)  # c, x..h, yaw
+        self.rows = _Rows(
+            scaled=feats / FEATURE_SCALES[: spec.feature_dim],
+            observed=feats[:, F_X : F_HEIGHT + 1],
+            targets=lbl[:, 1:7],
+            target_yaw=lbl[:, 7],
+            categories=lbl[:, 0].astype(int),
+            observed_yaw=np.arctan2(feats[:, F_SIN_YAW], feats[:, F_COS_YAW]),
+            bins=(np.cos(lbl[:, 7]) < 0.0).astype(int),
+            frame_size=np.repeat(self.counts, self.counts).astype(np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def in_order(self, order: np.ndarray) -> tuple[_Rows, np.ndarray]:
+        """The rows of the frames in ``order``, frame after frame, and
+        the offsets at which those frames' rows begin (plus the end)."""
+        counts = self.counts[order]
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        shift = np.repeat(self.starts[order] - bounds[:-1], counts)
+        return self.rows.take(np.arange(bounds[-1]) + shift), bounds
+
+
+class _Forward(NamedTuple):
+    residual: np.ndarray   # (n, 6) refined minus label box fields
+    sin_yaw: np.ndarray    # (n,) sin of the yaw error
+    cos_yaw: np.ndarray    # (n,) cos of the yaw error
+    p_dir: np.ndarray      # (n, 2) direction probabilities
+    p_cls: np.ndarray      # (n, C) class probabilities
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _forward(values: np.ndarray, rows: _Rows, spec: ModelSpec) -> _Forward:
+    """One matmul per head over all rows."""
+    box_h, angle_h, dir_h, cls_h = _heads(values, spec)
+    x = rows.scaled
+    d_yaw = rows.observed_yaw + x @ angle_h - rows.target_yaw
+    return _Forward(
+        residual=rows.observed + x @ box_h.T - rows.targets,
+        sin_yaw=np.sin(d_yaw),
+        cos_yaw=np.cos(d_yaw),
+        p_dir=_softmax(x @ dir_h.T),
+        p_cls=_softmax(x @ cls_h.T),
+    )
+
+
+def _gradient(fwd: _Forward, rows: _Rows, coefficients) -> np.ndarray:
+    """Gradient of the sum of the four-term losses of the rows' frames.
+
+    Box and angle terms are smooth-L1 on the six refined fields and on
+    sin(yaw error); direction and class terms are cross-entropies.  The
+    per-row gradients are divided by the frame size before one matmul
+    per head; the loss coefficients scale the result.
+    """
+    b1, b2, b3 = coefficients
+    x, n = rows.scaled, rows.frame_size
+    idx = np.arange(n.size)
+    g_dir = fwd.p_dir.copy()
+    g_dir[idx, rows.bins] -= 1.0
+    g_cls = fwd.p_cls.copy()
+    g_cls[idx, rows.categories] -= 1.0
+    g_box = _smooth_l1_grad(fwd.residual) / (6.0 * n)[:, None]
+    g_angle = _smooth_l1_grad(fwd.sin_yaw) * fwd.cos_yaw / n
+    return np.concatenate([
+        b2 * (g_box.T @ x),
+        b2 * (g_angle @ x)[None],
+        b3 * ((g_dir / n[:, None]).T @ x),
+        b1 * ((g_cls / n[:, None]).T @ x),
+    ]).reshape(-1)
+
+
+def _breakdown(fwd: _Forward, data: PreparedDataset, coefficients
+               ) -> LossBreakdown:
+    """Four-term loss of each labelled frame (its rows' mean), averaged
+    over the labelled frames."""
+    counts = data.counts[data.counts > 0]
+    if not counts.size:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, num_labeled=0)
-    cls_loss, angle_loss, box_loss, dir_loss, n = terms
+    idx = np.arange(data.rows.frame_size.size)
+    per_row = np.stack([
+        -np.log(fwd.p_cls[idx, data.rows.categories] + 1e-300),
+        _smooth_l1(fwd.sin_yaw),
+        _smooth_l1(fwd.residual).mean(axis=1),
+        -np.log(fwd.p_dir[idx, data.rows.bins] + 1e-300),
+    ], axis=1)
+    starts = np.cumsum(counts) - counts
+    per_frame = np.add.reduceat(per_row, starts, axis=0) / counts[:, None]
+    cls_loss, angle_loss, box_loss, dir_loss = per_frame.T
+    b1, b2, b3 = coefficients
     total = b1 * cls_loss + b2 * (angle_loss + box_loss) + b3 * dir_loss
-    return LossBreakdown(total, cls_loss, angle_loss, box_loss, dir_loss, n)
+    return LossBreakdown(
+        float(total.mean()), float(cls_loss.mean()), float(angle_loss.mean()),
+        float(box_loss.mean()), float(dir_loss.mean()),
+        num_labeled=int(counts.sum()),
+    )
 
 
 def loss(
@@ -331,9 +404,7 @@ def loss(
     coefficients: tuple[float, float, float] = (1.0, 2.0, 0.2),
 ) -> LossBreakdown:
     """Four-term training loss, averaged over labeled candidates."""
-    spec = spec or ModelSpec()
-    terms, _ = _loss_terms(params, frame, labels, spec)
-    return _combine(terms, coefficients)
+    return loss_gradient(params, frame, labels, spec, coefficients)[0]
 
 
 def loss_gradient(
@@ -345,48 +416,42 @@ def loss_gradient(
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss plus its analytic gradient as a flat vector."""
     spec = spec or ModelSpec()
-    terms, grad_heads = _loss_terms(params, frame, labels, spec)
-    breakdown = _combine(terms, coefficients)
-    b1, b2, b3 = coefficients
-    box_h_like = grad_heads
-    full = np.zeros_like(grad_heads)
-    full[0:6] = b2 * box_h_like[0:6]
-    full[6] = b2 * box_h_like[6]
-    full[7:9] = b3 * box_h_like[7:9]
-    full[9:] = b1 * box_h_like[9:]
-    return breakdown, full.reshape(-1)
+    _check_params(params, spec)
+    data = PreparedDataset([(frame, labels)], spec)
+    fwd = _forward(params.values, data.rows, spec)
+    return (_breakdown(fwd, data, coefficients),
+            _gradient(fwd, data.rows, coefficients))
 
 
 def local_train(
     params: ModelParams,
-    dataset: Sequence[tuple[SensorFrame, LabelSet]],
+    dataset: Sequence[tuple[SensorFrame, LabelSet]] | PreparedDataset,
     cfg: TrainConfig,
     spec: ModelSpec | None = None,
     seed=0,
 ) -> ModelParams:
     """Mini-batch SGD for the configured number of local epochs.
 
-    The batch step uses the summed gradient over the batch's frames.
-    Batch shuffling is driven by the given seed, so identical inputs give
-    identical outputs.
+    The batch step uses the summed gradient over the batch's frames,
+    taken in one pass over their concatenated rows.  Batch shuffling is
+    driven by the given seed, so identical inputs give identical outputs.
     """
     spec = spec or ModelSpec()
-    if not dataset:
+    if not len(dataset):
         return params
+    _check_params(params, spec)
+    if not isinstance(dataset, PreparedDataset):
+        dataset = PreparedDataset(dataset, spec)
     rng = np.random.default_rng(seed)
-    w = params.values.copy()
+    w = params.values
     n = len(dataset)
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
+        rows, bounds = dataset.in_order(rng.permutation(n))
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grad = np.zeros_like(w)
-            for idx in batch:
-                frame, labels = dataset[idx]
-                _, g = loss_gradient(
-                    ModelParams(w), frame, labels, spec, cfg.loss_coefficients
-                )
-                grad += g
+            stop = min(start + cfg.batch_size, n)
+            batch = rows.take(slice(bounds[start], bounds[stop]))
+            grad = _gradient(_forward(w, batch, spec), batch,
+                             cfg.loss_coefficients)
             w = w - cfg.learning_rate * grad
     return ModelParams(w)
 
@@ -412,37 +477,26 @@ def run_federated(
 ) -> ModelParams:
     """Alternate local training and parameter averaging for max_rounds.
 
-    Local updates for different vehicles are independent pure calls.  If
-    curve is given, one (round, vehicle, breakdown) entry is appended per
-    local update, measured on that vehicle's own dataset.
+    Each vehicle's dataset is turned into labelled rows once.  Local
+    updates for different vehicles are independent pure calls.  If curve
+    is given, one (round, vehicle, breakdown) entry is appended per local
+    update, measured on that vehicle's own dataset.
     """
     spec = spec or ModelSpec()
+    prepared = [PreparedDataset(ds, spec) for ds in vehicle_datasets]
     shared = init
     for rnd in range(1, cfg.max_rounds + 1):
         locals_ = []
-        for k, dataset in enumerate(vehicle_datasets):
+        for k, data in enumerate(prepared):
             trained = local_train(
-                shared, dataset, cfg, spec, seed=[base_seed, rnd, k]
+                shared, data, cfg, spec, seed=[base_seed, rnd, k]
             )
             locals_.append(trained)
             if curve is not None:
-                breakdowns = [
-                    loss(trained, f, l, spec, cfg.loss_coefficients)
-                    for f, l in dataset
-                ]
-                labeled = [b for b in breakdowns if b.num_labeled]
-                if labeled:
-                    mean = LossBreakdown(
-                        total=float(np.mean([b.total for b in labeled])),
-                        class_loss=float(np.mean([b.class_loss for b in labeled])),
-                        angle_loss=float(np.mean([b.angle_loss for b in labeled])),
-                        box_loss=float(np.mean([b.box_loss for b in labeled])),
-                        dir_loss=float(np.mean([b.dir_loss for b in labeled])),
-                        num_labeled=sum(b.num_labeled for b in labeled),
-                    )
-                else:
-                    mean = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-                curve.append((rnd, k, mean))
+                fwd = _forward(trained.values, data.rows, spec)
+                curve.append(
+                    (rnd, k, _breakdown(fwd, data, cfg.loss_coefficients))
+                )
         shared = fedavg(locals_)
     return shared
 

@@ -211,22 +211,3 @@ def iou_bev(a: ObjectState, b: ObjectState) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
-
-
-def iou_3d(a: ObjectState, b: ObjectState) -> float:
-    """Volumetric IoU: BEV intersection area times vertical overlap."""
-    inter_area, area_a, area_b = _footprint_overlap(a, b)
-    vol_a = area_a * a.extents[2]
-    vol_b = area_b * b.extents[2]
-    if vol_a < _DEGENERATE_AREA or vol_b < _DEGENERATE_AREA:
-        return 0.0
-    za0, za1 = a.center[2] - 0.5 * a.extents[2], a.center[2] + 0.5 * a.extents[2]
-    zb0, zb1 = b.center[2] - 0.5 * b.extents[2], b.center[2] + 0.5 * b.extents[2]
-    overlap_z = min(za1, zb1) - max(za0, zb0)
-    if overlap_z <= 0.0:
-        return 0.0
-    inter = inter_area * overlap_z
-    union = vol_a + vol_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +109,24 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Written as "not (valid)" so that NaN fails every check.
+        counts = (self.num_vehicles, self.num_objects, self.max_attempts)
+        if not all(isinstance(c, numbers.Integral) and c >= 1
+                   for c in counts):
+            raise ValueError("num_vehicles, num_objects and max_attempts "
+                             "must be integers >= 1")
         if self.num_vehicles > self.num_objects:
             raise ValueError("num_vehicles cannot exceed num_objects")
         if not self.speed_max < self.speed_cap:
             raise ValueError("speed_max must stay below the speed cap")
+        if not 0.0 <= self.speed_min <= self.speed_max:
+            raise ValueError("speed_min must satisfy 0 <= speed_min "
+                             "<= speed_max")
+        if not 0.0 <= self.turn_prob <= 1.0:
+            raise ValueError("turn_prob must lie in [0, 1]")
+        if not abs(self.lane_offset) < math.inf:
+            raise ValueError("lane_offset must be finite")
+        if not 0.0 < self.span < math.inf:
+            raise ValueError("span must be positive and finite")
         if not self.min_separation > 0.0:
             raise ValueError("min_separation must be positive")
         for v in (self.duration, self.frame_rate):

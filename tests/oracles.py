@@ -5,7 +5,23 @@ import math
 import numpy as np
 
 from mapfuse.association import AssociationMatrix, ClusterConfig
-from mapfuse.geometry import angle_diff
+from mapfuse.fedlearn import (
+    F_COS_YAW,
+    F_HEIGHT,
+    F_SIN_YAW,
+    F_X,
+    FEATURE_SCALES,
+    LossBreakdown,
+    ModelParams,
+    ModelSpec,
+    _check_features,
+    _check_params,
+    _heads,
+    _smooth_l1,
+    _smooth_l1_grad,
+    fedavg,
+)
+from mapfuse.geometry import _DEGENERATE_AREA, _footprint_overlap, angle_diff
 from mapfuse.simworld import OCCLUSION_RAYS, _corners
 
 ORACLE_MAX_POINTS = 200
@@ -164,3 +180,180 @@ def visible_objects_per_target(scenario, vehicle, frame):
             continue
         out.append((int(t_id), float(dist[t_id]), occl))
     return out
+
+
+def iou_3d(a, b) -> float:
+    """Volumetric IoU: BEV intersection area times vertical overlap."""
+    inter_area, area_a, area_b = _footprint_overlap(a, b)
+    vol_a = area_a * a.extents[2]
+    vol_b = area_b * b.extents[2]
+    if vol_a < _DEGENERATE_AREA or vol_b < _DEGENERATE_AREA:
+        return 0.0
+    za0, za1 = a.center[2] - 0.5 * a.extents[2], a.center[2] + 0.5 * a.extents[2]
+    zb0, zb1 = b.center[2] - 0.5 * b.extents[2], b.center[2] + 0.5 * b.extents[2]
+    overlap_z = min(za1, zb1) - max(za0, zb0)
+    if overlap_z <= 0.0:
+        return 0.0
+    inter = inter_area * overlap_z
+    union = vol_a + vol_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def _loss_terms(params, frame, labels, spec):
+    """Per-frame forward/backward pass.  Returns breakdown pieces and the
+    per-head gradients of the *unweighted* mean losses."""
+    _check_params(params, spec)
+    _check_features(frame, spec)
+    if len(labels.labels) != frame.candidates.shape[0]:
+        raise ValueError("labels must align with candidates")
+    mask = [i for i, lbl in enumerate(labels.labels) if lbl is not None]
+    zero = np.zeros((spec.head_rows, spec.feature_dim))
+    if not mask:
+        return None, zero
+    feats = frame.candidates[mask]
+    scaled = feats / FEATURE_SCALES[: spec.feature_dim]
+    n = feats.shape[0]
+    box_h, angle_h, dir_h, cls_h = _heads(params.values, spec)
+
+    lbl_vecs = np.stack(
+        [labels.labels[i].to_vector() for i in mask]
+    )  # (n, 8): c, x..h, yaw
+    cats = lbl_vecs[:, 0].astype(int)
+    targets6 = lbl_vecs[:, 1:7]
+    yaw_t = lbl_vecs[:, 7]
+
+    grad = np.zeros_like(zero)
+
+    # Box: smooth-L1 on the six refined fields, mean over fields.
+    pred6 = feats[:, F_X : F_HEIGHT + 1] + scaled @ box_h.T
+    r = pred6 - targets6
+    box_loss = float(_smooth_l1(r).mean(axis=1).mean())
+    g_r = _smooth_l1_grad(r) / (6.0 * n)
+    grad[0:6] = g_r.T @ scaled
+
+    # Angle: smooth-L1 on sin(yaw error).
+    obs_yaw = np.arctan2(feats[:, F_SIN_YAW], feats[:, F_COS_YAW])
+    yaw_p = obs_yaw + scaled @ angle_h
+    d_yaw = yaw_p - yaw_t
+    e = np.sin(d_yaw)
+    angle_loss = float(_smooth_l1(e).mean())
+    g_a = _smooth_l1_grad(e) * np.cos(d_yaw) / n
+    grad[6] = g_a @ scaled
+
+    # Direction: cross-entropy on the front/back bin of the label yaw.
+    dir_logits = scaled @ dir_h.T
+    bins = (np.cos(yaw_t) < 0.0).astype(int)
+    dz = dir_logits - dir_logits.max(axis=1, keepdims=True)
+    p_dir = np.exp(dz)
+    p_dir /= p_dir.sum(axis=1, keepdims=True)
+    dir_loss = float(-np.log(p_dir[np.arange(n), bins] + 1e-300).mean())
+    g_dir = p_dir.copy()
+    g_dir[np.arange(n), bins] -= 1.0
+    grad[7:9] = (g_dir / n).T @ scaled
+
+    # Classification: cross-entropy on the label category.
+    cls_logits = scaled @ cls_h.T
+    cz = cls_logits - cls_logits.max(axis=1, keepdims=True)
+    p_cls = np.exp(cz)
+    p_cls /= p_cls.sum(axis=1, keepdims=True)
+    cls_loss = float(-np.log(p_cls[np.arange(n), cats] + 1e-300).mean())
+    g_cls = p_cls.copy()
+    g_cls[np.arange(n), cats] -= 1.0
+    grad[9:] = (g_cls / n).T @ scaled
+
+    return (cls_loss, angle_loss, box_loss, dir_loss, n), grad
+
+
+def _combine(terms, coeffs) -> LossBreakdown:
+    b1, b2, b3 = coeffs
+    if terms is None:
+        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, num_labeled=0)
+    cls_loss, angle_loss, box_loss, dir_loss, n = terms
+    total = b1 * cls_loss + b2 * (angle_loss + box_loss) + b3 * dir_loss
+    return LossBreakdown(total, cls_loss, angle_loss, box_loss, dir_loss, n)
+
+
+def loss_per_frame(params, frame, labels, spec=None,
+                   coefficients=(1.0, 2.0, 0.2)) -> LossBreakdown:
+    """Reference ``fedlearn.loss``: one frame's own forward pass."""
+    spec = spec or ModelSpec()
+    terms, _ = _loss_terms(params, frame, labels, spec)
+    return _combine(terms, coefficients)
+
+
+def loss_gradient_per_frame(params, frame, labels, spec=None,
+                            coefficients=(1.0, 2.0, 0.2)):
+    """Reference ``fedlearn.loss_gradient``: one frame's own pass."""
+    spec = spec or ModelSpec()
+    terms, grad_heads = _loss_terms(params, frame, labels, spec)
+    breakdown = _combine(terms, coefficients)
+    b1, b2, b3 = coefficients
+    full = np.zeros_like(grad_heads)
+    full[0:6] = b2 * grad_heads[0:6]
+    full[6] = b2 * grad_heads[6]
+    full[7:9] = b3 * grad_heads[7:9]
+    full[9:] = b1 * grad_heads[9:]
+    return breakdown, full.reshape(-1)
+
+
+def local_train_per_frame(params, dataset, cfg, spec=None, seed=0):
+    """Reference ``fedlearn.local_train``: each batch step sums one
+    ``loss_gradient_per_frame`` call per frame."""
+    spec = spec or ModelSpec()
+    if not dataset:
+        return params
+    rng = np.random.default_rng(seed)
+    w = params.values.copy()
+    n = len(dataset)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grad = np.zeros_like(w)
+            for idx in batch:
+                frame, labels = dataset[idx]
+                _, g = loss_gradient_per_frame(
+                    ModelParams(w), frame, labels, spec, cfg.loss_coefficients
+                )
+                grad += g
+            w = w - cfg.learning_rate * grad
+    return ModelParams(w)
+
+
+def run_federated_per_frame(vehicle_datasets, init, cfg, spec=None,
+                            base_seed=0, curve=None):
+    """Reference ``fedlearn.run_federated`` built on the per-frame loop;
+    curve entries average ``loss_per_frame`` over the labelled frames."""
+    spec = spec or ModelSpec()
+    shared = init
+    for rnd in range(1, cfg.max_rounds + 1):
+        locals_ = []
+        for k, dataset in enumerate(vehicle_datasets):
+            trained = local_train_per_frame(
+                shared, dataset, cfg, spec, seed=[base_seed, rnd, k]
+            )
+            locals_.append(trained)
+            if curve is not None:
+                labeled = [
+                    b for b in (
+                        loss_per_frame(trained, f, l, spec,
+                                       cfg.loss_coefficients)
+                        for f, l in dataset
+                    ) if b.num_labeled
+                ]
+                if labeled:
+                    mean = LossBreakdown(
+                        total=float(np.mean([b.total for b in labeled])),
+                        class_loss=float(np.mean([b.class_loss for b in labeled])),
+                        angle_loss=float(np.mean([b.angle_loss for b in labeled])),
+                        box_loss=float(np.mean([b.box_loss for b in labeled])),
+                        dir_loss=float(np.mean([b.dir_loss for b in labeled])),
+                        num_labeled=sum(b.num_labeled for b in labeled),
+                    )
+                else:
+                    mean = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+                curve.append((rnd, k, mean))
+        shared = fedavg(locals_)
+    return shared

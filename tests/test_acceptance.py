@@ -41,7 +41,6 @@ from mapfuse.fusion import (
 from mapfuse.geometry import (
     ObjectState,
     angle_diff,
-    iou_3d,
     transform_to_global,
 )
 from mapfuse.orchestrator import (
@@ -63,7 +62,7 @@ from mapfuse.simworld import (
     generate_scenario,
     sense,
 )
-from oracles import cluster_brute_force_oracle, weighted_ls_objective
+from oracles import cluster_brute_force_oracle, iou_3d, weighted_ls_objective
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 

@@ -172,3 +172,20 @@ def test_validation_errors_exit_2(tmp_path, small_config):
     garbage = tmp_path / "maps.jsonl"
     garbage.write_text("{\"nope\": 1}\n")
     assert main(["fuse", str(garbage)]) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    {"num_vehicles": -1},
+    {"num_vehicles": 2.5},
+    {"num_vehicles": 0, "num_objects": 0},
+    {"lane_offset": float("nan")},
+    {"span": float("nan")},
+    {"speed_min": float("nan")},
+    {"turn_prob": 2.0},
+    {"turn_prob": float("nan")},
+])
+def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"duration": 1.0, **scenario}}))
+    out = tmp_path / "out.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2

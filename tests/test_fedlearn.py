@@ -30,6 +30,13 @@ from mapfuse.fedlearn import (
 )
 from mapfuse.geometry import ObjectState, angle_diff
 
+from oracles import (
+    local_train_per_frame,
+    loss_gradient_per_frame,
+    loss_per_frame,
+    run_federated_per_frame,
+)
+
 
 def random_frame(rng, n=4):
     feats = np.zeros((n, FEATURE_DIM))
@@ -248,3 +255,106 @@ def test_train_config_validation():
     assert cfg.local_epochs == 2
     assert cfg.max_rounds == 5
     assert cfg.loss_coefficients == (1.0, 2.0, 0.2)
+
+
+# --- equality with the per-frame reference loop (tests/oracles.py) -----------
+
+TOL = 1e-12
+
+
+def mixed_dataset(rng, sizes, p_labeled):
+    """One frame per entry of sizes, each labelled with p_labeled."""
+    out = []
+    for n in sizes:
+        frame = random_frame(rng, n=n)
+        out.append((frame, random_labels(rng, frame, p_labeled)))
+    return out
+
+
+def assert_breakdowns_close(a, b):
+    assert a.num_labeled == b.num_labeled
+    for name in ("total", "class_loss", "angle_loss", "box_loss", "dir_loss"):
+        assert abs(getattr(a, name) - getattr(b, name)) <= TOL, name
+
+
+def test_loss_and_gradient_match_per_frame_oracle():
+    rng = np.random.default_rng(11)
+    spec = ModelSpec()
+    for _ in range(60):
+        frame = random_frame(rng, n=int(rng.integers(0, 7)))
+        labels = random_labels(rng, frame, p_labeled=rng.uniform(0.0, 1.0))
+        params = ModelParams(rng.normal(0.0, 0.3, spec.num_params))
+        coeffs = tuple(rng.uniform(0.0, 3.0, 3))
+        assert_breakdowns_close(
+            loss(params, frame, labels, spec, coeffs),
+            loss_per_frame(params, frame, labels, spec, coeffs),
+        )
+        b, g = loss_gradient(params, frame, labels, spec, coeffs)
+        b_ref, g_ref = loss_gradient_per_frame(params, frame, labels, spec,
+                                               coeffs)
+        assert_breakdowns_close(b, b_ref)
+        assert np.max(np.abs(g - g_ref)) <= TOL
+
+
+@pytest.mark.parametrize("sizes, p_labeled, batch_size, epochs", [
+    ([4, 0, 3, 6, 1, 5, 2, 4, 3, 5, 0, 6], 0.6, 4, 3),   # mixed, empty frames
+    ([3, 4, 2, 5, 3, 4], 0.0, 2, 2),                      # nothing labelled
+    ([1] * 10, 0.5, 3, 2),                                # one-row frames
+    ([2, 5, 3, 4, 1, 6, 3], 0.7, 1, 2),                   # batch_size=1
+    ([4, 3, 5, 2, 6, 4], 0.8, 50, 3),                     # batch > dataset
+    ([5, 4, 3, 6], 1.0, 2, 1),
+])
+def test_local_train_matches_per_frame_oracle(sizes, p_labeled, batch_size,
+                                              epochs):
+    rng = np.random.default_rng(len(sizes) * 100 + batch_size)
+    dataset = mixed_dataset(rng, sizes, p_labeled)
+    cfg = TrainConfig(learning_rate=2e-2, local_epochs=epochs,
+                      batch_size=batch_size)
+    init = ModelParams(default_init_params().values
+                       + rng.normal(0.0, 0.05, ModelSpec().num_params))
+    for seed in (0, [3, 1, 2]):
+        out = local_train(init, dataset, cfg, seed=seed)
+        ref = local_train_per_frame(init, dataset, cfg, seed=seed)
+        assert np.max(np.abs(out.values - ref.values)) <= TOL
+        # Only a dataset without labels leaves the parameters unchanged.
+        assert np.array_equal(out.values, init.values) == (p_labeled == 0.0)
+
+
+def test_run_federated_matches_per_frame_oracle():
+    rng = np.random.default_rng(12)
+    datasets = [
+        mixed_dataset(rng, rng.integers(0, 7, 9), 0.7),
+        mixed_dataset(rng, [3, 2, 4], 0.0),          # no labels at all
+        mixed_dataset(rng, [1] * 5, 1.0),            # one-row frames
+        mixed_dataset(rng, rng.integers(1, 7, 14), 0.4),
+    ]
+    cfg = TrainConfig(learning_rate=1e-2, max_rounds=4, batch_size=3)
+    init = default_init_params()
+    curve, curve_ref = [], []
+    out = run_federated(datasets, init, cfg, base_seed=5, curve=curve)
+    ref = run_federated_per_frame(datasets, init, cfg, base_seed=5,
+                                  curve=curve_ref)
+    assert np.max(np.abs(out.values - ref.values)) <= TOL
+    assert len(curve) == len(curve_ref) == 4 * 4
+    for (rnd, k, b), (rnd_ref, k_ref, b_ref) in zip(curve, curve_ref):
+        assert (rnd, k) == (rnd_ref, k_ref)
+        assert_breakdowns_close(b, b_ref)
+    assert curve[1][2].num_labeled == 0 and curve[1][2].total == 0.0
+
+
+def test_training_rejects_malformed_input():
+    rng = np.random.default_rng(13)
+    good = mixed_dataset(rng, [3, 2], 1.0)
+    frame, labels = good[0]
+    misaligned = [(frame, LabelSet(0.0, labels.labels[:-1]))]
+    wide = SensorFrame(0.0, np.zeros((2, FEATURE_DIM + 1)))
+    wrong_dim = [(wide, LabelSet(0.0, (None, None)))]
+    init = default_init_params()
+    short = ModelParams(np.zeros(ModelSpec().num_params - 1))
+    cfg = TrainConfig(max_rounds=1)
+    for params, dataset in ((init, misaligned), (init, wrong_dim),
+                            (short, good)):
+        with pytest.raises(ValueError):
+            local_train(params, dataset, cfg)
+        with pytest.raises(ValueError):
+            run_federated([good, dataset], params, cfg)

@@ -10,12 +10,13 @@ from mapfuse.geometry import (
     Pose,
     angle_diff,
     footprint_corners,
-    iou_3d,
     iou_bev,
     transform_to_global,
     transform_to_local,
     wrap_angle,
 )
+
+from oracles import iou_3d
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)
 angles = st.floats(-10.0, 10.0, allow_nan=False)

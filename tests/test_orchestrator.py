@@ -15,7 +15,7 @@ from mapfuse.evalbench import (
 )
 from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
 from mapfuse.fusion import LocalMap, ScoredDetection, three_stage_fuse
-from mapfuse.geometry import ObjectState, iou_3d, transform_to_global
+from mapfuse.geometry import ObjectState, transform_to_global
 from mapfuse.orchestrator import (
     _FUSED_FNS,
     _PARAMS_OF,
@@ -50,6 +50,8 @@ from mapfuse.simworld import (
     generate_scenario,
     sense,
 )
+
+from oracles import iou_3d
 
 QUIET = DetectorNoiseSpec()
 
@@ -307,6 +309,23 @@ def test_run_config_from_dict_builds_nested():
     (ScenarioConfig, ("scenario",), "duration", 0.01),
     (ScenarioConfig, ("scenario",), "frame_rate", math.nan),
     (ScenarioConfig, ("scenario",), "frame_rate", -1.0),
+    (ScenarioConfig, ("scenario",), "num_vehicles", -1),
+    (ScenarioConfig, ("scenario",), "num_vehicles", 0),
+    (ScenarioConfig, ("scenario",), "num_vehicles", 2.5),
+    (ScenarioConfig, ("scenario",), "num_objects", 37.0),
+    (ScenarioConfig, ("scenario",), "max_attempts", 0),
+    (ScenarioConfig, ("scenario",), "max_attempts", 1.5),
+    (ScenarioConfig, ("scenario",), "lane_offset", math.nan),
+    (ScenarioConfig, ("scenario",), "lane_offset", math.inf),
+    (ScenarioConfig, ("scenario",), "span", math.nan),
+    (ScenarioConfig, ("scenario",), "span", 0.0),
+    (ScenarioConfig, ("scenario",), "span", math.inf),
+    (ScenarioConfig, ("scenario",), "speed_min", math.nan),
+    (ScenarioConfig, ("scenario",), "speed_min", -1.0),
+    (ScenarioConfig, ("scenario",), "speed_min", 12.0),
+    (ScenarioConfig, ("scenario",), "turn_prob", 2.0),
+    (ScenarioConfig, ("scenario",), "turn_prob", -0.1),
+    (ScenarioConfig, ("scenario",), "turn_prob", math.nan),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -317,6 +336,11 @@ def test_config_rejects_invalid_values(cls, section, key, value):
         payload = [payload] if name == "[]" else {name: payload}
     with pytest.raises(ConfigError):
         run_config_from_dict(payload)
+
+
+def test_scenario_needs_at_least_one_object():
+    with pytest.raises(ValueError):
+        ScenarioConfig(num_vehicles=0, num_objects=0)
 
 
 def test_removed_options_are_rejected():

@@ -13,7 +13,7 @@ from mapfuse.fedlearn import (
     FEATURE_DIM,
 )
 from mapfuse.fusion import three_stage_fuse
-from mapfuse.geometry import angle_diff, iou_3d, transform_to_global
+from mapfuse.geometry import angle_diff, transform_to_global
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     Scenario,
@@ -24,7 +24,7 @@ from mapfuse.simworld import (
     sense,
     visible_objects,
 )
-from oracles import visible_objects_per_target
+from oracles import iou_3d, visible_objects_per_target
 
 QUIET = DetectorNoiseSpec()
 
