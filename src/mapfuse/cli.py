@@ -15,7 +15,6 @@ import sys
 
 from mapfuse.fedlearn import default_init_params, save_checkpoint
 from mapfuse.fusion import (
-    FusionConfig,
     baseline_max_score_fuse,
     baseline_mean_fuse,
     global_map_to_json,
@@ -58,13 +57,6 @@ def _load_config(args) -> RunConfig:
     cfg = run_config_from_dict(payload)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    fusion = cfg.fusion
-    if getattr(args, "weight_mode", None):
-        fusion = dataclasses.replace(fusion, weight_mode=args.weight_mode)
-    if getattr(args, "delta", None) is not None:
-        fusion = dataclasses.replace(fusion, delta=args.delta)
-    if fusion is not cfg.fusion:
-        cfg = dataclasses.replace(cfg, fusion=fusion)
     return cfg
 
 
@@ -177,15 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="local maps, one JSON object per line")
     p.add_argument("--method", choices=sorted(_FUSE_RULES),
                    default="three_stage")
-    p.add_argument("--weight-mode", choices=["confidence", "literal"])
-    p.add_argument("--delta", type=float)
     p.add_argument("--format", choices=["jsonl", "kitti"], default="jsonl")
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("evaluate", help="run the test window, write a report")
     common(p)
-    p.add_argument("--weight-mode", choices=["confidence", "literal"])
-    p.add_argument("--delta", type=float)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="convert a report to radar-plot CSV")
@@ -195,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="full eight-method benchmark")
     common(p)
-    p.add_argument("--weight-mode", choices=["confidence", "literal"])
-    p.add_argument("--delta", type=float)
     p.set_defaults(func=_cmd_bench)
     return parser
 

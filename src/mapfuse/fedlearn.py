@@ -150,14 +150,15 @@ class TrainConfig:
             raise ValueError("epoch, round, batch and sampling counts "
                              "must be integers")
         # Written as "not (valid)" so that NaN fails every check.
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and non-negative")
         if not (self.local_epochs >= 1 and self.max_rounds >= 0):
             raise ValueError("invalid epoch/round counts")
         if not self.batch_size >= 1:
             raise ValueError("batch size must be at least 1")
-        if not all(b >= 0 for b in self.loss_coefficients):
-            raise ValueError("loss coefficients must be non-negative")
+        if not all(0.0 <= b < math.inf for b in self.loss_coefficients):
+            raise ValueError("loss coefficients must be finite and "
+                             "non-negative")
         lo, hi = self.train_window
         if not 0.0 <= lo < hi:
             raise ValueError("train window must satisfy 0 <= start < end")
@@ -401,7 +402,7 @@ def loss(
     frame: SensorFrame,
     labels: LabelSet,
     spec: ModelSpec | None = None,
-    coefficients: tuple[float, float, float] = (1.0, 2.0, 0.2),
+    coefficients: tuple[float, float, float] = TrainConfig.loss_coefficients,
 ) -> LossBreakdown:
     """Four-term training loss, averaged over labeled candidates."""
     return loss_gradient(params, frame, labels, spec, coefficients)[0]
@@ -412,7 +413,7 @@ def loss_gradient(
     frame: SensorFrame,
     labels: LabelSet,
     spec: ModelSpec | None = None,
-    coefficients: tuple[float, float, float] = (1.0, 2.0, 0.2),
+    coefficients: tuple[float, float, float] = TrainConfig.loss_coefficients,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss plus its analytic gradient as a flat vector."""
     spec = spec or ModelSpec()

@@ -31,8 +31,6 @@ from mapfuse.geometry import (
     wrap_angle,
 )
 
-WEIGHT_MODES = ("confidence", "literal")
-
 CATEGORY_NAMES = {0: "Car", 1: "Pedestrian", 2: "Cyclist"}
 
 
@@ -75,12 +73,9 @@ class GlobalMap:
 @dataclass(frozen=True)
 class FusionConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    weight_mode: str = "confidence"
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -95,7 +90,6 @@ class FusionResult:
     """
 
     global_map: GlobalMap
-    num_objects: int
     matrices: list[AssociationMatrix]
     fused_all: list[tuple[ObjectState, float]]
 
@@ -109,23 +103,23 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_weights(
-    scores: Sequence[float], mode: str = "confidence"
-) -> np.ndarray:
+def compute_weights(scores: Sequence[float]) -> np.ndarray:
     """Normalized fusion weights for one cluster's raw scores.
 
-    'confidence' weights by the sigmoid of the score (increasing in
-    score).  'literal' weights by (1 + exp(s))^-1, which is decreasing in
-    the score; it is kept as an alternate convention rather than silently
-    corrected.
+    Each member is weighted by the sigmoid of its score, so a higher score
+    earns more trust.  When every sigmoid underflows to 0 (all scores
+    below about -745), the weights take their limit exp(s - max s),
+    normalized.
     """
-    if mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {mode!r}")
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("cluster must be non-empty")
-    raw = _sigmoid(scores if mode == "confidence" else -scores)
-    return raw / raw.sum()
+    raw = _sigmoid(scores)
+    total = raw.sum()
+    if not total > 0.0:
+        raw = np.exp(scores - scores.max())
+        total = raw.sum()
+    return raw / total
 
 
 def fuse_cluster(
@@ -204,7 +198,7 @@ def _fuse_frame(
 ) -> FusionResult:
     """Associate, fuse each cluster with rule(states, scores), and prune."""
     if not local_maps:
-        return FusionResult(GlobalMap(0.0, ()), 0, [], [])
+        return FusionResult(GlobalMap(0.0, ()), [], [])
     frame_time = local_maps[0].frame_time
     if any(lm.frame_time != frame_time for lm in local_maps):
         raise ValueError("local maps must share a frame time")
@@ -234,7 +228,6 @@ def _fuse_frame(
     pruned = prune_overlaps(fused_all, cfg.delta)
     return FusionResult(
         global_map=GlobalMap(frame_time, tuple(pruned)),
-        num_objects=num_objects,
         matrices=matrices,
         fused_all=fused_all,
     )
@@ -249,7 +242,7 @@ def three_stage_fuse(
         local_maps,
         cfg,
         lambda states, scores: fuse_cluster(
-            states, scores, compute_weights(scores, cfg.weight_mode)
+            states, scores, compute_weights(scores)
         ),
     )
 

@@ -29,7 +29,6 @@ from mapfuse.distill import (
 from mapfuse.evalbench import (
     Accumulator,
     EvalReport,
-    IOU_THRESHOLD,
     MethodResult,
     SliceRecords,
     SliceThresholds,
@@ -397,22 +396,14 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     thresholds: SliceThresholds = field(default_factory=SliceThresholds)
     teachers: tuple[TeacherSpec, ...] = ()
-    teacher_match_radius: float = 2.0
     methods: tuple[str, ...] = METHOD_NAMES
     seed: int = 0
     sensor_seed: int = 0
-    iou_threshold: float = IOU_THRESHOLD
 
     def __post_init__(self):
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
-        # A threshold <= 0 would let a prediction claim a truth it does
-        # not overlap at all; written so that NaN fails.
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ConfigError("iou_threshold must lie in (0, 1]")
-        if not self.teacher_match_radius > 0.0:
-            raise ConfigError("teacher_match_radius must be positive")
 
 
 _NESTED = {
@@ -484,12 +475,7 @@ def build_teacher_registry(cfg: RunConfig, scenario: Scenario) -> TeacherRegistr
         return full_coverage_registry(scenario)
     return TeacherRegistry(
         teachers=[
-            RoadSideUnit(
-                center=(t.x, t.y),
-                radius=t.radius,
-                scenario=scenario,
-                match_radius=cfg.teacher_match_radius,
-            )
+            RoadSideUnit(center=(t.x, t.y), radius=t.radius, scenario=scenario)
             for t in cfg.teachers
         ]
     )
@@ -657,8 +643,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 )
                 preds = list(gmap.objects)
                 scores = [score for _, score in preds]
-                assigned = match_detections(preds, fleet_truths,
-                                            cfg.iou_threshold)
+                assigned = match_detections(preds, fleet_truths)
                 fleet_acc[m].add(scores, assigned, fleet_slices)
                 for k in range(k_count):
                     per_vehicle[m][k].add(scores, assigned, veh_masks[k])
@@ -667,8 +652,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                     preds = [(transform_to_global(d.state, lm.pose), d.score)
                              for d in lm.detections]
                     scores = [score for _, score in preds]
-                    rows = overlap_rows(preds, fleet_truths,
-                                        cfg.iou_threshold)
+                    rows = overlap_rows(preds, fleet_truths)
                     per_vehicle[m][k].add(
                         scores, greedy_assign(scores, rows), all_in
                     )

@@ -176,7 +176,7 @@ def test_criterion_1_oracle_suites(capsys):
             for _ in range(n)
         ]
         scores = rng.normal(1.0, 1.0, n)
-        w = compute_weights(scores, "confidence")
+        w = compute_weights(scores)
         fused, _ = fuse_cluster(states, scores, w)
         base = weighted_ls_objective(fused, states, w)
         vec = fused.to_vector()

@@ -30,7 +30,7 @@ def small_config(tmp_path):
 @pytest.fixture
 def frame_jsonl(tmp_path):
     # Two vehicles seeing the same two objects with different scores, so
-    # the fusion rule and weight mode actually change the output.
+    # the fusion rule actually changes the output.
     def lm(vid, dx, score):
         return LocalMap(
             vehicle_id=vid,
@@ -99,18 +99,35 @@ def test_fuse_jsonl_and_kitti(frame_jsonl, tmp_path, capsys):
 
 
 def test_fuse_weight_mode_changes_result(frame_jsonl, capsys):
+    # Score weighting is the three-stage rule; --method mean drops it.
     assert main(["fuse", frame_jsonl]) == 0
     conf = capsys.readouterr().out
-    assert main(["fuse", frame_jsonl, "--weight-mode", "literal"]) == 0
-    lit = capsys.readouterr().out
-    assert conf != lit
     assert main(["fuse", frame_jsonl, "--method", "mean"]) == 0
     mean = capsys.readouterr().out
     assert mean != conf
 
 
+@pytest.mark.parametrize("flags", [["--weight-mode", "confidence"],
+                                   ["--delta", "0.5"]])
+def test_removed_fuse_flags_exit_1(frame_jsonl, flags):
+    # The delta lives in --config as {"fusion": {"delta": ...}}.
+    assert main(["fuse", frame_jsonl, *flags]) == 1
+
+
+def test_fuse_underflowing_score(tmp_path, capsys):
+    det = ScoredDetection(ObjectState(0, (5.0, 1.0, 0.75), (4, 2, 1.5), 0.0),
+                          -800.0)
+    path = tmp_path / "one.jsonl"
+    path.write_text(local_map_to_json(
+        LocalMap(0, 0.5, (det,), IDENTITY_POSE)) + "\n")
+    assert main(["fuse", str(path)]) == 0
+    (obj,) = json.loads(capsys.readouterr().out)["objects"]
+    assert obj["score"] == -800.0
+
+
 def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
-    lines = open(frame_jsonl).read().strip().splitlines()
+    with open(frame_jsonl) as fh:
+        lines = fh.read().strip().splitlines()
     doc = json.loads(lines[1])
     doc["frame_time"] = doc["frame_time"] + 1.0
     bad = tmp_path / "mixed.jsonl"
@@ -119,7 +136,8 @@ def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
 
 
 def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path):
-    lines = open(frame_jsonl).read().strip().splitlines()
+    with open(frame_jsonl) as fh:
+        lines = fh.read().strip().splitlines()
     doc = json.loads(lines[1])
     doc["vehicle_id"] = json.loads(lines[0])["vehicle_id"]
     bad = tmp_path / "duplicate.jsonl"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mapfuse.association import ClusterConfig
 from mapfuse.fusion import (
     FusionConfig,
     GlobalMap,
@@ -22,8 +23,14 @@ from mapfuse.fusion import (
     prune_overlaps,
     three_stage_fuse,
 )
-from mapfuse.geometry import IDENTITY_POSE, ObjectState, Pose, angle_diff
-from oracles import weighted_ls_objective
+from mapfuse.geometry import (
+    IDENTITY_POSE,
+    ObjectState,
+    Pose,
+    angle_diff,
+    transform_to_global,
+)
+from oracles import cluster_brute_force_oracle, weighted_ls_objective
 
 
 def box(x, y, yaw=0.0, l=4.0, w=2.0, h=1.5, z=0.75, cat=0):
@@ -35,43 +42,56 @@ def lmap(vid, dets, pose=IDENTITY_POSE, t=0.0):
                     pose=pose)
 
 
-def test_weights_literal_is_decreasing_in_score():
-    w = compute_weights([0.0, math.log(3.0)], "literal")
-    # (1+e^0)^-1 = 1/2, (1+e^{ln3})^-1 = 1/4 -> normalized (2/3, 1/3).
-    assert w == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
-
-
 def test_weights_confidence_is_increasing_in_score():
-    w = compute_weights([0.0, math.log(3.0)], "confidence")
+    w = compute_weights([0.0, math.log(3.0)])
     # sigmoid: 0.5 and 0.75 -> normalized (0.4, 0.6).
     assert w == pytest.approx([0.4, 0.6], abs=1e-12)
 
 
 def test_weights_uniform_and_validation():
-    # Uniform weights are the mean baseline's rule, not a weight mode.
-    scores = (-3.0, 0.0, 9.0)
+    # Uniform weights are the mean baseline's rule; compute_weights has
+    # only the sigmoid rule and needs at least one score.
     with pytest.raises(ValueError):
-        compute_weights(scores, "uniform")
-    with pytest.raises(ValueError):
-        compute_weights([], "confidence")
-    with pytest.raises(ValueError):
-        compute_weights(scores, "bogus")
+        compute_weights([])
 
 
-@given(st.lists(st.floats(-30, 30, allow_nan=False), min_size=1, max_size=8),
-       st.sampled_from(["confidence", "literal"]))
+@given(st.lists(st.floats(-30, 30, allow_nan=False), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_weights_always_normalized(scores, mode):
-    w = compute_weights(scores, mode)
+def test_weights_always_normalized(scores):
+    w = compute_weights(scores)
     assert abs(w.sum() - 1.0) <= 1e-9
     assert (w > 0).all()
+
+
+@given(st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1,
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_weights_finite_normalized_and_top_heavy(scores):
+    # Below about -745 every sigmoid underflows to 0; the weights must
+    # still be a distribution that trusts the top score most.
+    w = compute_weights(scores)
+    assert np.isfinite(w).all()
+    assert abs(w.sum() - 1.0) <= 1e-9
+    assert w[int(np.argmax(scores))] == w.max()
+
+
+def test_weights_when_every_sigmoid_underflows():
+    # The limit of sigmoid(s) / sum as s -> -inf is exp(s - max s) / sum.
+    w = compute_weights([-800.0, -800.0 + math.log(3.0)])
+    assert w == pytest.approx([0.25, 0.75], abs=1e-12)
+
+
+def test_single_detection_with_underflowing_score():
+    maps = [lmap(0, [ScoredDetection(box(3.0, -1.0), -800.0)])]
+    res = three_stage_fuse(maps)
+    assert res.global_map.objects == ((box(3.0, -1.0), -800.0),)
 
 
 def test_fuse_cluster_weighted_mean():
     states = [box(0.0, 0.0), box(2.0, 0.0)]
     scores = [0.0, math.log(3.0)]
     state, score = fuse_cluster(states, scores,
-                                compute_weights(scores, "confidence"))
+                                compute_weights(scores))
     # Weights (0.4, 0.6) -> x = 1.2; uniform mean would give 1.0.
     assert state.center[0] == pytest.approx(1.2, abs=1e-12)
     assert score == pytest.approx(0.4 * 0.0 + 0.6 * math.log(3.0), abs=1e-12)
@@ -98,7 +118,7 @@ def test_fused_yaw_ignores_flipped_member():
     states = [box(0, 0, 0.05), box(0, 0, -0.05), box(0, 0, math.pi - 0.02)]
     scores = [2.0, 1.0, 0.0]
     state, _ = fuse_cluster(states, scores,
-                            compute_weights(scores, "confidence"))
+                            compute_weights(scores))
     assert abs(angle_diff(state.yaw, 0.0)) < 0.1
 
 
@@ -112,7 +132,7 @@ def test_weighted_ls_optimality_small_perturbations():
             for _ in range(n)
         ]
         scores = rng.normal(1.0, 1.0, n)
-        w = compute_weights(scores, "confidence")
+        w = compute_weights(scores)
         fused, _ = fuse_cluster(states, scores, w)
         base = weighted_ls_objective(fused, states, w)
         vec = fused.to_vector()
@@ -149,7 +169,7 @@ def test_three_stage_counts_and_alignment():
         lmap(1, [ScoredDetection(box(0.5, 0), 2.0)]),
     ]
     res = three_stage_fuse(maps, FusionConfig())
-    assert res.num_objects == 2
+    assert all(m.entries.shape[1] == 2 for m in res.matrices)
     assert len(res.fused_all) == 2
     assert len(res.global_map.objects) == 2
     by_vehicle = {m.vehicle_id: m for m in res.matrices}
@@ -195,9 +215,50 @@ def test_duplicate_vehicle_ids_are_rejected(fuse):
         fuse(maps)
 
 
+boxes = st.builds(
+    ObjectState,
+    category=st.integers(0, 2),
+    center=st.tuples(st.floats(-20, 20), st.floats(-20, 20),
+                     st.floats(0, 2)),
+    extents=st.tuples(st.floats(0.5, 5), st.floats(0.5, 3),
+                      st.floats(0.5, 2)),
+    yaw=st.floats(-math.pi, math.pi),
+)
+poses = st.builds(
+    Pose,
+    position=st.tuples(st.floats(-20, 20), st.floats(-20, 20), st.just(0.0)),
+    heading=st.floats(-math.pi, math.pi),
+)
+frames = st.lists(
+    st.tuples(
+        poses,
+        st.lists(st.builds(ScoredDetection, boxes, st.floats(-1e3, 1e3)),
+                 max_size=5),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@pytest.mark.parametrize("fuse", [three_stage_fuse, baseline_mean_fuse,
+                                  baseline_max_score_fuse])
+@given(frame=frames)
+@settings(max_examples=60, deadline=None)
+def test_fusion_path_properties(fuse, frame):
+    maps = [lmap(k, dets, pose=pose) for k, (pose, dets) in enumerate(frame)]
+    res = fuse(maps)
+    for state, score in res.fused_all:
+        assert np.isfinite(state.to_vector()).all()
+        assert math.isfinite(score)
+    entries = [(lm.vehicle_id, n, transform_to_global(d.state, lm.pose))
+               for lm in maps for n, d in enumerate(lm.detections)]
+    components, _ = cluster_brute_force_oracle(entries, ClusterConfig())
+    assert len(res.fused_all) == components
+    assert all(obj in res.fused_all for obj in res.global_map.objects)
+
+
 def test_empty_input():
     res = three_stage_fuse([])
-    assert res.num_objects == 0
+    assert res.fused_all == []
     assert res.global_map.objects == ()
 
 

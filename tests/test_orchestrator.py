@@ -8,13 +8,19 @@ from hypothesis import assume, given, settings, strategies as st
 from mapfuse.association import ClusterConfig
 from mapfuse.distill import run_edfl, run_perfect_fl
 from mapfuse.evalbench import (
+    IOU_THRESHOLD,
     Accumulator,
     average_precision,
     match_detections,
     tag_objects,
 )
 from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
-from mapfuse.fusion import LocalMap, ScoredDetection, three_stage_fuse
+from mapfuse.fusion import (
+    FusionConfig,
+    LocalMap,
+    ScoredDetection,
+    three_stage_fuse,
+)
 from mapfuse.geometry import ObjectState, transform_to_global
 from mapfuse.orchestrator import (
     _FUSED_FNS,
@@ -287,9 +293,9 @@ def test_run_config_from_dict_builds_nested():
     (TrainConfig, ("train",), "train_window", [5.0, 1.0]),
     (DetectorNoiseSpec, ("noise",), "bias", [1.0, 2.0, 3.0]),
     (DetectorNoiseSpec, ("noise",), "false_positive_rate", -1.0),
-    (RunConfig, (), "iou_threshold", -1.0),
-    (RunConfig, (), "iou_threshold", math.nan),
-    (RunConfig, (), "iou_threshold", 1.5),
+    (TrainConfig, ("train",), "learning_rate", math.inf),
+    (TrainConfig, ("train",), "loss_coefficients", [math.inf, 1.0, 1.0]),
+    (FusionConfig, ("fusion",), "delta", 0.0),
     (TrainConfig, ("train",), "sampling_ratio", 1.5),
     (TrainConfig, ("train",), "batch_size", 2.5),
     (TrainConfig, ("train",), "local_epochs", 2.0),
@@ -299,8 +305,8 @@ def test_run_config_from_dict_builds_nested():
     (TeacherSpec, ("teachers", "[]"), "y", math.inf),
     (TeacherSpec, ("teachers", "[]"), "radius", -1.0),
     (TeacherSpec, ("teachers", "[]"), "radius", math.nan),
-    (RunConfig, (), "teacher_match_radius", math.nan),
-    (RunConfig, (), "teacher_match_radius", 0.0),
+    (FusionConfig, ("fusion",), "delta", 1.0),
+    (FusionConfig, ("fusion",), "delta", math.nan),
     (ScenarioConfig, ("scenario",), "min_separation", math.nan),
     (ScenarioConfig, ("scenario",), "speed_max", math.nan),
     (ScenarioConfig, ("scenario",), "duration", math.nan),
@@ -344,12 +350,16 @@ def test_scenario_needs_at_least_one_object():
 
 
 def test_removed_options_are_rejected():
-    with pytest.raises(ConfigError):
-        run_config_from_dict({"fusion": {"cluster": {"min_pts": 1}}})
-    with pytest.raises(ConfigError):
-        run_config_from_dict({"fusion": {"weight_mode": "uniform"}})
-    with pytest.raises(ConfigError):
-        run_config_from_dict({"scenario": {"sensor": {"frame_rate": 20}}})
+    for payload in (
+        {"fusion": {"cluster": {"min_pts": 1}}},
+        {"fusion": {"weight_mode": "uniform"}},
+        {"fusion": {"weight_mode": "confidence"}},
+        {"scenario": {"sensor": {"frame_rate": 20}}},
+        {"iou_threshold": 0.7},
+        {"teacher_match_radius": 2.0},
+    ):
+        with pytest.raises(ConfigError):
+            run_config_from_dict(payload)
 
 
 def test_frame_windows():
@@ -418,7 +428,7 @@ def reference_scores(cfg, frames):
             spec, cfg.sensor_seed,
             registry=build_teacher_registry(cfg, scenario))
     k_count = scenario.num_vehicles
-    thr = cfg.iou_threshold
+    thr = IOU_THRESHOLD
     fleet_acc = {m: Accumulator() for m in cfg.methods}
     own_acc = {m: [Accumulator() for _ in range(k_count)]
                for m in cfg.methods}

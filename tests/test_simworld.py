@@ -217,7 +217,7 @@ def test_noiseless_fusion_recovers_union():
     union = set()
     for k in range(sc.num_vehicles):
         union |= {o for o, _, _ in sc.visibility(k, f)}
-    assert res.num_objects == len(union)
+    assert len(res.fused_all) == len(union)
     for state, _ in res.global_map.objects:
         best = max(iou_3d(state, sc.object_state(f, o)) for o in union)
         assert best > 1.0 - 1e-9
