@@ -25,43 +25,31 @@ IOU_THRESHOLD = 0.7
 SLICE_NAMES = ("overall", "SR", "MR", "LR", "NO", "PO", "LO", "LD", "HD")
 
 
-@dataclass(frozen=True)
-class SliceThresholds:
-    """Boundaries for the distance, occlusion and density slices.
+# Slice boundaries.  Distance: short below SHORT_RANGE, mid below
+# MID_RANGE, long beyond.  Occlusion: none below OCCL_NONE, partial below
+# OCCL_PARTIAL, large beyond.  A frame is high density when at least one
+# object is seen by MIN_WITNESSES vehicles at once.
+SHORT_RANGE = 20.0
+MID_RANGE = 50.0
+OCCL_NONE = 0.1
+OCCL_PARTIAL = 0.5
+MIN_WITNESSES = 3
 
-    Distance: short below short_range, mid below mid_range, long beyond.
-    Occlusion: none below occl_none, partial below occl_partial, large
-    beyond.  A frame is high density when at least one object is seen by
-    min_witnesses vehicles at once.
-    """
 
-    short_range: float = 20.0
-    mid_range: float = 50.0
-    occl_none: float = 0.1
-    occl_partial: float = 0.5
-    min_witnesses: int = 3
+def distance_slice(dist: float) -> str:
+    if dist < SHORT_RANGE:
+        return "SR"
+    if dist < MID_RANGE:
+        return "MR"
+    return "LR"
 
-    def __post_init__(self):
-        if not 0.0 < self.short_range < self.mid_range:
-            raise ValueError("need 0 < short_range < mid_range")
-        if not 0.0 <= self.occl_none <= self.occl_partial:
-            raise ValueError("need 0 <= occl_none <= occl_partial")
-        if self.min_witnesses < 1:
-            raise ValueError("min_witnesses must be positive")
 
-    def distance_slice(self, dist: float) -> str:
-        if dist < self.short_range:
-            return "SR"
-        if dist < self.mid_range:
-            return "MR"
-        return "LR"
-
-    def occlusion_slice(self, occl: float) -> str:
-        if occl < self.occl_none:
-            return "NO"
-        if occl < self.occl_partial:
-            return "PO"
-        return "LO"
+def occlusion_slice(occl: float) -> str:
+    if occl < OCCL_NONE:
+        return "NO"
+    if occl < OCCL_PARTIAL:
+        return "PO"
+    return "LO"
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,6 @@ class BenchmarkTag:
 def tag_objects(
     scenario: Scenario,
     frame: int,
-    thresholds: SliceThresholds | None = None,
     vehicles: Sequence[int] | None = None,
 ) -> tuple[list[BenchmarkTag], str]:
     """Tag every object visible to at least one vehicle; label the frame.
@@ -88,7 +75,6 @@ def tag_objects(
     minimum over all vehicles that see the object).  The second return
     value is the frame's density slice, "LD" or "HD".
     """
-    thresholds = thresholds or SliceThresholds()
     if vehicles is None:
         vehicles = range(scenario.num_vehicles)
     best: dict[int, tuple[float, float, int]] = {}
@@ -102,16 +88,12 @@ def tag_objects(
             distance=d,
             occlusion=o,
             witnesses=w,
-            distance_slice=thresholds.distance_slice(d),
-            occlusion_slice=thresholds.occlusion_slice(o),
+            distance_slice=distance_slice(d),
+            occlusion_slice=occlusion_slice(o),
         )
         for obj, (d, o, w) in sorted(best.items())
     ]
-    density = (
-        "HD"
-        if any(t.witnesses >= thresholds.min_witnesses for t in tags)
-        else "LD"
-    )
+    density = "HD" if any(t.witnesses >= MIN_WITNESSES for t in tags) else "LD"
     return tags, density
 
 

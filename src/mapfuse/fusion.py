@@ -94,6 +94,9 @@ class FusionResult:
     fused_all: list[tuple[ObjectState, float]]
 
 
+_TINY = np.finfo(float).tiny   # smallest normal double
+
+
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s)
     pos = s >= 0
@@ -107,19 +110,18 @@ def compute_weights(scores: Sequence[float]) -> np.ndarray:
     """Normalized fusion weights for one cluster's raw scores.
 
     Each member is weighted by the sigmoid of its score, so a higher score
-    earns more trust.  When every sigmoid underflows to 0 (all scores
-    below about -745), the weights take their limit exp(s - max s),
+    earns more trust.  When even the largest sigmoid is subnormal (all
+    scores below about -708), the sigmoids have lost precision or
+    underflowed to 0, and the weights take their limit exp(s - max s),
     normalized.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("cluster must be non-empty")
     raw = _sigmoid(scores)
-    total = raw.sum()
-    if not total > 0.0:
+    if not raw.max() >= _TINY:
         raw = np.exp(scores - scores.max())
-        total = raw.sum()
-    return raw / total
+    return raw / raw.sum()
 
 
 def fuse_cluster(

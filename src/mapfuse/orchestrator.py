@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 import struct
+import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from mapfuse.association import ClusterConfig
 from mapfuse.distill import (
     RoadSideUnit,
     TeacherRegistry,
@@ -31,7 +32,6 @@ from mapfuse.evalbench import (
     EvalReport,
     MethodResult,
     SliceRecords,
-    SliceThresholds,
     greedy_assign,
     match_detections,
     overlap_rows,
@@ -59,7 +59,6 @@ from mapfuse.simworld import (
     DetectorNoiseSpec,
     Scenario,
     ScenarioConfig,
-    SensorSpec,
     generate_scenario,
     sense,
 )
@@ -386,6 +385,8 @@ class TeacherSpec:
             raise ConfigError("teacher position must be finite")
         if not self.radius >= 0.0:
             raise ConfigError("teacher radius must be non-negative")
+        if not isinstance(self.full_coverage, bool):
+            raise ConfigError("teacher full_coverage must be true or false")
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,6 @@ class RunConfig:
     noise: DetectorNoiseSpec = field(default_factory=DetectorNoiseSpec)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    thresholds: SliceThresholds = field(default_factory=SliceThresholds)
     teachers: tuple[TeacherSpec, ...] = ()
     methods: tuple[str, ...] = METHOD_NAMES
     seed: int = 0
@@ -404,70 +404,52 @@ class RunConfig:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
+        for s in (self.seed, self.sensor_seed):
+            if not (isinstance(s, numbers.Integral) and s >= 0):
+                raise ConfigError("seed and sensor_seed must be integers "
+                                  ">= 0")
 
 
-_NESTED = {
-    "scenario": ScenarioConfig,
-    "noise": DetectorNoiseSpec,
-    "fusion": FusionConfig,
-    "train": TrainConfig,
-    "thresholds": SliceThresholds,
-}
+def _from_json(cls, value, path: str):
+    """Build the config dataclass cls from parsed JSON.
 
-
-def _build_dataclass(cls, mapping: dict, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path.rstrip('.')} must be an object")
+    The dataclass fields are the schema: a field whose type is a dataclass
+    takes an object, a tuple field takes a list (its items are built the
+    same way when they are dataclasses), and any other value goes to the
+    constructor, which validates it.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object")
+    hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
-    for key, value in mapping.items():
+    for key, item in value.items():
+        where = f"{path}.{key}" if path else key
         if key not in names:
-            raise ConfigError(f"unknown key {path}{key}")
-        if isinstance(value, dict):
-            sub = {"cluster": ClusterConfig, "sensor": SensorSpec}.get(key)
-            if sub is None:
-                raise ConfigError(f"unexpected mapping at {path}{key}")
-            value = _build_dataclass(sub, value, f"{path}{key}.")
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+            raise ConfigError(f"unknown key {where}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            item = _from_json(hint, item, where)
+        elif typing.get_origin(hint) is tuple:
+            if not isinstance(item, list):
+                raise ConfigError(f"{where} must be a list")
+            sub = typing.get_args(hint)[0]
+            if dataclasses.is_dataclass(sub):
+                item = [_from_json(sub, x, f"{where}[]") for x in item]
+            item = tuple(item)
+        kwargs[key] = item
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value under {path or 'config'}: {exc}")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float.
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def run_config_from_dict(payload: dict) -> RunConfig:
     """Validate a parsed JSON config into a RunConfig."""
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be an object")
-    kwargs = {}
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    for key, value in payload.items():
-        if key not in names:
-            raise ConfigError(f"unknown key {key}")
-        if key in _NESTED:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-            kwargs[key] = _build_dataclass(_NESTED[key], value, f"{key}.")
-        elif key == "teachers":
-            if not isinstance(value, list):
-                raise ConfigError("teachers must be a list")
-            kwargs[key] = tuple(
-                _build_dataclass(TeacherSpec, t, "teachers[].") for t in value
-            )
-        elif key == "methods":
-            if not isinstance(value, list):
-                raise ConfigError("methods must be a list")
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc))
+    return _from_json(RunConfig, payload, "")
 
 
 def build_teacher_registry(cfg: RunConfig, scenario: Scenario) -> TeacherRegistry:
@@ -603,7 +585,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     for f in test_frames:
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
                   for k in range(k_count)]
-        fleet_tags, density = tag_objects(scenario, f, cfg.thresholds)
+        fleet_tags, density = tag_objects(scenario, f)
         fleet_truths = [scenario.object_state(f, t.object_id)
                         for t in fleet_tags]
         fleet_slices = slice_membership(fleet_tags, density)
@@ -614,8 +596,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         # under a mask, and veh_local maps a fleet index to its own tag.
         veh_masks, veh_slices, veh_local = [], [], []
         for k in range(k_count):
-            tags, dens_k = tag_objects(scenario, f, cfg.thresholds,
-                                       vehicles=[k])
+            tags, dens_k = tag_objects(scenario, f, vehicles=[k])
             veh_local.append({fleet_index[t.object_id]: i
                               for i, t in enumerate(tags)})
             veh_masks.append([j in veh_local[k]

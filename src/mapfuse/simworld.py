@@ -30,6 +30,16 @@ OCCLUSION_RAYS = 32
 _RIGHT_TURN_RADIUS = 4.0
 _LEFT_TURN_RADIUS = 8.0
 
+# Detector score model: a true detection's logit is SCORE_BASE, less
+# SCORE_DIST_COEFF per unit of range fraction and SCORE_OCCL_COEFF per
+# unit of occlusion, plus N(0, score_sigma); a false positive's logit is
+# N(FP_SCORE_MEAN, FP_SCORE_SIGMA).
+SCORE_BASE = 4.0
+SCORE_DIST_COEFF = 3.0
+SCORE_OCCL_COEFF = 2.0
+FP_SCORE_MEAN = -1.0
+FP_SCORE_SIGMA = 0.5
+
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -52,8 +62,10 @@ class DetectorNoiseSpec:
     miss probability grows linearly with normalized distance and
     occlusion; box noise sigmas scale by (1 + noise_dist_scale * (d/range
     + occlusion)); bias is a constant local-frame offset per vehicle on
-    (x, y, z, l, w, h, yaw).  Scores are pre-sigmoid logits, decreasing in
-    distance and occlusion; false positives draw low scores.
+    (x, y, z, l, w, h, yaw).  Scores are pre-sigmoid logits from the
+    module's fixed score model (SCORE_BASE and the constants after it),
+    decreasing in distance and occlusion; false positives draw low scores.
+    score_sigma is the noise on a true detection's score.
     """
 
     miss_prob: float = 0.0
@@ -68,12 +80,7 @@ class DetectorNoiseSpec:
     bias: tuple[float, float, float, float, float, float, float] = (
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     )
-    score_base: float = 4.0
-    score_dist_coeff: float = 3.0
-    score_occl_coeff: float = 2.0
     score_sigma: float = 0.0
-    fp_score_mean: float = -1.0
-    fp_score_sigma: float = 0.5
 
     def __post_init__(self):
         # Written as "not (valid)" so that NaN fails every check.
@@ -81,9 +88,15 @@ class DetectorNoiseSpec:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
         for s in (self.center_sigma, self.extent_sigma, self.yaw_sigma,
-                  self.score_sigma, self.fp_score_sigma):
+                  self.score_sigma):
             if not s >= 0.0:
                 raise ValueError("noise sigmas must be non-negative")
+        if not all(abs(c) < math.inf
+                   for c in (self.miss_dist_coeff, self.miss_occl_coeff)):
+            raise ValueError("miss coefficients must be finite")
+        if not 0.0 <= self.noise_dist_scale < math.inf:
+            raise ValueError("noise_dist_scale must be finite and "
+                             "non-negative")
         if not self.false_positive_rate >= 0.0:
             raise ValueError("false positive rate must be non-negative")
         if len(self.bias) != 7:
@@ -530,9 +543,9 @@ def sense(
         if flip:
             yaw += math.pi
         score = (
-            noise.score_base
-            - noise.score_dist_coeff * dist / sensor.range
-            - noise.score_occl_coeff * occl
+            SCORE_BASE
+            - SCORE_DIST_COEFF * dist / sensor.range
+            - SCORE_OCCL_COEFF * occl
             + rng.normal(0.0, noise.score_sigma)
         )
         state = ObjectState(
@@ -567,7 +580,7 @@ def sense(
             extents=extents,
             yaw=rng.uniform(-math.pi, math.pi),
         )
-        score = noise.fp_score_mean + rng.normal(0.0, noise.fp_score_sigma)
+        score = FP_SCORE_MEAN + rng.normal(0.0, FP_SCORE_SIGMA)
         detections.append(ScoredDetection(state, float(score)))
         features.append(
             _candidate_features(state, radius, 0.0, float(score), sensor)

@@ -207,3 +207,20 @@ def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg.write_text(json.dumps({"scenario": {"duration": 1.0, **scenario}}))
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"seed": 1.5},
+    {"sensor_seed": -1},
+    {"thresholds": {}},
+    {"noise": {"score_base": 4.0}},
+    {"noise": {"score_dist_coeff": 3.0}},
+    {"noise": {"score_occl_coeff": 2.0}},
+    {"noise": {"fp_score_mean": -1.0}},
+    {"noise": {"fp_score_sigma": 0.5}},
+])
+def test_simulate_rejects_invalid_or_removed_config(tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"duration": 1.0}, **payload}))
+    out = tmp_path / "out.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2

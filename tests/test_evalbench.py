@@ -9,10 +9,11 @@ from mapfuse.evalbench import (
     EvalReport,
     MethodResult,
     SLICE_NAMES,
-    SliceThresholds,
     average_precision,
+    distance_slice,
     greedy_assign,
     match_detections,
+    occlusion_slice,
     overlap_rows,
     tag_objects,
 )
@@ -31,17 +32,12 @@ def box(x, y, yaw=0.0, l=4.0, w=2.0):
 
 
 def test_slice_thresholds():
-    t = SliceThresholds()
-    assert t.distance_slice(5.0) == "SR"
-    assert t.distance_slice(20.0) == "MR"
-    assert t.distance_slice(50.0) == "LR"
-    assert t.occlusion_slice(0.0) == "NO"
-    assert t.occlusion_slice(0.1) == "PO"
-    assert t.occlusion_slice(0.5) == "LO"
-    with pytest.raises(ValueError):
-        SliceThresholds(short_range=60.0)
-    with pytest.raises(ValueError):
-        SliceThresholds(occl_none=0.6)
+    assert distance_slice(5.0) == "SR"
+    assert distance_slice(20.0) == "MR"
+    assert distance_slice(50.0) == "LR"
+    assert occlusion_slice(0.0) == "NO"
+    assert occlusion_slice(0.1) == "PO"
+    assert occlusion_slice(0.5) == "LO"
 
 
 def test_match_greedy_score_order():
@@ -179,8 +175,7 @@ def test_masked_greedy_equals_matching_the_subset(preds, truths_masks,
 
 def test_tag_objects_counts_witnesses():
     sc = generate_scenario(ScenarioConfig(duration=5.0), seed=0)
-    thresholds = SliceThresholds()
-    tags, density = tag_objects(sc, 0, thresholds)
+    tags, density = tag_objects(sc, 0)
     seen = {}
     for k in range(sc.num_vehicles):
         for o, d, occ in sc.visibility(k, 0):
@@ -193,7 +188,7 @@ def test_tag_objects_counts_witnesses():
         d, occ, w = seen[t.object_id]
         assert t.distance == pytest.approx(d)
         assert t.witnesses == w
-        assert t.distance_slice == thresholds.distance_slice(d)
+        assert t.distance_slice == distance_slice(d)
     want = ("HD" if any(w >= 3 for _, _, w in seen.values()) else "LD")
     assert density == want
 

@@ -81,6 +81,19 @@ def test_weights_when_every_sigmoid_underflows():
     assert w == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
+@pytest.mark.parametrize("scores, gap", [
+    ([-744.0, -744.3], 0.3),
+    ([-740.0, -742.0], 2.0),
+])
+def test_weights_when_every_sigmoid_is_subnormal(scores, gap):
+    # Below about -708 every sigmoid is subnormal and keeps few significant
+    # bits; the weights must still be the normalized sigmoids, whose top
+    # entry is 1 / (1 + exp(-gap)) to far below 1e-12.
+    top = 1.0 / (1.0 + math.exp(-gap))
+    w = compute_weights(scores)
+    assert w == pytest.approx([top, 1.0 - top], abs=1e-12)
+
+
 def test_single_detection_with_underflowing_score():
     maps = [lmap(0, [ScoredDetection(box(3.0, -1.0), -800.0)])]
     res = three_stage_fuse(maps)

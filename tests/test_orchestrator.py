@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import struct
 
@@ -267,6 +269,8 @@ def test_run_config_from_dict_rejects_unknown_keys():
         run_config_from_dict({"teachers": [1]})
     with pytest.raises(ConfigError):
         run_config_from_dict({"methods": 5})
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"teachers": [{"x": 10**400}]})
 
 
 def test_run_config_from_dict_builds_nested():
@@ -332,6 +336,16 @@ def test_run_config_from_dict_builds_nested():
     (ScenarioConfig, ("scenario",), "turn_prob", 2.0),
     (ScenarioConfig, ("scenario",), "turn_prob", -0.1),
     (ScenarioConfig, ("scenario",), "turn_prob", math.nan),
+    (RunConfig, (), "seed", 1.5),
+    (RunConfig, (), "seed", -1),
+    (RunConfig, (), "sensor_seed", -1),
+    (RunConfig, (), "sensor_seed", 2.0),
+    (DetectorNoiseSpec, ("noise",), "miss_dist_coeff", math.nan),
+    (DetectorNoiseSpec, ("noise",), "miss_occl_coeff", math.inf),
+    (DetectorNoiseSpec, ("noise",), "noise_dist_scale", -5.0),
+    (DetectorNoiseSpec, ("noise",), "noise_dist_scale", math.nan),
+    (DetectorNoiseSpec, ("noise",), "noise_dist_scale", math.inf),
+    (TeacherSpec, ("teachers", "[]"), "full_coverage", "false"),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -357,9 +371,64 @@ def test_removed_options_are_rejected():
         {"scenario": {"sensor": {"frame_rate": 20}}},
         {"iou_threshold": 0.7},
         {"teacher_match_radius": 2.0},
+        {"thresholds": {}},
+        {"noise": {"score_base": 4.0}},
+        {"noise": {"score_dist_coeff": 3.0}},
+        {"noise": {"score_occl_coeff": 2.0}},
+        {"noise": {"fp_score_mean": -1.0}},
+        {"noise": {"fp_score_sigma": 0.5}},
     ):
         with pytest.raises(ConfigError):
             run_config_from_dict(payload)
+
+
+def differs_everywhere(value, default):
+    if dataclasses.is_dataclass(value):
+        return all(differs_everywhere(getattr(value, f.name),
+                                      getattr(default, f.name))
+                   for f in dataclasses.fields(value))
+    return value != default
+
+
+NON_DEFAULT_CONFIG = RunConfig(
+    scenario=ScenarioConfig(
+        duration=6.0, frame_rate=10.0, num_vehicles=3, num_objects=12,
+        lane_offset=3.0, span=200.0, speed_min=5.0, speed_max=10.0,
+        speed_cap=14.0, turn_prob=0.3, min_separation=6.0, max_attempts=200,
+        sensor=SensorSpec(range=80.0, fov=1.2),
+    ),
+    noise=DetectorNoiseSpec(
+        miss_prob=0.1, miss_dist_coeff=0.2, miss_occl_coeff=-0.1,
+        false_positive_rate=0.3, center_sigma=0.1, extent_sigma=0.05,
+        yaw_sigma=0.01, noise_dist_scale=1.5, flip_prob=0.05,
+        bias=(0.1, -0.2, 0.0, 0.3, -0.1, 0.05, 0.02), score_sigma=0.4,
+    ),
+    fusion=FusionConfig(cluster=ClusterConfig(eps=1.5), delta=0.2),
+    train=TrainConfig(
+        learning_rate=0.01, local_epochs=3, max_rounds=2, batch_size=4,
+        loss_coefficients=(0.5, 1.0, 0.1), train_window=(1.0, 3.0),
+        sampling_ratio=2,
+    ),
+    teachers=(TeacherSpec(1.0, -2.0, 30.0), TeacherSpec(full_coverage=True)),
+    methods=("fusion_edfl", "local_no_fl"),
+    seed=7,
+    sensor_seed=11,
+)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(),
+    default_benchmark_config(0),
+    RunConfig(teachers=(TeacherSpec(full_coverage=True),)),
+    NON_DEFAULT_CONFIG,
+], ids=["defaults", "benchmark", "full_coverage", "non_default"])
+def test_run_config_json_round_trip(cfg):
+    payload = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert run_config_from_dict(payload) == cfg
+
+
+def test_non_default_config_sets_every_value():
+    assert differs_everywhere(NON_DEFAULT_CONFIG, RunConfig())
 
 
 def test_frame_windows():
@@ -436,10 +505,10 @@ def reference_scores(cfg, frames):
     veh = {m: [[[], 0] for _ in range(k_count)] for m in cfg.methods}
 
     for f in frames:
-        fleet_tags, density = tag_objects(scenario, f, cfg.thresholds)
+        fleet_tags, density = tag_objects(scenario, f)
         fleet_truths = [scenario.object_state(f, t.object_id)
                         for t in fleet_tags]
-        veh_tags = [tag_objects(scenario, f, cfg.thresholds, vehicles=[k])
+        veh_tags = [tag_objects(scenario, f, vehicles=[k])
                     for k in range(k_count)]
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
                   for k in range(k_count)]
