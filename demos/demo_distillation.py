@@ -14,7 +14,6 @@ from mapfuse import (
     DetectorNoiseSpec,
     RoadSideUnit,
     ScenarioConfig,
-    TeacherRegistry,
     TrainConfig,
     default_init_params,
     distill_labels,
@@ -40,7 +39,7 @@ frames = list(range(0, scenario.num_frames, 8))
 
 # One road-side unit parked at the crossing.
 rsu = RoadSideUnit(center=(0.0, 0.0), radius=60.0, scenario=scenario)
-registry = TeacherRegistry(teachers=[rsu])
+registry = (rsu,)
 
 # Look at the label mix late in the run, when the platoon has reached
 # the teacher's coverage disc.

@@ -9,8 +9,9 @@ learns from its own consensus.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,38 +68,23 @@ class RoadSideUnit:
         return self.scenario.object_state(frame, best)
 
 
-@dataclass
-class TeacherRegistry:
-    teachers: list[RoadSideUnit] = field(default_factory=list)
-
-    def find_label(self, state: ObjectState, frame: int) -> ObjectState | None:
-        for teacher in self.teachers:
-            label = teacher.label(state, frame)
-            if label is not None:
-                return label
-        return None
-
-
-def full_coverage_registry(scenario: Scenario) -> TeacherRegistry:
+def full_coverage_registry(scenario: Scenario) -> tuple[RoadSideUnit]:
     """A single omniscient teacher: the perfect-labeling setup."""
-    return TeacherRegistry(
-        teachers=[RoadSideUnit(center=(0.0, 0.0), radius=1e9,
-                               scenario=scenario)]
-    )
+    return (RoadSideUnit(center=(0.0, 0.0), radius=1e9, scenario=scenario),)
 
 
 def distill_labels(
     local_maps: Sequence[LocalMap],
     result: FusionResult,
     frame: int,
-    registry: TeacherRegistry | None = None,
+    registry: Sequence[RoadSideUnit] = (),
 ) -> dict[int, LabelSet]:
     """Per-vehicle label sets for one frame.
 
-    Each detection associated with a fused object is labeled either by a
-    covering teacher (ground truth, transformed into the vehicle frame)
-    or by the fused object itself; unassociated detections stay
-    unlabeled.
+    Each detection associated with a fused object is labeled either by
+    the first teacher in the registry that labels it (ground truth,
+    transformed into the vehicle frame) or by the fused object itself;
+    unassociated detections stay unlabeled.
     """
     by_vehicle = {mat.vehicle_id: mat for mat in result.matrices}
     out: dict[int, LabelSet] = {}
@@ -114,12 +100,12 @@ def distill_labels(
             if col is None:
                 labels.append(None)
                 continue
-            fused_state = result.fused_all[col][0]
-            target = None
-            if registry is not None:
-                target = registry.find_label(fused_state, frame)
-            if target is None:
-                target = fused_state
+            target = fused_state = result.fused_all[col][0]
+            for teacher in registry:
+                label = teacher.label(fused_state, frame)
+                if label is not None:
+                    target = label
+                    break
             labels.append(transform_to_local(target, lm.pose))
         out[lm.vehicle_id] = LabelSet(
             frame_time=lm.frame_time, labels=tuple(labels)
@@ -135,24 +121,19 @@ def build_distilled_datasets(
     spec: ModelSpec,
     fusion_cfg: FusionConfig,
     sensor_seed: int,
-    registry: TeacherRegistry | None = None,
+    registry: Sequence[RoadSideUnit] = (),
 ):
     """Sense, fuse and label the given frames for every vehicle."""
     k_count = scenario.num_vehicles
     datasets = [[] for _ in range(k_count)]
     for f in frames:
         sensed = [sense(scenario, k, f, noise, sensor_seed) for k in range(k_count)]
-        local_maps = []
-        for k, (raw_map, sensor_frame) in enumerate(sensed):
-            refined = predict(params, sensor_frame, spec)
-            local_maps.append(
-                LocalMap(
-                    vehicle_id=k,
-                    frame_time=raw_map.frame_time,
-                    detections=tuple(refined),
-                    pose=raw_map.pose,
-                )
+        local_maps = [
+            dataclasses.replace(
+                raw, detections=tuple(predict(params, sensor_frame, spec))
             )
+            for raw, sensor_frame in sensed
+        ]
         result = three_stage_fuse(local_maps, fusion_cfg)
         labels = distill_labels(local_maps, result, f, registry)
         for k in range(k_count):
@@ -169,7 +150,7 @@ def run_edfl(
     fusion_cfg: FusionConfig | None = None,
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
-    registry: TeacherRegistry | None = None,
+    registry: Sequence[RoadSideUnit] = (),
 ) -> ModelParams:
     """Ensemble-distillation federated learning over a training window.
 

@@ -207,13 +207,15 @@ class SliceRecords:
 
 
 def slice_membership(
-    tags: Sequence[BenchmarkTag], density: str
+    tags: Sequence[BenchmarkTag | None], density: str
 ) -> dict[str, list[bool]]:
-    """Per slice, which of a frame's truths belong to it.  The density
-    slice the frame is not in is left out: it gets no truths or records."""
+    """Per slice, which of a frame's truths belong to it; a None tag is a
+    truth in no slice.  The density slice the frame is not in is left
+    out: it gets no truths or records."""
     return {
         name: [
-            name in ("overall", density, t.distance_slice, t.occlusion_slice)
+            t is not None and name in (
+                "overall", density, t.distance_slice, t.occlusion_slice)
             for t in tags
         ]
         for name in SLICE_NAMES

@@ -156,9 +156,10 @@ class TrainConfig:
             raise ValueError("invalid epoch/round counts")
         if not self.batch_size >= 1:
             raise ValueError("batch size must be at least 1")
-        if not all(0.0 <= b < math.inf for b in self.loss_coefficients):
-            raise ValueError("loss coefficients must be finite and "
-                             "non-negative")
+        if not (len(self.loss_coefficients) == 3
+                and all(0.0 <= b < math.inf for b in self.loss_coefficients)):
+            raise ValueError("loss coefficients must be three finite, "
+                             "non-negative values")
         lo, hi = self.train_window
         if not 0.0 <= lo < hi:
             raise ValueError("train window must satisfy 0 <= start < end")

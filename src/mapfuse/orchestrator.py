@@ -22,8 +22,6 @@ import numpy as np
 
 from mapfuse.distill import (
     RoadSideUnit,
-    TeacherRegistry,
-    full_coverage_registry,
     run_edfl,
     run_perfect_fl,
 )
@@ -306,17 +304,9 @@ def run_frame(
     if local_maps is None:
         local_maps = []
         for k in range(scenario.num_vehicles):
-            raw_map, sensor_frame = sense(
-                scenario, k, frame, noise, sensor_seed
-            )
-            local_maps.append(
-                LocalMap(
-                    vehicle_id=k,
-                    frame_time=raw_map.frame_time,
-                    detections=tuple(predict(params, sensor_frame, spec)),
-                    pose=raw_map.pose,
-                )
-            )
+            raw, sensor_frame = sense(scenario, k, frame, noise, sensor_seed)
+            local_maps.append(dataclasses.replace(
+                raw, detections=tuple(predict(params, sensor_frame, spec))))
 
     delta = ByteLedger()
     server_maps = []
@@ -373,20 +363,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TeacherSpec:
-    """Placement of one road-side unit, or full coverage."""
+    """Placement of one road-side unit's coverage disc.  A disc that
+    covers the whole arena gives perfect labels."""
 
     x: float = 0.0
     y: float = 0.0
     radius: float = 0.0
-    full_coverage: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ConfigError("teacher position must be finite")
         if not self.radius >= 0.0:
             raise ConfigError("teacher radius must be non-negative")
-        if not isinstance(self.full_coverage, bool):
-            raise ConfigError("teacher full_coverage must be true or false")
 
 
 @dataclass(frozen=True)
@@ -452,14 +440,12 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     return _from_json(RunConfig, payload, "")
 
 
-def build_teacher_registry(cfg: RunConfig, scenario: Scenario) -> TeacherRegistry:
-    if any(t.full_coverage for t in cfg.teachers):
-        return full_coverage_registry(scenario)
-    return TeacherRegistry(
-        teachers=[
-            RoadSideUnit(center=(t.x, t.y), radius=t.radius, scenario=scenario)
-            for t in cfg.teachers
-        ]
+def build_teacher_registry(
+    cfg: RunConfig, scenario: Scenario
+) -> tuple[RoadSideUnit, ...]:
+    return tuple(
+        RoadSideUnit(center=(t.x, t.y), radius=t.radius, scenario=scenario)
+        for t in cfg.teachers
     )
 
 
@@ -589,26 +575,22 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         fleet_truths = [scenario.object_state(f, t.object_id)
                         for t in fleet_tags]
         fleet_slices = slice_membership(fleet_tags, density)
-        fleet_index = {t.object_id: j for j, t in enumerate(fleet_tags)}
         all_in = [True] * len(fleet_tags)
-        # Each vehicle's visible objects are a subset of the fleet's, in
-        # the same object-id order: a vehicle's truths are the fleet truths
-        # under a mask, and veh_local maps a fleet index to its own tag.
-        veh_masks, veh_slices, veh_local = [], [], []
+        # Each vehicle's visible objects are a subset of the fleet's: its
+        # slices flag the fleet truths, and a fleet truth the vehicle does
+        # not see is in none of them, so "overall" is its truth mask.
+        veh_slices = []
         for k in range(k_count):
             tags, dens_k = tag_objects(scenario, f, vehicles=[k])
-            veh_local.append({fleet_index[t.object_id]: i
-                              for i, t in enumerate(tags)})
-            veh_masks.append([j in veh_local[k]
-                              for j in range(len(fleet_tags))])
-            veh_slices.append(slice_membership(tags, dens_k))
+            seen = {t.object_id: t for t in tags}
+            veh_slices.append(slice_membership(
+                [seen.get(t.object_id) for t in fleet_tags], dens_k))
 
         refined_maps = {
             pname: [
-                LocalMap(k, raw.frame_time,
-                         tuple(predict(params[pname], sensor_frame, spec)),
-                         raw.pose)
-                for k, (raw, sensor_frame) in enumerate(sensed)
+                dataclasses.replace(raw, detections=tuple(
+                    predict(params[pname], sensor_frame, spec)))
+                for raw, sensor_frame in sensed
             ]
             for pname in {_PARAMS_OF[m] for m in cfg.methods}
         }
@@ -627,7 +609,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 assigned = match_detections(preds, fleet_truths)
                 fleet_acc[m].add(scores, assigned, fleet_slices)
                 for k in range(k_count):
-                    per_vehicle[m][k].add(scores, assigned, veh_masks[k])
+                    per_vehicle[m][k].add(scores, assigned,
+                                          veh_slices[k]["overall"])
             else:
                 for k, lm in enumerate(refined_maps[pname]):
                     preds = [(transform_to_global(d.state, lm.pose), d.score)
@@ -637,12 +620,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                     per_vehicle[m][k].add(
                         scores, greedy_assign(scores, rows), all_in
                     )
-                    own = greedy_assign(scores, rows, veh_masks[k])
-                    veh_acc[m][k].add(
-                        scores,
-                        [None if j is None else veh_local[k][j] for j in own],
-                        veh_slices[k],
-                    )
+                    own = greedy_assign(scores, rows, veh_slices[k]["overall"])
+                    veh_acc[m][k].add(scores, own, veh_slices[k])
 
     methods = {}
     for m in cfg.methods:

@@ -40,6 +40,12 @@ SCORE_OCCL_COEFF = 2.0
 FP_SCORE_MEAN = -1.0
 FP_SCORE_SIGMA = 0.5
 
+# Largest accepted mean number of false positives per sensing (the
+# benchmark uses 0.1).  Every false positive goes through refinement, the
+# codec and the O(N^2) association, so far smaller rates than the ~1e19
+# where numpy's Poisson sampler fails would already exhaust memory.
+MAX_FALSE_POSITIVE_RATE = 100.0
+
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -97,8 +103,9 @@ class DetectorNoiseSpec:
         if not 0.0 <= self.noise_dist_scale < math.inf:
             raise ValueError("noise_dist_scale must be finite and "
                              "non-negative")
-        if not self.false_positive_rate >= 0.0:
-            raise ValueError("false positive rate must be non-negative")
+        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
+            raise ValueError("false positive rate must lie in [0, "
+                             f"{MAX_FALSE_POSITIVE_RATE}]")
         if len(self.bias) != 7:
             raise ValueError("bias needs 7 entries (x, y, z, l, w, h, yaw)")
         object.__setattr__(self, "bias", tuple(float(b) for b in self.bias))
@@ -114,7 +121,6 @@ class ScenarioConfig:
     span: float = 220.0
     speed_min: float = 6.0
     speed_max: float = 11.0
-    speed_cap: float = 15.0
     turn_prob: float = 0.2
     min_separation: float = 5.0
     max_attempts: int = 300
@@ -129,11 +135,9 @@ class ScenarioConfig:
                              "must be integers >= 1")
         if self.num_vehicles > self.num_objects:
             raise ValueError("num_vehicles cannot exceed num_objects")
-        if not self.speed_max < self.speed_cap:
-            raise ValueError("speed_max must stay below the speed cap")
-        if not 0.0 <= self.speed_min <= self.speed_max:
-            raise ValueError("speed_min must satisfy 0 <= speed_min "
-                             "<= speed_max")
+        if not 0.0 <= self.speed_min <= self.speed_max < math.inf:
+            raise ValueError("speeds must satisfy 0 <= speed_min "
+                             "<= speed_max < inf")
         if not 0.0 <= self.turn_prob <= 1.0:
             raise ValueError("turn_prob must lie in [0, 1]")
         if not abs(self.lane_offset) < math.inf:

@@ -500,7 +500,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
                   "bias": [0.1, 0.1, 0.0, -0.2, 0.0, 0.0, 0.02]},
         "train": {"max_rounds": 2, "train_window": [0.0, 3.0],
                   "sampling_ratio": 6},
-        "teachers": [{"full_coverage": True}],
+        "teachers": [{"x": 0.0, "y": 0.0, "radius": 1e9}],
         "seed": 1,
     }
     cfg_path = tmp_path / "bench.json"

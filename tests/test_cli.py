@@ -15,7 +15,7 @@ SMALL = {
               "score_sigma": 0.5},
     "train": {"max_rounds": 1, "train_window": [0.0, 2.0],
               "sampling_ratio": 10},
-    "teachers": [{"full_coverage": True}],
+    "teachers": [{"x": 0.0, "y": 0.0, "radius": 1e9}],
     "methods": ["local_no_fl", "fusion_three_stage"],
 }
 
@@ -218,9 +218,31 @@ def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     {"noise": {"score_occl_coeff": 2.0}},
     {"noise": {"fp_score_mean": -1.0}},
     {"noise": {"fp_score_sigma": 0.5}},
+    {"teachers": [{"full_coverage": True}]},
+    {"scenario": {"speed_cap": 15.0}},
 ])
 def test_simulate_rejects_invalid_or_removed_config(tmp_path, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": {"duration": 1.0}, **payload}))
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def test_train_rejects_two_loss_coefficients_at_config_load(
+        tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "train": {"loss_coefficients": [1.0, 2.0], "max_rounds": 1,
+                  "train_window": [0.0, 1.0], "sampling_ratio": 10},
+        "scenario": {"duration": 2.0, "num_objects": 10},
+    }))
+
+    def no_scenario(*args, **kwargs):
+        raise RuntimeError("the config should fail before a scenario")
+
+    monkeypatch.setattr("mapfuse.cli.generate_scenario", no_scenario)
+    out = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg), "--method", "perfect_fl",
+                 "--out", str(out)]) == 2
+    assert "loss coefficients" in capsys.readouterr().err
+    assert not out.exists()

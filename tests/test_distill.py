@@ -3,7 +3,6 @@ import pytest
 
 from mapfuse.distill import (
     RoadSideUnit,
-    TeacherRegistry,
     distill_labels,
     full_coverage_registry,
     run_edfl,
@@ -12,6 +11,7 @@ from mapfuse.distill import (
 from mapfuse.fedlearn import TrainConfig, default_init_params, predict
 from mapfuse.fusion import FusionConfig, LocalMap, ScoredDetection, three_stage_fuse
 from mapfuse.geometry import IDENTITY_POSE, ObjectState, transform_to_local
+from mapfuse.orchestrator import build_teacher_registry, run_config_from_dict
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     ScenarioConfig,
@@ -61,12 +61,12 @@ def test_rsu_labels_with_nearest_truth():
 
 def test_registry_first_covering_teacher_wins():
     sc = small_scenario()
-    reg = TeacherRegistry(teachers=[
-        RoadSideUnit(center=(1e6, 1e6), radius=1.0, scenario=sc),
-        RoadSideUnit(center=(0.0, 0.0), radius=1e9, scenario=sc),
-    ])
-    truth = sc.object_state(0, 6)
-    assert reg.find_label(truth, 0) == truth
+    maps, res = sensed_frame(sc, 20)
+    far = RoadSideUnit(center=(1e6, 1e6), radius=1.0, scenario=sc)
+    full = RoadSideUnit(center=(0.0, 0.0), radius=1e9, scenario=sc)
+    both = distill_labels(maps, res, 20, registry=(far, full))
+    assert both == distill_labels(maps, res, 20, registry=(full,))
+    assert both != distill_labels(maps, res, 20)
 
 
 def test_distill_labels_cover_associated_detections():
@@ -85,7 +85,7 @@ def test_distill_labels_cover_associated_detections():
 def test_distill_labels_ensemble_branch_is_fused_object_in_local_frame():
     sc = small_scenario()
     maps, res = sensed_frame(sc, 20)
-    out = distill_labels(maps, res, 20, registry=None)
+    out = distill_labels(maps, res, 20, registry=())
     lm = maps[0]
     mat = {m.vehicle_id: m for m in res.matrices}[0]
     for n, label in enumerate(out[0].labels):
@@ -149,6 +149,12 @@ def test_run_perfect_fl_equals_full_coverage_edfl():
                  registry=full_coverage_registry(sc))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, init.values)
+    # A configured disc that covers the arena is the same teacher.
+    arena = build_teacher_registry(
+        run_config_from_dict({"teachers": [{"radius": 1e9}]}), sc)
+    c = run_edfl(sc, frames, NOISE, init, cfg, sensor_seed=5,
+                 registry=arena)
+    assert np.array_equal(a.values, c.values)
 
 
 def test_run_edfl_is_deterministic():

@@ -15,6 +15,7 @@ from mapfuse.evalbench import (
     match_detections,
     occlusion_slice,
     overlap_rows,
+    slice_membership,
     tag_objects,
 )
 from mapfuse.fusion import three_stage_fuse
@@ -116,6 +117,18 @@ def test_accumulator_masks_foreign_matches():
             {"overall": [True, False]})
     assert acc.slices["overall"].num_truths == 1
     assert acc.results()["overall"] == 1.0
+
+
+def test_slice_membership_none_tag_is_in_no_slice():
+    tags = [BenchmarkTag(0, 5.0, 0.0, 1, "SR", "NO"), None,
+            BenchmarkTag(2, 60.0, 0.6, 1, "LR", "LO")]
+    membership = slice_membership(tags, "HD")
+    assert set(membership) == set(SLICE_NAMES) - {"LD"}
+    assert membership["overall"] == [True, False, True]
+    assert membership["HD"] == [True, False, True]
+    assert membership["SR"] == [True, False, False]
+    assert membership["LO"] == [False, False, True]
+    assert all(not flags[1] for flags in membership.values())
 
 
 def reference_match(predictions, truths, iou_threshold):

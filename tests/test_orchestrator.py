@@ -260,7 +260,7 @@ def test_run_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key noise.bogus"):
         run_config_from_dict({"noise": {"bogus": 1}})
     with pytest.raises(ConfigError):
-        run_config_from_dict({"scenario": {"speed_max": 20.0}})
+        run_config_from_dict({"scenario": {"speed_max": math.inf}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"methods": ["warp_drive"]})
     with pytest.raises(ConfigError):
@@ -345,7 +345,10 @@ def test_run_config_from_dict_builds_nested():
     (DetectorNoiseSpec, ("noise",), "noise_dist_scale", -5.0),
     (DetectorNoiseSpec, ("noise",), "noise_dist_scale", math.nan),
     (DetectorNoiseSpec, ("noise",), "noise_dist_scale", math.inf),
-    (TeacherSpec, ("teachers", "[]"), "full_coverage", "false"),
+    (TrainConfig, ("train",), "loss_coefficients", [1.0, 2.0]),
+    (TrainConfig, ("train",), "loss_coefficients", [1.0, 2.0, 0.2, 0.1]),
+    (DetectorNoiseSpec, ("noise",), "false_positive_rate", math.inf),
+    (DetectorNoiseSpec, ("noise",), "false_positive_rate", 1e300),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -377,6 +380,8 @@ def test_removed_options_are_rejected():
         {"noise": {"score_occl_coeff": 2.0}},
         {"noise": {"fp_score_mean": -1.0}},
         {"noise": {"fp_score_sigma": 0.5}},
+        {"teachers": [{"full_coverage": True}]},
+        {"scenario": {"speed_cap": 15.0}},
     ):
         with pytest.raises(ConfigError):
             run_config_from_dict(payload)
@@ -394,7 +399,7 @@ NON_DEFAULT_CONFIG = RunConfig(
     scenario=ScenarioConfig(
         duration=6.0, frame_rate=10.0, num_vehicles=3, num_objects=12,
         lane_offset=3.0, span=200.0, speed_min=5.0, speed_max=10.0,
-        speed_cap=14.0, turn_prob=0.3, min_separation=6.0, max_attempts=200,
+        turn_prob=0.3, min_separation=6.0, max_attempts=200,
         sensor=SensorSpec(range=80.0, fov=1.2),
     ),
     noise=DetectorNoiseSpec(
@@ -409,7 +414,7 @@ NON_DEFAULT_CONFIG = RunConfig(
         loss_coefficients=(0.5, 1.0, 0.1), train_window=(1.0, 3.0),
         sampling_ratio=2,
     ),
-    teachers=(TeacherSpec(1.0, -2.0, 30.0), TeacherSpec(full_coverage=True)),
+    teachers=(TeacherSpec(1.0, -2.0, 30.0), TeacherSpec(0.0, 0.0, 1e9)),
     methods=("fusion_edfl", "local_no_fl"),
     seed=7,
     sensor_seed=11,
@@ -419,7 +424,7 @@ NON_DEFAULT_CONFIG = RunConfig(
 @pytest.mark.parametrize("cfg", [
     RunConfig(),
     default_benchmark_config(0),
-    RunConfig(teachers=(TeacherSpec(full_coverage=True),)),
+    RunConfig(teachers=(TeacherSpec(0.0, 0.0, 1e9),)),
     NON_DEFAULT_CONFIG,
 ], ids=["defaults", "benchmark", "full_coverage", "non_default"])
 def test_run_config_json_round_trip(cfg):
@@ -451,7 +456,7 @@ def small_run_config(**kw):
                "score_sigma": 0.5},
         train={"max_rounds": 1, "train_window": [0.0, 3.0],
                "sampling_ratio": 10},
-        teachers=[{"full_coverage": True}],
+        teachers=[{"x": 0.0, "y": 0.0, "radius": 1e9}],
         methods=["local_no_fl", "fusion_three_stage", "fusion_edfl"],
     )
     base.update(kw)

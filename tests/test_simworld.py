@@ -39,7 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(num_vehicles=10, num_objects=5)
     with pytest.raises(ValueError):
-        ScenarioConfig(speed_max=20.0)
+        ScenarioConfig(speed_max=math.inf)
     with pytest.raises(ValueError):
         SensorSpec(range=-1.0)
     assert ScenarioConfig().num_frames == 1010
@@ -69,7 +69,7 @@ def test_minimum_separation_holds_every_frame():
 def test_speed_cap():
     sc = generate_scenario(small_config(), seed=2)
     step = np.linalg.norm(np.diff(sc.xy, axis=0), axis=-1)
-    assert step.max() * sc.config.frame_rate <= sc.config.speed_cap
+    assert step.max() * sc.config.frame_rate <= sc.config.speed_max
 
 
 def test_platoon_shares_heading():
