@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mapfuse.geometry import ObjectState, iou_bev
+from mapfuse.geometry import ObjectState, iou_bev_matrix
 from mapfuse.simworld import Scenario
 
 IOU_THRESHOLD = 0.7
@@ -103,12 +103,18 @@ def overlap_rows(
     iou_threshold: float = IOU_THRESHOLD,
 ) -> list[list[tuple[int, float]]]:
     """The IoU pass: per prediction, the (truth index, IoU) pairs that
-    reach the threshold, in truth order."""
-    rows = []
-    for state, _ in predictions:
-        ious = [iou_bev(state, truth) for truth in truths]
-        rows.append([(j, v) for j, v in enumerate(ious)
-                     if v >= iou_threshold])
+    reach the threshold, in truth order.
+
+    All pairs go through one array pass (geometry.iou_bev_matrix), so a
+    caller with several prediction sets passes their concatenation once
+    and splits the rows.
+    """
+    ious = iou_bev_matrix([state for state, _ in predictions], truths)
+    rows: list[list[tuple[int, float]]] = [[] for _ in predictions]
+    hit_i, hit_j = np.nonzero(ious >= iou_threshold)
+    for i, j, v in zip(hit_i.tolist(), hit_j.tolist(),
+                       ious[hit_i, hit_j].tolist()):
+        rows[i].append((j, v))
     return rows
 
 

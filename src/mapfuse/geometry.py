@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -211,3 +212,122 @@ def iou_bev(a: ObjectState, b: ObjectState) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+# The array forms below repeat the scalar functions above operation for
+# operation: numpy's elementwise + - * / are the same IEEE double
+# operations as Python's, so the results are bit-identical.
+
+
+def stacked_footprint_corners(states: Sequence[ObjectState]) -> np.ndarray:
+    """footprint_corners of every state, shape (N, 4, 2).
+
+    cos and sin come from math per box, as in footprint_corners (numpy's
+    vectorised kernels may round differently), and the rotation is one
+    stacked matmul, which rounds as the per-box one does.
+    """
+    yaw = [obj.yaw for obj in states]
+    c = np.array([math.cos(t) for t in yaw], dtype=float)
+    s = np.array([math.sin(t) for t in yaw], dtype=float)
+    hx = 0.5 * np.array([obj.extents[0] for obj in states], dtype=float)
+    hy = 0.5 * np.array([obj.extents[1] for obj in states], dtype=float)
+    center = np.array([obj.center[:2] for obj in states], dtype=float)
+    local = np.stack([hx, hy, -hx, hy, -hx, -hy, hx, -hy], -1)
+    rot = np.stack([c, -s, s, c], -1).reshape(-1, 2, 2)
+    return (np.matmul(local.reshape(-1, 4, 2), rot.transpose(0, 2, 1))
+            + center.reshape(-1, 1, 2))
+
+
+def clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """_polygon_area(convex_clip(subject[m], clip[m])) for M polygon pairs.
+
+    ``subject`` is (M, V, 2) and ``clip`` (M, C, 2), with CCW convex clip
+    polygons.  Each pair's polygon lives in a row of a padded array with
+    its own vertex count; the row width grows to the largest count a step
+    produces.
+    """
+    poly = np.asarray(subject, dtype=float)
+    clip = np.asarray(clip, dtype=float)
+    m, width = poly.shape[:2]
+    count = np.full(m, width)
+    row = np.arange(m)
+    pair = row[:, None]
+    edges = clip.shape[1]
+    for i in range(edges):
+        # convex_clip returns no polygon once fewer than 3 vertices remain.
+        count[count < 3] = 0
+        ax, ay = clip[:, i, 0:1], clip[:, i, 1:2]
+        bx, by = clip[:, (i + 1) % edges, 0:1], clip[:, (i + 1) % edges, 1:2]
+        ex, ey = bx - ax, by - ay
+        j = np.arange(width)
+        valid = j < count[:, None]
+        k = np.where(j + 1 < count[:, None], j + 1, 0)
+        px, py = poly[:, :, 0], poly[:, :, 1]
+        inside = (ex * (py - ay) - ey * (px - ax) >= 0.0) & valid
+        d = poly[pair, k] - poly
+        dx, dy = d[:, :, 0], d[:, :, 1]
+        denom = ex * dy - ey * dx
+        cross = valid & (inside != inside[pair, k]) & (denom != 0.0)
+        t = np.divide(ex * (ay - py) - ey * (ax - px), denom,
+                      out=np.zeros_like(denom), where=cross)
+        # Emit order per vertex j: vertex j if inside, then the crossing
+        # on edge j; each emitted point's slot is a running count.
+        emitted = inside.astype(np.intp) + cross
+        slot = np.cumsum(emitted, axis=1) - emitted
+        count = emitted.sum(axis=1)
+        out = np.zeros((m, int(count.max(initial=0)), 2))
+        r, c = np.nonzero(inside)
+        out[r, slot[r, c]] = poly[r, c]
+        r, c = np.nonzero(cross)
+        out[r, slot[r, c] + inside[r, c]] = (
+            poly[r, c] + t[r, c, None] * d[r, c])
+        poly, width = out, out.shape[1]
+    # Shoelace vertex by vertex in index order, as _polygon_area sums.
+    acc = np.zeros(m)
+    x, y = poly[:, :, 0], poly[:, :, 1]
+    for i in range(width):
+        nxt = np.where(i + 1 < count, i + 1, 0)
+        x1, y1 = x[row, nxt], y[row, nxt]
+        acc = np.where(i < count, acc + (x[:, i] * y1 - x1 * y[:, i]), acc)
+    return np.where(count >= 3, 0.5 * acc, 0.0)
+
+
+def iou_bev_matrix(
+    a: Sequence[ObjectState], b: Sequence[ObjectState]
+) -> np.ndarray:
+    """iou_bev(a[i], b[j]) for every pair, shape (len(a), len(b)).
+
+    One circle prefilter over all pairs, corners built once per box and
+    one clip over the pairs that pass.
+    """
+    ious = np.zeros((len(a), len(b)))
+    if not len(a) or not len(b):
+        return ious
+    fields = [np.array([(s.center[0], s.center[1], s.extents[0],
+                         s.extents[1], 0.5 * math.hypot(*s.extents[:2]))
+                        for s in states]) for states in (a, b)]
+    (xa, ya, la, wa, ra), (xb, yb, lb, wb, rb) = (f.T for f in fields)
+    dx = xa[:, None] - xb[None, :]
+    dy = ya[:, None] - yb[None, :]
+    dist2 = dx * dx + dy * dy
+    reach = ra[:, None] + rb[None, :]
+    reach2 = reach * reach
+    touch = ~(dist2 > reach2)
+    # _footprint_overlap squares with pow(), which can round reach ** 2 one
+    # ulp away from reach * reach: pairs that close take its exact test.
+    near = np.abs(dist2 - reach2) <= np.spacing(reach2)
+    for i, j in zip(*np.nonzero(near)):
+        touch[i, j] = not dist2[i, j] > float(reach[i, j]) ** 2
+    ia, ib = np.nonzero(touch)
+    inter = clip_areas(stacked_footprint_corners(a)[ia],
+                       stacked_footprint_corners(b)[ib])
+    inter = np.where(inter < 0.0, 0.0, inter)
+    area_a, area_b = (la * wa)[ia], (lb * wb)[ib]
+    union = area_a + area_b - inter
+    iou = np.divide(inter, union, out=np.zeros_like(union),
+                    where=union > 0.0)
+    iou = np.where(iou < 0.0, 0.0, iou)
+    iou = np.where(iou > 1.0, 1.0, iou)
+    degenerate = (area_a < _DEGENERATE_AREA) | (area_b < _DEGENERATE_AREA)
+    ious[ia, ib] = np.where(degenerate, 0.0, iou)
+    return ious

@@ -31,7 +31,6 @@ from mapfuse.evalbench import (
     MethodResult,
     SliceRecords,
     greedy_assign,
-    match_detections,
     overlap_rows,
     slice_membership,
     tag_objects,
@@ -528,10 +527,10 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     everything the fleet can see.  All sensing draws are shared across
     methods, so differences come only from the model and fusion rule.
 
-    Each frame makes one IoU pass per prediction set (a broadcast map or
-    one vehicle's map) against the fleet's truths.  Every assignment the
-    frame's scores need, against the fleet or masked to one vehicle's
-    truths, is a greedy run on that pass.
+    Each frame makes one IoU pass over all its prediction sets (each
+    broadcast map and each vehicle's map) against the fleet's truths.
+    Every assignment the frame's scores need, against the fleet or masked
+    to one vehicle's truths, is a greedy run on that set's rows.
     """
     scenario = generate_scenario(cfg.scenario, cfg.seed)
     spec = ModelSpec()
@@ -595,6 +594,9 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
             for pname in {_PARAMS_OF[m] for m in cfg.methods}
         }
 
+        # Per method, its prediction sets: the broadcast map of a fused
+        # method, or each vehicle's own map of a local one.
+        pred_sets = {}
         for m in cfg.methods:
             pname = _PARAMS_OF[m]
             if m in _FUSED_FNS:
@@ -604,19 +606,32 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                     local_maps=refined_maps[pname],
                     fuse_fn=_FUSED_FNS[m],
                 )
-                preds = list(gmap.objects)
-                scores = [score for _, score in preds]
-                assigned = match_detections(preds, fleet_truths)
-                fleet_acc[m].add(scores, assigned, fleet_slices)
-                for k in range(k_count):
-                    per_vehicle[m][k].add(scores, assigned,
-                                          veh_slices[k]["overall"])
+                pred_sets[m] = [list(gmap.objects)]
             else:
-                for k, lm in enumerate(refined_maps[pname]):
-                    preds = [(transform_to_global(d.state, lm.pose), d.score)
-                             for d in lm.detections]
-                    scores = [score for _, score in preds]
-                    rows = overlap_rows(preds, fleet_truths)
+                pred_sets[m] = [
+                    [(transform_to_global(d.state, lm.pose), d.score)
+                     for d in lm.detections]
+                    for lm in refined_maps[pname]
+                ]
+        # One IoU pass over every set's predictions, split back by set.
+        all_rows = overlap_rows(
+            [p for sets in pred_sets.values() for preds in sets
+             for p in preds],
+            fleet_truths,
+        )
+        start = 0
+        for m, sets in pred_sets.items():
+            for k, preds in enumerate(sets):
+                rows = all_rows[start:start + len(preds)]
+                start += len(preds)
+                scores = [score for _, score in preds]
+                if m in _FUSED_FNS:
+                    assigned = greedy_assign(scores, rows)
+                    fleet_acc[m].add(scores, assigned, fleet_slices)
+                    for v in range(k_count):
+                        per_vehicle[m][v].add(scores, assigned,
+                                              veh_slices[v]["overall"])
+                else:
                     per_vehicle[m][k].add(
                         scores, greedy_assign(scores, rows), all_in
                     )

@@ -152,6 +152,9 @@ class ScenarioConfig:
                                  "and finite")
         if self.num_frames < 1:
             raise ValueError("duration * frame_rate gives no frame")
+        if not self.speed_max / self.frame_rate <= self.span:
+            raise ValueError("speed_max / frame_rate exceeds span: an object "
+                             "would cross the arena within one frame")
 
     @property
     def num_frames(self) -> int:

@@ -201,6 +201,7 @@ def test_validation_errors_exit_2(tmp_path, small_config):
     {"speed_min": float("nan")},
     {"turn_prob": 2.0},
     {"turn_prob": float("nan")},
+    {"speed_max": 1e6},
 ])
 def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"

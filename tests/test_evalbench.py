@@ -186,6 +186,32 @@ def test_masked_greedy_equals_matching_the_subset(preds, truths_masks,
     )
 
 
+@given(
+    sets=st.lists(st.lists(st.tuples(small_box_st, st.just(1.0)),
+                           max_size=4), max_size=4),
+    truths=st.lists(small_box_st, max_size=5),
+    iou_threshold=st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(
+        sets, truths, iou_threshold):
+    joined = overlap_rows([p for preds in sets for p in preds], truths,
+                          iou_threshold)
+    per_set = [row for preds in sets
+               for row in overlap_rows(preds, truths, iou_threshold)]
+    assert joined == per_set
+    assert joined == [
+        [(j, iou_bev(state, t)) for j, t in enumerate(truths)
+         if iou_bev(state, t) >= iou_threshold]
+        for preds in sets for state, _ in preds
+    ]
+
+
+def test_overlap_rows_with_nothing_to_pair():
+    assert overlap_rows([], [box(0, 0)]) == []
+    assert overlap_rows([(box(0, 0), 1.0), (box(5, 0), 0.5)], []) == [[], []]
+    assert match_detections([], []) == []
+
+
 def test_tag_objects_counts_witnesses():
     sc = generate_scenario(ScenarioConfig(duration=5.0), seed=0)
     tags, density = tag_objects(sc, 0)

@@ -8,13 +8,21 @@ from mapfuse.geometry import (
     IDENTITY_POSE,
     ObjectState,
     Pose,
+    _polygon_area,
     angle_diff,
+    clip_areas,
+    convex_clip,
     footprint_corners,
     iou_bev,
+    iou_bev_matrix,
+    stacked_footprint_corners,
     transform_to_global,
     transform_to_local,
     wrap_angle,
 )
+from mapfuse.orchestrator import default_benchmark_config
+from mapfuse.orchestrator import testing_frames as eval_window_frames
+from mapfuse.simworld import generate_scenario, sense
 
 from oracles import iou_3d
 
@@ -185,3 +193,102 @@ def test_footprint_corners_ccw():
         area2 += x0 * y1 - x1 * y0
     assert area2 > 0  # counter-clockwise
     assert area2 / 2 == pytest.approx(8.0, abs=1e-9)
+
+
+def pair_of_kind(kind, x, y, l, w, yaw, f):
+    """Two boxes in one of the configurations that stress the clip: f in
+    (0, 1] scales or shifts the second box."""
+    a = make_state(x, y, 0, l, w, 1, yaw)
+    c, s = math.cos(yaw), math.sin(yaw)
+    if kind == "identical":
+        return a, a
+    if kind == "shared_edge":
+        return a, make_state(x + l * c, y + l * s, 0, l, w, 1, yaw)
+    if kind == "inside":
+        return a, make_state(x, y, 0, f * l, f * w, 1, yaw)
+    if kind == "touching_corner":
+        return a, make_state(x + l * c - w * s, y + l * s + w * c, 0, l, w,
+                             1, yaw)
+    if kind == "parallel":
+        # Same edge directions, once as a shifted copy and once as the
+        # quarter-turned box with length and width swapped.
+        if f < 0.5:
+            return a, make_state(x + f * l * c, y + f * l * s, 0, l, w, 1,
+                                 yaw)
+        return a, make_state(x, y + f, 0, w, l, 1, yaw + math.pi / 2)
+    if kind == "near_degenerate":
+        # Areas on both sides of the 1e-12 cut-off.
+        side = 1e-6 * (0.5 + f)
+        return (make_state(x, y, 0, side, side, 1, yaw),
+                make_state(x, y, 0, side, l, 1, yaw + f))
+    return a, make_state(x + f, y - f, 0, w, l, 1, -yaw * f)
+
+
+pairs = st.builds(
+    pair_of_kind,
+    st.sampled_from(["identical", "shared_edge", "inside", "touching_corner",
+                     "parallel", "near_degenerate", "random"]),
+    st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), sizes, sizes,
+    st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi / 4, -math.pi]),
+              angles),
+    st.floats(0.01, 1.0),
+)
+
+
+@given(st.lists(pairs, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_iou_bev_matrix_is_iou_bev_bit_for_bit(box_pairs):
+    # Every first box against every second one: besides each stressed
+    # pair, the cross pairs are independent boxes.
+    a = [p for p, _ in box_pairs]
+    b = [q for _, q in box_pairs]
+    scalar = np.array([[iou_bev(p, q) for q in b] for p in a]).reshape(
+        len(a), len(b))
+    assert iou_bev_matrix(a, b).tobytes() == scalar.tobytes()
+
+
+def regular_polygon(n, radius, phase, cx, cy):
+    t = phase + 2.0 * math.pi * np.arange(n) / n
+    return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], -1)
+
+
+def test_clip_areas_matches_convex_clip_beyond_eight_vertices():
+    # Two heptagons clip to up to 14 vertices: the batch widens its rows
+    # past a rectangle pair's 8.
+    rng = np.random.default_rng(5)
+    subject = np.array([
+        regular_polygon(7, 1.0, rng.uniform(0, 7), *rng.uniform(-0.5, 0.5, 2))
+        for _ in range(200)
+    ])
+    clip = np.array([regular_polygon(7, 1.0, rng.uniform(0, 7), 0.0, 0.0)
+                     for _ in range(200)])
+    clipped = [convex_clip([tuple(p) for p in s], [tuple(p) for p in c])
+               for s, c in zip(subject.tolist(), clip.tolist())]
+    assert max(map(len, clipped)) > 8
+    assert clip_areas(subject, clip).tolist() == [
+        _polygon_area(poly) for poly in clipped]
+
+
+def test_batched_iou_of_empty_sets():
+    one = [make_state(0, 0, 0, 1, 1, 1, 0)]
+    assert iou_bev_matrix([], one).shape == (0, 1)
+    assert iou_bev_matrix(one, []).shape == (1, 0)
+    assert stacked_footprint_corners([]).shape == (0, 4, 2)
+    assert clip_areas(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)
+
+
+def test_stacked_corners_equal_footprint_corners_on_seed0_test_frames():
+    cfg = default_benchmark_config(0)
+    scenario = generate_scenario(cfg.scenario, cfg.seed)
+    states = []
+    for f in eval_window_frames(cfg.scenario, cfg.train)[:10]:
+        states += [scenario.object_state(f, i)
+                   for i in range(cfg.scenario.num_objects)]
+        for k in range(scenario.num_vehicles):
+            lm = sense(scenario, k, f, cfg.noise, cfg.sensor_seed)[0]
+            states += [transform_to_global(d.state, lm.pose)
+                       for d in lm.detections]
+    corners = stacked_footprint_corners(states)
+    assert corners.shape == (len(states), 4, 2)
+    for got, state in zip(corners, states):
+        assert np.array_equal(got, footprint_corners(state))

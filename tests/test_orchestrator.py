@@ -349,6 +349,8 @@ def test_run_config_from_dict_builds_nested():
     (TrainConfig, ("train",), "loss_coefficients", [1.0, 2.0, 0.2, 0.1]),
     (DetectorNoiseSpec, ("noise",), "false_positive_rate", math.inf),
     (DetectorNoiseSpec, ("noise",), "false_positive_rate", 1e300),
+    (ScenarioConfig, ("scenario",), "speed_max", 1e6),
+    (ScenarioConfig, ("scenario",), "speed_max", 1e307),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):

@@ -40,6 +40,9 @@ def test_config_validation():
         ScenarioConfig(num_vehicles=10, num_objects=5)
     with pytest.raises(ValueError):
         ScenarioConfig(speed_max=math.inf)
+    for speed in (1e6, 1e307):
+        with pytest.raises(ValueError, match="cross the arena"):
+            ScenarioConfig(speed_max=speed)
     with pytest.raises(ValueError):
         SensorSpec(range=-1.0)
     assert ScenarioConfig().num_frames == 1010
