@@ -97,11 +97,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_fuse(args) -> int:
     cfg = _load_config(args)
+    local_maps = []
     with open(args.input) as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                local_maps.append(local_map_from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+    if not local_maps:
         raise ValueError("no local maps in input")
-    local_maps = [local_map_from_json(line) for line in lines]
     times = {lm.frame_time for lm in local_maps}
     if len(times) != 1:
         raise ValueError("local maps must all belong to one frame")

@@ -81,26 +81,19 @@ def distill_labels(
 ) -> dict[int, LabelSet]:
     """Per-vehicle label sets for one frame.
 
-    Each detection associated with a fused object is labeled either by
-    the first teacher in the registry that labels it (ground truth,
-    transformed into the vehicle frame) or by the fused object itself;
-    unassociated detections stay unlabeled.
+    Each detection is labeled from its cluster's fused object: either by
+    the first teacher in the registry that labels that object (ground
+    truth, transformed into the vehicle frame) or by the fused object
+    itself.
     """
-    by_vehicle = {mat.vehicle_id: mat for mat in result.matrices}
     out: dict[int, LabelSet] = {}
     for lm in local_maps:
-        mat = by_vehicle.get(lm.vehicle_id)
-        if mat is None or mat.entries.shape[0] != len(lm.detections):
-            raise ValueError(
-                "association matrices do not match the local maps"
-            )
-        labels: list[ObjectState | None] = []
-        for n in range(len(lm.detections)):
-            col = mat.column_of(n)
-            if col is None:
-                labels.append(None)
-                continue
-            target = fused_state = result.fused_all[col][0]
+        clusters = result.labels.get(lm.vehicle_id)
+        if clusters is None or len(clusters) != len(lm.detections):
+            raise ValueError("cluster labels do not match the local maps")
+        labels: list[ObjectState] = []
+        for cluster in clusters:
+            target = fused_state = result.fused_all[cluster][0]
             for teacher in registry:
                 label = teacher.label(fused_state, frame)
                 if label is not None:

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from mapfuse.association import (
-    AssociationMatrix,
-    ClusterConfig,
-    cluster_detections,
-)
+from mapfuse.association import ClusterConfig, cluster_detections
 from mapfuse.geometry import (
     ObjectState,
     Pose,
@@ -84,13 +81,14 @@ class FusionConfig:
 class FusionResult:
     """Output of the three-stage pipeline.
 
-    fused_all keeps every cluster's fused object (before pruning), aligned
-    with the association matrix columns; the label-generation stage needs
-    that alignment.
+    fused_all keeps every cluster's fused object (before pruning), indexed
+    by cluster label; labels maps each vehicle id to its detections'
+    cluster labels, so the label-generation stage can find each
+    detection's fused object.
     """
 
     global_map: GlobalMap
-    matrices: list[AssociationMatrix]
+    labels: dict[int, list[int]]
     fused_all: list[tuple[ObjectState, float]]
 
 
@@ -198,31 +196,40 @@ def _fuse_frame(
     rule: Callable[[list[ObjectState], list[float]],
                    tuple[ObjectState, float]],
 ) -> FusionResult:
-    """Associate, fuse each cluster with rule(states, scores), and prune."""
+    """Associate, fuse each cluster with rule(states, scores), and prune.
+
+    The maps are taken in vehicle-id order, so the result does not depend
+    on the order in which they arrive.
+    """
     if not local_maps:
-        return FusionResult(GlobalMap(0.0, ()), [], [])
+        return FusionResult(GlobalMap(0.0, ()), {}, [])
+    vehicle_ids = [lm.vehicle_id for lm in local_maps]
+    if len(set(vehicle_ids)) != len(vehicle_ids):
+        # Detections are keyed by (vehicle_id, index): a repeated id would
+        # merge two vehicles' maps and silently drop detections.
+        raise ValueError(f"duplicate vehicle ids in {vehicle_ids}")
+    local_maps = sorted(local_maps, key=lambda lm: lm.vehicle_id)
     frame_time = local_maps[0].frame_time
     if any(lm.frame_time != frame_time for lm in local_maps):
         raise ValueError("local maps must share a frame time")
 
     entries = []
-    by_key: dict[tuple[int, int], tuple[ObjectState, float]] = {}
+    scores = []
     for lm in local_maps:
         for n, det in enumerate(lm.detections):
             g = transform_to_global(det.state, lm.pose)
             entries.append((lm.vehicle_id, n, g))
-            by_key[(lm.vehicle_id, n)] = (g, det.score)
-    vehicle_ids = [lm.vehicle_id for lm in local_maps]
-    num_objects, matrices = cluster_detections(entries, cfg.cluster, vehicle_ids)
+            scores.append(det.score)
+    num_objects, labels = cluster_detections(entries, cfg.cluster)
 
     # Members of each cluster in vehicle order, then detection order.
     members: list[list[tuple[ObjectState, float]]] = [
         [] for _ in range(num_objects)
     ]
-    for mat in matrices:
-        rows, cols = np.nonzero(mat.entries)
-        for n, m in zip(rows, cols):
-            members[m].append(by_key[(mat.vehicle_id, int(n))])
+    vehicle_labels = {lm.vehicle_id: [] for lm in local_maps}
+    for (veh, _, g), score, label in zip(entries, scores, labels):
+        members[label].append((g, score))
+        vehicle_labels[veh].append(label)
 
     fused_all = [
         rule([g for g, _ in group], [s for _, s in group]) for group in members
@@ -230,7 +237,7 @@ def _fuse_frame(
     pruned = prune_overlaps(fused_all, cfg.delta)
     return FusionResult(
         global_map=GlobalMap(frame_time, tuple(pruned)),
-        matrices=matrices,
+        labels=vehicle_labels,
         fused_all=fused_all,
     )
 
@@ -286,12 +293,45 @@ def _state_to_dict(state: ObjectState) -> dict:
     }
 
 
-def _state_from_dict(d: dict) -> ObjectState:
+def _finite(v) -> bool:
+    # abs() compares a huge JSON integer exactly, where float() overflows.
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a finite number": _finite,
+    "an object": lambda v: type(v) is dict,
+    "a list of finite numbers":
+        lambda v: type(v) is list and all(map(_finite, v)),
+    "a list of objects":
+        lambda v: type(v) is list and all(type(d) is dict for d in v),
+}
+
+
+def _field(record: dict, key: str, kind: str, where: str = ""):
+    """record[key] if it is of the named kind, else a ValueError naming it."""
+    name = f"{where}.{key}" if where else key
+    if key not in record:
+        raise ValueError(f"missing field {name!r}")
+    if not _KINDS[kind](record[key]):
+        raise ValueError(f"field {name!r} must be {kind}, got {record[key]!r}")
+    return record[key]
+
+
+def _state_from_dict(d: dict, where: str) -> ObjectState:
     return ObjectState(
-        category=int(d["category"]),
-        center=tuple(d["center"]),
-        extents=tuple(d["extents"]),
-        yaw=float(d["yaw"]),
+        category=_field(d, "category", "an integer", where),
+        center=tuple(_field(d, "center", "a list of finite numbers", where)),
+        extents=tuple(_field(d, "extents", "a list of finite numbers", where)),
+        yaw=_field(d, "yaw", "a finite number", where),
+    )
+
+
+def _scored_from_dict(d: dict, where: str) -> tuple[ObjectState, float]:
+    return (
+        _state_from_dict(d, where),
+        float(_field(d, "score", "a finite number", where)),
     )
 
 
@@ -310,7 +350,8 @@ def global_map_to_json(gmap: GlobalMap) -> str:
 def global_map_from_json(line: str) -> GlobalMap:
     record = json.loads(line)
     objects = tuple(
-        (_state_from_dict(o), float(o["score"])) for o in record["objects"]
+        _scored_from_dict(o, f"objects[{n}]")
+        for n, o in enumerate(record["objects"])
     )
     return GlobalMap(frame_time=float(record["frame_time"]), objects=objects)
 
@@ -348,18 +389,26 @@ def local_map_to_json(lm: LocalMap) -> str:
 
 
 def local_map_from_json(line: str) -> LocalMap:
+    """Parse one local-map record.
+
+    Every field's type is checked before it is used, so a malformed record
+    raises a ValueError that names the field.
+    """
     record = json.loads(line)
-    pose = Pose(
-        position=tuple(record["pose"]["position"]),
-        heading=float(record["pose"]["heading"]),
-    )
-    detections = tuple(
-        ScoredDetection(_state_from_dict(d), float(d["score"]))
-        for d in record["detections"]
-    )
+    if not isinstance(record, dict):
+        raise ValueError(f"a local map must be a JSON object, got {record!r}")
+    vehicle_id = _field(record, "vehicle_id", "an integer")
+    frame_time = float(_field(record, "frame_time", "a finite number"))
+    pose = _field(record, "pose", "an object")
+    position = _field(pose, "position", "a list of finite numbers", "pose")
+    heading = _field(pose, "heading", "a finite number", "pose")
+    detections = _field(record, "detections", "a list of objects")
     return LocalMap(
-        vehicle_id=int(record["vehicle_id"]),
-        frame_time=float(record["frame_time"]),
-        detections=detections,
-        pose=pose,
+        vehicle_id=vehicle_id,
+        frame_time=frame_time,
+        detections=tuple(
+            ScoredDetection(*_scored_from_dict(d, f"detections[{n}]"))
+            for n, d in enumerate(detections)
+        ),
+        pose=Pose(position=tuple(position), heading=heading),
     )

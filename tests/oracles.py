@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mapfuse.association import AssociationMatrix, ClusterConfig
+from mapfuse.association import ClusterConfig
 from mapfuse.fedlearn import (
     F_COS_YAW,
     F_HEIGHT,
@@ -47,12 +47,12 @@ def _closure_partition(entries, cfg: ClusterConfig) -> list[int]:
     return labels
 
 
-def cluster_brute_force_oracle(detections, cfg: ClusterConfig,
-                               vehicle_ids=None):
+def cluster_brute_force_oracle(detections, cfg: ClusterConfig):
     """Reference clustering via transitive closure; capped at 200 points.
 
-    Same return convention as ``cluster_detections``: clusters ordered by
-    their smallest (vehicle_id, detection_index) member.
+    Same return convention as ``cluster_detections``: the cluster count
+    and one label per detection, clusters numbered by their smallest
+    (vehicle_id, detection_index) member.
     """
     if len(detections) > ORACLE_MAX_POINTS:
         raise ValueError(
@@ -63,18 +63,8 @@ def cluster_brute_force_oracle(detections, cfg: ClusterConfig,
     rep = {}
     for (veh, idx, _), lab in zip(detections, labels):
         rep[lab] = min(rep.get(lab, (veh, idx)), (veh, idx))
-    column = {lab: m for m, lab in enumerate(sorted(rep, key=rep.get))}
-    if vehicle_ids is None:
-        vehicle_ids = sorted({veh for veh, _, _ in detections})
-    counts = {veh: 0 for veh in vehicle_ids}
-    for veh, idx, _ in detections:
-        counts[veh] = max(counts[veh], idx + 1)
-    matrices = {veh: np.zeros((counts[veh], len(rep)), dtype=np.int8)
-                for veh in vehicle_ids}
-    for (veh, idx, _), lab in zip(detections, labels):
-        matrices[veh][idx, column[lab]] = 1
-    return len(rep), [AssociationMatrix(veh, matrices[veh])
-                      for veh in vehicle_ids]
+    number = {lab: m for m, lab in enumerate(sorted(rep, key=rep.get))}
+    return len(rep), [number[lab] for lab in labels]
 
 
 def weighted_ls_objective(candidate, states, weights) -> float:

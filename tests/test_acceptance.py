@@ -104,12 +104,11 @@ def _random_cluster_instance(rng, n_max=50):
     return dets
 
 
-def _partition_signature(num_objects, matrices):
-    sig = {}
-    for mat in matrices:
-        for n in range(mat.entries.shape[0]):
-            sig[(mat.vehicle_id, n)] = mat.column_of(n)
-    return num_objects, sig
+def _partition_signature(dets, result):
+    num_objects, labels = result
+    return num_objects, {
+        (veh, idx): label for (veh, idx, _), label in zip(dets, labels)
+    }
 
 
 def _random_feature_frame(rng, n):
@@ -157,8 +156,8 @@ def test_criterion_1_oracle_suites(capsys):
     cluster_ok = True
     for _ in range(500):
         dets = _random_cluster_instance(rng)
-        got = _partition_signature(*cluster_detections(dets, cfg))
-        want = _partition_signature(*cluster_brute_force_oracle(dets, cfg))
+        got = _partition_signature(dets, cluster_detections(dets, cfg))
+        want = _partition_signature(dets, cluster_brute_force_oracle(dets, cfg))
         cluster_ok = cluster_ok and got == want
 
     # Weighted least-squares optimality of the fused box.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,45 @@ def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path):
     assert main(["fuse", str(bad)]) == 2
 
 
+GOOD_MAP = json.loads(local_map_to_json(LocalMap(
+    1, 0.5,
+    (ScoredDetection(ObjectState(0, (5.0, 1.0, 0.75), (4, 2, 1.5), 0.0),
+                     1.0),),
+    IDENTITY_POSE,
+)))
+
+
+@pytest.mark.parametrize("record, field", [
+    ({**GOOD_MAP, "detections": 5}, "field 'detections'"),
+    ({**GOOD_MAP, "detections": [5]}, "field 'detections'"),
+    ({**GOOD_MAP, "pose": None}, "field 'pose'"),
+    ([1, 2], "JSON object"),
+    ({**GOOD_MAP, "vehicle_id": 1.5}, "field 'vehicle_id'"),
+    ({**GOOD_MAP, "vehicle_id": True}, "field 'vehicle_id'"),
+    ({k: v for k, v in GOOD_MAP.items() if k != "pose"},
+     "missing field 'pose'"),
+    ({**GOOD_MAP, "frame_time": float("nan")}, "field 'frame_time'"),
+    ({**GOOD_MAP, "pose": {**GOOD_MAP["pose"], "position": None}},
+     "field 'pose.position'"),
+    ({**GOOD_MAP,
+      "detections": [{**GOOD_MAP["detections"][0], "category": 1.5}]},
+     "field 'detections[0].category'"),
+], ids=["detections-number", "detections-of-number", "pose-null",
+        "record-list", "vehicle-id-float", "vehicle-id-bool", "pose-missing",
+        "frame-time-nan", "position-null", "category-float"])
+def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
+                                          record, field):
+    # Malformed input exits 2 with the line and the field, not 3 from
+    # deep inside fusion; a float vehicle id is not truncated and fused.
+    with open(frame_jsonl) as fh:
+        first = fh.readline()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + json.dumps(record) + "\n")
+    assert main(["fuse", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and field in err
+
+
 def test_evaluate_and_report_round_trip(small_config, tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     assert main(["evaluate", "--config", small_config,
@@ -172,6 +215,27 @@ def test_bench_is_deterministic(small_config, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert csv_a == csv_b
     assert csv_a.startswith("method,overall")
+
+
+def test_evaluate_report_is_independent_of_hash_seed(small_config, tmp_path):
+    # String hashing, and so set iteration order, changes with
+    # PYTHONHASHSEED from one process to the next; the report must not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"report_{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapfuse.cli", "evaluate",
+             "--config", small_config, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_usage_errors_exit_1():

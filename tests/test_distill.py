@@ -77,9 +77,8 @@ def test_distill_labels_cover_associated_detections():
     for lm in maps:
         labels = out[lm.vehicle_id].labels
         assert len(labels) == len(lm.detections)
-        mat = {m.vehicle_id: m for m in res.matrices}[lm.vehicle_id]
-        for n, label in enumerate(labels):
-            assert (label is None) == (mat.column_of(n) is None)
+        assert len(res.labels[lm.vehicle_id]) == len(lm.detections)
+        assert all(label is not None for label in labels)
 
 
 def test_distill_labels_ensemble_branch_is_fused_object_in_local_frame():
@@ -87,12 +86,8 @@ def test_distill_labels_ensemble_branch_is_fused_object_in_local_frame():
     maps, res = sensed_frame(sc, 20)
     out = distill_labels(maps, res, 20, registry=())
     lm = maps[0]
-    mat = {m.vehicle_id: m for m in res.matrices}[0]
-    for n, label in enumerate(out[0].labels):
-        col = mat.column_of(n)
-        if col is None:
-            continue
-        expected = transform_to_local(res.fused_all[col][0], lm.pose)
+    for label, cluster in zip(out[0].labels, res.labels[0], strict=True):
+        expected = transform_to_local(res.fused_all[cluster][0], lm.pose)
         assert np.allclose(label.to_vector(), expected.to_vector())
 
 
@@ -102,15 +97,10 @@ def test_distill_labels_teacher_branch_overrides_ensemble():
     reg = full_coverage_registry(sc)
     out = distill_labels(maps, res, 20, registry=reg)
     lm = maps[0]
-    mat = {m.vehicle_id: m for m in res.matrices}[0]
     hit = 0
-    for n, label in enumerate(out[0].labels):
-        col = mat.column_of(n)
-        if col is None or label is None:
-            continue
-        fused_local = transform_to_local(res.fused_all[col][0], lm.pose)
+    for label, cluster in zip(out[0].labels, res.labels[0], strict=True):
         # teacher labels are exact ground truth, not the fused estimate
-        g = res.fused_all[col][0]
+        g = res.fused_all[cluster][0]
         dists = [np.hypot(sc.xy[20, o, 0] - g.center[0],
                           sc.xy[20, o, 1] - g.center[1])
                  for o in range(sc.num_objects)]
