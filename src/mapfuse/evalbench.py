@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from mapfuse.fusion import _field
 from mapfuse.geometry import ObjectState, iou_bev_matrix
 from mapfuse.simworld import Scenario
 
@@ -307,22 +308,32 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """Parse a report that ``to_json`` wrote.
+
+        Every field's type is checked before it is used, so a malformed
+        report raises a ValueError that names the field.
+        """
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise ValueError(
+                f"a report must be a JSON object, got {payload!r}")
+        seed = _field(payload, "scenario_seed", "an integer")
+        frames = _field(payload, "frames", "a list of integers")
+        entries = _field(payload, "methods", "an object of objects")
         methods = {}
-        for name, m in payload["methods"].items():
-            methods[name] = MethodResult(
-                name=m["name"],
-                ap=dict(m["ap"]),
-                per_vehicle_ap={
-                    int(k): v for k, v in m["per_vehicle_ap"].items()
-                },
-                bytes_sent=int(m["bytes_sent"]),
+        for key, m in entries.items():
+            where = f"methods.{key}"
+            ap = _field(m, "ap", "an object of finite numbers or nulls", where)
+            per_vehicle = _field(
+                m, "per_vehicle_ap",
+                "an object from vehicle ids to finite numbers or nulls", where)
+            methods[key] = MethodResult(
+                name=_field(m, "name", "a string", where),
+                ap=dict(ap),
+                per_vehicle_ap={int(k): v for k, v in per_vehicle.items()},
+                bytes_sent=_field(m, "bytes_sent", "an integer", where),
             )
-        return cls(
-            scenario_seed=payload["scenario_seed"],
-            frames=tuple(payload["frames"]),
-            methods=methods,
-        )
+        return cls(scenario_seed=seed, frames=tuple(frames), methods=methods)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -306,6 +306,18 @@ _KINDS = {
         lambda v: type(v) is list and all(map(_finite, v)),
     "a list of objects":
         lambda v: type(v) is list and all(type(d) is dict for d in v),
+    "an object of objects":
+        lambda v: type(v) is dict and all(type(d) is dict for d in v.values()),
+    "a list of integers":
+        lambda v: type(v) is list and all(type(i) is int for i in v),
+    "a string": lambda v: type(v) is str,
+    "an object of finite numbers or nulls":
+        lambda v: type(v) is dict
+        and all(x is None or _finite(x) for x in v.values()),
+    "an object from vehicle ids to finite numbers or nulls":
+        lambda v: type(v) is dict
+        and all(k.isdecimal() and (x is None or _finite(x))
+                for k, x in v.items()),
 }
 
 

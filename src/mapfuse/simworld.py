@@ -247,7 +247,7 @@ class Scenario:
 
     The first num_vehicles objects are the intelligent vehicles; their
     trajectories double as sensor poses.  Visibility results are memoized
-    per (vehicle, frame).
+    per frame, for the whole fleet at once.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, xy, yaw, extents,
@@ -259,7 +259,7 @@ class Scenario:
         self.extents = extents            # (M, 3)
         self.categories = categories      # (M,)
         self.z = extents[:, 2] / 2.0
-        self._vis_cache: dict[tuple[int, int], list] = {}
+        self._vis_cache: dict[int, list] = {}
 
     @property
     def num_frames(self) -> int:
@@ -285,9 +285,14 @@ class Scenario:
             yaw=self.yaw[frame, obj],
         )
 
-    def pose(self, frame: int, vehicle: int) -> Pose:
-        if vehicle >= self.num_vehicles:
+    def _check(self, vehicle: int, frame: int) -> None:
+        if not 0 <= vehicle < self.num_vehicles:
             raise ValueError(f"no such vehicle {vehicle}")
+        if not 0 <= frame < self.num_frames:
+            raise ValueError(f"no such frame {frame}")
+
+    def pose(self, frame: int, vehicle: int) -> Pose:
+        self._check(vehicle, frame)
         return Pose(
             position=(self.xy[frame, vehicle, 0], self.xy[frame, vehicle, 1],
                       0.0),
@@ -295,10 +300,10 @@ class Scenario:
         )
 
     def visibility(self, vehicle: int, frame: int):
-        key = (vehicle, frame)
-        if key not in self._vis_cache:
-            self._vis_cache[key] = visible_objects(self, vehicle, frame)
-        return self._vis_cache[key]
+        self._check(vehicle, frame)
+        if frame not in self._vis_cache:
+            self._vis_cache[frame] = visible_objects(self, frame)
+        return self._vis_cache[frame][vehicle]
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -405,18 +410,20 @@ def _corners(xy, yaw, extents):
     return np.einsum("nij,nkj->nki", rot, local) + xy[:, None, :]
 
 
-def _ray_hits(origin, dirs, segments):
-    """Positive ray parameter of every ray against every segment.
+def _ray_hits(origins, dx, dy, starts, edges):
+    """Positive ray parameter of each row's rays against its segments.
 
-    dirs: (..., 2); segments: (E, 2, 2).  Returns (..., E) with inf where
-    the ray misses the segment.
+    origins: (P, 2); ray directions (dx, dy): (P, R) each; segment k of
+    row n runs from starts[n, k] to starts[n, k] + edges[n, k], both
+    (P, E, 2).  Returns (P, E, R) with inf where the ray misses.
     """
-    p = segments[:, 0, :] - origin          # (E, 2)
-    e = segments[:, 1, :] - segments[:, 0, :]
-    dx, dy = dirs[..., 0, None], dirs[..., 1, None]
-    denom = dx * e[:, 1] - dy * e[:, 0]
-    cpe = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]          # (E,)
-    cpu = p[:, 0] * dy - p[:, 1] * dx
+    p = starts - origins[:, None, :]                      # (P, E, 2)
+    px, py = p[..., 0, None], p[..., 1, None]             # (P, E, 1)
+    ex, ey = edges[..., 0, None], edges[..., 1, None]
+    dx, dy = dx[:, None], dy[:, None]                     # (P, 1, R)
+    denom = dx * ey - dy * ex
+    cpe = px * ey - py * ex
+    cpu = px * dy - py * dx
     with np.errstate(divide="ignore", invalid="ignore"):
         t = cpe / denom
         s = cpu / denom
@@ -425,64 +432,68 @@ def _ray_hits(origin, dirs, segments):
 
 
 def visible_objects(
-    scenario: Scenario, vehicle: int, frame: int
-) -> list[tuple[int, float, float]]:
-    """Objects inside the sensor wedge, with distance and occlusion.
+    scenario: Scenario, frame: int
+) -> list[list[tuple[int, float, float]]]:
+    """Objects inside each vehicle's sensor wedge, with distance and
+    occlusion: one list per vehicle, in ascending object id.
 
     Occlusion is the fraction of rays across the object's angular span
     blocked by a strictly nearer object's footprint; fully occluded
     objects are dropped.
     """
     sensor = scenario.config.sensor
-    ego = scenario.xy[frame, vehicle]
-    heading = scenario.yaw[frame, vehicle]
-    rel = scenario.xy[frame] - ego
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    dist[vehicle] = np.inf
-    bearing = np.arctan2(rel[:, 1], rel[:, 0])
-    ang = (bearing - heading + math.pi) % (2 * math.pi) - math.pi
-    in_range = dist <= sensor.range
-    targets = np.flatnonzero(in_range & (np.abs(ang) <= sensor.fov / 2.0))
-    if targets.size == 0:
-        return []
+    nv = scenario.num_vehicles
+    xy, yaw = scenario.xy[frame], scenario.yaw[frame]
+    ego = xy[:nv]
+    rel = xy - ego[:, None]                               # (V, M, 2)
+    dist = np.hypot(rel[..., 0], rel[..., 1])
+    dist[range(nv), range(nv)] = np.inf
+    bearing = np.arctan2(rel[..., 1], rel[..., 0])
+    ang = (bearing - yaw[:nv, None] + math.pi) % (2 * math.pi) - math.pi
+    veh, tgt = np.nonzero(
+        (dist <= sensor.range) & (np.abs(ang) <= sensor.fov / 2.0))
+    visible = [[] for _ in range(nv)]
+    if tgt.size == 0:
+        return visible
 
-    # Every in-range footprint is a target's own outline or a possible
-    # occluder; its four edges are segments tagged with their owner.
-    owners = np.flatnonzero(in_range)
-    corners = _corners(
-        scenario.xy[frame, owners], scenario.yaw[frame, owners],
-        scenario.extents[owners],
-    )                                                     # (n, 4, 2)
-    segments = np.stack(
-        [corners, np.roll(corners, -1, axis=1)], axis=2
-    ).reshape(-1, 2, 2)                                   # (4n, 2, 2)
-    owner = np.repeat(owners, 4)
-
-    tc = corners[np.searchsorted(owners, targets)]        # (T, 4, 2)
+    corners = _corners(xy, yaw, scenario.extents)         # (M, 4, 2)
+    tc = corners[tgt] - ego[veh, None]                    # (T, 4, 2)
+    b_t = bearing[veh, tgt, None]
     corner_ang = (
-        np.arctan2(tc[..., 1] - ego[1], tc[..., 0] - ego[0])
-        - bearing[targets, None] + math.pi
+        np.arctan2(tc[..., 1], tc[..., 0]) - b_t + math.pi
     ) % (2 * math.pi) - math.pi
-    ray_ang = bearing[targets, None] + np.linspace(
-        corner_ang.min(axis=1), corner_ang.max(axis=1), OCCLUSION_RAYS,
-        axis=-1,
-    )                                                     # (T, R)
-    dirs = np.stack([np.cos(ray_ang), np.sin(ray_ang)], axis=-1)
-    t = _ray_hits(ego, dirs, segments)                    # (T, R, 4n)
+    lo, hi = corner_ang.min(axis=1), corner_ang.max(axis=1)
+    ray_ang = b_t + np.linspace(lo, hi, OCCLUSION_RAYS, axis=-1)  # (T, R)
 
-    own = owner == targets[:, None, None]
-    nearer = dist[owner] < dist[targets, None, None]
-    t_target = np.where(own, t, np.inf).min(axis=2)
-    t_occ = np.where(nearer, t, np.inf).min(axis=2)
+    # Pair each target with its own box and with every strictly nearer
+    # box whose bounding disc, widened by 1e-6 rad, can meet the target's
+    # rays.  The pairs left out would only add misses to the minima below.
+    d = dist[veh]                                         # (T, M)
+    r = np.hypot(scenario.extents[:, 0], scenario.extents[:, 1]) / 2.0
+    half = np.where(d > r, np.arcsin(r / np.maximum(d, r)), math.pi)
+    mid = (bearing[veh] - b_t + math.pi) % (2 * math.pi) - math.pi
+    low, high = mid - half - 1e-6, mid + half + 1e-6
+    pairs = (d < dist[veh, tgt, None]) & (
+        (low <= hi[:, None]) & (high >= lo[:, None])
+        | (low <= -math.pi) | (high >= math.pi))
+    pairs[range(tgt.size), tgt] = True
+    p_t, p_o = np.nonzero(pairs)                          # target-major
+    edges = np.roll(corners, -1, axis=1) - corners
+    t = _ray_hits(ego[veh[p_t]], np.cos(ray_ang)[p_t], np.sin(ray_ang)[p_t],
+                  corners[p_o], edges[p_o]).min(axis=1)   # (P, R)
+
+    own = p_o == tgt[p_t]
+    t_target = t[own]
+    first = np.flatnonzero(np.r_[True, p_t[1:] != p_t[:-1]])
+    t_occ = np.minimum.reduceat(np.where(own[:, None], np.inf, t), first)
     hit = np.isfinite(t_target)
     blocked = hit & (t_occ < t_target - 1e-9)
     # A target no ray hits has no blocked ray either: 0 / 1 = 0.
     occl = blocked.sum(axis=1) / np.maximum(hit.sum(axis=1), 1)
-    return [
-        (int(i), float(dist[i]), float(o))
-        for i, o in zip(targets, occl)
-        if o < 1.0 - 1e-12
-    ]
+    for k, i, o in zip(veh, tgt, occl):
+        if o < 1.0 - 1e-12:
+            visible[k].append((int(i), float(dist[k, i]), float(o)))
+    return visible
 
 
 def _candidate_features(state, dist, occl, score, sensor):
@@ -512,8 +523,8 @@ def sense(
     candidate features embed exactly the emitted detection boxes.
     """
     sensor = scenario.config.sensor
-    rng = np.random.default_rng([seed, vehicle, frame])
     pose = scenario.pose(frame, vehicle)
+    rng = np.random.default_rng([seed, vehicle, frame])
     vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
 
     detections: list[ScoredDetection] = []

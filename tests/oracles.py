@@ -102,7 +102,7 @@ def _first_ray_hits(origin, dirs, segments):
 def visible_objects_per_target(scenario, vehicle, frame):
     """Reference visibility: one ray cast per target, one box at a time.
 
-    Same contract as ``simworld.visible_objects``.
+    Returns ``simworld.visible_objects(scenario, frame)[vehicle]``.
     """
     sensor = scenario.config.sensor
     ego = scenario.xy[frame, vehicle]
@@ -170,6 +170,83 @@ def visible_objects_per_target(scenario, vehicle, frame):
             continue
         out.append((int(t_id), float(dist[t_id]), occl))
     return out
+
+
+def _segment_ray_hits(origin, dirs, segments):
+    """Positive ray parameter of every ray against every segment.
+
+    dirs: (..., 2); segments: (E, 2, 2).  Returns (..., E) with inf where
+    the ray misses the segment.
+    """
+    p = segments[:, 0, :] - origin          # (E, 2)
+    e = segments[:, 1, :] - segments[:, 0, :]
+    dx, dy = dirs[..., 0, None], dirs[..., 1, None]
+    denom = dx * e[:, 1] - dy * e[:, 0]
+    cpe = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]          # (E,)
+    cpu = p[:, 0] * dy - p[:, 1] * dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = cpe / denom
+        s = cpu / denom
+    valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
+    return np.where(valid, t, np.inf)
+
+
+def visible_objects_per_vehicle(scenario, vehicle, frame):
+    """Reference visibility: one vehicle's targets against every in-range
+    footprint's edges at once.
+
+    Returns ``simworld.visible_objects(scenario, frame)[vehicle]``.
+    """
+    sensor = scenario.config.sensor
+    ego = scenario.xy[frame, vehicle]
+    heading = scenario.yaw[frame, vehicle]
+    rel = scenario.xy[frame] - ego
+    dist = np.hypot(rel[:, 0], rel[:, 1])
+    dist[vehicle] = np.inf
+    bearing = np.arctan2(rel[:, 1], rel[:, 0])
+    ang = (bearing - heading + math.pi) % (2 * math.pi) - math.pi
+    in_range = dist <= sensor.range
+    targets = np.flatnonzero(in_range & (np.abs(ang) <= sensor.fov / 2.0))
+    if targets.size == 0:
+        return []
+
+    # Every in-range footprint is a target's own outline or a possible
+    # occluder; its four edges are segments tagged with their owner.
+    owners = np.flatnonzero(in_range)
+    corners = _corners(
+        scenario.xy[frame, owners], scenario.yaw[frame, owners],
+        scenario.extents[owners],
+    )                                                     # (n, 4, 2)
+    segments = np.stack(
+        [corners, np.roll(corners, -1, axis=1)], axis=2
+    ).reshape(-1, 2, 2)                                   # (4n, 2, 2)
+    owner = np.repeat(owners, 4)
+
+    tc = corners[np.searchsorted(owners, targets)]        # (T, 4, 2)
+    corner_ang = (
+        np.arctan2(tc[..., 1] - ego[1], tc[..., 0] - ego[0])
+        - bearing[targets, None] + math.pi
+    ) % (2 * math.pi) - math.pi
+    ray_ang = bearing[targets, None] + np.linspace(
+        corner_ang.min(axis=1), corner_ang.max(axis=1), OCCLUSION_RAYS,
+        axis=-1,
+    )                                                     # (T, R)
+    dirs = np.stack([np.cos(ray_ang), np.sin(ray_ang)], axis=-1)
+    t = _segment_ray_hits(ego, dirs, segments)            # (T, R, 4n)
+
+    own = owner == targets[:, None, None]
+    nearer = dist[owner] < dist[targets, None, None]
+    t_target = np.where(own, t, np.inf).min(axis=2)
+    t_occ = np.where(nearer, t, np.inf).min(axis=2)
+    hit = np.isfinite(t_target)
+    blocked = hit & (t_occ < t_target - 1e-9)
+    # A target no ray hits has no blocked ray either: 0 / 1 = 0.
+    occl = blocked.sum(axis=1) / np.maximum(hit.sum(axis=1), 1)
+    return [
+        (int(i), float(dist[i]), float(o))
+        for i, o in zip(targets, occl)
+        if o < 1.0 - 1e-12
+    ]
 
 
 def iou_3d(a, b) -> float:

@@ -205,6 +205,58 @@ def test_evaluate_and_report_round_trip(small_config, tmp_path, capsys):
     assert radar.startswith("slice,")
 
 
+GOOD_REPORT = {
+    "scenario_seed": 0,
+    "frames": [1, 2],
+    "methods": {"m": {"name": "m", "ap": {"overall": 0.5, "LD": None},
+                      "per_vehicle_ap": {"0": 0.25}, "bytes_sent": 10}},
+}
+
+
+def _with(path, value):
+    """GOOD_REPORT with the field at the dotted path set to value, or
+    deleted when value is ...."""
+    report = json.loads(json.dumps(GOOD_REPORT))
+    *parents, last = path.split(".")
+    node = report
+    for key in parents:
+        node = node[key]
+    if value is ...:
+        del node[last]
+    else:
+        node[last] = value
+    return report
+
+
+@pytest.mark.parametrize("report, field", [
+    ([1, 2], "JSON object"),
+    (None, "JSON object"),
+    ({}, "scenario_seed"),
+    ({"methods": 5}, "scenario_seed"),
+    (_with("methods", 5), "'methods'"),
+    (_with("scenario_seed", "0"), "'scenario_seed'"),
+    (_with("frames", [1.5]), "'frames'"),
+    (_with("methods.m", []), "'methods'"),
+    (_with("methods.m.name", ...), "'methods.m.name'"),
+    (_with("methods.m.ap", {"overall": "high"}), "'methods.m.ap'"),
+    (_with("methods.m.per_vehicle_ap", {"a": 0.5}),
+     "'methods.m.per_vehicle_ap'"),
+    (_with("methods.m.bytes_sent", 1.5), "'methods.m.bytes_sent'"),
+], ids=["root-list", "root-null", "empty", "methods-only", "methods-number",
+        "seed-string", "frames-float", "method-list", "name-missing",
+        "ap-string", "vehicle-id-name", "bytes-float"])
+def test_report_rejects_malformed_report(report, field, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_REPORT))
+    assert main(["report", str(good)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_bench_is_deterministic(small_config, tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

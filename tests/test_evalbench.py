@@ -232,6 +232,14 @@ def test_tag_objects_counts_witnesses():
     assert density == want
 
 
+@pytest.mark.parametrize("vehicles", [[-1], [0, 5]])
+def test_tag_objects_rejects_non_vehicle_witnesses(vehicles):
+    # -1 would count the last object's view, 5 the first non-vehicle's.
+    sc = generate_scenario(ScenarioConfig(duration=1.0), seed=0)
+    with pytest.raises(ValueError, match="no such vehicle"):
+        tag_objects(sc, 0, vehicles=vehicles)
+
+
 def evaluate_global_maps(scenario, maps):
     """AP of per-frame fused maps against the fleet's visible objects."""
     acc = Accumulator()

@@ -24,7 +24,11 @@ from mapfuse.simworld import (
     sense,
     visible_objects,
 )
-from oracles import iou_3d, visible_objects_per_target
+from oracles import (
+    iou_3d,
+    visible_objects_per_target,
+    visible_objects_per_vehicle,
+)
 
 QUIET = DetectorNoiseSpec()
 
@@ -90,7 +94,7 @@ def test_visibility_respects_range_and_fov():
     for f in (0, 40, 80):
         for k in range(sc.num_vehicles):
             pose = sc.pose(f, k)
-            for obj, dist, occl in visible_objects(sc, k, f):
+            for obj, dist, occl in visible_objects(sc, f)[k]:
                 assert obj != k
                 dx = sc.xy[f, obj, 0] - pose.position[0]
                 dy = sc.xy[f, obj, 1] - pose.position[1]
@@ -112,26 +116,116 @@ def test_visibility_respects_range_and_fov():
 def test_visible_objects_matches_per_target_reference(cfg, seed):
     sc = generate_scenario(cfg, seed)
     for f in range(0, sc.num_frames, 25):
+        fleet = visible_objects(sc, f)
         for k in range(sc.num_vehicles):
-            assert visible_objects(sc, k, f) == visible_objects_per_target(
-                sc, k, f
-            )
+            assert fleet[k] == visible_objects_per_target(sc, k, f)
 
 
-def still_scenario(xy, extents):
+@pytest.mark.parametrize("cfg, seed, step", [
+    (ScenarioConfig(), 0, 1),
+    (ScenarioConfig(), 3, 1),
+    (ScenarioConfig(num_vehicles=10, num_objects=80), 0, 5),
+    (ScenarioConfig(sensor=SensorSpec(fov=2 * math.pi)), 1, 5),
+], ids=["default-seed0", "default-seed3", "crowded-10x80", "fov-2pi"])
+def test_visible_objects_matches_per_vehicle_reference(cfg, seed, step):
+    # Exact equality: the fleet pass must keep every float of the
+    # per-vehicle pass, since the reports hash these values.
+    sc = generate_scenario(cfg, seed)
+    for f in range(0, sc.num_frames, step):
+        fleet = visible_objects(sc, f)
+        assert len(fleet) == sc.num_vehicles
+        for k in range(sc.num_vehicles):
+            assert fleet[k] == visible_objects_per_vehicle(sc, k, f)
+            assert sc.visibility(k, f) == fleet[k]
+
+
+@pytest.mark.parametrize("vehicle, frame", [
+    (7, 0), (5, 0), (-1, 0), (0, -1), (0, 20),
+], ids=["vehicle-7", "vehicle-5", "vehicle-minus-1", "frame-minus-1",
+        "frame-num-frames"])
+def test_pose_and_visibility_reject_out_of_range_ids(vehicle, frame):
+    # Vehicle 7 is an ordinary object of this 5-vehicle scenario, and -1
+    # indexes the last object or frame; neither may pass as a vehicle.
+    sc = generate_scenario(ScenarioConfig(duration=1.0), seed=0)
+    assert (sc.num_vehicles, sc.num_frames) == (5, 20)
+    with pytest.raises(ValueError, match="no such"):
+        sc.visibility(vehicle, frame)
+    with pytest.raises(ValueError, match="no such"):
+        sc.pose(frame, vehicle)
+    with pytest.raises(ValueError, match="no such"):
+        sense(sc, vehicle, frame, QUIET, seed=0)
+
+
+def still_scenario(xy, extents, sensor=SensorSpec()):
     """One frame, every box at yaw 0, vehicle 0 at xy[0] heading +x."""
     m = len(xy)
-    cfg = ScenarioConfig(num_vehicles=1, num_objects=m)
+    cfg = ScenarioConfig(num_vehicles=1, num_objects=m, sensor=sensor)
     return Scenario(cfg, 0, np.array([xy], dtype=float), np.zeros((1, m)),
                     np.array(extents, dtype=float), np.zeros(m, dtype=int))
 
 
+def still_view(sc):
+    """Vehicle 0's view, checked against both reference passes."""
+    [view] = visible_objects(sc, 0)
+    assert view == visible_objects_per_vehicle(sc, 0, 0)
+    assert view == visible_objects_per_target(sc, 0, 0)
+    return view
+
+
+CAR = (4.5, 2.0, 1.5)
+CAR_RADIUS = math.hypot(4.5, 2.0) / 2.0
+
+
 def test_visible_objects_without_target_in_range():
     # One box beyond the 100 m range ahead, one in range beside the wedge.
-    sc = still_scenario([(0.0, 0.0), (150.0, 0.0), (0.0, 20.0)],
-                        [(4.5, 2.0, 1.5)] * 3)
-    assert visible_objects(sc, 0, 0) == []
-    assert visible_objects_per_target(sc, 0, 0) == []
+    sc = still_scenario([(0.0, 0.0), (150.0, 0.0), (0.0, 20.0)], [CAR] * 3)
+    assert still_view(sc) == []
+
+
+@pytest.mark.parametrize("gap", [-0.08, -1e-3, 5e-7, 2e-6])
+def test_occluder_disc_grazing_the_ray_span(gap):
+    # The target 40 m ahead spans rays up to its near corner's bearing.
+    # The occluder, 20 m out, has its bounding disc's lower tangent `gap`
+    # rad beyond that top ray: overlapping (the box blocks some rays),
+    # just overlapping (the disc meets the rays, the box does not),
+    # inside the 1e-6 rad margin, and beyond it.
+    top = math.atan2(1.0, 40.0 - 2.25)
+    theta = top + gap + math.asin(CAR_RADIUS / 20.0)
+    sc = still_scenario(
+        [(0.0, 0.0), (40.0, 0.0),
+         (20.0 * math.cos(theta), 20.0 * math.sin(theta))], [CAR] * 3)
+    view = still_view(sc)
+    target = [v for v in view if v[0] == 1]
+    if gap < -0.01:
+        assert 0.0 < target[0][2] < 1.0
+    else:
+        assert target == [(1, 40.0, 0.0)]
+
+
+def test_occluder_beside_the_ego_inside_its_own_disc():
+    # The occluder's centre is 3.2 m from the ego, nearer than its 8.06 m
+    # bounding radius, so its disc spans every bearing.  The centre lies
+    # behind the ego's flank, over 90 degrees from the target's bearing,
+    # but the box reaches forward to x = 6 and cuts the target's upper rays.
+    sc = still_scenario([(0.0, 0.0), (-2.0, 2.5), (30.0, 8.0)],
+                        [CAR, (16.0, 2.0, 1.5), CAR])
+    assert math.hypot(-2.0, 2.5) <= math.hypot(16.0, 2.0) / 2.0
+    view = still_view(sc)
+    assert [v[0] for v in view] == [2]
+    assert 0.0 < view[0][2] < 1.0
+
+
+def test_occluder_bearing_wrapping_past_pi():
+    # With an all-round sensor, the target sits just left of straight
+    # behind (bearing near +pi) and the occluder just right of it
+    # (bearing near -pi): their relative bearing wraps through +-pi.
+    sc = still_scenario([(0.0, 0.0), (-30.0, 0.5), (-15.0, -1.0)],
+                        [CAR] * 3, SensorSpec(fov=2 * math.pi))
+    assert math.atan2(0.5, -30.0) > 3.0 and math.atan2(-1.0, -15.0) < -3.0
+    view = still_view(sc)
+    assert [v[0] for v in view] == [1, 2]
+    assert 0.0 < view[0][2] < 1.0
+    assert view[1][2] == 0.0
 
 
 def test_equally_distant_object_never_occludes():
@@ -140,9 +234,7 @@ def test_equally_distant_object_never_occludes():
     # rays, but only a strictly nearer object occludes.
     sc = still_scenario([(0.0, 0.0), (20.0, 0.0), (20.0, 0.0)],
                         [(4.5, 2.0, 1.5), (4.5, 2.0, 1.5), (2.0, 6.0, 1.5)])
-    expected = [(1, 20.0, 0.0), (2, 20.0, 0.0)]
-    assert visible_objects(sc, 0, 0) == expected
-    assert visible_objects_per_target(sc, 0, 0) == expected
+    assert still_view(sc) == [(1, 20.0, 0.0), (2, 20.0, 0.0)]
 
 
 def test_occlusion_blocks_hidden_object():
