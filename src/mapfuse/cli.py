@@ -206,13 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ConfigError, CodecError, bad JSON too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_RUNTIME
 

@@ -122,12 +122,12 @@ def overlap_rows(
 def greedy_assign(
     scores: Sequence[float],
     rows: Sequence[Sequence[tuple[int, float]]],
-    truth_mask: Sequence[bool] | None = None,
+    truth_mask: Sequence[int] | None = None,
 ) -> list[int | None]:
     """Greedy one-to-one assignment on an IoU pass; see match_detections.
 
-    With a mask only truths flagged True can be claimed, which is matching
-    against that subset of the truths.
+    With a mask only truths flagged nonzero (a slice_bits mask) can be
+    claimed, which is matching against that subset of the truths.
     """
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     assigned: list[int | None] = [None] * len(scores)
@@ -165,86 +165,70 @@ def average_precision(
     """All-point interpolated AP from (score, is_true_positive) records.
 
     Returns None when there is nothing to detect; that is "no statement",
-    not a zero.
+    not a zero.  Equal scores keep record order; the area sums in order.
     """
     if num_truths == 0:
         return None
-    if not records:
+    if len(records) == 0:
         return 0.0
-    order = sorted(range(len(records)), key=lambda i: (-records[i][0], i))
-    tp = np.cumsum([1.0 if records[i][1] else 0.0 for i in order])
-    fp = np.cumsum([0.0 if records[i][1] else 1.0 for i in order])
+    rec = np.asarray(records, dtype=float)
+    hits = rec[np.argsort(-rec[:, 0], kind="stable"), 1]
+    tp = np.cumsum(hits)
+    fp = np.cumsum(1.0 - hits)
     recall = tp / num_truths
     precision = tp / (tp + fp)
     # Interpolate: precision at recall r is the max precision at any
     # recall >= r.
     precision = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, precision):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
+    area = np.diff(recall, prepend=0.0) * precision
+    return float(np.add.accumulate(area)[-1])
 
 
-@dataclass
-class SliceRecords:
-    """(score, is_true_positive) records and truth count of one AP slice."""
-
-    records: list[tuple[float, bool]] = field(default_factory=list)
-    num_truths: int = 0
-
-    def add(
-        self,
-        scores: Sequence[float],
-        assigned: Sequence[int | None],
-        in_slice: Sequence[bool],
-    ) -> None:
-        """Add one frame's assignment; in_slice flags each truth."""
-        self.num_truths += sum(bool(b) for b in in_slice)
-        for score, j in zip(scores, assigned):
-            if j is not None and not in_slice[j]:
-                # Matched a truth outside the slice: ignore, do not
-                # penalize.
-                continue
-            self.records.append((score, j is not None))
-
-    def result(self) -> float | None:
-        return average_precision(self.records, self.num_truths)
+SLICE_BITS = {name: 1 << n for n, name in enumerate(SLICE_NAMES)}
+# A miss counts in every slice but the density the frame is not in.
+_MISS_BITS = {"LD": 2 ** len(SLICE_NAMES) - 1 - SLICE_BITS["HD"],
+              "HD": 2 ** len(SLICE_NAMES) - 1 - SLICE_BITS["LD"]}
 
 
-def slice_membership(
+def slice_bits(
     tags: Sequence[BenchmarkTag | None], density: str
-) -> dict[str, list[bool]]:
-    """Per slice, which of a frame's truths belong to it; a None tag is a
-    truth in no slice.  The density slice the frame is not in is left
-    out: it gets no truths or records."""
-    return {
-        name: [
-            t is not None and name in (
-                "overall", density, t.distance_slice, t.occlusion_slice)
-            for t in tags
-        ]
-        for name in SLICE_NAMES
-        if name not in ("LD", "HD") or name == density
-    }
+) -> list[int]:
+    """Each truth's slices as a bitmask over SLICE_BITS: overall, the
+    frame's density, its distance and its occlusion slice.  A None tag is
+    a truth in no slice, mask 0."""
+    frame = SLICE_BITS["overall"] | SLICE_BITS[density]
+    return [0 if t is None else frame | SLICE_BITS[t.distance_slice]
+            | SLICE_BITS[t.occlusion_slice] for t in tags]
 
 
 class Accumulator:
-    """Streams assigned frames into per-slice AP statistics."""
+    """Streams assigned frames into AP per slice.  One record per
+    prediction: its score, whether it matched, and the mask of the slices
+    it counts in, its truth's for a match (0, ignored, for a truth in no
+    slice) and all but the other density's for a miss.  Truths keep their
+    masks for each slice's truth count."""
 
     def __init__(self):
-        self.slices = {name: SliceRecords() for name in SLICE_NAMES}
+        self.scores: list[float] = []
+        self.matched: list[bool] = []
+        self.bits: list[int] = []
+        self.truth_bits: list[int] = []
 
     def add(
         self,
         scores: Sequence[float],
         assigned: Sequence[int | None],
-        membership: dict[str, Sequence[bool]],
+        truth_bits: Sequence[int],
+        density: str,
     ) -> None:
-        """Add one frame's assignment given each slice's truth flags."""
-        for name, in_slice in membership.items():
-            self.slices[name].add(scores, assigned, in_slice)
+        """Add one frame's assignment given its truths' slice masks."""
+        if len(scores) != len(assigned):
+            raise ValueError("one assignment per score required")
+        miss = _MISS_BITS[density]
+        self.scores += scores
+        self.matched += [j is not None for j in assigned]
+        self.bits += [miss if j is None else truth_bits[j] for j in assigned]
+        self.truth_bits += truth_bits
 
     def add_frame(
         self,
@@ -258,16 +242,26 @@ class Accumulator:
             raise ValueError("one tag per ground-truth object required")
         assigned = match_detections(predictions, truths)
         self.add([score for _, score in predictions], assigned,
-                 slice_membership(tags, density))
+                 slice_bits(tags, density), density)
 
     def extend(self, other: "Accumulator") -> None:
-        """Pool another accumulator's records and truths into this one."""
-        for name, acc in self.slices.items():
-            acc.records += other.slices[name].records
-            acc.num_truths += other.slices[name].num_truths
+        """Pool another accumulator's records and truths after this one's."""
+        self.scores += other.scores
+        self.matched += other.matched
+        self.bits += other.bits
+        self.truth_bits += other.truth_bits
 
     def results(self) -> dict[str, float | None]:
-        return {name: acc.result() for name, acc in self.slices.items()}
+        records = np.column_stack((self.scores, self.matched))
+        bits = np.array(self.bits, dtype=np.int64)
+        truth_bits = np.array(self.truth_bits, dtype=np.int64)
+        return {
+            name: average_precision(
+                records[(bits & bit) != 0],
+                int(np.count_nonzero(truth_bits & bit)),
+            )
+            for name, bit in SLICE_BITS.items()
+        }
 
 
 @dataclass

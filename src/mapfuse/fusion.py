@@ -360,12 +360,17 @@ def global_map_to_json(gmap: GlobalMap) -> str:
 
 
 def global_map_from_json(line: str) -> GlobalMap:
+    """Parse one fused-frame record, naming the first malformed field."""
     record = json.loads(line)
+    if type(record) is not dict:
+        raise ValueError(
+            f"a global map must be a JSON object, got {record!r}")
+    frame_time = float(_field(record, "frame_time", "a finite number"))
     objects = tuple(
         _scored_from_dict(o, f"objects[{n}]")
-        for n, o in enumerate(record["objects"])
+        for n, o in enumerate(_field(record, "objects", "a list of objects"))
     )
-    return GlobalMap(frame_time=float(record["frame_time"]), objects=objects)
+    return GlobalMap(frame_time=frame_time, objects=objects)
 
 
 def kitti_label_line(state: ObjectState, score: float) -> str:

@@ -29,10 +29,9 @@ from mapfuse.evalbench import (
     Accumulator,
     EvalReport,
     MethodResult,
-    SliceRecords,
     greedy_assign,
     overlap_rows,
-    slice_membership,
+    slice_bits,
     tag_objects,
 )
 from mapfuse.fedlearn import (
@@ -563,7 +562,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     # Per-vehicle AP: the broadcast map against one vehicle's objects (hits
     # on other fleet objects are ignored), or one vehicle's own map as a
     # stand-alone global map against everything the fleet sees.
-    per_vehicle = {m: [SliceRecords() for _ in range(k_count)]
+    per_vehicle = {m: [Accumulator() for _ in range(k_count)]
                    for m in cfg.methods}
     ledgers = {m: ByteLedger() for m in cfg.methods if m in _FUSED_FNS}
 
@@ -573,17 +572,16 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         fleet_tags, density = tag_objects(scenario, f)
         fleet_truths = [scenario.object_state(f, t.object_id)
                         for t in fleet_tags]
-        fleet_slices = slice_membership(fleet_tags, density)
-        all_in = [True] * len(fleet_tags)
+        fleet_bits = slice_bits(fleet_tags, density)
         # Each vehicle's visible objects are a subset of the fleet's: its
-        # slices flag the fleet truths, and a fleet truth the vehicle does
-        # not see is in none of them, so "overall" is its truth mask.
-        veh_slices = []
+        # slice masks are over the fleet truths, and a fleet truth the
+        # vehicle does not see has mask 0, so the masks are its truth mask.
+        veh_bits = []
         for k in range(k_count):
             tags, dens_k = tag_objects(scenario, f, vehicles=[k])
             seen = {t.object_id: t for t in tags}
-            veh_slices.append(slice_membership(
-                [seen.get(t.object_id) for t in fleet_tags], dens_k))
+            veh_bits.append((slice_bits(
+                [seen.get(t.object_id) for t in fleet_tags], dens_k), dens_k))
 
         refined_maps = {
             pname: [
@@ -627,16 +625,15 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 scores = [score for _, score in preds]
                 if m in _FUSED_FNS:
                     assigned = greedy_assign(scores, rows)
-                    fleet_acc[m].add(scores, assigned, fleet_slices)
-                    for v in range(k_count):
-                        per_vehicle[m][v].add(scores, assigned,
-                                              veh_slices[v]["overall"])
+                    fleet_acc[m].add(scores, assigned, fleet_bits, density)
+                    for acc, (bits, dens_v) in zip(per_vehicle[m], veh_bits):
+                        acc.add(scores, assigned, bits, dens_v)
                 else:
-                    per_vehicle[m][k].add(
-                        scores, greedy_assign(scores, rows), all_in
-                    )
-                    own = greedy_assign(scores, rows, veh_slices[k]["overall"])
-                    veh_acc[m][k].add(scores, own, veh_slices[k])
+                    per_vehicle[m][k].add(scores, greedy_assign(scores, rows),
+                                          fleet_bits, density)
+                    bits, dens_k = veh_bits[k]
+                    own = greedy_assign(scores, rows, bits)
+                    veh_acc[m][k].add(scores, own, bits, dens_k)
 
     methods = {}
     for m in cfg.methods:
@@ -644,7 +641,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
             fleet_acc[m].extend(acc)
         methods[m] = MethodResult(
             m, fleet_acc[m].results(),
-            {k: records.result() for k, records in enumerate(per_vehicle[m])},
+            {k: acc.results()["overall"]
+             for k, acc in enumerate(per_vehicle[m])},
             ledgers[m].total if m in ledgers else 0,
         )
     return EvalReport(

@@ -277,6 +277,8 @@ class Scenario:
         return frame / self.config.frame_rate
 
     def object_state(self, frame: int, obj: int) -> ObjectState:
+        if not (0 <= frame < self.num_frames and 0 <= obj < self.num_objects):
+            raise ValueError(f"no such object {obj} at frame {frame}")
         return ObjectState(
             category=int(self.categories[obj]),
             center=(self.xy[frame, obj, 0], self.xy[frame, obj, 1],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from mapfuse.association import ClusterConfig
+from mapfuse.evalbench import SLICE_NAMES, match_detections
 from mapfuse.fedlearn import (
     F_COS_YAW,
     F_HEIGHT,
@@ -424,3 +425,84 @@ def run_federated_per_frame(vehicle_datasets, init, cfg, spec=None,
                 curve.append((rnd, k, mean))
         shared = fedavg(locals_)
     return shared
+
+
+def average_precision_reference(records, num_truths):
+    """All-point interpolated AP as a Python loop over records sorted by
+    (-score, index)."""
+    if num_truths == 0:
+        return None
+    if not records:
+        return 0.0
+    order = sorted(range(len(records)), key=lambda i: (-records[i][0], i))
+    tp = np.cumsum([1.0 if records[i][1] else 0.0 for i in order])
+    fp = np.cumsum([0.0 if records[i][1] else 1.0 for i in order])
+    recall = tp / num_truths
+    precision = tp / (tp + fp)
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for r, p in zip(recall, precision):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap)
+
+
+class SliceRecords:
+    """(score, is_true_positive) records and truth count of one AP slice."""
+
+    def __init__(self):
+        self.records = []
+        self.num_truths = 0
+
+    def add(self, scores, assigned, in_slice):
+        """Add one frame's assignment; in_slice flags each truth.  A match
+        on a truth outside the slice is ignored, not penalized."""
+        self.num_truths += sum(bool(b) for b in in_slice)
+        for score, j in zip(scores, assigned):
+            if j is not None and not in_slice[j]:
+                continue
+            self.records.append((score, j is not None))
+
+    def result(self):
+        return average_precision_reference(self.records, self.num_truths)
+
+
+def slice_membership(tags, density):
+    """Per slice, which of a frame's truths belong to it; a None tag is a
+    truth in no slice.  The density slice the frame is not in is left
+    out: it gets no truths or records."""
+    return {
+        name: [
+            t is not None and name in (
+                "overall", density, t.distance_slice, t.occlusion_slice)
+            for t in tags
+        ]
+        for name in SLICE_NAMES
+        if name not in ("LD", "HD") or name == density
+    }
+
+
+class SliceAccumulator:
+    """Reference for evalbench.Accumulator: one SliceRecords per slice,
+    each fed the flags that slice_membership gives it."""
+
+    def __init__(self):
+        self.slices = {name: SliceRecords() for name in SLICE_NAMES}
+
+    def add(self, scores, assigned, membership):
+        for name, in_slice in membership.items():
+            self.slices[name].add(scores, assigned, in_slice)
+
+    def add_frame(self, predictions, truths, tags, density):
+        assigned = match_detections(predictions, truths)
+        self.add([score for _, score in predictions], assigned,
+                 slice_membership(tags, density))
+
+    def extend(self, other):
+        for name, acc in self.slices.items():
+            acc.records += other.slices[name].records
+            acc.num_truths += other.slices[name].num_truths
+
+    def results(self):
+        return {name: acc.result() for name, acc in self.slices.items()}

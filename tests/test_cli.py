@@ -308,6 +308,20 @@ def test_validation_errors_exit_2(tmp_path, small_config):
     assert main(["fuse", str(garbage)]) == 2
 
 
+def test_internal_key_error_exits_3(small_config, tmp_path, monkeypatch,
+                                    capsys):
+    # Readers name a bad input field with a ValueError, so a KeyError is
+    # a fault in the program, not invalid input.
+    def broken(*args, **kwargs):
+        raise KeyError("pose")
+
+    monkeypatch.setattr("mapfuse.cli.generate_scenario", broken)
+    out = tmp_path / "out.jsonl"
+    assert main(["simulate", "--config", small_config,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
 @pytest.mark.parametrize("scenario", [
     {"num_vehicles": -1},
     {"num_vehicles": 2.5},

@@ -8,6 +8,7 @@ from mapfuse.evalbench import (
     BenchmarkTag,
     EvalReport,
     MethodResult,
+    SLICE_BITS,
     SLICE_NAMES,
     average_precision,
     distance_slice,
@@ -15,7 +16,7 @@ from mapfuse.evalbench import (
     match_detections,
     occlusion_slice,
     overlap_rows,
-    slice_membership,
+    slice_bits,
     tag_objects,
 )
 from mapfuse.fusion import three_stage_fuse
@@ -25,6 +26,12 @@ from mapfuse.simworld import (
     ScenarioConfig,
     generate_scenario,
     sense,
+)
+
+from oracles import (
+    SliceAccumulator,
+    average_precision_reference,
+    slice_membership,
 )
 
 
@@ -114,21 +121,77 @@ def test_accumulator_masks_foreign_matches():
     preds = [(box(0, 0), 2.0), (box(50, 0), 1.0)]
     scores = [score for _, score in preds]
     acc.add(scores, match_detections(preds, truths),
-            {"overall": [True, False]})
-    assert acc.slices["overall"].num_truths == 1
+            [SLICE_BITS["overall"], 0], "LD")
+    assert sum(bool(b & SLICE_BITS["overall"]) for b in acc.truth_bits) == 1
     assert acc.results()["overall"] == 1.0
 
 
-def test_slice_membership_none_tag_is_in_no_slice():
+def test_accumulator_rejects_an_unaligned_frame():
+    # Records are parallel lists, so one short frame would shift every
+    # later record's score against its match.
+    acc = Accumulator()
+    with pytest.raises(ValueError, match="one assignment per score"):
+        acc.add([1.0, 0.5], [None], [SLICE_BITS["overall"]], "LD")
+    assert acc.results()["overall"] is None
+
+
+def test_slice_bits_none_tag_is_in_no_slice():
     tags = [BenchmarkTag(0, 5.0, 0.0, 1, "SR", "NO"), None,
             BenchmarkTag(2, 60.0, 0.6, 1, "LR", "LO")]
-    membership = slice_membership(tags, "HD")
-    assert set(membership) == set(SLICE_NAMES) - {"LD"}
-    assert membership["overall"] == [True, False, True]
-    assert membership["HD"] == [True, False, True]
-    assert membership["SR"] == [True, False, False]
-    assert membership["LO"] == [False, False, True]
-    assert all(not flags[1] for flags in membership.values())
+    bits = slice_bits(tags, "HD")
+
+    def flags(name):
+        return [bool(b & SLICE_BITS[name]) for b in bits]
+
+    assert flags("LD") == [False, False, False]
+    assert flags("overall") == [True, False, True]
+    assert flags("HD") == [True, False, True]
+    assert flags("SR") == [True, False, False]
+    assert flags("LO") == [False, False, True]
+    assert bits[1] == 0
+
+
+@given(records=st.lists(
+    st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), st.booleans()),
+    max_size=30), num_truths=st.integers(0, 12))
+def test_average_precision_equals_the_loop_reference(records, num_truths):
+    assert (average_precision(records, num_truths)
+            == average_precision_reference(records, num_truths))
+
+
+def random_frame(draw):
+    """One frame for the scoring oracle: tags (some None), a density,
+    scores drawn from a small set so that ties occur, and a one-to-one
+    assignment with misses and matches on truths in no slice."""
+    tag = st.one_of(st.none(), st.builds(
+        BenchmarkTag, st.just(0), st.just(0.0), st.just(0.0), st.just(1),
+        st.sampled_from(["SR", "MR", "LR"]),
+        st.sampled_from(["NO", "PO", "LO"])))
+    tags = draw(st.lists(tag, max_size=6))
+    density = draw(st.sampled_from(["LD", "HD"]))
+    scores = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9, 2.0]),
+                           max_size=8))
+    claims = draw(st.permutations(range(len(scores))))
+    assigned = [None] * len(scores)
+    for j, i in enumerate(claims[:len(tags)]):
+        if draw(st.booleans()):
+            assigned[i] = j
+    return tags, density, scores, assigned
+
+
+@given(data=st.data(), pools=st.integers(1, 3))
+def test_accumulator_equals_the_per_slice_oracle(data, pools):
+    acc, oracle = Accumulator(), SliceAccumulator()
+    for _ in range(pools):
+        part, part_oracle = Accumulator(), SliceAccumulator()
+        for _ in range(data.draw(st.integers(0, 4))):
+            tags, density, scores, assigned = random_frame(data.draw)
+            part.add(scores, assigned, slice_bits(tags, density), density)
+            part_oracle.add(scores, assigned,
+                            slice_membership(tags, density))
+        acc.extend(part)
+        oracle.extend(part_oracle)
+    assert acc.results() == oracle.results()
 
 
 def reference_match(predictions, truths, iou_threshold):

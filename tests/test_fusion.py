@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -294,6 +295,24 @@ def test_global_map_json_round_trip():
         assert np.allclose(sa.to_vector(), sb.to_vector())
     # deterministic serialization
     assert global_map_to_json(back) == line
+
+
+@pytest.mark.parametrize("record, field", [
+    ([1, 2], "JSON object"),
+    (None, "JSON object"),
+    ({"objects": 5, "frame_time": 0}, "'objects'"),
+    ({"objects": [], "frame_time": "x"}, "'frame_time'"),
+    ({"objects": []}, "missing field 'frame_time'"),
+    ({"frame_time": 0.5}, "missing field 'objects'"),
+    ({"objects": [5], "frame_time": 0.5}, "'objects'"),
+    ({"objects": [{"score": 1.0}], "frame_time": 0.5},
+     "'objects\\[0\\].category'"),
+], ids=["root-list", "root-null", "objects-number", "frame-time-string",
+        "frame-time-missing", "objects-missing", "object-number",
+        "category-missing"])
+def test_global_map_from_json_names_the_bad_field(record, field):
+    with pytest.raises(ValueError, match=field):
+        global_map_from_json(json.dumps(record))
 
 
 def test_local_map_json_round_trip():

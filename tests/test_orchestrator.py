@@ -11,8 +11,6 @@ from mapfuse.association import ClusterConfig
 from mapfuse.distill import run_edfl, run_perfect_fl
 from mapfuse.evalbench import (
     IOU_THRESHOLD,
-    Accumulator,
-    average_precision,
     match_detections,
     tag_objects,
 )
@@ -59,7 +57,11 @@ from mapfuse.simworld import (
     sense,
 )
 
-from oracles import iou_3d
+from oracles import (
+    SliceAccumulator,
+    average_precision_reference,
+    iou_3d,
+)
 
 QUIET = DetectorNoiseSpec()
 
@@ -505,8 +507,8 @@ def reference_scores(cfg, frames):
             registry=build_teacher_registry(cfg, scenario))
     k_count = scenario.num_vehicles
     thr = IOU_THRESHOLD
-    fleet_acc = {m: Accumulator() for m in cfg.methods}
-    own_acc = {m: [Accumulator() for _ in range(k_count)]
+    fleet_acc = {m: SliceAccumulator() for m in cfg.methods}
+    own_acc = {m: [SliceAccumulator() for _ in range(k_count)]
                for m in cfg.methods}
     # Per method and vehicle: [(score, hit) records, truth count].
     veh = {m: [[[], 0] for _ in range(k_count)] for m in cfg.methods}
@@ -554,17 +556,10 @@ def reference_scores(cfg, frames):
 
     out = {}
     for m in cfg.methods:
-        if m in _FUSED_FNS:
-            ap = fleet_acc[m].results()
-        else:
-            ap = {}
-            for name in fleet_acc[m].slices:
-                records, count = [], 0
-                for acc in own_acc[m]:
-                    records += acc.slices[name].records
-                    count += acc.slices[name].num_truths
-                ap[name] = average_precision(records, count)
-        per_vehicle = {k: average_precision(records, count)
+        for acc in own_acc[m]:
+            fleet_acc[m].extend(acc)
+        ap = fleet_acc[m].results()
+        per_vehicle = {k: average_precision_reference(records, count)
                        for k, (records, count) in enumerate(veh[m])}
         out[m] = (ap, per_vehicle)
     return out

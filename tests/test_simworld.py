@@ -156,6 +156,19 @@ def test_pose_and_visibility_reject_out_of_range_ids(vehicle, frame):
         sense(sc, vehicle, frame, QUIET, seed=0)
 
 
+@pytest.mark.parametrize("frame, obj", [
+    (-1, -1), (20, 0), (0, -1), (-1, 0), (0, 37),
+], ids=["both-minus-1", "frame-num-frames", "object-minus-1",
+        "frame-minus-1", "object-num-objects"])
+def test_object_state_rejects_out_of_range_ids(frame, obj):
+    # (-1, -1) would index the last object at the last frame.
+    sc = generate_scenario(ScenarioConfig(duration=1.0), seed=0)
+    assert (sc.num_frames, sc.num_objects) == (20, 37)
+    sc.object_state(19, 36)
+    with pytest.raises(ValueError, match="no such object"):
+        sc.object_state(frame, obj)
+
+
 def still_scenario(xy, extents, sensor=SensorSpec()):
     """One frame, every box at yaw 0, vehicle 0 at xy[0] heading +x."""
     m = len(xy)
