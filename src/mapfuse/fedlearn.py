@@ -161,8 +161,9 @@ class TrainConfig:
             raise ValueError("loss coefficients must be three finite, "
                              "non-negative values")
         lo, hi = self.train_window
-        if not 0.0 <= lo < hi:
-            raise ValueError("train window must satisfy 0 <= start < end")
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError("train window must satisfy 0 <= start < end, "
+                             "with a finite end")
         if not self.sampling_ratio >= 1:
             raise ValueError("sampling ratio must be at least 1")
 
@@ -533,6 +534,10 @@ def load_checkpoint(path) -> ModelParams:
         raise ValueError("bad checkpoint magic")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    expected = ModelSpec().num_params
+    if length != expected:
+        raise ValueError(f"checkpoint holds {length} parameters, the model "
+                         f"takes {expected}")
     body = blob[_CHECKPOINT_HEADER.size :]
     if len(body) != 8 * length:
         raise ValueError("checkpoint length mismatch")

@@ -18,8 +18,6 @@ import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from mapfuse.distill import (
     RoadSideUnit,
     run_edfl,
@@ -67,8 +65,6 @@ MESSAGE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHHII")
 _COUNT = struct.Struct("<I")
-_SCORED_ENTRY = struct.Struct("<H8d")   # category + box fields + score
-_LABEL_ENTRY = struct.Struct("<IH7d")   # detection index + labeled box
 
 METHOD_NAMES = (
     "local_no_fl",
@@ -95,98 +91,71 @@ class MessageKind(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class LocalMapUpload:
-    """Global-frame scored detections from one vehicle."""
-
-    detections: tuple[ScoredDetection, ...]
-
-
-@dataclass(frozen=True)
-class GlobalMapBroadcast:
-    """The fused map sent back to the fleet."""
-
-    objects: tuple[tuple[ObjectState, float], ...]
-
-
-@dataclass(frozen=True)
-class ParamsPayload:
-    """A flat model parameter vector (upload or broadcast)."""
-
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class LabelBroadcast:
-    """(detection index, labeled box) pairs for one vehicle's frame."""
-
-    labels: tuple[tuple[int, ObjectState], ...]
-
-
-@dataclass(frozen=True)
 class V2xMessage:
+    """One V2X message: its payload is a tuple of entries whose form is
+    set by the kind (see _ENTRIES)."""
+
     kind: MessageKind
     sender: int
     receiver: int
-    payload: object
-
-    def __post_init__(self):
-        expected = _PAYLOAD_TYPES[MessageKind(self.kind)]
-        if not isinstance(self.payload, expected):
-            raise ValueError(
-                f"{MessageKind(self.kind).name} payload must be "
-                f"{expected.__name__}"
-            )
+    payload: tuple
 
 
-_PAYLOAD_TYPES = {
-    MessageKind.LOCAL_MAP_UPLOAD: LocalMapUpload,
-    MessageKind.GLOBAL_MAP_BROADCAST: GlobalMapBroadcast,
-    MessageKind.PARAMS_UPLOAD: ParamsPayload,
-    MessageKind.PARAMS_BROADCAST: ParamsPayload,
-    MessageKind.LABEL_BROADCAST: LabelBroadcast,
+def _scored_fields(entry):
+    state, score = entry
+    return (state.category, *state.center, *state.extents, state.yaw, score)
+
+
+def _scored(cat, x, y, z, l, w, h, yaw, score):
+    if not math.isfinite(score):
+        raise ValueError("score must be finite")
+    return ObjectState(cat, (x, y, z), (l, w, h), yaw), score
+
+
+def _parameter(value):
+    if not math.isfinite(value):
+        raise ValueError("parameter must be finite")
+    return value
+
+
+def _label_fields(entry):
+    idx, state = entry
+    return (idx, state.category, *state.center, *state.extents, state.yaw)
+
+
+def _label(idx, cat, x, y, z, l, w, h, yaw):
+    return idx, ObjectState(cat, (x, y, z), (l, w, h), yaw)
+
+
+_SCORED = struct.Struct("<H8d")   # category + box fields + score
+_PARAMETER = (struct.Struct("<d"), "parameter", lambda v: (v,), _parameter)
+
+# kind -> (entry struct, entry name in CodecError texts, entry -> struct
+# fields, struct fields -> entry, raising ValueError on an invalid one).
+# Upload and broadcast entries are (ObjectState, score) pairs, parameter
+# entries floats, label entries (detection index, ObjectState) pairs.
+_ENTRIES = {
+    MessageKind.LOCAL_MAP_UPLOAD: (
+        _SCORED, "detection entry", _scored_fields, _scored),
+    MessageKind.GLOBAL_MAP_BROADCAST: (
+        _SCORED, "object entry", _scored_fields, _scored),
+    MessageKind.PARAMS_UPLOAD: _PARAMETER,
+    MessageKind.PARAMS_BROADCAST: _PARAMETER,
+    MessageKind.LABEL_BROADCAST: (
+        struct.Struct("<IH7d"), "label entry", _label_fields, _label),
 }
 
 
-def _pack_scored(state: ObjectState, score: float) -> bytes:
-    return _SCORED_ENTRY.pack(
-        state.category, *state.center, *state.extents, state.yaw, score
-    )
-
-
-def _unpack_scored(blob: bytes, offset: int, what: str) -> ScoredDetection:
-    _require(blob, offset, _SCORED_ENTRY.size, what)
-    cat, x, y, z, l, w, h, yaw, score = _SCORED_ENTRY.unpack_from(blob, offset)
-    try:
-        return ScoredDetection(ObjectState(cat, (x, y, z), (l, w, h), yaw),
-                               score)
-    except ValueError as exc:
-        raise CodecError(f"invalid {what} at offset {offset}: {exc}") from None
-
-
 def encode_message(msg: V2xMessage) -> bytes:
-    header = _HEADER.pack(
-        MESSAGE_MAGIC, MESSAGE_VERSION, int(msg.kind), msg.sender, msg.receiver
-    )
     kind = MessageKind(msg.kind)
-    if kind is MessageKind.LOCAL_MAP_UPLOAD:
-        body = _COUNT.pack(len(msg.payload.detections)) + b"".join(
-            _pack_scored(d.state, d.score) for d in msg.payload.detections
-        )
-    elif kind is MessageKind.GLOBAL_MAP_BROADCAST:
-        body = _COUNT.pack(len(msg.payload.objects)) + b"".join(
-            _pack_scored(s, sc) for s, sc in msg.payload.objects
-        )
-    elif kind in (MessageKind.PARAMS_UPLOAD, MessageKind.PARAMS_BROADCAST):
-        values = np.asarray(msg.payload.values, dtype="<f8")
-        body = _COUNT.pack(values.size) + values.tobytes()
-    else:
-        body = _COUNT.pack(len(msg.payload.labels)) + b"".join(
-            _LABEL_ENTRY.pack(
-                idx, s.category, *s.center, *s.extents, s.yaw
-            )
-            for idx, s in msg.payload.labels
-        )
-    return header + body
+    layout, name, fields, _ = _ENTRIES[kind]
+    try:
+        entries = [layout.pack(*fields(e)) for e in msg.payload]
+    except (struct.error, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"bad {name} in {kind.name} payload: {exc}") from None
+    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind, msg.sender,
+                         msg.receiver)
+            + _COUNT.pack(len(entries)) + b"".join(entries))
 
 
 def _require(blob: bytes, offset: int, size: int, what: str) -> None:
@@ -210,50 +179,20 @@ def decode_message(blob: bytes) -> V2xMessage:
     (count,) = _COUNT.unpack_from(blob, offset)
     offset += _COUNT.size
 
-    if kind is MessageKind.LOCAL_MAP_UPLOAD:
-        dets = []
-        for _ in range(count):
-            dets.append(_unpack_scored(blob, offset, "detection entry"))
-            offset += _SCORED_ENTRY.size
-        payload = LocalMapUpload(tuple(dets))
-    elif kind is MessageKind.GLOBAL_MAP_BROADCAST:
-        objs = []
-        for _ in range(count):
-            obj = _unpack_scored(blob, offset, "object entry")
-            objs.append((obj.state, obj.score))
-            offset += _SCORED_ENTRY.size
-        payload = GlobalMapBroadcast(tuple(objs))
-    elif kind in (MessageKind.PARAMS_UPLOAD, MessageKind.PARAMS_BROADCAST):
-        _require(blob, offset, 8 * count, "parameter vector")
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
+    layout, name, _, build = _ENTRIES[kind]
+    entries = []
+    for _ in range(count):
+        _require(blob, offset, layout.size, name)
+        try:
+            entries.append(build(*layout.unpack_from(blob, offset)))
+        except ValueError as exc:
             raise CodecError(
-                f"non-finite parameter at offset {offset + 8 * int(bad[0])}"
-            )
-        payload = ParamsPayload(tuple(float(v) for v in values))
-        offset += 8 * count
-    else:
-        labels = []
-        for _ in range(count):
-            _require(blob, offset, _LABEL_ENTRY.size, "label entry")
-            idx, cat, x, y, z, l, w, h, yaw = _LABEL_ENTRY.unpack_from(
-                blob, offset
-            )
-            try:
-                state = ObjectState(cat, (x, y, z), (l, w, h), yaw)
-            except ValueError as exc:
-                raise CodecError(
-                    f"invalid label entry at offset {offset}: {exc}"
-                ) from None
-            labels.append((idx, state))
-            offset += _LABEL_ENTRY.size
-        payload = LabelBroadcast(tuple(labels))
-
+                f"invalid {name} at offset {offset}: {exc}") from None
+        offset += layout.size
     if offset != len(blob):
         raise CodecError(f"trailing bytes at offset {offset}")
     return V2xMessage(kind=kind, sender=sender, receiver=receiver,
-                      payload=payload)
+                      payload=tuple(entries))
 
 
 @dataclass
@@ -268,10 +207,6 @@ class ByteLedger:
     @property
     def total(self) -> int:
         return sum(self.per_kind.values())
-
-    def merge(self, other: "ByteLedger") -> None:
-        for kind, n in other.per_kind.items():
-            self.record(kind, n)
 
 
 # --- frame loop --------------------------------------------------------------
@@ -293,12 +228,14 @@ def run_frame(
 
     All vehicle detections cross the wire as global-frame payloads; the
     server reassembles them under an identity pose, so no pose exchange
-    is needed.  Returns the broadcast map and the bytes this frame moved.
+    is needed.  Returns the broadcast map and the bytes this frame moved,
+    which are also recorded in ledger when one is given.
     If local_maps is given the sensing and refinement steps are skipped;
     that lets several methods share one set of measurements.
     """
     spec = spec or ModelSpec()
     fusion_cfg = fusion_cfg or FusionConfig()
+    ledger = ledger if ledger is not None else ByteLedger()
     if local_maps is None:
         local_maps = []
         for k in range(scenario.num_vehicles):
@@ -306,50 +243,33 @@ def run_frame(
             local_maps.append(dataclasses.replace(
                 raw, detections=tuple(predict(params, sensor_frame, spec))))
 
-    delta = ByteLedger()
+    moved = 0
     server_maps = []
     frame_time = scenario.frame_time(frame)
     for lm in local_maps:
-        k = lm.vehicle_id
-        refined = lm.detections
-        pose = lm.pose
-        upload = LocalMapUpload(
-            tuple(
-                ScoredDetection(transform_to_global(d.state, pose), d.score)
-                for d in refined
-            )
-        )
-        wire = encode_message(
-            V2xMessage(MessageKind.LOCAL_MAP_UPLOAD, k, SERVER_ID, upload)
-        )
-        delta.record(MessageKind.LOCAL_MAP_UPLOAD, len(wire))
-        decoded = decode_message(wire)
-        server_maps.append(
-            LocalMap(
-                vehicle_id=k,
-                frame_time=frame_time,
-                detections=decoded.payload.detections,
-                pose=IDENTITY_POSE,
-            )
-        )
+        upload = tuple((transform_to_global(d.state, lm.pose), d.score)
+                       for d in lm.detections)
+        wire = encode_message(V2xMessage(
+            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
+        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wire))
+        moved += len(wire)
+        server_maps.append(LocalMap(
+            vehicle_id=lm.vehicle_id,
+            frame_time=frame_time,
+            detections=tuple(ScoredDetection(s, score) for s, score
+                             in decode_message(wire).payload),
+            pose=IDENTITY_POSE,
+        ))
 
     if server_maps:
-        result = fuse_fn(server_maps, fusion_cfg)
-        gmap = result.global_map
+        gmap = fuse_fn(server_maps, fusion_cfg).global_map
     else:
         gmap = GlobalMap(frame_time, ())
-    broadcast = encode_message(
-        V2xMessage(
-            MessageKind.GLOBAL_MAP_BROADCAST,
-            SERVER_ID,
-            BROADCAST_ID,
-            GlobalMapBroadcast(gmap.objects),
-        )
-    )
-    delta.record(MessageKind.GLOBAL_MAP_BROADCAST, len(broadcast))
-    if ledger is not None:
-        ledger.merge(delta)
-    return gmap, delta.total
+    broadcast = encode_message(V2xMessage(
+        MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
+        gmap.objects))
+    ledger.record(MessageKind.GLOBAL_MAP_BROADCAST, len(broadcast))
+    return gmap, moved + len(broadcast)
 
 
 # --- configuration -----------------------------------------------------------
@@ -483,19 +403,19 @@ def default_benchmark_config(seed: int = 0) -> RunConfig:
 
 
 def training_frames(scenario_cfg: ScenarioConfig, train_cfg: TrainConfig) -> list[int]:
-    """Frame indices in the training window, thinned by the sampling ratio."""
-    lo, hi = train_cfg.train_window
-    first = int(round(lo * scenario_cfg.frame_rate))
-    last = min(int(round(hi * scenario_cfg.frame_rate)),
-               scenario_cfg.num_frames)
-    return list(range(first, last, train_cfg.sampling_ratio))
+    """Frame indices in the training window, thinned by the sampling ratio.
+    Window times are clamped to the frame count before rounding."""
+    n = scenario_cfg.num_frames
+    lo, hi = (round(min(t * scenario_cfg.frame_rate, n))
+              for t in train_cfg.train_window)
+    return list(range(lo, hi, train_cfg.sampling_ratio))
 
 
 def testing_frames(scenario_cfg: ScenarioConfig, train_cfg: TrainConfig) -> list[int]:
     """Every frame after the training window."""
-    _, hi = train_cfg.train_window
-    first = int(round(hi * scenario_cfg.frame_rate))
-    return list(range(first, scenario_cfg.num_frames))
+    n = scenario_cfg.num_frames
+    hi = round(min(train_cfg.train_window[1] * scenario_cfg.frame_rate, n))
+    return list(range(hi, n))
 
 
 _FUSED_FNS = {

@@ -33,7 +33,6 @@ from mapfuse.fedlearn import (
 )
 from mapfuse.distill import full_coverage_registry, run_edfl, run_perfect_fl
 from mapfuse.fusion import (
-    ScoredDetection,
     compute_weights,
     fuse_cluster,
     three_stage_fuse,
@@ -45,10 +44,7 @@ from mapfuse.geometry import (
 )
 from mapfuse.orchestrator import (
     BROADCAST_ID,
-    GlobalMapBroadcast,
-    LocalMapUpload,
     MessageKind,
-    ParamsPayload,
     SERVER_ID,
     V2xMessage,
     decode_message,
@@ -207,9 +203,9 @@ def test_criterion_1_oracle_suites(capsys):
     for k in range(5):
         wire = encode_message(
             V2xMessage(MessageKind.PARAMS_BROADCAST, SERVER_ID, k,
-                       ParamsPayload(tuple(float(v) for v in avg.values)))
+                       tuple(float(v) for v in avg.values))
         )
-        received.append(np.array(decode_message(wire).payload.values))
+        received.append(np.array(decode_message(wire).payload))
     fedavg_ok = fedavg_ok and all(
         np.array_equal(r, received[0]) and np.array_equal(r, avg.values)
         for r in received
@@ -238,25 +234,21 @@ def test_criterion_1_oracle_suites(capsys):
     codec_ok = True
     for n in (0, 1, 7):
         dets = tuple(
-            ScoredDetection(box(*rng.uniform(-50, 50, 2),
-                                yaw=rng.uniform(-3, 3)),
-                            float(rng.normal()))
+            (box(*rng.uniform(-50, 50, 2), yaw=rng.uniform(-3, 3)),
+             float(rng.normal()))
             for _ in range(n)
         )
-        msg = V2xMessage(MessageKind.LOCAL_MAP_UPLOAD, 2, SERVER_ID,
-                         LocalMapUpload(dets))
+        msg = V2xMessage(MessageKind.LOCAL_MAP_UPLOAD, 2, SERVER_ID, dets)
         wire = encode_message(msg)
         codec_ok = codec_ok and len(wire) == 20 + 66 * n
         codec_ok = codec_ok and decode_message(wire) == msg
         bmsg = V2xMessage(MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID,
-                          BROADCAST_ID,
-                          GlobalMapBroadcast(tuple((d.state, d.score)
-                                                   for d in dets)))
+                          BROADCAST_ID, dets)
         bwire = encode_message(bmsg)
         codec_ok = codec_ok and len(bwire) == 20 + 66 * n
         codec_ok = codec_ok and decode_message(bwire) == bmsg
     pmsg = V2xMessage(MessageKind.PARAMS_UPLOAD, 1, SERVER_ID,
-                      ParamsPayload(tuple(rng.normal(size=143))))
+                      tuple(rng.normal(size=143)))
     codec_ok = codec_ok and len(encode_message(pmsg)) == 20 + 8 * 143
 
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -377,3 +378,21 @@ def test_train_rejects_two_loss_coefficients_at_config_load(
                  "--out", str(out)]) == 2
     assert "loss coefficients" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window,status", [
+    ([0.0, math.inf], 2),
+    # A finite end past the scenario selects no frames; it used to
+    # overflow converting the frame index.
+    ([1e307, 1e308], 0),
+])
+def test_train_window_end_past_frame_index(tmp_path, window, status):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"duration": 2.0, "num_objects": 10},
+        "train": {"train_window": window},
+    }))
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "model.ckpt")]) == status
+    assert main(["evaluate", "--config", str(cfg),
+                 "--out", str(tmp_path / "report.json")]) == status

@@ -242,6 +242,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"\x00")
     with pytest.raises(ValueError):
         load_checkpoint(p)
+    # Well-formed files whose size no model takes fail here, not later
+    # inside predict.
+    for n in (0, 2, 144):
+        save_checkpoint(ModelParams(np.arange(n, dtype=float)), p)
+        with pytest.raises(ValueError, match=f"holds {n} parameters.*143"):
+            load_checkpoint(p)
 
 
 def test_train_config_validation():

@@ -18,7 +18,6 @@ from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predic
 from mapfuse.fusion import (
     FusionConfig,
     LocalMap,
-    ScoredDetection,
     three_stage_fuse,
 )
 from mapfuse.geometry import ObjectState, transform_to_global
@@ -29,12 +28,8 @@ from mapfuse.orchestrator import (
     ByteLedger,
     CodecError,
     ConfigError,
-    GlobalMapBroadcast,
-    LabelBroadcast,
-    LocalMapUpload,
     MessageKind,
     METHOD_NAMES,
-    ParamsPayload,
     RunConfig,
     SERVER_ID,
     TeacherSpec,
@@ -70,21 +65,29 @@ def box(x, y, yaw=0.0, cat=0):
     return ObjectState(cat, (x, y, 0.75), (4.0, 2.0, 1.5), yaw)
 
 
-def upload_msg(dets):
+def upload_msg(pairs):
     return V2xMessage(MessageKind.LOCAL_MAP_UPLOAD, 3, SERVER_ID,
-                      LocalMapUpload(tuple(dets)))
+                      tuple(pairs))
 
 
-def test_wire_sizes():
-    empty = encode_message(upload_msg([]))
-    assert len(empty) == 20
-    one = encode_message(upload_msg([ScoredDetection(box(1, 2), 0.5)]))
-    assert len(one) == 86
-    bcast = encode_message(
-        V2xMessage(MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
-                   GlobalMapBroadcast(((box(0, 0), 1.0),)))
-    )
-    assert len(bcast) == 86
+# (kind, bytes per entry, one entry of that kind).
+ENTRY_SIZES = [
+    (MessageKind.LOCAL_MAP_UPLOAD, 66, (box(1, 2), 0.5)),
+    (MessageKind.GLOBAL_MAP_BROADCAST, 66, (box(0, 0), 1.0)),
+    (MessageKind.PARAMS_UPLOAD, 8, 0.25),
+    (MessageKind.PARAMS_BROADCAST, 8, -3.0),
+    (MessageKind.LABEL_BROADCAST, 62, (7, box(3, 4))),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("kind,size,entry", ENTRY_SIZES,
+                         ids=[kind.name for kind, _, _ in ENTRY_SIZES])
+def test_wire_sizes(kind, size, entry, n):
+    msg = V2xMessage(kind, SERVER_ID, BROADCAST_ID, (entry,) * n)
+    wire = encode_message(msg)
+    assert len(wire) == 20 + size * n
+    assert decode_message(wire) == msg
 
 
 state_st = st.builds(
@@ -100,28 +103,18 @@ score_st = st.floats(-10, 10, allow_nan=False)
 @st.composite
 def message_st(draw):
     kind = draw(st.sampled_from(list(MessageKind)))
-    if kind is MessageKind.LOCAL_MAP_UPLOAD:
-        payload = LocalMapUpload(tuple(
-            ScoredDetection(s, sc)
-            for s, sc in draw(st.lists(st.tuples(state_st, score_st),
-                                       max_size=5))
-        ))
-    elif kind is MessageKind.GLOBAL_MAP_BROADCAST:
-        payload = GlobalMapBroadcast(tuple(
-            draw(st.lists(st.tuples(state_st, score_st), max_size=5))
-        ))
+    if kind in (MessageKind.LOCAL_MAP_UPLOAD,
+                MessageKind.GLOBAL_MAP_BROADCAST):
+        entries = st.lists(st.tuples(state_st, score_st), max_size=5)
     elif kind is MessageKind.LABEL_BROADCAST:
-        payload = LabelBroadcast(tuple(
-            draw(st.lists(st.tuples(st.integers(0, 1000), state_st),
-                          max_size=5))
-        ))
+        entries = st.lists(st.tuples(st.integers(0, 1000), state_st),
+                           max_size=5)
     else:
-        payload = ParamsPayload(tuple(
-            draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=20))
-        ))
+        entries = st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           max_size=20)
     sender = draw(st.integers(0, SERVER_ID))
     receiver = draw(st.integers(0, SERVER_ID))
-    return V2xMessage(kind, sender, receiver, payload)
+    return V2xMessage(kind, sender, receiver, tuple(draw(entries)))
 
 
 @given(message_st())
@@ -132,7 +125,7 @@ def test_codec_round_trip(msg):
 
 
 def test_codec_errors_name_offsets():
-    blob = encode_message(upload_msg([ScoredDetection(box(1, 2), 0.5)]))
+    blob = encode_message(upload_msg([(box(1, 2), 0.5)]))
     with pytest.raises(CodecError, match="header at offset 0"):
         decode_message(blob[:10])
     with pytest.raises(CodecError, match="magic at offset 0"):
@@ -145,31 +138,29 @@ def test_codec_errors_name_offsets():
         decode_message(blob[:40])
     with pytest.raises(CodecError, match="trailing bytes at offset 86"):
         decode_message(blob + b"\x00")
-    two = encode_message(upload_msg([ScoredDetection(box(1, 2), 0.5)] * 2))
+    two = encode_message(upload_msg([(box(1, 2), 0.5)] * 2))
     # The second entry starts at 20 + 66; its x is 2 bytes in, its length 26.
     with pytest.raises(CodecError, match="detection entry at offset 86"):
         decode_message(two[:88] + struct.pack("<d", math.nan) + two[96:])
     with pytest.raises(CodecError, match="detection entry at offset 86"):
         decode_message(two[:112] + struct.pack("<d", 0.0) + two[120:])
     params = encode_message(V2xMessage(MessageKind.PARAMS_UPLOAD, 1,
-                                       SERVER_ID, ParamsPayload((1.0, 2.0))))
+                                       SERVER_ID, (1.0, 2.0)))
     with pytest.raises(CodecError, match="parameter at offset 28"):
         decode_message(params[:28] + struct.pack("<d", math.inf))
 
 
 def _float_offsets(msg):
     """Byte offsets of every float64 field in msg's encoding."""
-    payload = msg.payload
-    if msg.kind is MessageKind.LOCAL_MAP_UPLOAD:
-        entries, size, skip = len(payload.detections), 66, 2
-    elif msg.kind is MessageKind.GLOBAL_MAP_BROADCAST:
-        entries, size, skip = len(payload.objects), 66, 2
+    if msg.kind in (MessageKind.LOCAL_MAP_UPLOAD,
+                    MessageKind.GLOBAL_MAP_BROADCAST):
+        size, skip = 66, 2
     elif msg.kind is MessageKind.LABEL_BROADCAST:
-        entries, size, skip = len(payload.labels), 62, 6
+        size, skip = 62, 6
     else:
-        entries, size, skip = len(payload.values), 8, 0
+        size, skip = 8, 0
     return [20 + size * i + j
-            for i in range(entries) for j in range(skip, size, 8)]
+            for i in range(len(msg.payload)) for j in range(skip, size, 8)]
 
 
 framed_st = st.builds(
@@ -202,19 +193,26 @@ def test_decode_rejects_any_non_finite_float(msg, data, bad):
 
 
 def test_payload_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        V2xMessage(MessageKind.PARAMS_UPLOAD, 0, SERVER_ID,
-                   LocalMapUpload(()))
+    pair = (box(1, 2), 0.5)
+    for kind, payload in [
+        (MessageKind.PARAMS_UPLOAD, (pair,)),
+        (MessageKind.PARAMS_BROADCAST, ("1.0",)),
+        (MessageKind.LOCAL_MAP_UPLOAD, (1.0,)),
+        (MessageKind.LOCAL_MAP_UPLOAD, ((3, box(1, 2)),)),
+        (MessageKind.GLOBAL_MAP_BROADCAST, ((box(1, 2),),)),
+        (MessageKind.LABEL_BROADCAST, (pair,)),
+        (MessageKind.LABEL_BROADCAST, ((-1, box(1, 2)),)),
+    ]:
+        with pytest.raises(ValueError, match=f"in {kind.name} payload"):
+            encode_message(V2xMessage(kind, 0, SERVER_ID, payload))
 
 
 def test_byte_ledger_merge_and_total():
     a = ByteLedger()
     a.record(MessageKind.LOCAL_MAP_UPLOAD, 100)
     a.record(MessageKind.LOCAL_MAP_UPLOAD, 20)
-    b = ByteLedger()
-    b.record(MessageKind.GLOBAL_MAP_BROADCAST, 7)
-    b.record(MessageKind.LOCAL_MAP_UPLOAD, 1)
-    a.merge(b)
+    a.record(MessageKind.GLOBAL_MAP_BROADCAST, 7)
+    a.record(MessageKind.LOCAL_MAP_UPLOAD, 1)
     assert a.per_kind[MessageKind.LOCAL_MAP_UPLOAD] == 121
     assert a.per_kind[MessageKind.GLOBAL_MAP_BROADCAST] == 7
     assert a.total == 128
@@ -353,6 +351,8 @@ def test_run_config_from_dict_builds_nested():
     (DetectorNoiseSpec, ("noise",), "false_positive_rate", 1e300),
     (ScenarioConfig, ("scenario",), "speed_max", 1e6),
     (ScenarioConfig, ("scenario",), "speed_max", 1e307),
+    (TrainConfig, ("train",), "train_window", [0.0, math.inf]),
+    (TrainConfig, ("train",), "train_window", [5.0, math.inf]),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
