@@ -44,23 +44,31 @@ def cluster_detections(
     input order; every detection lands in exactly one cluster.  Clusters
     are numbered by their smallest (vehicle_id, detection_index) member.
     """
+    n = len(detections)
+    if not n:
+        return 0, []
     points = np.array(
         [[e[2].center[0], e[2].center[1]] for e in detections], dtype=float
-    ).reshape(-1, 2)
+    )
     diff = points[:, None, :] - points[None, :, :]
     neighbors = np.einsum("ijk,ijk->ij", diff, diff) <= cfg.eps * cfg.eps
-    labels = [-1] * len(detections)
-    count = 0
-    for seed in sorted(range(len(detections)), key=lambda i: detections[i][:2]):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = count
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for j in np.flatnonzero(neighbors[cur]):
-                if labels[j] < 0:
-                    labels[j] = count
-                    frontier.append(j)
-        count += 1
-    return count, labels
+    # Work in rank order of (vehicle_id, detection_index): each detection
+    # takes the smallest rank among its neighbours and itself, then jumps
+    # to its label's label, until nothing changes.  Labels only fall and
+    # stay inside their component, so each ends at the component's
+    # smallest rank; jumping keeps a long chain to a few passes.
+    order = np.array(sorted(range(n), key=lambda i: detections[i][:2]))
+    linked = neighbors[order][:, order]
+    label = np.arange(n)
+    while True:
+        nxt = np.where(linked, label, n).min(axis=1)
+        nxt = nxt[nxt]
+        if (nxt == label).all():
+            break
+        label = nxt
+    # Each component's smallest rank is its own label: numbering those
+    # roots in rank order numbers the clusters by their smallest member.
+    root = label == np.arange(n)
+    labels = np.empty(n, dtype=int)
+    labels[order] = (np.cumsum(root) - 1)[label]
+    return int(root.sum()), labels.tolist()

@@ -25,11 +25,13 @@ from mapfuse.fusion import (
 from mapfuse.distill import run_edfl, run_perfect_fl
 from mapfuse.evalbench import EvalReport
 from mapfuse.orchestrator import (
+    _PARAMS_OF,
     ConfigError,
     RunConfig,
     build_teacher_registry,
     run_config_from_dict,
     run_experiment,
+    testing_frames,
     training_frames,
 )
 from mapfuse.simworld import generate_scenario, scenario_to_jsonl
@@ -60,6 +62,30 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _empty_window(cfg: RunConfig, use: str) -> ConfigError:
+    return ConfigError(
+        f"train.train_window {list(cfg.train.train_window)} selects no "
+        f"{use} frames of the scenario's {cfg.scenario.num_frames}")
+
+
+def _training_frames(cfg: RunConfig) -> list[int]:
+    """The training window's frames; a ConfigError when there are none, so
+    that no command writes untrained parameters as if trained."""
+    frames = training_frames(cfg.scenario, cfg.train)
+    if not frames:
+        raise _empty_window(cfg, "training")
+    return frames
+
+
+def _check_experiment(cfg: RunConfig) -> None:
+    """A ConfigError when run_experiment would score no frames, or train
+    a configured method on none."""
+    if not testing_frames(cfg.scenario, cfg.train):
+        raise _empty_window(cfg, "testing")
+    if any(_PARAMS_OF[m] != "none" for m in cfg.methods):
+        _training_frames(cfg)
+
+
 def _write(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -77,8 +103,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    frames = _training_frames(cfg)
     scenario = generate_scenario(cfg.scenario, cfg.seed)
-    frames = training_frames(cfg.scenario, cfg.train)
     init = default_init_params()
     if args.method == "perfect_fl":
         params = run_perfect_fl(
@@ -122,6 +148,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
+    _check_experiment(cfg)
     report = run_experiment(cfg)
     if args.out and args.out.endswith(".csv"):
         _write(args.out, report.to_csv())
@@ -139,6 +166,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
+    _check_experiment(cfg)
     report = run_experiment(cfg)
     _write(args.out, report.to_json())
     if args.out:

@@ -22,7 +22,7 @@ from mapfuse.association import ClusterConfig, cluster_detections
 from mapfuse.geometry import (
     ObjectState,
     Pose,
-    angle_diff,
+    circle_prefilter,
     iou_bev,
     transform_to_global,
     wrap_angle,
@@ -104,22 +104,108 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_weights(scores: Sequence[float]) -> np.ndarray:
-    """Normalized fusion weights for one cluster's raw scores.
+def _weights(scores: np.ndarray) -> np.ndarray:
+    """Normalized fusion weights of each row of a (G, n) score block.
 
     Each member is weighted by the sigmoid of its score, so a higher score
-    earns more trust.  When even the largest sigmoid is subnormal (all
+    earns more trust.  In a row whose largest sigmoid is subnormal (all
     scores below about -708), the sigmoids have lost precision or
     underflowed to 0, and the weights take their limit exp(s - max s),
     normalized.
     """
+    raw = _sigmoid(scores)
+    low = ~(raw.max(axis=1) >= _TINY)
+    if low.any():
+        s = scores[low]
+        raw[low] = np.exp(s - s.max(axis=1, keepdims=True))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row g of w times row g of x, for (G, n) w and (G, n) or (G, n, k) x.
+
+    A batched matmul runs each row through the BLAS kernel that the
+    one-cluster ``w[g] @ x[g]`` uses, so the sums round alike; an einsum
+    or a plain sum rounds differently.
+    """
+    if x.ndim == 2:
+        return np.matmul(w[:, None, :], x[:, :, None])[:, 0, 0]
+    return np.matmul(w[:, None, :], x)[:, 0, :]
+
+
+def _fuse_block(
+    states: Sequence[Sequence[ObjectState]],
+    vecs: np.ndarray,
+    scores: np.ndarray,
+    weights: np.ndarray,
+) -> list[tuple[ObjectState, float]]:
+    """Fuse G clusters of n members each under (G, n) normalized weights.
+
+    ``states`` holds each cluster's members, ``vecs`` their (G, n, 8)
+    vectors (``ObjectState.to_vector``) and ``scores`` their raw scores.
+    Continuous fields are the weighted mean of the members (the minimizer
+    of the weighted least-squares objective); yaw uses a weighted circular
+    mean; the category is a weighted vote; the fused score is the
+    weighted mean of the raw scores.
+    """
+    w = weights
+    cont = _weighted_sum(w, vecs[:, :, 1:7]).tolist()
+
+    # Yaw on the circle.  Members pointing against the dominant member
+    # (angular gap beyond pi/2) are flipped by pi before averaging so an
+    # orientation-flipped witness cannot drag the mean sideways.
+    yaws = vecs[:, :, 7]
+    ref = yaws[np.arange(len(yaws)), w.argmax(axis=1)]
+    gap = (yaws - ref[:, None] + math.pi) % (2.0 * math.pi) - math.pi
+    yaws = np.where(np.abs(gap) <= math.pi / 2, yaws, yaws + math.pi)
+    sin_sum = _weighted_sum(w, np.sin(yaws)).tolist()
+    cos_sum = _weighted_sum(w, np.cos(yaws)).tolist()
+    fused_score = _weighted_sum(w, scores).tolist()
+    ref = ref.tolist()
+
+    fused = []
+    for g, (members, row) in enumerate(zip(states, w.tolist())):
+        if math.hypot(sin_sum[g], cos_sum[g]) < 1e-12:
+            yaw = ref[g]
+        else:
+            yaw = math.atan2(sin_sum[g], cos_sum[g])
+        # Category by weighted vote; ties by higher total weight then
+        # lower id.
+        votes: dict[int, float] = {}
+        for s, wi in zip(members, row):
+            votes[s.category] = votes.get(s.category, 0.0) + wi
+        category = min(votes, key=lambda c: (-votes[c], c))
+        x, y, z, l, wd, h = cont[g]
+        fused.append((
+            ObjectState(category=category, center=(x, y, z),
+                        extents=(l, wd, h), yaw=wrap_angle(yaw)),
+            fused_score[g],
+        ))
+    return fused
+
+
+def _weighted_rule(states, vecs, scores):
+    return _fuse_block(states, vecs, scores, _weights(scores))
+
+
+def _mean_rule(states, vecs, scores):
+    g, n = scores.shape
+    return _fuse_block(states, vecs, scores, np.full((g, n), 1.0 / n))
+
+
+def _max_score_rule(states, vecs, scores):
+    # argmax keeps the first of tied maxima: the lowest member index.
+    return [(members[b], float(row[b]))
+            for members, row, b in zip(states, scores, scores.argmax(axis=1))]
+
+
+def compute_weights(scores: Sequence[float]) -> np.ndarray:
+    """Normalized fusion weights for one cluster's raw scores (see
+    :func:`_weights`)."""
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("cluster must be non-empty")
-    raw = _sigmoid(scores)
-    if not raw.max() >= _TINY:
-        raw = np.exp(scores - scores.max())
-    return raw / raw.sum()
+    return _weights(scores.reshape(1, -1))[0]
 
 
 def fuse_cluster(
@@ -127,48 +213,14 @@ def fuse_cluster(
     scores: Sequence[float],
     weights: np.ndarray,
 ) -> tuple[ObjectState, float]:
-    """Fuse one cluster of global-frame states under normalized weights.
-
-    Continuous fields are the weighted mean of the members (the minimizer
-    of the weighted least-squares objective); yaw uses a weighted circular
-    mean; the category is a weighted vote; the fused score is the
-    weighted mean of the raw scores.
-    """
-    w = np.asarray(weights, dtype=float)
-    vecs = np.stack([s.to_vector() for s in states])
-    cont = w @ vecs[:, 1:7]
-
-    # Yaw on the circle.  Members pointing against the dominant member
-    # (angular gap beyond pi/2) are flipped by pi before averaging so an
-    # orientation-flipped witness cannot drag the mean sideways.
-    ref = states[int(np.argmax(w))].yaw
-    yaws = np.array(
-        [
-            s.yaw if abs(angle_diff(s.yaw, ref)) <= math.pi / 2 else s.yaw + math.pi
-            for s in states
-        ]
-    )
-    sin_sum = float(w @ np.sin(yaws))
-    cos_sum = float(w @ np.cos(yaws))
-    if math.hypot(sin_sum, cos_sum) < 1e-12:
-        yaw = ref
-    else:
-        yaw = math.atan2(sin_sum, cos_sum)
-
-    # Category by weighted vote; ties by higher total weight then lower id.
-    votes: dict[int, float] = {}
-    for s, wi in zip(states, w):
-        votes[s.category] = votes.get(s.category, 0.0) + float(wi)
-    category = min(votes, key=lambda c: (-votes[c], c))
-
-    fused_score = float(w @ np.asarray(scores, dtype=float))
-    state = ObjectState(
-        category=category,
-        center=(cont[0], cont[1], cont[2]),
-        extents=(cont[3], cont[4], cont[5]),
-        yaw=wrap_angle(yaw),
-    )
-    return state, fused_score
+    """Fuse one cluster of global-frame states under normalized weights
+    (see :func:`_fuse_block`)."""
+    return _fuse_block(
+        [states],
+        np.stack([s.to_vector() for s in states])[None],
+        np.asarray(scores, dtype=float).reshape(1, -1),
+        np.asarray(weights, dtype=float).reshape(1, -1),
+    )[0]
 
 
 def prune_overlaps(
@@ -177,29 +229,41 @@ def prune_overlaps(
     """Greedy score-descending suppression of overlapping boxes.
 
     Keeps an object iff its BEV IoU with every already-kept object is at
-    most delta.  Ties in score keep the earlier input entry first.
+    most delta.  Ties in score keep the earlier input entry first.  Pairs
+    whose bounding circles do not touch have IoU 0, so only the kept
+    objects that pass the circle prefilter are scored.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     order = sorted(range(len(objects)), key=lambda i: (-objects[i][1], i))
-    kept: list[tuple[ObjectState, float]] = []
+    states = [state for state, _ in objects]
+    touch = circle_prefilter(states, states)
+    np.fill_diagonal(touch, False)
+    near = touch.any(axis=1).tolist()
+    kept: list[int] = []
     for i in order:
-        state, score = objects[i]
-        if all(iou_bev(state, k[0]) <= delta for k in kept):
-            kept.append((state, score))
-    return kept
+        if near[i]:
+            row = touch[i]
+            if not all(iou_bev(states[i], states[k]) <= delta
+                       for k in kept if row[k]):
+                continue
+        kept.append(i)
+    return [objects[i] for i in kept]
 
 
 def _fuse_frame(
     local_maps: Sequence[LocalMap],
     cfg: FusionConfig,
-    rule: Callable[[list[ObjectState], list[float]],
-                   tuple[ObjectState, float]],
+    rule: Callable[[list[list[ObjectState]], np.ndarray, np.ndarray],
+                   list[tuple[ObjectState, float]]],
 ) -> FusionResult:
-    """Associate, fuse each cluster with rule(states, scores), and prune.
+    """Associate, fuse the clusters, and prune.
 
-    The maps are taken in vehicle-id order, so the result does not depend
-    on the order in which they arrive.
+    Clusters go to ``rule(states, vecs, scores)`` one size group at a
+    time: the G clusters with n members each as G member lists, their
+    (G, n, 8) vectors and (G, n) scores, members in vehicle order, then
+    detection order.  The maps are taken in vehicle-id order, so the
+    result does not depend on the order in which they arrive.
     """
     if not local_maps:
         return FusionResult(GlobalMap(0.0, ()), {}, [])
@@ -217,23 +281,37 @@ def _fuse_frame(
     scores = []
     for lm in local_maps:
         for n, det in enumerate(lm.detections):
-            g = transform_to_global(det.state, lm.pose)
-            entries.append((lm.vehicle_id, n, g))
+            entries.append(
+                (lm.vehicle_id, n, transform_to_global(det.state, lm.pose)))
             scores.append(det.score)
     num_objects, labels = cluster_detections(entries, cfg.cluster)
 
-    # Members of each cluster in vehicle order, then detection order.
-    members: list[list[tuple[ObjectState, float]]] = [
-        [] for _ in range(num_objects)
-    ]
-    vehicle_labels = {lm.vehicle_id: [] for lm in local_maps}
-    for (veh, _, g), score, label in zip(entries, scores, labels):
-        members[label].append((g, score))
-        vehicle_labels[veh].append(label)
+    states = [g for _, _, g in entries]
+    vehicle_labels = {}
+    start = 0
+    for lm in local_maps:
+        end = start + len(lm.detections)
+        vehicle_labels[lm.vehicle_id] = labels[start:end]
+        start = end
 
-    fused_all = [
-        rule([g for g, _ in group], [s for _, s in group]) for group in members
-    ]
+    fused_all: list = [None] * num_objects
+    if entries:
+        vecs = np.array([(g.category, *g.center, *g.extents, g.yaw)
+                         for g in states], dtype=float)
+        scores = np.array(scores, dtype=float)
+        label = np.array(labels)
+        # members[starts[c]:starts[c] + size[c]] are cluster c's detections
+        # in input order.
+        members = np.argsort(label, kind="stable")
+        size = np.bincount(label)
+        starts = np.cumsum(size) - size
+        for n in sorted(set(size.tolist())):
+            clusters = np.flatnonzero(size == n)
+            idx = members[starts[clusters, None] + np.arange(n)]
+            block = rule([[states[i] for i in row] for row in idx.tolist()],
+                         vecs[idx], scores[idx])
+            for c, obj in zip(clusters.tolist(), block):
+                fused_all[c] = obj
     pruned = prune_overlaps(fused_all, cfg.delta)
     return FusionResult(
         global_map=GlobalMap(frame_time, tuple(pruned)),
@@ -246,39 +324,21 @@ def three_stage_fuse(
     local_maps: Sequence[LocalMap], cfg: FusionConfig | None = None
 ) -> FusionResult:
     """Associate, score-weight-fuse and prune one frame of local maps."""
-    cfg = cfg or FusionConfig()
-    return _fuse_frame(
-        local_maps,
-        cfg,
-        lambda states, scores: fuse_cluster(
-            states, scores, compute_weights(scores)
-        ),
-    )
+    return _fuse_frame(local_maps, cfg or FusionConfig(), _weighted_rule)
 
 
 def baseline_mean_fuse(
     local_maps: Sequence[LocalMap], cfg: FusionConfig | None = None
 ) -> FusionResult:
     """Same pipeline with uniform weights within each cluster."""
-    return _fuse_frame(
-        local_maps,
-        cfg or FusionConfig(),
-        lambda states, scores: fuse_cluster(
-            states, scores, np.full(len(states), 1.0 / len(states))
-        ),
-    )
+    return _fuse_frame(local_maps, cfg or FusionConfig(), _mean_rule)
 
 
 def baseline_max_score_fuse(
     local_maps: Sequence[LocalMap], cfg: FusionConfig | None = None
 ) -> FusionResult:
     """Per cluster, keep only the single highest-scoring member verbatim."""
-
-    def keep_best(states, scores):
-        best = max(range(len(states)), key=lambda i: (scores[i], -i))
-        return states[best], float(scores[best])
-
-    return _fuse_frame(local_maps, cfg or FusionConfig(), keep_best)
+    return _fuse_frame(local_maps, cfg or FusionConfig(), _max_score_rule)
 
 
 # --- serialization -----------------------------------------------------------

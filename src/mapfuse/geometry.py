@@ -292,6 +292,41 @@ def clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, 0.5 * acc, 0.0)
 
 
+def _plane_fields(states: Sequence[ObjectState]) -> np.ndarray:
+    """Rows of x, y, l, w and the footprint's half-diagonal, shape (N, 5)."""
+    return np.array([(s.center[0], s.center[1], s.extents[0], s.extents[1],
+                      0.5 * math.hypot(s.extents[0], s.extents[1]))
+                     for s in states], dtype=float).reshape(-1, 5)
+
+
+def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """_footprint_overlap's circle test for every pair of field rows."""
+    dx = fa[:, 0, None] - fb[None, :, 0]
+    dy = fa[:, 1, None] - fb[None, :, 1]
+    dist2 = dx * dx + dy * dy
+    reach = fa[:, 4, None] + fb[None, :, 4]
+    reach2 = reach * reach
+    touch = ~(dist2 > reach2)
+    # _footprint_overlap squares with pow(), which can round reach ** 2 one
+    # ulp away from reach * reach: pairs that close take its exact test.
+    near = np.abs(dist2 - reach2) <= np.spacing(reach2)
+    for i, j in zip(*np.nonzero(near)):
+        touch[i, j] = not dist2[i, j] > float(reach[i, j]) ** 2
+    return touch
+
+
+def circle_prefilter(
+    a: Sequence[ObjectState], b: Sequence[ObjectState]
+) -> np.ndarray:
+    """Whether footprints a[i] and b[j] may overlap, shape (len(a), len(b)).
+
+    True exactly where iou_bev's circle test lets the pair through to the
+    clip: centers no farther apart than the sum of the half-diagonals.
+    Every other pair has IoU 0.
+    """
+    return _circles_touch(_plane_fields(a), _plane_fields(b))
+
+
 def iou_bev_matrix(
     a: Sequence[ObjectState], b: Sequence[ObjectState]
 ) -> np.ndarray:
@@ -303,26 +338,12 @@ def iou_bev_matrix(
     ious = np.zeros((len(a), len(b)))
     if not len(a) or not len(b):
         return ious
-    fields = [np.array([(s.center[0], s.center[1], s.extents[0],
-                         s.extents[1], 0.5 * math.hypot(*s.extents[:2]))
-                        for s in states]) for states in (a, b)]
-    (xa, ya, la, wa, ra), (xb, yb, lb, wb, rb) = (f.T for f in fields)
-    dx = xa[:, None] - xb[None, :]
-    dy = ya[:, None] - yb[None, :]
-    dist2 = dx * dx + dy * dy
-    reach = ra[:, None] + rb[None, :]
-    reach2 = reach * reach
-    touch = ~(dist2 > reach2)
-    # _footprint_overlap squares with pow(), which can round reach ** 2 one
-    # ulp away from reach * reach: pairs that close take its exact test.
-    near = np.abs(dist2 - reach2) <= np.spacing(reach2)
-    for i, j in zip(*np.nonzero(near)):
-        touch[i, j] = not dist2[i, j] > float(reach[i, j]) ** 2
-    ia, ib = np.nonzero(touch)
+    fa, fb = _plane_fields(a), _plane_fields(b)
+    ia, ib = np.nonzero(_circles_touch(fa, fb))
     inter = clip_areas(stacked_footprint_corners(a)[ia],
                        stacked_footprint_corners(b)[ib])
     inter = np.where(inter < 0.0, 0.0, inter)
-    area_a, area_b = (la * wa)[ia], (lb * wb)[ib]
+    area_a, area_b = (fa[:, 2] * fa[:, 3])[ia], (fb[:, 2] * fb[:, 3])[ib]
     union = area_a + area_b - inter
     iou = np.divide(inter, union, out=np.zeros_like(union),
                     where=union > 0.0)

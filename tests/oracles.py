@@ -22,10 +22,28 @@ from mapfuse.fedlearn import (
     _smooth_l1_grad,
     fedavg,
 )
-from mapfuse.geometry import _DEGENERATE_AREA, _footprint_overlap, angle_diff
+from mapfuse.geometry import (
+    _DEGENERATE_AREA,
+    ObjectState,
+    _footprint_overlap,
+    angle_diff,
+    iou_bev,
+    wrap_angle,
+)
+from mapfuse.fusion import _TINY, _sigmoid
 from mapfuse.simworld import OCCLUSION_RAYS, _corners
 
 ORACLE_MAX_POINTS = 200
+
+# Two 1.46 x 2.74 footprints whose bounding circles meet where pow() and a
+# product round one ulp apart: squared with pow(), as iou_bev's circle test
+# does, the center distance lies beyond the sum of the half-diagonals;
+# squared as reach * reach, it does not.
+POW_BOUNDARY_PAIR = (
+    ObjectState(0, (0.0, 0.0, 0.0), (1.46, 2.74, 1.0), 0.0),
+    ObjectState(0, (float.fromhex("0x1.8d670278e0d37p+1"), 0.0, 0.0),
+                (1.46, 2.74, 1.0), 0.0),
+)
 
 
 def _closure_partition(entries, cfg: ClusterConfig) -> list[int]:
@@ -66,6 +84,71 @@ def cluster_brute_force_oracle(detections, cfg: ClusterConfig):
         rep[lab] = min(rep.get(lab, (veh, idx)), (veh, idx))
     number = {lab: m for m, lab in enumerate(sorted(rep, key=rep.get))}
     return len(rep), [number[lab] for lab in labels]
+
+
+def compute_weights_reference(scores):
+    """Reference ``fusion.compute_weights``: one cluster's normalized
+    sigmoid weights, with the exp(s - max s) limit when even the largest
+    sigmoid is subnormal."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise ValueError("cluster must be non-empty")
+    raw = _sigmoid(scores)
+    if not raw.max() >= _TINY:
+        raw = np.exp(scores - scores.max())
+    return raw / raw.sum()
+
+
+def fuse_cluster_reference(states, scores, weights):
+    """Reference ``fusion.fuse_cluster``: one cluster at a time."""
+    w = np.asarray(weights, dtype=float)
+    vecs = np.stack([s.to_vector() for s in states])
+    cont = w @ vecs[:, 1:7]
+    ref = states[int(np.argmax(w))].yaw
+    yaws = np.array([
+        s.yaw if abs(angle_diff(s.yaw, ref)) <= math.pi / 2
+        else s.yaw + math.pi
+        for s in states
+    ])
+    sin_sum = float(w @ np.sin(yaws))
+    cos_sum = float(w @ np.cos(yaws))
+    if math.hypot(sin_sum, cos_sum) < 1e-12:
+        yaw = ref
+    else:
+        yaw = math.atan2(sin_sum, cos_sum)
+    votes = {}
+    for s, wi in zip(states, w):
+        votes[s.category] = votes.get(s.category, 0.0) + float(wi)
+    category = min(votes, key=lambda c: (-votes[c], c))
+    fused_score = float(w @ np.asarray(scores, dtype=float))
+    state = ObjectState(
+        category=category,
+        center=(cont[0], cont[1], cont[2]),
+        extents=(cont[3], cont[4], cont[5]),
+        yaw=wrap_angle(yaw),
+    )
+    return state, fused_score
+
+
+def max_score_reference(states, scores):
+    """Reference max-score rule: the highest-scoring member, ties to the
+    lowest index."""
+    best = max(range(len(states)), key=lambda i: (scores[i], -i))
+    return states[best], float(scores[best])
+
+
+def prune_overlaps_reference(objects, delta):
+    """Reference ``fusion.prune_overlaps``: every candidate against every
+    kept object with the scalar ``iou_bev``."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    order = sorted(range(len(objects)), key=lambda i: (-objects[i][1], i))
+    kept = []
+    for i in order:
+        state, score = objects[i]
+        if all(iou_bev(state, k[0]) <= delta for k in kept):
+            kept.append((state, score))
+    return kept
 
 
 def weighted_ls_objective(candidate, states, weights) -> float:

@@ -101,3 +101,41 @@ def test_every_detection_lands_in_exactly_one_cluster(seed):
     assert len(labels) == len(dets)
     # every label names a cluster, and every cluster is non-empty
     assert sorted(set(labels)) == list(range(m))
+
+
+def shuffled_keys(rng, n):
+    """n distinct (vehicle_id, index) keys in random order."""
+    keys = [(veh, idx) for veh in range(5) for idx in range(n)]
+    return [keys[i] for i in rng.permutation(len(keys))[:n]]
+
+
+def test_matches_oracle_on_a_shuffled_chain():
+    # Neighbours 1.9 m apart link 200 points into one chain whose ranks
+    # are in random order: the longest walk a smallest rank can take.
+    rng = np.random.default_rng(3)
+    keys = shuffled_keys(rng, ORACLE_MAX_POINTS)
+    dets = [det(veh, idx, 1.9 * k, 0.0) for k, (veh, idx) in enumerate(keys)]
+    cfg = ClusterConfig(eps=2.0)
+    # A gap of 2.1 m splits the chain in two.
+    split = [d if k < 120 else det(d[0], d[1], 1.9 * k + 0.2, 0.0)
+             for k, d in enumerate(dets)]
+    for case in (dets, split, dets[::-1]):
+        assert cluster_detections(case, cfg) == cluster_brute_force_oracle(
+            case, cfg)
+    assert cluster_detections(split, cfg)[0] == 2
+
+
+def test_matches_oracle_on_a_star():
+    # 199 points on a 1.9 m circle around a hub that has the largest key:
+    # rim points across the circle are linked only through the hub.
+    rng = np.random.default_rng(4)
+    keys = sorted(shuffled_keys(rng, ORACLE_MAX_POINTS))
+    angles = rng.permutation(ORACLE_MAX_POINTS - 1) * (
+        2 * np.pi / (ORACLE_MAX_POINTS - 1))
+    dets = [det(veh, idx, 1.9 * np.cos(a), 1.9 * np.sin(a))
+            for (veh, idx), a in zip(keys, angles)]
+    dets.append(det(*keys[-1], 0.0, 0.0))
+    cfg = ClusterConfig(eps=2.0)
+    assert cluster_detections(dets, cfg) == cluster_brute_force_oracle(
+        dets, cfg)
+    assert cluster_detections(dets, cfg)[0] == 1

@@ -382,11 +382,11 @@ def test_train_rejects_two_loss_coefficients_at_config_load(
 
 @pytest.mark.parametrize("window,status", [
     ([0.0, math.inf], 2),
-    # A finite end past the scenario selects no frames; it used to
-    # overflow converting the frame index.
-    ([1e307, 1e308], 0),
+    # A finite end past the scenario selects no frames: nothing to train
+    # or score.  It used to overflow converting the frame index.
+    ([1e307, 1e308], 2),
 ])
-def test_train_window_end_past_frame_index(tmp_path, window, status):
+def test_train_window_end_past_frame_index(tmp_path, capsys, window, status):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scenario": {"duration": 2.0, "num_objects": 10},
@@ -396,3 +396,41 @@ def test_train_window_end_past_frame_index(tmp_path, window, status):
                  "--out", str(tmp_path / "model.ckpt")]) == status
     assert main(["evaluate", "--config", str(cfg),
                  "--out", str(tmp_path / "report.json")]) == status
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_window_that_ends_with_the_scenario_leaves_nothing_to_score(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"duration": 2.0, "num_objects": 10},
+        "train": {"train_window": [0.0, 2.0], "max_rounds": 1},
+    }))
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "model.ckpt")]) == 0
+    capsys.readouterr()
+    for command in ("evaluate", "bench"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert "train.train_window [0.0, 2.0] selects no testing frames" in err
+        assert "of the scenario's 40" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_trained_methods_need_training_frames(tmp_path, capsys):
+    # A window shorter than half a frame holds no training frame; the
+    # untrained methods can still be scored on the frames after it.
+    payload = {"scenario": {"duration": 2.0, "num_objects": 10},
+               "train": {"train_window": [0.0, 0.02]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["bench", "--config", str(cfg), "--out",
+                 str(tmp_path / "report.json")]) == 2
+    assert "selects no training frames" in capsys.readouterr().err
+    payload["methods"] = ["local_no_fl", "fusion_mean"]
+    cfg.write_text(json.dumps(payload))
+    assert main(["evaluate", "--config", str(cfg), "--out",
+                 str(tmp_path / "report.json")]) == 0

@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mapfuse.association import ClusterConfig
 from mapfuse.fusion import (
     FusionConfig,
+    _fuse_block,
+    _max_score_rule,
+    _mean_rule,
+    _weighted_rule,
+    _weights,
     GlobalMap,
     LocalMap,
     ScoredDetection,
@@ -31,7 +36,15 @@ from mapfuse.geometry import (
     angle_diff,
     transform_to_global,
 )
-from oracles import cluster_brute_force_oracle, weighted_ls_objective
+from oracles import (
+    POW_BOUNDARY_PAIR,
+    cluster_brute_force_oracle,
+    compute_weights_reference,
+    fuse_cluster_reference,
+    max_score_reference,
+    prune_overlaps_reference,
+    weighted_ls_objective,
+)
 
 
 def box(x, y, yaw=0.0, l=4.0, w=2.0, h=1.5, z=0.75, cat=0):
@@ -158,6 +171,113 @@ def test_weighted_ls_optimality_small_perturbations():
                 assert weighted_ls_objective(other, states, w) > base
 
 
+def bits(fused):
+    """A fused (state, score) pair as hex floats, so that equal means
+    bit-identical (and -0.0 differs from 0.0)."""
+    state, score = fused
+    return (state.category, [v.hex() for v in
+                             (*state.center, *state.extents, state.yaw)],
+            float(score).hex())
+
+
+# Yaws at and next to the +-pi seam, where wrapping and flipping meet.
+seam_yaws = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), math.pi / 2, 0.0]),
+    st.floats(-math.pi, math.pi),
+)
+# Raw scores: ordinary, huge, and below -708 where every sigmoid is
+# subnormal or 0.
+raw_scores = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e4, 1e4),
+                       st.floats(-800.0, -708.0))
+
+
+@st.composite
+def size_groups(draw):
+    """G clusters of n members each: member lists, their (G, n, 8)
+    vectors and (G, n) scores, as _fuse_frame hands them to a rule."""
+    n = draw(st.integers(1, 12))
+    states, scores = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(seam_yaws)
+        members = []
+        for _ in range(n):
+            # About a third of the members are seen flipped by pi.
+            yaw = base + draw(st.floats(-0.2, 0.2))
+            if draw(st.integers(0, 2)) == 0:
+                yaw += math.pi
+            members.append(ObjectState(
+                draw(st.integers(0, 2)),
+                (draw(st.floats(-50, 50)), draw(st.floats(-50, 50)),
+                 draw(st.floats(0, 2))),
+                (draw(st.floats(0.5, 5)), draw(st.floats(0.5, 3)),
+                 draw(st.floats(0.5, 2))),
+                yaw,
+            ))
+        states.append(members)
+        kind = draw(st.sampled_from(["mixed", "subnormal", "tied"]))
+        if kind == "mixed":
+            row = [draw(raw_scores) for _ in range(n)]
+        elif kind == "subnormal":
+            row = [draw(st.floats(-800.0, -708.0)) for _ in range(n)]
+        else:
+            # One score for all and alternating categories: the vote ties.
+            row = [draw(st.floats(-5.0, 5.0))] * n
+            members[:] = [ObjectState(k % 2, m.center, m.extents, m.yaw)
+                          for k, m in enumerate(members)]
+        scores.append(row)
+    vecs = np.array([[m.to_vector() for m in members] for members in states])
+    return states, vecs, np.array(scores)
+
+
+@given(size_groups())
+@settings(max_examples=300, deadline=None)
+def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
+    states, vecs, scores = group
+    n = scores.shape[1]
+    weights = _weights(scores)
+    for members, row, got_w, weighted, mean, best in zip(
+            states, scores, weights, _weighted_rule(states, vecs, scores),
+            _mean_rule(states, vecs, scores),
+            _max_score_rule(states, vecs, scores)):
+        want_w = compute_weights_reference(row)
+        assert got_w.tobytes() == want_w.tobytes()
+        assert compute_weights(row).tobytes() == want_w.tobytes()
+        assert bits(weighted) == bits(
+            fuse_cluster_reference(members, row, want_w))
+        assert bits(fuse_cluster(members, row, want_w)) == bits(weighted)
+        assert bits(mean) == bits(
+            fuse_cluster_reference(members, row, np.full(n, 1.0 / n)))
+        want = max_score_reference(members, row.tolist())
+        assert best[0] is want[0]
+        assert bits(best) == bits(want)
+
+
+@given(size_groups(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_size_group_kernel_when_sin_and_cos_sums_cancel(group, data):
+    # Each member is followed by its half-size copy, the pair weighted +w
+    # and -w: the sin and cos sums cancel, so the fused yaw falls back to
+    # the dominant member's, while the extents stay positive.
+    states, _, scores = group
+    g, n = scores.shape
+    states = [[m for s in members for m in
+               (s, ObjectState(s.category, s.center,
+                               tuple(0.5 * e for e in s.extents), s.yaw))]
+              for members in states]
+    vecs = np.array([[m.to_vector() for m in members] for members in states])
+    scores = np.repeat(scores, 2, axis=1)
+    half = data.draw(st.lists(st.floats(0.1, 1.0), min_size=g * n,
+                              max_size=g * n))
+    weights = np.repeat(np.reshape(half, (g, n)), 2, axis=1)
+    weights[:, 1::2] *= -1.0
+    for members, row, w, got in zip(states, scores, weights,
+                                    _fuse_block(states, vecs, scores,
+                                                weights)):
+        want = fuse_cluster_reference(members, row, w)
+        assert bits(got) == bits(want)
+
+
 def test_prune_overlaps_keeps_highest_score():
     a = (box(0, 0), 3.0)
     b = (box(0.2, 0), 1.0)     # heavy overlap with a
@@ -174,6 +294,29 @@ def test_prune_overlaps_threshold_inclusive():
     assert len(prune_overlaps([a, b], delta=0.8)) == 2
     with pytest.raises(ValueError):
         prune_overlaps([a], delta=0.0)
+
+
+def crowded_frame(rng, n):
+    """n fused-looking boxes packed into a 30 m square, with tied scores."""
+    return [
+        (box(*rng.uniform(-15, 15, 2), yaw=rng.uniform(-math.pi, math.pi),
+             l=rng.uniform(0.5, 5), w=rng.uniform(0.5, 2.5),
+             cat=int(rng.integers(0, 3))),
+         float(rng.integers(-3, 4)) if rng.random() < 0.3
+         else float(rng.normal(0, 2)))
+        for _ in range(n)
+    ]
+
+
+def test_prune_overlaps_matches_the_scalar_loop_on_crowded_frames():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        objects = crowded_frame(rng, int(rng.integers(0, 60)))
+        objects += [(s, float(rng.normal())) for s in POW_BOUNDARY_PAIR]
+        objects = [objects[i] for i in rng.permutation(len(objects))]
+        delta = float(rng.uniform(0.01, 0.9))
+        assert prune_overlaps(objects, delta) == prune_overlaps_reference(
+            objects, delta)
 
 
 def test_three_stage_counts_and_alignment():

@@ -9,7 +9,9 @@ from mapfuse.geometry import (
     ObjectState,
     Pose,
     _polygon_area,
+    _footprint_overlap,
     angle_diff,
+    circle_prefilter,
     clip_areas,
     convex_clip,
     footprint_corners,
@@ -24,7 +26,7 @@ from mapfuse.orchestrator import default_benchmark_config
 from mapfuse.orchestrator import testing_frames as eval_window_frames
 from mapfuse.simworld import generate_scenario, sense
 
-from oracles import iou_3d
+from oracles import POW_BOUNDARY_PAIR, iou_3d
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)
 angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -269,10 +271,24 @@ def test_clip_areas_matches_convex_clip_beyond_eight_vertices():
         _polygon_area(poly) for poly in clipped]
 
 
+def test_circle_prefilter_squares_the_reach_as_iou_bev_does():
+    a, b = POW_BOUNDARY_PAIR
+    reach = 0.5 * math.hypot(1.46, 2.74) * 2.0
+    dist2 = b.center[0] * b.center[0]
+    # The pair lies between the two roundings of reach squared.
+    assert reach ** 2 < dist2 <= reach * reach
+    # iou_bev rejects it before clipping, and so does the prefilter.
+    assert _footprint_overlap(a, b)[0] == 0.0
+    assert circle_prefilter([a, b], [a, b]).tolist() == [[True, False],
+                                                          [False, True]]
+    assert iou_bev_matrix([a], [b]).tolist() == [[iou_bev(a, b)]]
+
+
 def test_batched_iou_of_empty_sets():
     one = [make_state(0, 0, 0, 1, 1, 1, 0)]
     assert iou_bev_matrix([], one).shape == (0, 1)
     assert iou_bev_matrix(one, []).shape == (1, 0)
+    assert circle_prefilter([], one).shape == (0, 1)
     assert stacked_footprint_corners([]).shape == (0, 4, 2)
     assert clip_areas(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)
 
