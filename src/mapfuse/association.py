@@ -47,9 +47,7 @@ def cluster_detections(
     n = len(detections)
     if not n:
         return 0, []
-    points = np.array(
-        [[e[2].center[0], e[2].center[1]] for e in detections], dtype=float
-    )
+    points = np.array([e[2].center[:2] for e in detections], dtype=float)
     diff = points[:, None, :] - points[None, :, :]
     neighbors = np.einsum("ijk,ijk->ij", diff, diff) <= cfg.eps * cfg.eps
     # Work in rank order of (vehicle_id, detection_index): each detection
@@ -57,7 +55,8 @@ def cluster_detections(
     # to its label's label, until nothing changes.  Labels only fall and
     # stay inside their component, so each ends at the component's
     # smallest rank; jumping keeps a long chain to a few passes.
-    order = np.array(sorted(range(n), key=lambda i: detections[i][:2]))
+    keys = [e[:2] for e in detections]
+    order = np.array(sorted(range(n), key=keys.__getitem__))
     linked = neighbors[order][:, order]
     label = np.arange(n)
     while True:

@@ -3,7 +3,9 @@
 Subcommands cover the whole pipeline: scenario generation, federated
 training, one-shot fusion of stored local maps, evaluation runs and the
 full benchmark.  Exit codes: 0 success, 1 usage error, 2 invalid
-configuration or input, 3 runtime failure.
+configuration or input (InputError, ConfigError, CodecError) or a file
+that cannot be opened, 3 any other failure, which is a fault in the
+program and prints its traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 
 from mapfuse.fedlearn import default_init_params, save_checkpoint
 from mapfuse.fusion import (
@@ -24,8 +27,10 @@ from mapfuse.fusion import (
 )
 from mapfuse.distill import run_edfl, run_perfect_fl
 from mapfuse.evalbench import EvalReport
+from mapfuse.geometry import InputError
 from mapfuse.orchestrator import (
     _PARAMS_OF,
+    CodecError,
     ConfigError,
     RunConfig,
     build_teacher_registry,
@@ -48,14 +53,22 @@ _FUSE_RULES = {
 }
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_config(args) -> RunConfig:
     payload = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}")
+        try:
+            payload = json.loads(_read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
     cfg = run_config_from_dict(payload)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -124,19 +137,19 @@ def _cmd_train(args) -> int:
 def _cmd_fuse(args) -> int:
     cfg = _load_config(args)
     local_maps = []
-    with open(args.input) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                local_maps.append(local_map_from_json(line))
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from None
+    for number, line in enumerate(_read_text(args.input).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            local_maps.append(local_map_from_json(line))
+        except InputError as exc:
+            raise InputError(f"line {number}: {exc}") from None
     if not local_maps:
-        raise ValueError("no local maps in input")
-    times = {lm.frame_time for lm in local_maps}
-    if len(times) != 1:
-        raise ValueError("local maps must all belong to one frame")
+        raise InputError("no local maps in input")
+    if len({lm.frame_time for lm in local_maps}) != 1:
+        raise InputError("local maps must all belong to one frame")
+    if len({lm.vehicle_id for lm in local_maps}) != len(local_maps):
+        raise InputError("local maps must have distinct vehicle ids")
     result = _FUSE_RULES[args.method](local_maps, cfg.fusion)
     if args.format == "kitti":
         text = "\n".join(global_map_to_kitti(result.global_map)) + "\n"
@@ -158,8 +171,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input) as fh:
-        report = EvalReport.from_json(fh.read())
+    report = EvalReport.from_json(_read_text(args.input))
     _write(args.out, report.to_radar_csv())
     return EXIT_OK
 
@@ -234,14 +246,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError, CodecError, bad JSON too
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (InputError, ConfigError, CodecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
         return EXIT_RUNTIME
 
 

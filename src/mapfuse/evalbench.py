@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mapfuse.fusion import _field
+from mapfuse.fusion import _field, _json_object
 from mapfuse.geometry import ObjectState, iou_bev_matrix
 from mapfuse.simworld import Scenario
 
@@ -305,12 +305,9 @@ class EvalReport:
         """Parse a report that ``to_json`` wrote.
 
         Every field's type is checked before it is used, so a malformed
-        report raises a ValueError that names the field.
+        report raises an InputError that names the field.
         """
-        payload = json.loads(text)
-        if type(payload) is not dict:
-            raise ValueError(
-                f"a report must be a JSON object, got {payload!r}")
+        payload = _json_object(text, "report")
         seed = _field(payload, "scenario_seed", "an integer")
         frames = _field(payload, "frames", "a list of integers")
         entries = _field(payload, "methods", "an object of objects")

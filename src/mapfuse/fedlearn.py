@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from mapfuse.geometry import ObjectState, wrap_angle
+from mapfuse.geometry import InputError, ObjectState, wrap_angle
 from mapfuse.fusion import ScoredDetection
 
 # Candidate feature layout.  Box fields are embedded raw so they stay
@@ -525,20 +525,25 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The parameters save_checkpoint wrote; an InputError if the file
+    holds anything else."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CHECKPOINT_HEADER.size:
-        raise ValueError("checkpoint truncated")
+        raise InputError("checkpoint truncated")
     magic, version, _, length = _CHECKPOINT_HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
+        raise InputError("bad checkpoint magic")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise InputError(f"unsupported checkpoint version {version}")
     expected = ModelSpec().num_params
     if length != expected:
-        raise ValueError(f"checkpoint holds {length} parameters, the model "
+        raise InputError(f"checkpoint holds {length} parameters, the model "
                          f"takes {expected}")
     body = blob[_CHECKPOINT_HEADER.size :]
     if len(body) != 8 * length:
-        raise ValueError("checkpoint length mismatch")
-    return ModelParams(np.frombuffer(body, dtype="<f8"))
+        raise InputError("checkpoint length mismatch")
+    try:
+        return ModelParams(np.frombuffer(body, dtype="<f8"))
+    except ValueError as exc:
+        raise InputError(f"checkpoint: {exc}") from None

@@ -13,22 +13,28 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from mapfuse.association import ClusterConfig, cluster_detections
 from mapfuse.geometry import (
+    InputError,
     ObjectState,
     Pose,
     circle_prefilter,
     iou_bev,
-    transform_to_global,
+    rows_to_global,
     wrap_angle,
+    wrap_angles,
 )
 
 CATEGORY_NAMES = {0: "Car", 1: "Pedestrian", 2: "Cyclist"}
+
+# Categories travel on the wire as uint16.
+MAX_CATEGORY = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -42,18 +48,204 @@ class ScoredDetection:
         if not math.isfinite(self.score):
             raise ValueError("score must be finite")
 
+    def __iter__(self):
+        return iter((self.state, self.score))
+
+
+class RowError(ValueError):
+    """A box row failed its check; ``row`` is the first such row."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+# A box row is (category, x, y, z, l, w, h, yaw, score).  Its bounds,
+# both exclusive: every field finite, extents positive, the category in
+# [0, MAX_CATEGORY] once it is known to be whole.
+_LOW = np.array([-1.0, *[-np.inf] * 3, 0.0, 0.0, 0.0, -np.inf, -np.inf])
+_HIGH = np.array([MAX_CATEGORY + 1.0, *[np.inf] * 8])
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise RowError at the first of the (N, 9) box rows that is not
+    valid."""
+    if (np.count_nonzero((rows > _LOW) & (rows < _HIGH)) == rows.size
+            and all(c.is_integer() for c in rows[:, 0].tolist())):
+        return
+    cat = rows[:, 0]
+    ok = ((rows > _LOW) & (rows < _HIGH)).all(axis=1) & (np.floor(cat) == cat)
+    row = int(ok.argmin())
+    fields = rows[row]
+    if not np.isfinite(fields).all():
+        reason = "fields must be finite"
+    elif not (fields[4:7] > 0.0).all():
+        reason = "extents must be strictly positive"
+    else:
+        reason = f"category must be an integer in [0, {MAX_CATEGORY}]"
+    raise RowError(row, reason)
+
+
+def _pair_rows(pairs) -> np.ndarray:
+    """The (N, 9) box rows of (state, score) pairs."""
+    return np.array([(s.category, *s.center, *s.extents, s.yaw, score)
+                     for s, score in pairs], dtype=float).reshape(-1, 9)
+
+
+def box_rows(boxes) -> np.ndarray:
+    """The (N, 9) box rows of a block, or of (state, score) pairs whose
+    categories are checked (ObjectState checks the other fields)."""
+    if isinstance(boxes, Boxes):
+        return boxes.rows
+    rows = _pair_rows(boxes)
+    for row, cat in enumerate(rows[:, 0].tolist()):
+        if not (cat.is_integer() and 0 <= cat <= MAX_CATEGORY):
+            raise RowError(
+                row, f"category must be an integer in [0, {MAX_CATEGORY}]")
+    return rows
+
+
+class Boxes(Sequence):
+    """An immutable sequence of ScoredDetection held as one read-only
+    (N, 9) array of rows (category, x, y, z, l, w, h, yaw, score);
+    ``vecs`` is its first eight columns and ``scores`` its last.
+
+    Every row is a valid box with a finite score and a category in
+    [0, MAX_CATEGORY], so any block can cross the wire.  ``Boxes(items)``
+    takes ScoredDetections or (state, score) pairs, which ObjectState has
+    checked already, and keeps them; their rows are made, and their
+    categories checked, when first read.  ``Boxes.from_rows`` checks rows
+    at once, and its items are made on first use.  A slice is a block.  A
+    block equals another block or sequence of pairs with the same rows.
+    """
+
+    __slots__ = ("_rows", "_items")
+
+    def __init__(self, items=()):
+        self._set(None, tuple(
+            d if isinstance(d, ScoredDetection) else ScoredDetection(*d)
+            for d in items))
+
+    def _set(self, rows, items):
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_items", items)
+
+    @classmethod
+    def _of(cls, rows, items=None) -> "Boxes":
+        """A block of read-only rows that are valid already."""
+        block = object.__new__(cls)
+        block._set(rows, items)
+        return block
+
+    @classmethod
+    def from_rows(cls, rows) -> "Boxes":
+        """A block of (N, 9) rows, checked once (see the class); the yaw
+        is wrapped.  Raises RowError at the first bad row."""
+        rows = np.array(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 9:
+            raise ValueError(f"expected (N, 9) rows, got {rows.shape}")
+        _check_rows(rows)
+        rows[:, 7] = wrap_angles(rows[:, 7])
+        rows.setflags(write=False)
+        return cls._of(rows)
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            rows = box_rows(self._items)
+            rows.setflags(write=False)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    @property
+    def vecs(self) -> np.ndarray:
+        return self.rows[:, :8]
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.rows[:, 8]
+
+    def _detections(self) -> tuple[ScoredDetection, ...]:
+        if self._items is None:
+            object.__setattr__(self, "_items", tuple(
+                ScoredDetection(ObjectState.from_row(row[:8]), row[8])
+                for row in self._rows.tolist()))
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._items if self._rows is None else self._rows)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            return self._detections()[i]
+        if self._rows is None:
+            return Boxes._of(None, self._items[i])
+        items = None if self._items is None else self._items[i]
+        return Boxes._of(self._rows[i], items)
+
+    def __iter__(self):
+        return iter(self._detections())
+
+    def __add__(self, other) -> "Boxes":
+        return Boxes((*self, *other))
+
+    def __eq__(self, other):
+        if isinstance(other, Boxes):
+            rows = other.rows
+        else:
+            try:
+                rows = _pair_rows(other)
+            except (TypeError, ValueError, AttributeError):
+                return NotImplemented
+        return np.array_equal(self.rows, rows)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0, which equals 0.0, into 0.0.
+        return hash((self.rows + 0.0).tobytes())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Boxes is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a block from its items.
+        return Boxes, (self._detections(),)
+
+    def __repr__(self) -> str:
+        return f"Boxes({self._detections()!r})"
+
 
 @dataclass(frozen=True)
 class LocalMap:
-    """One vehicle's detections for a frame, in its own coordinate frame."""
+    """One vehicle's detections for a frame, in its own coordinate frame.
+
+    Any sequence of ScoredDetections or (state, score) pairs is stored as
+    one Boxes block.
+    """
 
     vehicle_id: int
     frame_time: float
-    detections: tuple[ScoredDetection, ...]
+    detections: Boxes
     pose: Pose
 
     def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
+        if not isinstance(self.detections, Boxes):
+            object.__setattr__(self, "detections", Boxes(self.detections))
+
+
+def frame_boxes(local_maps: Sequence[LocalMap]) -> Boxes:
+    """Every map's boxes in the global frame as one block, map after map
+    (geometry.rows_to_global under each map's pose)."""
+    if not local_maps:
+        return Boxes()
+    blocks = [lm.detections for lm in local_maps]
+    rows = rows_to_global(np.concatenate([b.rows for b in blocks]),
+                          [lm.pose for lm in local_maps],
+                          [len(b) for b in blocks])
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
+        raise ValueError("a box leaves the finite range in the global frame")
+    rows.setflags(write=False)
+    return Boxes._of(rows)
 
 
 @dataclass(frozen=True)
@@ -134,15 +326,14 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _fuse_block(
-    states: Sequence[Sequence[ObjectState]],
     vecs: np.ndarray,
     scores: np.ndarray,
     weights: np.ndarray,
 ) -> list[tuple[ObjectState, float]]:
     """Fuse G clusters of n members each under (G, n) normalized weights.
 
-    ``states`` holds each cluster's members, ``vecs`` their (G, n, 8)
-    vectors (``ObjectState.to_vector``) and ``scores`` their raw scores.
+    ``vecs`` holds the members' (G, n, 8) rows (``ObjectState.to_vector``)
+    and ``scores`` their raw scores.
     Continuous fields are the weighted mean of the members (the minimizer
     of the weighted least-squares objective); yaw uses a weighted circular
     mean; the category is a weighted vote; the fused score is the
@@ -162,9 +353,10 @@ def _fuse_block(
     cos_sum = _weighted_sum(w, np.cos(yaws)).tolist()
     fused_score = _weighted_sum(w, scores).tolist()
     ref = ref.tolist()
+    categories = vecs[:, :, 0].astype(int).tolist()
 
     fused = []
-    for g, (members, row) in enumerate(zip(states, w.tolist())):
+    for g, (members, row) in enumerate(zip(categories, w.tolist())):
         if math.hypot(sin_sum[g], cos_sum[g]) < 1e-12:
             yaw = ref[g]
         else:
@@ -172,31 +364,30 @@ def _fuse_block(
         # Category by weighted vote; ties by higher total weight then
         # lower id.
         votes: dict[int, float] = {}
-        for s, wi in zip(members, row):
-            votes[s.category] = votes.get(s.category, 0.0) + wi
+        for c, wi in zip(members, row):
+            votes[c] = votes.get(c, 0.0) + wi
         category = min(votes, key=lambda c: (-votes[c], c))
         x, y, z, l, wd, h = cont[g]
-        fused.append((
-            ObjectState(category=category, center=(x, y, z),
-                        extents=(l, wd, h), yaw=wrap_angle(yaw)),
-            fused_score[g],
-        ))
+        fused.append((ObjectState(category, (x, y, z), (l, wd, h),
+                                  wrap_angle(yaw)), fused_score[g]))
     return fused
 
 
-def _weighted_rule(states, vecs, scores):
-    return _fuse_block(states, vecs, scores, _weights(scores))
+def _weighted_rule(vecs, scores):
+    return _fuse_block(vecs, scores, _weights(scores))
 
 
-def _mean_rule(states, vecs, scores):
+def _mean_rule(vecs, scores):
     g, n = scores.shape
-    return _fuse_block(states, vecs, scores, np.full((g, n), 1.0 / n))
+    return _fuse_block(vecs, scores, np.full((g, n), 1.0 / n))
 
 
-def _max_score_rule(states, vecs, scores):
+def _max_score_rule(vecs, scores):
     # argmax keeps the first of tied maxima: the lowest member index.
-    return [(members[b], float(row[b]))
-            for members, row, b in zip(states, scores, scores.argmax(axis=1))]
+    g = np.arange(len(scores))
+    best = scores.argmax(axis=1)
+    return [(ObjectState.from_row(row), score) for row, score
+            in zip(vecs[g, best].tolist(), scores[g, best].tolist())]
 
 
 def compute_weights(scores: Sequence[float]) -> np.ndarray:
@@ -216,7 +407,6 @@ def fuse_cluster(
     """Fuse one cluster of global-frame states under normalized weights
     (see :func:`_fuse_block`)."""
     return _fuse_block(
-        [states],
         np.stack([s.to_vector() for s in states])[None],
         np.asarray(scores, dtype=float).reshape(1, -1),
         np.asarray(weights, dtype=float).reshape(1, -1),
@@ -251,19 +441,27 @@ def prune_overlaps(
     return [objects[i] for i in kept]
 
 
+class _Center:
+    """A row's ground-plane center, all that cluster_detections reads."""
+
+    __slots__ = ("center",)
+
+    def __init__(self, center):
+        self.center = center
+
+
 def _fuse_frame(
     local_maps: Sequence[LocalMap],
     cfg: FusionConfig,
-    rule: Callable[[list[list[ObjectState]], np.ndarray, np.ndarray],
-                   list[tuple[ObjectState, float]]],
+    rule: Callable[[np.ndarray, np.ndarray], list[tuple[ObjectState, float]]],
 ) -> FusionResult:
     """Associate, fuse the clusters, and prune.
 
-    Clusters go to ``rule(states, vecs, scores)`` one size group at a
-    time: the G clusters with n members each as G member lists, their
-    (G, n, 8) vectors and (G, n) scores, members in vehicle order, then
-    detection order.  The maps are taken in vehicle-id order, so the
-    result does not depend on the order in which they arrive.
+    Clusters go to ``rule(vecs, scores)`` one size group at a time: the
+    G clusters with n members each as their (G, n, 8) global-frame rows
+    and (G, n) scores, members in vehicle order, then detection order.
+    The maps are taken in vehicle-id order, so the result does not depend
+    on the order in which they arrive.
     """
     if not local_maps:
         return FusionResult(GlobalMap(0.0, ()), {}, [])
@@ -277,16 +475,14 @@ def _fuse_frame(
     if any(lm.frame_time != frame_time for lm in local_maps):
         raise ValueError("local maps must share a frame time")
 
-    entries = []
-    scores = []
-    for lm in local_maps:
-        for n, det in enumerate(lm.detections):
-            entries.append(
-                (lm.vehicle_id, n, transform_to_global(det.state, lm.pose)))
-            scores.append(det.score)
-    num_objects, labels = cluster_detections(entries, cfg.cluster)
+    rows = frame_boxes(local_maps).rows
+    vecs, scores = rows[:, :8], rows[:, 8]
+    keys = [(lm.vehicle_id, n) for lm in local_maps
+            for n in range(len(lm.detections))]
+    num_objects, labels = cluster_detections(
+        [(v, n, _Center(c)) for (v, n), c in zip(keys, vecs[:, 1:3].tolist())],
+        cfg.cluster)
 
-    states = [g for _, _, g in entries]
     vehicle_labels = {}
     start = 0
     for lm in local_maps:
@@ -295,10 +491,7 @@ def _fuse_frame(
         start = end
 
     fused_all: list = [None] * num_objects
-    if entries:
-        vecs = np.array([(g.category, *g.center, *g.extents, g.yaw)
-                         for g in states], dtype=float)
-        scores = np.array(scores, dtype=float)
+    if keys:
         label = np.array(labels)
         # members[starts[c]:starts[c] + size[c]] are cluster c's detections
         # in input order.
@@ -308,9 +501,8 @@ def _fuse_frame(
         for n in sorted(set(size.tolist())):
             clusters = np.flatnonzero(size == n)
             idx = members[starts[clusters, None] + np.arange(n)]
-            block = rule([[states[i] for i in row] for row in idx.tolist()],
-                         vecs[idx], scores[idx])
-            for c, obj in zip(clusters.tolist(), block):
+            for c, obj in zip(clusters.tolist(),
+                              rule(vecs[idx], scores[idx])):
                 fused_all[c] = obj
     pruned = prune_overlaps(fused_all, cfg.delta)
     return FusionResult(
@@ -381,23 +573,39 @@ _KINDS = {
 }
 
 
+def _json_object(text: str, what: str) -> dict:
+    """text parsed as one JSON object, else an InputError."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"a {what} must be valid JSON: {exc}") from None
+    if type(record) is not dict:
+        raise InputError(f"a {what} must be a JSON object, got {record!r}")
+    return record
+
+
 def _field(record: dict, key: str, kind: str, where: str = ""):
-    """record[key] if it is of the named kind, else a ValueError naming it."""
+    """record[key] if it is of the named kind, else an InputError naming
+    it."""
     name = f"{where}.{key}" if where else key
     if key not in record:
-        raise ValueError(f"missing field {name!r}")
+        raise InputError(f"missing field {name!r}")
     if not _KINDS[kind](record[key]):
-        raise ValueError(f"field {name!r} must be {kind}, got {record[key]!r}")
+        raise InputError(f"field {name!r} must be {kind}, got {record[key]!r}")
     return record[key]
 
 
 def _state_from_dict(d: dict, where: str) -> ObjectState:
-    return ObjectState(
-        category=_field(d, "category", "an integer", where),
-        center=tuple(_field(d, "center", "a list of finite numbers", where)),
-        extents=tuple(_field(d, "extents", "a list of finite numbers", where)),
-        yaw=_field(d, "yaw", "a finite number", where),
+    fields = (
+        _field(d, "category", "an integer", where),
+        tuple(_field(d, "center", "a list of finite numbers", where)),
+        tuple(_field(d, "extents", "a list of finite numbers", where)),
+        _field(d, "yaw", "a finite number", where),
     )
+    try:
+        return ObjectState(*fields)
+    except ValueError as exc:
+        raise InputError(f"field {where!r}: {exc}") from None
 
 
 def _scored_from_dict(d: dict, where: str) -> tuple[ObjectState, float]:
@@ -420,11 +628,9 @@ def global_map_to_json(gmap: GlobalMap) -> str:
 
 
 def global_map_from_json(line: str) -> GlobalMap:
-    """Parse one fused-frame record, naming the first malformed field."""
-    record = json.loads(line)
-    if type(record) is not dict:
-        raise ValueError(
-            f"a global map must be a JSON object, got {record!r}")
+    """Parse one fused-frame record; an InputError names the first
+    malformed field."""
+    record = _json_object(line, "global map")
     frame_time = float(_field(record, "frame_time", "a finite number"))
     objects = tuple(
         _scored_from_dict(o, f"objects[{n}]")
@@ -469,23 +675,25 @@ def local_map_from_json(line: str) -> LocalMap:
     """Parse one local-map record.
 
     Every field's type is checked before it is used, so a malformed record
-    raises a ValueError that names the field.
+    raises an InputError that names the field.
     """
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError(f"a local map must be a JSON object, got {record!r}")
+    record = _json_object(line, "local map")
     vehicle_id = _field(record, "vehicle_id", "an integer")
     frame_time = float(_field(record, "frame_time", "a finite number"))
     pose = _field(record, "pose", "an object")
     position = _field(pose, "position", "a list of finite numbers", "pose")
     heading = _field(pose, "heading", "a finite number", "pose")
     detections = _field(record, "detections", "a list of objects")
-    return LocalMap(
-        vehicle_id=vehicle_id,
-        frame_time=frame_time,
-        detections=tuple(
-            ScoredDetection(*_scored_from_dict(d, f"detections[{n}]"))
-            for n, d in enumerate(detections)
-        ),
-        pose=Pose(position=tuple(position), heading=heading),
-    )
+    try:
+        pose = Pose(position=tuple(position), heading=heading)
+    except ValueError as exc:
+        raise InputError(f"field 'pose': {exc}") from None
+    pairs = [_scored_from_dict(d, f"detections[{n}]")
+             for n, d in enumerate(detections)]
+    boxes = Boxes(pairs)
+    try:
+        boxes.rows   # checks the categories, which must fit the wire
+    except RowError as exc:
+        raise InputError(
+            f"field 'detections[{exc.row}]': {exc.reason}") from None
+    return LocalMap(vehicle_id, frame_time, boxes, pose)

@@ -20,8 +20,18 @@ _TWO_PI = 2.0 * math.pi
 _DEGENERATE_AREA = 1e-12
 
 
+class InputError(ValueError):
+    """Malformed input from outside the program: a file, one of its
+    records, or a setting that no scenario can meet."""
+
+
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to the half-open interval [-pi, pi)."""
+    return (theta + math.pi) % _TWO_PI - math.pi
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle of every element; numpy's % rounds as Python's does."""
     return (theta + math.pi) % _TWO_PI - math.pi
 
 
@@ -64,6 +74,18 @@ class ObjectState:
         return np.array(
             [float(self.category), *self.center, *self.extents, self.yaw]
         )
+
+    @classmethod
+    def from_row(cls, row: Sequence[float]) -> "ObjectState":
+        """The state of a checked row (category, x, y, z, l, w, h, yaw)
+        whose yaw is already wrapped.
+
+        The yaw is kept as it is: a second wrap maps pi to -pi.
+        """
+        cat, x, y, z, l, w, h, yaw = row
+        obj = cls(int(cat), (x, y, z), (l, w, h), yaw)
+        object.__setattr__(obj, "yaw", float(yaw))
+        return obj
 
     @classmethod
     def from_vector(cls, v) -> "ObjectState":
@@ -110,6 +132,32 @@ def transform_to_global(obj: ObjectState, pose: Pose) -> ObjectState:
         extents=obj.extents,
         yaw=obj.yaw + pose.heading,
     )
+
+
+def rows_to_global(
+    vecs: np.ndarray, poses: Sequence[Pose], counts: Sequence[int]
+) -> np.ndarray:
+    """transform_to_global on rows (category, x, y, z, l, w, h, yaw, ...);
+    any further columns are copied as they are.
+
+    The first counts[0] rows are under poses[0], the next counts[1] under
+    poses[1], and so on.  cos and sin come from math per pose and every
+    other step is the scalar function's, so the rows are bit-identical to
+    its states, -0.0 turned +0.0 by the added position included.
+    """
+    # Per row: (c, s), (-s, c), the position and the heading.
+    pose = np.repeat(np.reshape([
+        (c, s, -s, c, *p.position, p.heading) for p in poses
+        for c, s in [(math.cos(p.heading), math.sin(p.heading))]
+    ], (-1, 8)), counts, axis=0)
+    out = np.array(vecs, dtype=float)
+    # x (c, s) + y (-s, c) + (px, py) is (c x - s y + px, s x + c y + py)
+    # to the bit: y (-s) is -(s y) exactly, and adding it subtracts s y.
+    out[:, 1:3] = (vecs[:, 1:2] * pose[:, 0:2] + vecs[:, 2:3] * pose[:, 2:4]
+                   + pose[:, 4:6])
+    out[:, 3] += pose[:, 6]
+    out[:, 7] = wrap_angles(vecs[:, 7] + pose[:, 7])
+    return out
 
 
 def transform_to_local(obj: ObjectState, pose: Pose) -> ObjectState:
@@ -324,7 +372,8 @@ def circle_prefilter(
     clip: centers no farther apart than the sum of the half-diagonals.
     Every other pair has IoU 0.
     """
-    return _circles_touch(_plane_fields(a), _plane_fields(b))
+    fa = _plane_fields(a)
+    return _circles_touch(fa, fa if b is a else _plane_fields(b))
 
 
 def iou_bev_matrix(

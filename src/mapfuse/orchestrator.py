@@ -13,10 +13,13 @@ import dataclasses
 import enum
 import math
 import numbers
+import operator
 import struct
 import typing
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from mapfuse.distill import (
     RoadSideUnit,
@@ -40,15 +43,18 @@ from mapfuse.fedlearn import (
     predict,
 )
 from mapfuse.fusion import (
+    Boxes,
     FusionConfig,
     LocalMap,
     GlobalMap,
-    ScoredDetection,
+    RowError,
     baseline_max_score_fuse,
     baseline_mean_fuse,
+    box_rows,
+    frame_boxes,
     three_stage_fuse,
 )
-from mapfuse.geometry import IDENTITY_POSE, ObjectState, transform_to_global
+from mapfuse.geometry import IDENTITY_POSE, transform_to_global
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     Scenario,
@@ -92,70 +98,98 @@ class MessageKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class V2xMessage:
-    """One V2X message: its payload is a tuple of entries whose form is
-    set by the kind (see _ENTRIES)."""
+    """One V2X message: its payload is a sequence of entries whose form
+    is set by the kind (see _ENTRIES)."""
 
     kind: MessageKind
     sender: int
     receiver: int
-    payload: tuple
+    payload: Sequence
 
 
-def _scored_fields(entry):
-    state, score = entry
-    return (state.category, *state.center, *state.extents, state.yaw, score)
+# Entry layouts, byte-equal to the packed structs "<H8d", "<IH7d" and "<d".
+_BOX = np.dtype([("cat", "<u2"), ("f", "<f8", (8,))])   # box fields, score
+_LABEL = np.dtype([("idx", "<u4"), ("cat", "<u2"), ("f", "<f8", (7,))])
+_PARAMETER = np.dtype("<f8")
+# A box entry with its category as a float64: one Boxes row.  Casts
+# between it and _BOX go field by field.
+_ROW = np.dtype([("cat", "<f8"), ("f", "<f8", (8,))])
 
 
-def _scored(cat, x, y, z, l, w, h, yaw, score):
-    if not math.isfinite(score):
-        raise ValueError("score must be finite")
-    return ObjectState(cat, (x, y, z), (l, w, h), yaw), score
+def _pack_boxes(payload) -> np.ndarray:
+    # Every row's category is a whole number in the uint16 range.
+    return box_rows(payload).view(_ROW)[:, 0].astype(_BOX)
 
 
-def _parameter(value):
-    if not math.isfinite(value):
-        raise ValueError("parameter must be finite")
-    return value
+def _unpack_boxes(entries: np.ndarray) -> Boxes:
+    return Boxes.from_rows(entries.astype(_ROW).view((np.float64, 9)))
 
 
-def _label_fields(entry):
-    idx, state = entry
-    return (idx, state.category, *state.center, *state.extents, state.yaw)
+def _pack_labels(payload) -> np.ndarray:
+    payload = tuple(payload)
+    # operator.index takes integers only, as the "<I" struct field did.
+    idx = [operator.index(i) for i, _ in payload]
+    if not all(0 <= i <= 0xFFFFFFFF for i in idx):
+        raise ValueError("detection index must lie in [0, 2**32 - 1]")
+    rows = box_rows([(s, 0.0) for _, s in payload])
+    entries = np.empty(len(idx), _LABEL)
+    entries["idx"] = idx
+    entries["cat"] = rows[:, 0]
+    entries["f"] = rows[:, 1:8]
+    return entries
 
 
-def _label(idx, cat, x, y, z, l, w, h, yaw):
-    return idx, ObjectState(cat, (x, y, z), (l, w, h), yaw)
+def _unpack_labels(entries: np.ndarray) -> tuple:
+    rows = np.zeros((len(entries), 9))
+    rows[:, 0] = entries["cat"]
+    rows[:, 1:8] = entries["f"]
+    boxes = Boxes.from_rows(rows)
+    return tuple(zip(entries["idx"].tolist(), (d.state for d in boxes)))
 
 
-_SCORED = struct.Struct("<H8d")   # category + box fields + score
-_PARAMETER = (struct.Struct("<d"), "parameter", lambda v: (v,), _parameter)
+def _pack_parameters(payload) -> np.ndarray:
+    if not all(isinstance(v, numbers.Real) for v in payload):
+        raise ValueError("parameters must be real numbers")
+    return np.array(payload, dtype=_PARAMETER).reshape(-1)
 
-# kind -> (entry struct, entry name in CodecError texts, entry -> struct
-# fields, struct fields -> entry, raising ValueError on an invalid one).
-# Upload and broadcast entries are (ObjectState, score) pairs, parameter
-# entries floats, label entries (detection index, ObjectState) pairs.
+
+def _unpack_parameters(entries: np.ndarray) -> tuple:
+    finite = np.isfinite(entries)
+    if not finite.all():
+        raise RowError(int(finite.argmin()), "parameter must be finite")
+    return tuple(entries.tolist())
+
+
+_PARAMETERS = (_PARAMETER, "parameter", _pack_parameters, _unpack_parameters)
+
+# kind -> (entry dtype, entry name in CodecError texts, payload -> entry
+# array, raising ValueError on a bad entry, and entry array -> payload,
+# raising RowError at the first invalid entry).  Upload and broadcast
+# payloads are Boxes blocks or sequences of (ObjectState, score) pairs and
+# decode to a block; parameter entries are floats, label entries
+# (detection index, ObjectState) pairs.
 _ENTRIES = {
     MessageKind.LOCAL_MAP_UPLOAD: (
-        _SCORED, "detection entry", _scored_fields, _scored),
+        _BOX, "detection entry", _pack_boxes, _unpack_boxes),
     MessageKind.GLOBAL_MAP_BROADCAST: (
-        _SCORED, "object entry", _scored_fields, _scored),
-    MessageKind.PARAMS_UPLOAD: _PARAMETER,
-    MessageKind.PARAMS_BROADCAST: _PARAMETER,
+        _BOX, "object entry", _pack_boxes, _unpack_boxes),
+    MessageKind.PARAMS_UPLOAD: _PARAMETERS,
+    MessageKind.PARAMS_BROADCAST: _PARAMETERS,
     MessageKind.LABEL_BROADCAST: (
-        struct.Struct("<IH7d"), "label entry", _label_fields, _label),
+        _LABEL, "label entry", _pack_labels, _unpack_labels),
 }
 
 
 def encode_message(msg: V2xMessage) -> bytes:
     kind = MessageKind(msg.kind)
-    layout, name, fields, _ = _ENTRIES[kind]
+    _, name, pack, _ = _ENTRIES[kind]
     try:
-        entries = [layout.pack(*fields(e)) for e in msg.payload]
-    except (struct.error, TypeError, ValueError, AttributeError) as exc:
+        entries = pack(msg.payload)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"bad {name} in {kind.name} payload: {exc}") from None
     return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind, msg.sender,
                          msg.receiver)
-            + _COUNT.pack(len(entries)) + b"".join(entries))
+            + _COUNT.pack(len(entries)) + entries.tobytes())
 
 
 def _require(blob: bytes, offset: int, size: int, what: str) -> None:
@@ -179,20 +213,24 @@ def decode_message(blob: bytes) -> V2xMessage:
     (count,) = _COUNT.unpack_from(blob, offset)
     offset += _COUNT.size
 
-    layout, name, _, build = _ENTRIES[kind]
-    entries = []
-    for _ in range(count):
-        _require(blob, offset, layout.size, name)
-        try:
-            entries.append(build(*layout.unpack_from(blob, offset)))
-        except ValueError as exc:
-            raise CodecError(
-                f"invalid {name} at offset {offset}: {exc}") from None
-        offset += layout.size
-    if offset != len(blob):
-        raise CodecError(f"trailing bytes at offset {offset}")
+    layout, name, _, unpack = _ENTRIES[kind]
+    size = layout.itemsize
+    # Only the entries the blob holds in full are read, so a huge count
+    # on a short blob allocates nothing.  The entries before a truncated
+    # one are checked first, as a reader going entry by entry would.
+    whole = min(count, (len(blob) - offset) // size)
+    try:
+        payload = unpack(np.frombuffer(blob, layout, whole, offset))
+    except RowError as exc:
+        raise CodecError(f"invalid {name} at offset "
+                         f"{offset + exc.row * size}: {exc.reason}") from None
+    if whole < count:
+        raise CodecError(f"truncated {name} at offset {offset + whole * size}")
+    end = offset + count * size
+    if end != len(blob):
+        raise CodecError(f"trailing bytes at offset {end}")
     return V2xMessage(kind=kind, sender=sender, receiver=receiver,
-                      payload=tuple(entries))
+                      payload=payload)
 
 
 @dataclass
@@ -226,9 +264,10 @@ def run_frame(
 ) -> tuple[GlobalMap, int]:
     """One sensing / upload / fuse / broadcast cycle.
 
-    All vehicle detections cross the wire as global-frame payloads; the
-    server reassembles them under an identity pose, so no pose exchange
-    is needed.  Returns the broadcast map and the bytes this frame moved,
+    All vehicle detections cross the wire as global-frame payloads, moved
+    into that frame by one row transform for the whole frame; the server
+    reassembles them under an identity pose, so no pose exchange is
+    needed.  Returns the broadcast map and the bytes this frame moved,
     which are also recorded in ledger when one is given.
     If local_maps is given the sensing and refinement steps are skipped;
     that lets several methods share one set of measurements.
@@ -246,18 +285,19 @@ def run_frame(
     moved = 0
     server_maps = []
     frame_time = scenario.frame_time(frame)
+    uploads = frame_boxes(local_maps)
+    end = 0
     for lm in local_maps:
-        upload = tuple((transform_to_global(d.state, lm.pose), d.score)
-                       for d in lm.detections)
+        start, end = end, end + len(lm.detections)
         wire = encode_message(V2xMessage(
-            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
+            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID,
+            uploads[start:end]))
         ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wire))
         moved += len(wire)
         server_maps.append(LocalMap(
             vehicle_id=lm.vehicle_id,
             frame_time=frame_time,
-            detections=tuple(ScoredDetection(s, score) for s, score
-                             in decode_message(wire).payload),
+            detections=decode_message(wire).payload,
             pose=IDENTITY_POSE,
         ))
 

@@ -19,6 +19,7 @@ from mapfuse import fedlearn
 from mapfuse.fedlearn import FEATURE_DIM, SensorFrame
 from mapfuse.fusion import LocalMap, ScoredDetection
 from mapfuse.geometry import (
+    InputError,
     ObjectState,
     Pose,
     transform_to_local,
@@ -373,7 +374,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 platoon_tail = s0
             break
         else:
-            raise ValueError(
+            raise InputError(
                 "could not place all objects; the configured arena is too "
                 "crowded for the requested object count"
             )

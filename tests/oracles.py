@@ -1,6 +1,7 @@
 """Slow reference implementations that the tests check mapfuse against."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -24,13 +25,31 @@ from mapfuse.fedlearn import (
 )
 from mapfuse.geometry import (
     _DEGENERATE_AREA,
+    IDENTITY_POSE,
     ObjectState,
     _footprint_overlap,
     angle_diff,
     iou_bev,
+    transform_to_global,
     wrap_angle,
 )
-from mapfuse.fusion import _TINY, _sigmoid
+from mapfuse.fusion import (
+    _TINY,
+    FusionResult,
+    GlobalMap,
+    LocalMap,
+    ScoredDetection,
+    _sigmoid,
+)
+from mapfuse.orchestrator import (
+    BROADCAST_ID,
+    MESSAGE_MAGIC,
+    MESSAGE_VERSION,
+    SERVER_ID,
+    CodecError,
+    MessageKind,
+    V2xMessage,
+)
 from mapfuse.simworld import OCCLUSION_RAYS, _corners
 
 ORACLE_MAX_POINTS = 200
@@ -589,3 +608,178 @@ class SliceAccumulator:
 
     def results(self):
         return {name: acc.result() for name, acc in self.slices.items()}
+
+
+# --- the wire codec, one struct per entry ---------------------------------
+
+
+def _scored_fields(entry):
+    state, score = entry
+    return (state.category, *state.center, *state.extents, state.yaw, score)
+
+
+def _scored(cat, x, y, z, l, w, h, yaw, score):
+    if not math.isfinite(score):
+        raise ValueError("score must be finite")
+    return ObjectState(cat, (x, y, z), (l, w, h), yaw), score
+
+
+def _parameter(value):
+    if not math.isfinite(value):
+        raise ValueError("parameter must be finite")
+    return value
+
+
+def _label_fields(entry):
+    idx, state = entry
+    return (idx, state.category, *state.center, *state.extents, state.yaw)
+
+
+def _label(idx, cat, x, y, z, l, w, h, yaw):
+    return idx, ObjectState(cat, (x, y, z), (l, w, h), yaw)
+
+
+_HEADER = struct.Struct("<4sHHII")
+_COUNT = struct.Struct("<I")
+_SCORED = struct.Struct("<H8d")
+_PARAMETER = (struct.Struct("<d"), "parameter", lambda v: (v,), _parameter)
+_STRUCT_ENTRIES = {
+    MessageKind.LOCAL_MAP_UPLOAD: (
+        _SCORED, "detection entry", _scored_fields, _scored),
+    MessageKind.GLOBAL_MAP_BROADCAST: (
+        _SCORED, "object entry", _scored_fields, _scored),
+    MessageKind.PARAMS_UPLOAD: _PARAMETER,
+    MessageKind.PARAMS_BROADCAST: _PARAMETER,
+    MessageKind.LABEL_BROADCAST: (
+        struct.Struct("<IH7d"), "label entry", _label_fields, _label),
+}
+
+
+def struct_encode_message(msg):
+    """Reference ``orchestrator.encode_message``: one struct per entry."""
+    kind = MessageKind(msg.kind)
+    layout, name, fields, _ = _STRUCT_ENTRIES[kind]
+    try:
+        entries = [layout.pack(*fields(e)) for e in msg.payload]
+    except (struct.error, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"bad {name} in {kind.name} payload: {exc}") from None
+    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind, msg.sender,
+                         msg.receiver)
+            + _COUNT.pack(len(entries)) + b"".join(entries))
+
+
+def _require(blob, offset, size, what):
+    if len(blob) < offset + size:
+        raise CodecError(f"truncated {what} at offset {offset}")
+
+
+def struct_decode_message(blob):
+    """Reference ``orchestrator.decode_message``: entry by entry, each
+    validated as it is read; box payloads are tuples of pairs."""
+    _require(blob, 0, _HEADER.size, "header")
+    magic, version, kind_raw, sender, receiver = _HEADER.unpack_from(blob, 0)
+    if magic != MESSAGE_MAGIC:
+        raise CodecError("bad magic at offset 0")
+    if version != MESSAGE_VERSION:
+        raise CodecError("unsupported version at offset 4")
+    try:
+        kind = MessageKind(kind_raw)
+    except ValueError:
+        raise CodecError("unknown message kind at offset 6") from None
+    offset = _HEADER.size
+    _require(blob, offset, _COUNT.size, "count")
+    (count,) = _COUNT.unpack_from(blob, offset)
+    offset += _COUNT.size
+    layout, name, _, build = _STRUCT_ENTRIES[kind]
+    entries = []
+    for _ in range(count):
+        _require(blob, offset, layout.size, name)
+        try:
+            entries.append(build(*layout.unpack_from(blob, offset)))
+        except ValueError as exc:
+            raise CodecError(
+                f"invalid {name} at offset {offset}: {exc}") from None
+        offset += layout.size
+    if offset != len(blob):
+        raise CodecError(f"trailing bytes at offset {offset}")
+    return V2xMessage(kind=kind, sender=sender, receiver=receiver,
+                      payload=tuple(entries))
+
+
+# --- the edge server, one detection at a time ------------------------------
+
+
+def _reference_rule(fuse_fn_name):
+    """The per-cluster reference of a fusion entry point's rule."""
+    def weighted(states, scores):
+        return fuse_cluster_reference(states, scores,
+                                      compute_weights_reference(scores))
+
+    def mean(states, scores):
+        n = len(scores)
+        return fuse_cluster_reference(states, scores, np.full(n, 1.0 / n))
+
+    return {"three_stage_fuse": weighted, "baseline_mean_fuse": mean,
+            "baseline_max_score_fuse": max_score_reference}[fuse_fn_name]
+
+
+def fuse_frame_reference(local_maps, fuse_fn_name, delta=0.1):
+    """Reference ``fusion._fuse_frame``: each detection moved to the global
+    frame by ``transform_to_global``, clusters from the transitive
+    closure, each cluster fused on its own in vehicle-then-detection
+    order, and the scalar pruning loop."""
+    if not local_maps:
+        return FusionResult(GlobalMap(0.0, ()), {}, [])
+    local_maps = sorted(local_maps, key=lambda lm: lm.vehicle_id)
+    entries, scores = [], []
+    for lm in local_maps:
+        for n, det in enumerate(lm.detections):
+            entries.append(
+                (lm.vehicle_id, n, transform_to_global(det.state, lm.pose)))
+            scores.append(det.score)
+    count, labels = cluster_brute_force_oracle(entries, ClusterConfig())
+    members = [[] for _ in range(count)]
+    for (_, _, state), score, label in zip(entries, scores, labels):
+        members[label].append((state, score))
+    rule = _reference_rule(fuse_fn_name)
+    fused_all = [rule([s for s, _ in m], [c for _, c in m]) for m in members]
+    vehicle_labels, start = {}, 0
+    for lm in local_maps:
+        vehicle_labels[lm.vehicle_id] = labels[start:start + len(lm.detections)]
+        start += len(lm.detections)
+    pruned = prune_overlaps_reference(fused_all, delta)
+    return FusionResult(GlobalMap(local_maps[0].frame_time, tuple(pruned)),
+                        vehicle_labels, fused_all)
+
+
+def run_frame_reference(local_maps, frame_time, fuse_fn_name):
+    """Reference ``orchestrator.run_frame`` on given local maps: each
+    detection moved to the global frame and encoded on its own, decoded
+    entry by entry into ScoredDetections, and fused by
+    ``fuse_frame_reference``.  Returns the fusion result, the bytes moved
+    and the bytes per message kind."""
+    per_kind = {}
+    server_maps = []
+    for lm in local_maps:
+        upload = tuple((transform_to_global(d.state, lm.pose), d.score)
+                       for d in lm.detections)
+        wire = struct_encode_message(V2xMessage(
+            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
+        per_kind[MessageKind.LOCAL_MAP_UPLOAD] = (
+            per_kind.get(MessageKind.LOCAL_MAP_UPLOAD, 0) + len(wire))
+        server_maps.append(LocalMap(
+            vehicle_id=lm.vehicle_id,
+            frame_time=frame_time,
+            detections=tuple(ScoredDetection(s, score) for s, score
+                             in struct_decode_message(wire).payload),
+            pose=IDENTITY_POSE,
+        ))
+    if server_maps:
+        result = fuse_frame_reference(server_maps, fuse_fn_name)
+    else:
+        result = FusionResult(GlobalMap(frame_time, ()), {}, [])
+    broadcast = struct_encode_message(V2xMessage(
+        MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
+        result.global_map.objects))
+    per_kind[MessageKind.GLOBAL_MAP_BROADCAST] = len(broadcast)
+    return result, sum(per_kind.values()), per_kind

@@ -323,6 +323,32 @@ def test_internal_key_error_exits_3(small_config, tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
+def test_internal_value_error_exits_3(small_config, tmp_path, monkeypatch,
+                                      capsys):
+    # Only the input, config and wire errors are invalid input; a bare
+    # ValueError from inside the program is a fault, with its traceback.
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr("mapfuse.cli.run_experiment", broken)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", small_config,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: an internal fault")
+    assert "Traceback (most recent call last)" in err
+    assert not out.exists()
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    binary = tmp_path / "maps.jsonl"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    assert main(["fuse", str(binary)]) == 2
+    assert main(["report", str(binary)]) == 2
+    assert main(["simulate", "--config", str(binary)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario", [
     {"num_vehicles": -1},
     {"num_vehicles": 2.5},
@@ -333,6 +359,9 @@ def test_internal_key_error_exits_3(small_config, tmp_path, monkeypatch,
     {"turn_prob": 2.0},
     {"turn_prob": float("nan")},
     {"speed_max": 1e6},
+    # Valid settings that no placement can meet: too crowded an arena.
+    {"num_objects": 60, "span": 20.0, "min_separation": 8.0,
+     "max_attempts": 5},
 ])
 def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
 from mapfuse.fusion import (
+    Boxes,
     FusionConfig,
+    RowError,
     _fuse_block,
     _max_score_rule,
     _mean_rule,
@@ -31,6 +35,7 @@ from mapfuse.fusion import (
 )
 from mapfuse.geometry import (
     IDENTITY_POSE,
+    InputError,
     ObjectState,
     Pose,
     angle_diff,
@@ -41,6 +46,7 @@ from oracles import (
     cluster_brute_force_oracle,
     compute_weights_reference,
     fuse_cluster_reference,
+    fuse_frame_reference,
     max_score_reference,
     prune_overlaps_reference,
     weighted_ls_objective,
@@ -195,7 +201,7 @@ raw_scores = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e4, 1e4),
 @st.composite
 def size_groups(draw):
     """G clusters of n members each: member lists, their (G, n, 8)
-    vectors and (G, n) scores, as _fuse_frame hands them to a rule."""
+    vectors and (G, n) scores; a rule gets the vectors and scores."""
     n = draw(st.integers(1, 12))
     states, scores = [], []
     for _ in range(draw(st.integers(1, 5))):
@@ -237,9 +243,8 @@ def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
     n = scores.shape[1]
     weights = _weights(scores)
     for members, row, got_w, weighted, mean, best in zip(
-            states, scores, weights, _weighted_rule(states, vecs, scores),
-            _mean_rule(states, vecs, scores),
-            _max_score_rule(states, vecs, scores)):
+            states, scores, weights, _weighted_rule(vecs, scores),
+            _mean_rule(vecs, scores), _max_score_rule(vecs, scores)):
         want_w = compute_weights_reference(row)
         assert got_w.tobytes() == want_w.tobytes()
         assert compute_weights(row).tobytes() == want_w.tobytes()
@@ -248,8 +253,9 @@ def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
         assert bits(fuse_cluster(members, row, want_w)) == bits(weighted)
         assert bits(mean) == bits(
             fuse_cluster_reference(members, row, np.full(n, 1.0 / n)))
+        # The winner is rebuilt from its row, bit for bit.
         want = max_score_reference(members, row.tolist())
-        assert best[0] is want[0]
+        assert best[0] == want[0]
         assert bits(best) == bits(want)
 
 
@@ -272,8 +278,7 @@ def test_size_group_kernel_when_sin_and_cos_sums_cancel(group, data):
     weights = np.repeat(np.reshape(half, (g, n)), 2, axis=1)
     weights[:, 1::2] *= -1.0
     for members, row, w, got in zip(states, scores, weights,
-                                    _fuse_block(states, vecs, scores,
-                                                weights)):
+                                    _fuse_block(vecs, scores, weights)):
         want = fuse_cluster_reference(members, row, w)
         assert bits(got) == bits(want)
 
@@ -419,6 +424,89 @@ def test_fusion_ignores_map_order(fuse, frame, data):
     shuffled = data.draw(st.permutations(maps))
     # repr tells apart every float bit pattern that == would merge (-0.0).
     assert repr(fuse(shuffled)) == repr(fuse(maps))
+
+
+@pytest.mark.parametrize("fuse", [three_stage_fuse, baseline_mean_fuse,
+                                  baseline_max_score_fuse])
+@given(frame=frames, empty=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_fusion_matches_the_scalar_reference(fuse, frame, empty):
+    # Vehicle-frame maps with real poses, one of them possibly empty: rows
+    # moved by one transform and fused in size groups against every
+    # detection transformed, clustered and fused on its own.
+    maps = [lmap(k, dets if k != empty else (), pose=pose)
+            for k, (pose, dets) in enumerate(frame)]
+    assert repr(fuse(maps)) == repr(fuse_frame_reference(maps, fuse.__name__))
+
+
+def test_boxes_is_a_sequence_of_scored_detections():
+    dets = (ScoredDetection(box(1, 2, 0.5), 0.25),
+            ScoredDetection(box(-0.0, 3, cat=2), -1.0))
+    block = Boxes(dets)
+    assert len(block) == 2 and tuple(block) == dets and block[1] is dets[1]
+    assert block == dets and block == [tuple(d) for d in dets]
+    assert block != dets[:1] and block != 5
+    assert block.vecs.tolist() == [list(d.state.to_vector()) for d in dets]
+    assert block.scores.tolist() == [0.25, -1.0]
+    assert block.rows.tolist() == [[*v, c] for v, c in zip(
+        block.vecs.tolist(), block.scores.tolist())]
+    state, score = block[0]
+    assert (state, score) == (dets[0].state, 0.25)
+    part = block[1:]
+    assert isinstance(part, Boxes) and part == dets[1:]
+    assert block + (dets[0],) == dets + (dets[0],)
+    # -0.0 == 0.0, so the blocks are equal and must hash alike.
+    zero = Boxes([(box(0.0, 3, cat=2), -1.0)])
+    assert part == zero and hash(part) == hash(zero)
+    with pytest.raises(ValueError):
+        block.vecs[0, 1] = 5.0
+    with pytest.raises(AttributeError):
+        block.scores = None
+    assert Boxes() == () and len(Boxes()) == 0
+    for copied in (copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+        assert repr(copied) == repr(part) and copied == part
+    assert lmap(0, dets).detections == block
+
+
+def test_boxes_from_rows_checks_once_and_wraps_the_yaw():
+    # Just below -pi, the wrap rounds up to +pi exactly; a second wrap
+    # would give -pi.
+    below = math.nextafter(-math.pi, -math.inf)
+    assert wrap(below) == math.pi and wrap(wrap(below)) == -math.pi
+    rows = np.array([[1.0, 0, 0, 0, 4, 2, 1.5, 3 * math.pi, 0.5],
+                     [0.0, 5, 5, 0, 4, 2, 1.5, below, 1.0]])
+    block = Boxes.from_rows(rows)
+    assert rows[0, 7] == 3 * math.pi   # the caller's rows are not touched
+    assert block.vecs[:, 7].tolist() == [wrap(3 * math.pi), math.pi]
+    # Items are made from the rows without a second wrap.
+    assert [d.state.yaw for d in block] == [wrap(3 * math.pi), math.pi]
+    assert block[0].state.category == 1 and block[1].score == 1.0
+    for row, col, bad, reason in [
+        (1, 3, math.nan, "finite"), (0, 8, math.inf, "finite"),
+        (1, 5, 0.0, "extents"), (0, 4, -1.0, "extents"),
+        (1, 0, 1.5, "category"), (0, 0, -1.0, "category"),
+        (1, 0, 65536.0, "category"),
+    ]:
+        bad_rows = rows.copy()
+        bad_rows[row, col] = bad
+        with pytest.raises(RowError, match=reason) as info:
+            Boxes.from_rows(bad_rows)
+        assert info.value.row == row
+    with pytest.raises(ValueError, match="expected"):
+        Boxes.from_rows(rows[:, :8])
+    # Items are kept as they are; their rows are checked when first read.
+    wide = Boxes([(box(0, 0, cat=70000), 1.0)])
+    assert wide[0].state.category == 70000
+    with pytest.raises(RowError, match="category"):
+        wide.rows
+    record = json.loads(local_map_to_json(lmap(0, [(box(0, 0), 1.0)])))
+    record["detections"][0]["category"] = 70000
+    with pytest.raises(InputError, match=r"detections\[0\].*category"):
+        local_map_from_json(json.dumps(record))
+
+
+def wrap(theta):
+    return (theta + math.pi) % (2 * math.pi) - math.pi
 
 
 def test_empty_input():

@@ -17,6 +17,7 @@ from mapfuse.geometry import (
     footprint_corners,
     iou_bev,
     iou_bev_matrix,
+    rows_to_global,
     stacked_footprint_corners,
     transform_to_global,
     transform_to_local,
@@ -308,3 +309,35 @@ def test_stacked_corners_equal_footprint_corners_on_seed0_test_frames():
     assert corners.shape == (len(states), 4, 2)
     for got, state in zip(corners, states):
         assert np.array_equal(got, footprint_corners(state))
+
+
+# Coordinates that are -0.0 (the added position turns them +0.0), yaws
+# within 1e-12 of either seam, and headings beyond +-pi.
+signed_coords = st.one_of(st.sampled_from([-0.0, 0.0]), finite)
+seam_yaws = st.one_of(st.floats(math.pi - 1e-12, math.pi),
+                      st.floats(-math.pi, -math.pi + 1e-12),
+                      st.floats(-math.pi, math.pi))
+row_poses = st.one_of(
+    st.just(IDENTITY_POSE),
+    st.builds(Pose, st.tuples(signed_coords, signed_coords, signed_coords),
+              st.one_of(angles, st.sampled_from([math.pi, -math.pi]))),
+)
+row_boxes = st.builds(make_state, signed_coords, signed_coords,
+                      signed_coords, sizes, sizes, sizes, seam_yaws,
+                      st.integers(0, 2))
+
+
+@given(st.lists(st.tuples(row_poses, st.lists(row_boxes, max_size=5)),
+                max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_row_transform_is_transform_to_global_bit_for_bit(frame):
+    poses = [pose for pose, _ in frame]
+    counts = [len(states) for _, states in frame]
+    vecs = np.array([s.to_vector() for _, states in frame for s in states])
+    got = rows_to_global(vecs.reshape(-1, 8), poses, counts)
+    want = [transform_to_global(s, pose)
+            for pose, states in frame for s in states]
+    assert got.shape == (len(want), 8)
+    for row, state in zip(got.tolist(), want):
+        assert [v.hex() for v in row] == [
+            float(v).hex() for v in state.to_vector()]

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predic
 from mapfuse.fusion import (
     FusionConfig,
     LocalMap,
+    ScoredDetection,
+    baseline_max_score_fuse,
+    baseline_mean_fuse,
     three_stage_fuse,
 )
-from mapfuse.geometry import ObjectState, transform_to_global
+from mapfuse.geometry import ObjectState, Pose, transform_to_global
 from mapfuse.orchestrator import (
     _FUSED_FNS,
     _PARAMS_OF,
@@ -56,6 +61,9 @@ from oracles import (
     SliceAccumulator,
     average_precision_reference,
     iou_3d,
+    run_frame_reference,
+    struct_decode_message,
+    struct_encode_message,
 )
 
 QUIET = DetectorNoiseSpec()
@@ -192,6 +200,100 @@ def test_decode_rejects_any_non_finite_float(msg, data, bad):
         decode_message(blob)
 
 
+def entry_bits(payload):
+    """A payload's entries as reprs, so that equal means bit-identical;
+    a ScoredDetection reads as its (state, score) pair."""
+    return [repr(e if isinstance(e, float) else tuple(e)) for e in payload]
+
+
+@given(message_st())
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_the_struct_codec(msg):
+    wire = struct_encode_message(msg)
+    assert encode_message(msg) == wire
+    got, want = decode_message(wire), struct_decode_message(wire)
+    assert (got.kind, got.sender, got.receiver) == (
+        want.kind, want.sender, want.receiver)
+    assert entry_bits(got.payload) == entry_bits(want.payload)
+
+
+any_double = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(st.sampled_from([MessageKind.LOCAL_MAP_UPLOAD,
+                        MessageKind.GLOBAL_MAP_BROADCAST]),
+       st.lists(st.tuples(st.integers(0, 65535),
+                          st.lists(any_double, min_size=8, max_size=8)),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_decode_of_any_box_entries_matches_the_struct_codec(kind, entries):
+    # Raw entries as another sender may write them: yaws off [-pi, pi),
+    # -0.0, and non-finite or non-positive fields.
+    blob = (struct.pack("<4sHHII", b"DMF1", 1, kind, 7, SERVER_ID)
+            + struct.pack("<I", len(entries))
+            + b"".join(struct.pack("<H8d", c, *f) for c, f in entries))
+    try:
+        want = struct_decode_message(blob)
+    except CodecError as exc:
+        with pytest.raises(CodecError) as got:
+            decode_message(blob)
+        assert _offset(got) == int(re.search(r"at offset (\d+)",
+                                             str(exc)).group(1))
+        return
+    assert entry_bits(decode_message(blob).payload) == entry_bits(
+        want.payload)
+
+
+def _offset(info) -> int:
+    return int(re.search(r"at offset (\d+)", str(info.value)).group(1))
+
+
+def test_codec_errors_name_the_struct_codec_offsets():
+    two = encode_message(upload_msg([(box(1, 2), 0.5),
+                                     (box(3, -4, 1.0, cat=2), -1.5)]))
+    blobs = [two[:k] for k in range(len(two))]
+    for entry in range(2):
+        # x, y, z, l, w, h, yaw and score follow the 2-byte category.
+        for field in range(8):
+            at = 20 + 66 * entry + 2 + 8 * field
+            bad = [math.nan, math.inf, -math.inf]
+            if 3 <= field <= 5:
+                bad += [0.0, -2.0]
+            blobs += [two[:at] + struct.pack("<d", v) + two[at + 8:]
+                      for v in bad]
+    # An invalid first entry comes before a truncated second one.
+    blobs += [bad[:k] for bad in blobs[len(two):] for k in range(20, len(bad))]
+    for blob in blobs:
+        with pytest.raises(CodecError) as want:
+            struct_decode_message(blob)
+        with pytest.raises(CodecError) as got:
+            decode_message(blob)
+        assert _offset(got) == _offset(want), (blob, want.value, got.value)
+
+
+def test_huge_count_on_a_short_blob_raises_at_once():
+    one = encode_message(upload_msg([(box(1, 2), 0.5)]))
+    blob = one[:16] + struct.pack("<I", 0xFFFFFFFF) + one[20:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError,
+                           match="truncated detection entry at offset 86"):
+            decode_message(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_out_of_range_category_is_a_bad_entry():
+    for cat in (-1, 65536, 1.5):
+        with pytest.raises(ValueError,
+                           match="bad object entry in GLOBAL_MAP_BROADCAST"):
+            encode_message(V2xMessage(
+                MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
+                ((box(1, 2, cat=cat), 0.5),)))
+
+
 def test_payload_kind_mismatch_rejected():
     pair = (box(1, 2), 0.5)
     for kind, payload in [
@@ -252,6 +354,82 @@ def test_run_frame_noiseless_matches_direct_fusion():
     for (sa, ca), (sb, cb) in zip(gmap.objects, direct.objects):
         assert iou_3d(sa, sb) > 1.0 - 1e-9
         assert ca == pytest.approx(cb)
+
+
+FLEET_SCENE = generate_scenario(ScenarioConfig(duration=1.0, num_objects=10),
+                                seed=0)
+fleet_coords = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-12, 12))
+fleet_boxes = st.builds(
+    ObjectState,
+    st.integers(0, 2),
+    st.tuples(fleet_coords, fleet_coords, st.floats(0, 2)),
+    st.tuples(st.floats(0.5, 5), st.floats(0.5, 3), st.floats(0.5, 2)),
+    st.floats(-4, 4),
+)
+fleet_scores = st.one_of(st.floats(-10, 10), st.floats(-800, -708))
+fleet_poses = st.builds(Pose, st.tuples(fleet_coords, fleet_coords,
+                                        st.just(0.0)),
+                        st.floats(-4, 4))
+
+
+@st.composite
+def fleets(draw):
+    """0-6 vehicles with 0-8 detections each, in a shuffled arrival
+    order."""
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n,
+                        unique=True))
+    maps = [LocalMap(vid, 0.0, draw(st.lists(
+                st.builds(ScoredDetection, fleet_boxes, fleet_scores),
+                max_size=8)), draw(fleet_poses))
+            for vid in ids]
+    return draw(st.permutations(maps))
+
+
+def check_run_frame_against_reference(fuse, maps):
+    results = []
+
+    def recorded(local_maps, cfg):
+        results.append(fuse(local_maps, cfg))
+        return results[-1]
+
+    ledger = ByteLedger()
+    gmap, nbytes = run_frame(FLEET_SCENE, 3, QUIET, default_init_params(),
+                             ledger=ledger, local_maps=maps,
+                             fuse_fn=recorded)
+    want, want_bytes, want_kinds = run_frame_reference(
+        maps, FLEET_SCENE.frame_time(3), fuse.__name__)
+    assert repr(gmap) == repr(want.global_map)
+    assert nbytes == want_bytes
+    assert ledger.per_kind == want_kinds
+    if maps:
+        (got,) = results
+        assert got.labels == want.labels
+        assert repr(got.fused_all) == repr(want.fused_all)
+
+
+FUSE_FNS = [three_stage_fuse, baseline_mean_fuse, baseline_max_score_fuse]
+
+
+@pytest.mark.parametrize("fuse", FUSE_FNS)
+@given(maps=fleets())
+@settings(max_examples=60, deadline=None)
+def test_run_frame_matches_the_scalar_reference(fuse, maps):
+    check_run_frame_against_reference(fuse, maps)
+
+
+@pytest.mark.parametrize("fuse", FUSE_FNS)
+def test_run_frame_with_an_empty_map_matches_the_scalar_reference(fuse):
+    pose = Pose((3.0, -0.0, 0.0), 2.5)
+    maps = [
+        LocalMap(4, 0.0, (), pose),
+        LocalMap(1, 0.0, [ScoredDetection(box(1, -0.0, 0.2), 0.5),
+                          ScoredDetection(box(1.5, 0.5, -3.0), 2.0)], pose),
+        LocalMap(2, 0.0, [ScoredDetection(box(-0.5, 0.0, 3.1), -1.0)],
+                 Pose((2.0, 1.0, 0.0), -0.5)),
+    ]
+    check_run_frame_against_reference(fuse, maps)
+    check_run_frame_against_reference(fuse, maps[:1])
 
 
 def test_run_config_from_dict_rejects_unknown_keys():
