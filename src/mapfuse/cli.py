@@ -18,25 +18,21 @@ import traceback
 
 from mapfuse.fedlearn import default_init_params, save_checkpoint
 from mapfuse.fusion import (
-    baseline_max_score_fuse,
-    baseline_mean_fuse,
+    FUSE_RULES,
     global_map_to_json,
     global_map_to_kitti,
     local_map_from_json,
-    three_stage_fuse,
 )
-from mapfuse.distill import run_edfl, run_perfect_fl
 from mapfuse.evalbench import EvalReport
 from mapfuse.geometry import InputError
 from mapfuse.orchestrator import (
-    _PARAMS_OF,
+    METHODS,
     CodecError,
     ConfigError,
     RunConfig,
-    build_teacher_registry,
     run_config_from_dict,
     run_experiment,
-    testing_frames,
+    train_params,
     training_frames,
 )
 from mapfuse.simworld import generate_scenario, scenario_to_jsonl
@@ -45,12 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-_FUSE_RULES = {
-    "three_stage": three_stage_fuse,
-    "mean": baseline_mean_fuse,
-    "max_score": baseline_max_score_fuse,
-}
 
 
 def _read_text(path: str) -> str:
@@ -75,30 +65,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _empty_window(cfg: RunConfig, use: str) -> ConfigError:
-    return ConfigError(
-        f"train.train_window {list(cfg.train.train_window)} selects no "
-        f"{use} frames of the scenario's {cfg.scenario.num_frames}")
-
-
-def _training_frames(cfg: RunConfig) -> list[int]:
-    """The training window's frames; a ConfigError when there are none, so
-    that no command writes untrained parameters as if trained."""
-    frames = training_frames(cfg.scenario, cfg.train)
-    if not frames:
-        raise _empty_window(cfg, "training")
-    return frames
-
-
-def _check_experiment(cfg: RunConfig) -> None:
-    """A ConfigError when run_experiment would score no frames, or train
-    a configured method on none."""
-    if not testing_frames(cfg.scenario, cfg.train):
-        raise _empty_window(cfg, "testing")
-    if any(_PARAMS_OF[m] != "none" for m in cfg.methods):
-        _training_frames(cfg)
-
-
 def _write(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -116,20 +82,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    frames = _training_frames(cfg)
     scenario = generate_scenario(cfg.scenario, cfg.seed)
-    init = default_init_params()
-    if args.method == "perfect_fl":
-        params = run_perfect_fl(
-            scenario, frames, cfg.noise, init, cfg.train, cfg.fusion,
-            sensor_seed=cfg.sensor_seed,
-        )
-    else:
-        params = run_edfl(
-            scenario, frames, cfg.noise, init, cfg.train, cfg.fusion,
-            sensor_seed=cfg.sensor_seed,
-            registry=build_teacher_registry(cfg, scenario),
-        )
+    params = train_params(args.method, cfg, scenario,
+                          training_frames(cfg.scenario, cfg.train),
+                          default_init_params())
     save_checkpoint(params, args.out)
     return EXIT_OK
 
@@ -150,7 +106,7 @@ def _cmd_fuse(args) -> int:
         raise InputError("local maps must all belong to one frame")
     if len({lm.vehicle_id for lm in local_maps}) != len(local_maps):
         raise InputError("local maps must have distinct vehicle ids")
-    result = _FUSE_RULES[args.method](local_maps, cfg.fusion)
+    result = FUSE_RULES[args.method](local_maps, cfg.fusion)
     if args.format == "kitti":
         text = "\n".join(global_map_to_kitti(result.global_map)) + "\n"
     else:
@@ -160,9 +116,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    _check_experiment(cfg)
-    report = run_experiment(cfg)
+    report = run_experiment(_load_config(args))
     if args.out and args.out.endswith(".csv"):
         _write(args.out, report.to_csv())
     else:
@@ -177,9 +131,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    _check_experiment(cfg)
-    report = run_experiment(cfg)
+    report = run_experiment(_load_config(args))
     _write(args.out, report.to_json())
     if args.out:
         sys.stdout.write(report.to_csv())
@@ -205,15 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="federated training to a checkpoint")
     common(p)
-    p.add_argument("--method", choices=["perfect_fl", "edfl"],
-                   default="edfl")
+    # The method table's trained parameter sets, in its order.
+    p.add_argument("--method", default="edfl", choices=list(dict.fromkeys(
+        m.params for m in METHODS.values() if m.params != "none")))
     p.set_defaults(func=_cmd_train)
     p.set_defaults(need_out=True)
 
     p = sub.add_parser("fuse", help="fuse one frame of stored local maps")
     common(p, seed=False)
     p.add_argument("input", help="local maps, one JSON object per line")
-    p.add_argument("--method", choices=sorted(_FUSE_RULES),
+    p.add_argument("--method", choices=sorted(FUSE_RULES),
                    default="three_stage")
     p.add_argument("--format", choices=["jsonl", "kitti"], default="jsonl")
     p.set_defaults(func=_cmd_fuse)

@@ -10,6 +10,7 @@ pruning stages.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -235,17 +236,29 @@ class LocalMap:
 
 def frame_boxes(local_maps: Sequence[LocalMap]) -> Boxes:
     """Every map's boxes in the global frame as one block, map after map
-    (geometry.rows_to_global under each map's pose)."""
+    (geometry.rows_to_global under each map's pose).  Raises RowError at
+    the first row of the block that is not finite there."""
     if not local_maps:
         return Boxes()
     blocks = [lm.detections for lm in local_maps]
-    rows = rows_to_global(np.concatenate([b.rows for b in blocks]),
-                          [lm.pose for lm in local_maps],
-                          [len(b) for b in blocks])
-    if np.count_nonzero(np.isfinite(rows)) != rows.size:
-        raise ValueError("a box leaves the finite range in the global frame")
+    # Overflow gives a non-finite field, rejected below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = rows_to_global(np.concatenate([b.rows for b in blocks]),
+                              [lm.pose for lm in local_maps],
+                              [len(b) for b in blocks])
+    finite = np.isfinite(rows)
+    if np.count_nonzero(finite) != rows.size:
+        raise RowError(int(finite.all(axis=1).argmin()),
+                       "box leaves the finite range in the global frame")
     rows.setflags(write=False)
     return Boxes._of(rows)
+
+
+def map_slices(local_maps: Sequence[LocalMap]) -> list[slice]:
+    """Each map's rows in its frame_boxes block."""
+    ends = itertools.accumulate(
+        (len(lm.detections) for lm in local_maps), initial=0)
+    return list(itertools.starmap(slice, itertools.pairwise(ends)))
 
 
 @dataclass(frozen=True)
@@ -483,12 +496,8 @@ def _fuse_frame(
         [(v, n, _Center(c)) for (v, n), c in zip(keys, vecs[:, 1:3].tolist())],
         cfg.cluster)
 
-    vehicle_labels = {}
-    start = 0
-    for lm in local_maps:
-        end = start + len(lm.detections)
-        vehicle_labels[lm.vehicle_id] = labels[start:end]
-        start = end
+    vehicle_labels = {lm.vehicle_id: labels[s]
+                      for lm, s in zip(local_maps, map_slices(local_maps))}
 
     fused_all: list = [None] * num_objects
     if keys:
@@ -531,6 +540,15 @@ def baseline_max_score_fuse(
 ) -> FusionResult:
     """Per cluster, keep only the single highest-scoring member verbatim."""
     return _fuse_frame(local_maps, cfg or FusionConfig(), _max_score_rule)
+
+
+# Fusion rules by name: the one registry of rules, read by the method
+# table (orchestrator.METHODS) and by `dmf fuse --method`.
+FUSE_RULES = {
+    "three_stage": three_stage_fuse,
+    "mean": baseline_mean_fuse,
+    "max_score": baseline_max_score_fuse,
+}
 
 
 # --- serialization -----------------------------------------------------------
@@ -690,10 +708,12 @@ def local_map_from_json(line: str) -> LocalMap:
         raise InputError(f"field 'pose': {exc}") from None
     pairs = [_scored_from_dict(d, f"detections[{n}]")
              for n, d in enumerate(detections)]
-    boxes = Boxes(pairs)
+    lm = LocalMap(vehicle_id, frame_time, pairs, pose)
     try:
-        boxes.rows   # checks the categories, which must fit the wire
+        # Checks the categories, which must fit the wire, and that every
+        # box stays finite when the server moves it to the global frame.
+        frame_boxes([lm])
     except RowError as exc:
         raise InputError(
             f"field 'detections[{exc.row}]': {exc.reason}") from None
-    return LocalMap(vehicle_id, frame_time, boxes, pose)
+    return lm

@@ -43,18 +43,18 @@ from mapfuse.fedlearn import (
     predict,
 )
 from mapfuse.fusion import (
+    FUSE_RULES,
     Boxes,
     FusionConfig,
     LocalMap,
     GlobalMap,
     RowError,
-    baseline_max_score_fuse,
-    baseline_mean_fuse,
     box_rows,
     frame_boxes,
+    map_slices,
     three_stage_fuse,
 )
-from mapfuse.geometry import IDENTITY_POSE, transform_to_global
+from mapfuse.geometry import IDENTITY_POSE
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     Scenario,
@@ -72,16 +72,30 @@ MESSAGE_VERSION = 1
 _HEADER = struct.Struct("<4sHHII")
 _COUNT = struct.Struct("<I")
 
-METHOD_NAMES = (
-    "local_no_fl",
-    "local_perfect_fl",
-    "local_edfl",
-    "fusion_mean",
-    "fusion_max_score",
-    "fusion_three_stage",
-    "fusion_perfect_fl",
-    "fusion_edfl",
-)
+
+@dataclass(frozen=True)
+class Method:
+    """A parameter set ("none", "perfect_fl" or "edfl"; see train_params)
+    and a FUSE_RULES key, or None for a local method: one that scores
+    each vehicle's own map."""
+
+    params: str
+    rule: str | None
+
+
+# The evaluation grid: a labelling scheme crossed with a fusion rule.
+# Parameter sets are trained, and methods reported, in this order.
+METHODS = {
+    "local_no_fl": Method("none", None),
+    "local_perfect_fl": Method("perfect_fl", None),
+    "local_edfl": Method("edfl", None),
+    "fusion_mean": Method("none", "mean"),
+    "fusion_max_score": Method("none", "max_score"),
+    "fusion_three_stage": Method("none", "three_stage"),
+    "fusion_perfect_fl": Method("perfect_fl", "three_stage"),
+    "fusion_edfl": Method("edfl", "three_stage"),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 class CodecError(ValueError):
@@ -250,6 +264,12 @@ class ByteLedger:
 # --- frame loop --------------------------------------------------------------
 
 
+def _global_boxes(local_maps: Sequence[LocalMap]) -> list[Boxes]:
+    """Each map's boxes in the global frame, cut from one block."""
+    boxes = frame_boxes(local_maps)
+    return [boxes[s] for s in map_slices(local_maps)]
+
+
 def run_frame(
     scenario: Scenario,
     frame: int,
@@ -285,13 +305,9 @@ def run_frame(
     moved = 0
     server_maps = []
     frame_time = scenario.frame_time(frame)
-    uploads = frame_boxes(local_maps)
-    end = 0
-    for lm in local_maps:
-        start, end = end, end + len(lm.detections)
+    for lm, upload in zip(local_maps, _global_boxes(local_maps)):
         wire = encode_message(V2xMessage(
-            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID,
-            uploads[start:end]))
+            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
         ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wire))
         moved += len(wire)
         server_maps.append(LocalMap(
@@ -458,24 +474,31 @@ def testing_frames(scenario_cfg: ScenarioConfig, train_cfg: TrainConfig) -> list
     return list(range(hi, n))
 
 
-_FUSED_FNS = {
-    "fusion_mean": baseline_mean_fuse,
-    "fusion_max_score": baseline_max_score_fuse,
-    "fusion_three_stage": three_stage_fuse,
-    "fusion_perfect_fl": three_stage_fuse,
-    "fusion_edfl": three_stage_fuse,
-}
+def _empty_window(cfg: RunConfig, use: str) -> ConfigError:
+    return ConfigError(
+        f"train.train_window {list(cfg.train.train_window)} selects no "
+        f"{use} frames of the scenario's {cfg.scenario.num_frames}")
 
-_PARAMS_OF = {
-    "local_no_fl": "none",
-    "local_perfect_fl": "perfect",
-    "local_edfl": "edfl",
-    "fusion_mean": "none",
-    "fusion_max_score": "none",
-    "fusion_three_stage": "none",
-    "fusion_perfect_fl": "perfect",
-    "fusion_edfl": "edfl",
-}
+
+def train_params(name: str, cfg: RunConfig, scenario: Scenario,
+                 frames: Sequence[int], init: ModelParams) -> ModelParams:
+    """The parameter set a Method names: init itself for "none", else init
+    trained on frames by perfect-label FL ("perfect_fl") or by EDFL with
+    the configured teachers ("edfl").  A ConfigError when there are no
+    frames to train on, so that untrained parameters never pass as
+    trained."""
+    if name == "none":
+        return init
+    if not frames:
+        raise _empty_window(cfg, "training")
+    if name == "perfect_fl":
+        return run_perfect_fl(scenario, frames, cfg.noise, init, cfg.train,
+                              cfg.fusion, sensor_seed=cfg.sensor_seed)
+    if name == "edfl":
+        return run_edfl(scenario, frames, cfg.noise, init, cfg.train,
+                        cfg.fusion, sensor_seed=cfg.sensor_seed,
+                        registry=build_teacher_registry(cfg, scenario))
+    raise ValueError(f"unknown parameter set {name!r}")
 
 
 def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> EvalReport:
@@ -490,41 +513,40 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     broadcast map and each vehicle's map) against the fleet's truths.
     Every assignment the frame's scores need, against the fleet or masked
     to one vehicle's truths, is a greedy run on that set's rows.
+
+    A ConfigError when there is no test frame, or no training frame for
+    a method that needs trained parameters.
     """
+    if test_frames is None:
+        test_frames = testing_frames(cfg.scenario, cfg.train)
+    if not test_frames:
+        raise _empty_window(cfg, "testing")
     scenario = generate_scenario(cfg.scenario, cfg.seed)
     spec = ModelSpec()
     init = default_init_params(spec)
     tr_frames = training_frames(cfg.scenario, cfg.train)
-    if test_frames is None:
-        test_frames = testing_frames(cfg.scenario, cfg.train)
 
-    needed = {_PARAMS_OF[m] for m in cfg.methods}
-    params = {"none": init}
-    if "perfect" in needed:
-        params["perfect"] = run_perfect_fl(
-            scenario, tr_frames, cfg.noise, init, cfg.train,
-            cfg.fusion, spec, cfg.sensor_seed,
-        )
-    if "edfl" in needed:
-        params["edfl"] = run_edfl(
-            scenario, tr_frames, cfg.noise, init, cfg.train,
-            cfg.fusion, spec, cfg.sensor_seed,
-            registry=build_teacher_registry(cfg, scenario),
-        )
+    methods = {m: METHODS[m] for m in cfg.methods}
+    # Each parameter set the methods need, trained once, in table order.
+    params = {
+        name: train_params(name, cfg, scenario, tr_frames, init)
+        for name in dict.fromkeys(
+            method.params for m, method in METHODS.items() if m in methods)
+    }
 
     k_count = scenario.num_vehicles
     # Fleet AP: a fused method's broadcast map against every object the
     # fleet sees; a local method pools its vehicles' own maps, each against
     # what that vehicle sees, vehicle after vehicle.
-    fleet_acc = {m: Accumulator() for m in cfg.methods}
+    fleet_acc = {m: Accumulator() for m in methods}
     veh_acc = {m: [Accumulator() for _ in range(k_count)]
-               for m in cfg.methods if m not in _FUSED_FNS}
+               for m, method in methods.items() if method.rule is None}
     # Per-vehicle AP: the broadcast map against one vehicle's objects (hits
     # on other fleet objects are ignored), or one vehicle's own map as a
     # stand-alone global map against everything the fleet sees.
     per_vehicle = {m: [Accumulator() for _ in range(k_count)]
-                   for m in cfg.methods}
-    ledgers = {m: ByteLedger() for m in cfg.methods if m in _FUSED_FNS}
+                   for m in methods}
+    ledgers = {m: ByteLedger() for m in methods}
 
     for f in test_frames:
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
@@ -546,31 +568,27 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         refined_maps = {
             pname: [
                 dataclasses.replace(raw, detections=tuple(
-                    predict(params[pname], sensor_frame, spec)))
+                    predict(p, sensor_frame, spec)))
                 for raw, sensor_frame in sensed
             ]
-            for pname in {_PARAMS_OF[m] for m in cfg.methods}
+            for pname, p in params.items()
         }
 
         # Per method, its prediction sets: the broadcast map of a fused
-        # method, or each vehicle's own map of a local one.
+        # method, or each vehicle's own map, in the global frame, of a
+        # local one.
         pred_sets = {}
-        for m in cfg.methods:
-            pname = _PARAMS_OF[m]
-            if m in _FUSED_FNS:
-                gmap, _ = run_frame(
-                    scenario, f, cfg.noise, params[pname], cfg.fusion,
-                    spec, cfg.sensor_seed, ledgers[m],
-                    local_maps=refined_maps[pname],
-                    fuse_fn=_FUSED_FNS[m],
-                )
-                pred_sets[m] = [list(gmap.objects)]
-            else:
-                pred_sets[m] = [
-                    [(transform_to_global(d.state, lm.pose), d.score)
-                     for d in lm.detections]
-                    for lm in refined_maps[pname]
-                ]
+        for m, method in methods.items():
+            if method.rule is None:
+                pred_sets[m] = _global_boxes(refined_maps[method.params])
+                continue
+            gmap, _ = run_frame(
+                scenario, f, cfg.noise, params[method.params], cfg.fusion,
+                spec, cfg.sensor_seed, ledgers[m],
+                local_maps=refined_maps[method.params],
+                fuse_fn=FUSE_RULES[method.rule],
+            )
+            pred_sets[m] = [list(gmap.objects)]
         # One IoU pass over every set's predictions, split back by set.
         all_rows = overlap_rows(
             [p for sets in pred_sets.values() for preds in sets
@@ -583,7 +601,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 rows = all_rows[start:start + len(preds)]
                 start += len(preds)
                 scores = [score for _, score in preds]
-                if m in _FUSED_FNS:
+                if methods[m].rule is not None:
                     assigned = greedy_assign(scores, rows)
                     fleet_acc[m].add(scores, assigned, fleet_bits, density)
                     for acc, (bits, dens_v) in zip(per_vehicle[m], veh_bits):
@@ -595,16 +613,16 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                     own = greedy_assign(scores, rows, bits)
                     veh_acc[m][k].add(scores, own, bits, dens_k)
 
-    methods = {}
-    for m in cfg.methods:
+    results = {}
+    for m in methods:
         for acc in veh_acc.get(m, ()):
             fleet_acc[m].extend(acc)
-        methods[m] = MethodResult(
+        results[m] = MethodResult(
             m, fleet_acc[m].results(),
             {k: acc.results()["overall"]
              for k, acc in enumerate(per_vehicle[m])},
-            ledgers[m].total if m in ledgers else 0,
+            ledgers[m].total,
         )
     return EvalReport(
-        scenario_seed=cfg.seed, frames=tuple(test_frames), methods=methods
+        scenario_seed=cfg.seed, frames=tuple(test_frames), methods=results
     )

@@ -56,8 +56,8 @@ class SensorSpec:
     fov: float = math.pi / 2
 
     def __post_init__(self):
-        if not self.range > 0.0:
-            raise ValueError("range must be positive")
+        if not 0.0 < self.range < math.inf:
+            raise ValueError("range must be positive and finite")
         if not 0.0 < self.fov <= 2 * math.pi:
             raise ValueError("fov must lie in (0, 2*pi]")
 
@@ -96,8 +96,9 @@ class DetectorNoiseSpec:
                 raise ValueError("probabilities must lie in [0, 1]")
         for s in (self.center_sigma, self.extent_sigma, self.yaw_sigma,
                   self.score_sigma):
-            if not s >= 0.0:
-                raise ValueError("noise sigmas must be non-negative")
+            if not 0.0 <= s < math.inf:
+                raise ValueError("noise sigmas must be finite and "
+                                 "non-negative")
         if not all(abs(c) < math.inf
                    for c in (self.miss_dist_coeff, self.miss_occl_coeff)):
             raise ValueError("miss coefficients must be finite")
@@ -109,7 +110,10 @@ class DetectorNoiseSpec:
                              f"{MAX_FALSE_POSITIVE_RATE}]")
         if len(self.bias) != 7:
             raise ValueError("bias needs 7 entries (x, y, z, l, w, h, yaw)")
-        object.__setattr__(self, "bias", tuple(float(b) for b in self.bias))
+        bias = tuple(float(b) for b in self.bias)
+        if not all(abs(b) < math.inf for b in bias):
+            raise ValueError("bias entries must be finite")
+        object.__setattr__(self, "bias", bias)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapfuse.cli import main
+from mapfuse.cli import build_parser, main
 from mapfuse.fedlearn import load_checkpoint
-from mapfuse.fusion import LocalMap, ScoredDetection, local_map_to_json
+from mapfuse.fusion import (
+    FUSE_RULES,
+    LocalMap,
+    ScoredDetection,
+    local_map_to_json,
+)
 from mapfuse.geometry import IDENTITY_POSE, ObjectState
+from mapfuse.orchestrator import METHODS
 
 SMALL = {
     "scenario": {"duration": 5.0, "num_objects": 20},
@@ -173,9 +179,16 @@ GOOD_MAP = json.loads(local_map_to_json(LocalMap(
     ({**GOOD_MAP,
       "detections": [{**GOOD_MAP["detections"][0], "category": 1.5}]},
      "field 'detections[0].category'"),
+    # Finite in the vehicle's frame, past the float range in the global one.
+    ({**GOOD_MAP,
+      "pose": {**GOOD_MAP["pose"], "position": [1.7e308, 0.0, 0.0]},
+      "detections": [{**GOOD_MAP["detections"][0],
+                      "center": [1.7e308, 1.0, 0.75]}]},
+     "field 'detections[0]'"),
 ], ids=["detections-number", "detections-of-number", "pose-null",
         "record-list", "vehicle-id-float", "vehicle-id-bool", "pose-missing",
-        "frame-time-nan", "position-null", "category-float"])
+        "frame-time-nan", "position-null", "category-float",
+        "global-overflow"])
 def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
                                           record, field):
     # Malformed input exits 2 with the line and the field, not 3 from
@@ -187,6 +200,19 @@ def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
     assert main(["fuse", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and field in err
+
+
+def _method_choices(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == "method")
+
+
+def test_method_choices_come_from_the_tables():
+    assert sorted(_method_choices("fuse")) == sorted(FUSE_RULES)
+    assert set(_method_choices("train")) == (
+        {m.params for m in METHODS.values()} - {"none"})
 
 
 def test_evaluate_and_report_round_trip(small_config, tmp_path, capsys):

@@ -23,6 +23,7 @@ from mapfuse.fusion import (
     baseline_max_score_fuse,
     baseline_mean_fuse,
     compute_weights,
+    frame_boxes,
     fuse_cluster,
     global_map_from_json,
     global_map_to_json,
@@ -502,6 +503,18 @@ def test_boxes_from_rows_checks_once_and_wraps_the_yaw():
     record = json.loads(local_map_to_json(lmap(0, [(box(0, 0), 1.0)])))
     record["detections"][0]["category"] = 70000
     with pytest.raises(InputError, match=r"detections\[0\].*category"):
+        local_map_from_json(json.dumps(record))
+
+
+def test_frame_boxes_names_the_row_that_overflows():
+    far = Pose(position=(1.7e308, 0.0, 0.0), heading=0.0)
+    maps = [lmap(0, [(box(0, 0), 1.0)]),
+            lmap(1, [(box(1, 0), 1.0), (box(1.7e308, 0), 1.0)], pose=far)]
+    with pytest.raises(RowError, match="finite range") as info:
+        frame_boxes(maps)
+    assert info.value.row == 2
+    record = json.loads(local_map_to_json(maps[1]))
+    with pytest.raises(InputError, match=r"detections\[1\].*finite range"):
         local_map_from_json(json.dumps(record))
 
 

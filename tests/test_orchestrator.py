@@ -18,6 +18,7 @@ from mapfuse.evalbench import (
 )
 from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
 from mapfuse.fusion import (
+    FUSE_RULES,
     FusionConfig,
     LocalMap,
     ScoredDetection,
@@ -27,14 +28,13 @@ from mapfuse.fusion import (
 )
 from mapfuse.geometry import ObjectState, Pose, transform_to_global
 from mapfuse.orchestrator import (
-    _FUSED_FNS,
-    _PARAMS_OF,
     BROADCAST_ID,
     ByteLedger,
     CodecError,
     ConfigError,
     MessageKind,
     METHOD_NAMES,
+    METHODS,
     RunConfig,
     SERVER_ID,
     TeacherSpec,
@@ -46,6 +46,7 @@ from mapfuse.orchestrator import (
     run_config_from_dict,
     run_experiment,
     run_frame,
+    train_params,
     training_frames,
 )
 from mapfuse.orchestrator import testing_frames as eval_window_frames
@@ -531,6 +532,13 @@ def test_run_config_from_dict_builds_nested():
     (ScenarioConfig, ("scenario",), "speed_max", 1e307),
     (TrainConfig, ("train",), "train_window", [0.0, math.inf]),
     (TrainConfig, ("train",), "train_window", [5.0, math.inf]),
+    (SensorSpec, ("scenario", "sensor"), "range", math.inf),
+    (DetectorNoiseSpec, ("noise",), "center_sigma", math.inf),
+    (DetectorNoiseSpec, ("noise",), "extent_sigma", math.inf),
+    (DetectorNoiseSpec, ("noise",), "yaw_sigma", math.inf),
+    (DetectorNoiseSpec, ("noise",), "score_sigma", math.inf),
+    (DetectorNoiseSpec, ("noise",), "bias", [math.nan, 0, 0, 0, 0, 0, 0]),
+    (DetectorNoiseSpec, ("noise",), "bias", [0, 0, 0, 0, 0, 0, -math.inf]),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -673,9 +681,9 @@ def reference_scores(cfg, frames):
     init = default_init_params(spec)
     tr_frames = training_frames(cfg.scenario, cfg.train)
     params = {"none": init}
-    needed = {_PARAMS_OF[m] for m in cfg.methods}
-    if "perfect" in needed:
-        params["perfect"] = run_perfect_fl(
+    needed = {METHODS[m].params for m in cfg.methods}
+    if "perfect_fl" in needed:
+        params["perfect_fl"] = run_perfect_fl(
             scenario, tr_frames, cfg.noise, init, cfg.train, cfg.fusion,
             spec, cfg.sensor_seed)
     if "edfl" in needed:
@@ -700,14 +708,15 @@ def reference_scores(cfg, frames):
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
                   for k in range(k_count)]
         for m in cfg.methods:
-            p = params[_PARAMS_OF[m]]
+            p = params[METHODS[m].params]
             maps = [LocalMap(k, raw.frame_time,
                              tuple(predict(p, sf, spec)), raw.pose)
                     for k, (raw, sf) in enumerate(sensed)]
-            if m in _FUSED_FNS:
+            if METHODS[m].rule is not None:
                 gmap, _ = run_frame(
                     scenario, f, cfg.noise, p, cfg.fusion, spec,
-                    cfg.sensor_seed, local_maps=maps, fuse_fn=_FUSED_FNS[m])
+                    cfg.sensor_seed, local_maps=maps,
+                    fuse_fn=FUSE_RULES[METHODS[m].rule])
                 preds = list(gmap.objects)
                 fleet_acc[m].add_frame(preds, fleet_truths, fleet_tags,
                                        density)
@@ -761,6 +770,55 @@ def test_default_benchmark_config_composition():
     assert cfg.teachers == (TeacherSpec(0.0, 0.0, 60.0),)
     assert cfg.noise.miss_prob == 0.05
     assert cfg.noise.bias != (0.0,) * 7
+
+
+def test_method_table_rules_and_parameter_sets():
+    assert METHOD_NAMES == tuple(METHODS)
+    for name, method in METHODS.items():
+        assert method.rule is None or method.rule in FUSE_RULES, name
+        assert method.params in ("none", "perfect_fl", "edfl"), name
+        assert name.startswith("fusion_" if method.rule else "local_"), name
+
+
+def test_experiment_trains_each_needed_set_once_in_table_order(monkeypatch):
+    trained = []
+
+    def fake(name):
+        def run(scenario, frames, noise, init, *args, **kwargs):
+            trained.append(name)
+            return init
+        return run
+
+    monkeypatch.setattr("mapfuse.orchestrator.run_perfect_fl",
+                        fake("perfect_fl"))
+    monkeypatch.setattr("mapfuse.orchestrator.run_edfl", fake("edfl"))
+    cfg = small_run_config(methods=list(reversed(METHOD_NAMES)))
+    report = run_experiment(cfg, test_frames=[60])
+    assert trained == ["perfect_fl", "edfl"]
+    assert list(report.methods) == list(cfg.methods)
+    with pytest.raises(ValueError, match="parameter set"):
+        train_params("perfect", cfg, None, [0], default_init_params())
+
+
+def test_experiment_without_perfect_fl_methods_never_trains_it(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_perfect_fl was called")
+
+    monkeypatch.setattr("mapfuse.orchestrator.run_perfect_fl", refuse)
+    cfg = small_run_config()
+    assert all(METHODS[m].params != "perfect_fl" for m in cfg.methods)
+    report = run_experiment(cfg, test_frames=[60])
+    assert set(report.methods) == set(cfg.methods)
+
+
+def test_experiment_rejects_an_empty_window():
+    with pytest.raises(ConfigError, match="selects no testing frames"):
+        run_experiment(small_run_config(train={"train_window": [0.0, 6.0]}))
+    # fusion_edfl needs training frames, and none are in the window.
+    with pytest.raises(ConfigError, match="selects no training frames"):
+        run_experiment(small_run_config(train={"train_window": [0.0, 0.02]}),
+                       test_frames=[60])
 
 
 def test_run_config_defaults_are_valid():
