@@ -122,10 +122,8 @@ def build_distilled_datasets(
     for f in frames:
         sensed = [sense(scenario, k, f, noise, sensor_seed) for k in range(k_count)]
         local_maps = [
-            dataclasses.replace(
-                raw, detections=tuple(predict(params, sensor_frame, spec))
-            )
-            for raw, sensor_frame in sensed
+            dataclasses.replace(raw, detections=predict(params, sf, spec))
+            for raw, sf in sensed
         ]
         result = three_stage_fuse(local_maps, fusion_cfg)
         labels = distill_labels(local_maps, result, f, registry)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mapfuse.geometry import InputError, ObjectState, wrap_angle
-from mapfuse.fusion import ScoredDetection
+from mapfuse.fusion import Boxes
 
 # Candidate feature layout.  Box fields are embedded raw so they stay
 # identical to the emitted detection; yaw travels as cos/sin.
@@ -146,7 +146,8 @@ class TrainConfig:
     def __post_init__(self):
         counts = (self.local_epochs, self.max_rounds, self.batch_size,
                   self.sampling_ratio)
-        if not all(isinstance(c, numbers.Integral) for c in counts):
+        if not all(isinstance(c, numbers.Integral)
+                   and not isinstance(c, bool) for c in counts):
             raise ValueError("epoch, round, batch and sampling counts "
                              "must be integers")
         # Written as "not (valid)" so that NaN fails every check.
@@ -204,7 +205,7 @@ def _check_params(params: ModelParams, spec: ModelSpec):
 
 
 def _check_features(frame: SensorFrame, spec: ModelSpec):
-    if frame.candidates.size and frame.candidates.shape[1] != spec.feature_dim:
+    if frame.candidates.shape[1] != spec.feature_dim:
         raise ValueError(
             f"candidate feature dimension {frame.candidates.shape[1]} "
             f"does not match {spec.feature_dim}"
@@ -213,13 +214,12 @@ def _check_features(frame: SensorFrame, spec: ModelSpec):
 
 def predict(
     params: ModelParams, frame: SensorFrame, spec: ModelSpec | None = None
-) -> list[ScoredDetection]:
-    """Refine every candidate into a scored detection (deterministic)."""
+) -> Boxes:
+    """Refine every candidate into a scored detection (deterministic):
+    one block row per candidate, in candidate order."""
     spec = spec or ModelSpec()
     _check_params(params, spec)
     _check_features(frame, spec)
-    if frame.candidates.shape[0] == 0:
-        return []
     box_h, angle_h, dir_h, cls_h = _heads(params.values, spec)
     feats = frame.candidates
     scaled = feats / FEATURE_SCALES[: spec.feature_dim]
@@ -229,23 +229,21 @@ def predict(
     dir_logits = scaled @ dir_h.T                   # (n, 2)
     cls_logits = scaled @ cls_h.T                   # (n, C)
 
-    out = []
-    for i in range(feats.shape[0]):
-        obs_yaw = math.atan2(feats[i, F_SIN_YAW], feats[i, F_COS_YAW])
-        yaw = wrap_angle(obs_yaw + float(angle_res[i]))
-        pred_bin = int(np.argmax(dir_logits[i]))
+    # math.atan2, wrap_angle and the direction test stay per row: numpy's
+    # arctan2 rounds differently from math's, and its cos may.
+    yaws = []
+    for sin_t, cos_t, res, pred_bin in zip(
+            feats[:, F_SIN_YAW].tolist(), feats[:, F_COS_YAW].tolist(),
+            angle_res.tolist(), np.argmax(dir_logits, axis=1).tolist()):
+        yaw = wrap_angle(math.atan2(sin_t, cos_t) + res)
         if pred_bin != direction_bin(yaw):
             yaw = wrap_angle(yaw + math.pi)
-        fields = feats[i, F_X : F_HEIGHT + 1] + box_res[i]
-        extents = np.maximum(fields[3:6], 1e-3)
-        state = ObjectState(
-            category=int(np.argmax(cls_logits[i])),
-            center=(fields[0], fields[1], fields[2]),
-            extents=(extents[0], extents[1], extents[2]),
-            yaw=yaw,
-        )
-        out.append(ScoredDetection(state, float(np.max(cls_logits[i]))))
-    return out
+        yaws.append(yaw)
+    fields = feats[:, F_X : F_HEIGHT + 1] + box_res
+    return Boxes.from_rows(np.column_stack([
+        np.argmax(cls_logits, axis=1), fields[:, 0:3],
+        np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
+    ]))
 
 
 def _smooth_l1(r: np.ndarray) -> np.ndarray:

@@ -230,6 +230,16 @@ def convex_clip(subject, clip) -> list[tuple[float, float]]:
     return output
 
 
+def _square(r: float) -> float:
+    """r ** 2, or +inf where pow() overflows."""
+    try:
+        return r ** 2
+    except OverflowError:
+        return math.inf
+
+
+# Huge boxes overflow to inf and nan; such a pair has IoU 0, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _footprint_overlap(a: ObjectState, b: ObjectState) -> tuple[float, float, float]:
     """(intersection area, area_a, area_b) of the two footprints."""
     area_a = a.extents[0] * a.extents[1]
@@ -240,7 +250,7 @@ def _footprint_overlap(a: ObjectState, b: ObjectState) -> tuple[float, float, fl
     dy = a.center[1] - b.center[1]
     ra = 0.5 * math.hypot(a.extents[0], a.extents[1])
     rb = 0.5 * math.hypot(b.extents[0], b.extents[1])
-    if dx * dx + dy * dy > (ra + rb) ** 2:
+    if dx * dx + dy * dy > _square(ra + rb):
         return 0.0, area_a, area_b
     ca = [tuple(p) for p in footprint_corners(a)]
     cb = [tuple(p) for p in footprint_corners(b)]
@@ -257,7 +267,7 @@ def iou_bev(a: ObjectState, b: ObjectState) -> float:
     if area_a < _DEGENERATE_AREA or area_b < _DEGENERATE_AREA:
         return 0.0
     union = area_a + area_b - inter
-    if union <= 0.0:
+    if not union > 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
 
@@ -347,6 +357,7 @@ def _plane_fields(states: Sequence[ObjectState]) -> np.ndarray:
                      for s in states], dtype=float).reshape(-1, 5)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """_footprint_overlap's circle test for every pair of field rows."""
     dx = fa[:, 0, None] - fb[None, :, 0]
@@ -359,7 +370,7 @@ def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     # ulp away from reach * reach: pairs that close take its exact test.
     near = np.abs(dist2 - reach2) <= np.spacing(reach2)
     for i, j in zip(*np.nonzero(near)):
-        touch[i, j] = not dist2[i, j] > float(reach[i, j]) ** 2
+        touch[i, j] = not dist2[i, j] > _square(float(reach[i, j]))
     return touch
 
 
@@ -376,6 +387,7 @@ def circle_prefilter(
     return _circles_touch(fa, fa if b is a else _plane_fields(b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def iou_bev_matrix(
     a: Sequence[ObjectState], b: Sequence[ObjectState]
 ) -> np.ndarray:

@@ -139,12 +139,21 @@ def _unpack_boxes(entries: np.ndarray) -> Boxes:
     return Boxes.from_rows(entries.astype(_ROW).view((np.float64, 9)))
 
 
+def _uint32(value, what: str) -> int:
+    """value as a "<I" field; a ValueError naming it if it cannot be one."""
+    try:
+        # operator.index takes integers only, as a struct field does.
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise ValueError(f"{what} must lie in [0, 2**32 - 1]")
+    return value
+
+
 def _pack_labels(payload) -> np.ndarray:
     payload = tuple(payload)
-    # operator.index takes integers only, as the "<I" struct field did.
-    idx = [operator.index(i) for i, _ in payload]
-    if not all(0 <= i <= 0xFFFFFFFF for i in idx):
-        raise ValueError("detection index must lie in [0, 2**32 - 1]")
+    idx = [_uint32(i, "detection index") for i, _ in payload]
     rows = box_rows([(s, 0.0) for _, s in payload])
     entries = np.empty(len(idx), _LABEL)
     entries["idx"] = idx
@@ -201,8 +210,9 @@ def encode_message(msg: V2xMessage) -> bytes:
         entries = pack(msg.payload)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"bad {name} in {kind.name} payload: {exc}") from None
-    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind, msg.sender,
-                         msg.receiver)
+    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind,
+                         _uint32(msg.sender, "sender"),
+                         _uint32(msg.receiver, "receiver"))
             + _COUNT.pack(len(entries)) + entries.tobytes())
 
 
@@ -300,7 +310,7 @@ def run_frame(
         for k in range(scenario.num_vehicles):
             raw, sensor_frame = sense(scenario, k, frame, noise, sensor_seed)
             local_maps.append(dataclasses.replace(
-                raw, detections=tuple(predict(params, sensor_frame, spec))))
+                raw, detections=predict(params, sensor_frame, spec)))
 
     moved = 0
     server_maps = []
@@ -367,7 +377,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
         for s in (self.seed, self.sensor_seed):
-            if not (isinstance(s, numbers.Integral) and s >= 0):
+            # bool is an Integral, but JSON's true is no seed.
+            if not (isinstance(s, numbers.Integral)
+                    and not isinstance(s, bool) and s >= 0):
                 raise ConfigError("seed and sensor_seed must be integers "
                                   ">= 0")
 
@@ -567,8 +579,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
 
         refined_maps = {
             pname: [
-                dataclasses.replace(raw, detections=tuple(
-                    predict(p, sensor_frame, spec)))
+                dataclasses.replace(
+                    raw, detections=predict(p, sensor_frame, spec))
                 for raw, sensor_frame in sensed
             ]
             for pname, p in params.items()

@@ -17,7 +17,7 @@ import numpy as np
 
 from mapfuse import fedlearn
 from mapfuse.fedlearn import FEATURE_DIM, SensorFrame
-from mapfuse.fusion import LocalMap, ScoredDetection
+from mapfuse.fusion import Boxes, LocalMap
 from mapfuse.geometry import (
     InputError,
     ObjectState,
@@ -134,8 +134,8 @@ class ScenarioConfig:
     def __post_init__(self):
         # Written as "not (valid)" so that NaN fails every check.
         counts = (self.num_vehicles, self.num_objects, self.max_attempts)
-        if not all(isinstance(c, numbers.Integral) and c >= 1
-                   for c in counts):
+        if not all(isinstance(c, numbers.Integral)
+                   and not isinstance(c, bool) and c >= 1 for c in counts):
             raise ValueError("num_vehicles, num_objects and max_attempts "
                              "must be integers >= 1")
         if self.num_vehicles > self.num_objects:
@@ -503,19 +503,6 @@ def visible_objects(
     return visible
 
 
-def _candidate_features(state, dist, occl, score, sensor):
-    f = np.zeros(FEATURE_DIM)
-    f[fedlearn.F_CATEGORY] = state.category
-    f[fedlearn.F_X : fedlearn.F_HEIGHT + 1] = [*state.center, *state.extents]
-    f[fedlearn.F_COS_YAW] = math.cos(state.yaw)
-    f[fedlearn.F_SIN_YAW] = math.sin(state.yaw)
-    f[fedlearn.F_DISTANCE] = dist / sensor.range
-    f[fedlearn.F_OCCLUSION] = occl
-    f[fedlearn.F_SCORE] = score
-    f[fedlearn.F_CONST] = 1.0
-    return f
-
-
 def sense(
     scenario: Scenario,
     vehicle: int,
@@ -534,8 +521,9 @@ def sense(
     rng = np.random.default_rng([seed, vehicle, frame])
     vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
 
-    detections: list[ScoredDetection] = []
-    features: list[np.ndarray] = []
+    # One row per detection: (category, x, y, z, l, w, h, raw yaw, score,
+    # distance / range, occlusion).
+    rows: list[tuple] = []
     sources: list[int | None] = []
     for obj_id, dist, occl in vis:
         p_miss = min(
@@ -573,16 +561,8 @@ def sense(
             - SCORE_OCCL_COEFF * occl
             + rng.normal(0.0, noise.score_sigma)
         )
-        state = ObjectState(
-            category=local.category,
-            center=tuple(center),
-            extents=tuple(extents),
-            yaw=yaw,
-        )
-        detections.append(ScoredDetection(state, float(score)))
-        features.append(
-            _candidate_features(state, dist, occl, float(score), sensor)
-        )
+        rows.append((local.category, *center, *extents, yaw, score,
+                     dist / sensor.range, occl))
         sources.append(obj_id)
 
     n_fp = int(rng.poisson(noise.false_positive_rate))
@@ -595,35 +575,33 @@ def sense(
             1.5 + rng.normal(0.0, 0.1),
         )
         extents = tuple(max(e, 0.5) for e in extents)
-        state = ObjectState(
-            category=0,
-            center=(
-                radius * math.cos(angle),
-                radius * math.sin(angle),
-                extents[2] / 2.0,
-            ),
-            extents=extents,
-            yaw=rng.uniform(-math.pi, math.pi),
-        )
+        yaw = rng.uniform(-math.pi, math.pi)
         score = FP_SCORE_MEAN + rng.normal(0.0, FP_SCORE_SIGMA)
-        detections.append(ScoredDetection(state, float(score)))
-        features.append(
-            _candidate_features(state, radius, 0.0, float(score), sensor)
-        )
+        rows.append((0, radius * math.cos(angle), radius * math.sin(angle),
+                     extents[2] / 2.0, *extents, yaw, score,
+                     radius / sensor.range, 0.0))
         sources.append(None)
 
+    rows = np.array(rows, dtype=float).reshape(-1, 11)
+    boxes = Boxes.from_rows(rows[:, :9])
+    box = boxes.rows
+    yaws = box[:, 7].tolist()
+    features = np.empty((len(rows), FEATURE_DIM))
+    features[:, fedlearn.F_CATEGORY : fedlearn.F_HEIGHT + 1] = box[:, 0:7]
+    features[:, fedlearn.F_COS_YAW] = [math.cos(t) for t in yaws]
+    features[:, fedlearn.F_SIN_YAW] = [math.sin(t) for t in yaws]
+    features[:, fedlearn.F_DISTANCE : fedlearn.F_OCCLUSION + 1] = rows[:, 9:11]
+    features[:, fedlearn.F_SCORE] = box[:, 8]
+    features[:, fedlearn.F_CONST] = 1.0
     local_map = LocalMap(
         vehicle_id=vehicle,
         frame_time=scenario.frame_time(frame),
-        detections=tuple(detections),
+        detections=boxes,
         pose=pose,
-    )
-    frame_feats = (
-        np.stack(features) if features else np.zeros((0, FEATURE_DIM))
     )
     sensor_frame = SensorFrame(
         frame_time=scenario.frame_time(frame),
-        candidates=frame_feats,
+        candidates=features,
         source_ids=tuple(sources),
     )
     return local_map, sensor_frame

@@ -21,6 +21,7 @@ from mapfuse.fedlearn import (
     _heads,
     _smooth_l1,
     _smooth_l1_grad,
+    direction_bin,
     fedavg,
 )
 from mapfuse.geometry import (
@@ -528,6 +529,41 @@ def run_federated_per_frame(vehicle_datasets, init, cfg, spec=None,
         shared = fedavg(locals_)
     return shared
 
+
+def predict_reference(params, frame, spec=None):
+    """Reference ``fedlearn.predict``: a ScoredDetection per candidate,
+    made row by row."""
+    spec = spec or ModelSpec()
+    _check_params(params, spec)
+    _check_features(frame, spec)
+    if frame.candidates.shape[0] == 0:
+        return []
+    box_h, angle_h, dir_h, cls_h = _heads(params.values, spec)
+    feats = frame.candidates
+    scaled = feats / FEATURE_SCALES[: spec.feature_dim]
+
+    box_res = scaled @ box_h.T                      # (n, 6)
+    angle_res = scaled @ angle_h                    # (n,)
+    dir_logits = scaled @ dir_h.T                   # (n, 2)
+    cls_logits = scaled @ cls_h.T                   # (n, C)
+
+    out = []
+    for i in range(feats.shape[0]):
+        obs_yaw = math.atan2(feats[i, F_SIN_YAW], feats[i, F_COS_YAW])
+        yaw = wrap_angle(obs_yaw + float(angle_res[i]))
+        pred_bin = int(np.argmax(dir_logits[i]))
+        if pred_bin != direction_bin(yaw):
+            yaw = wrap_angle(yaw + math.pi)
+        fields = feats[i, F_X : F_HEIGHT + 1] + box_res[i]
+        extents = np.maximum(fields[3:6], 1e-3)
+        state = ObjectState(
+            category=int(np.argmax(cls_logits[i])),
+            center=(fields[0], fields[1], fields[2]),
+            extents=(extents[0], extents[1], extents[2]),
+            yaw=yaw,
+        )
+        out.append(ScoredDetection(state, float(np.max(cls_logits[i]))))
+    return out
 
 def average_precision_reference(records, num_truths):
     """All-point interpolated AP as a Python loop over records sorted by

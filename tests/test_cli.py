@@ -136,6 +136,21 @@ def test_fuse_underflowing_score(tmp_path, capsys):
     assert obj["score"] == -800.0
 
 
+def test_fuse_of_finite_boxes_too_large_to_square(tmp_path, capsys):
+    # Their bounding circles' reach squares past the float range; the
+    # pair does not overlap, and both boxes are fused and kept.
+    huge = ScoredDetection(
+        ObjectState(0, (10.0, 2.0, 0.75), (1e200, 2, 1.5), 0.0), 1.0)
+    small = ScoredDetection(
+        ObjectState(0, (12.0, 40.0, 0.75), (4, 2, 1.5), 0.0), 0.5)
+    path = tmp_path / "huge.jsonl"
+    path.write_text(local_map_to_json(
+        LocalMap(0, 0.5, (huge, small), IDENTITY_POSE)) + "\n")
+    assert main(["fuse", str(path)]) == 0
+    objects = json.loads(capsys.readouterr().out)["objects"]
+    assert sorted(o["extents"][0] for o in objects) == [4.0, 1e200]
+
+
 def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
     with open(frame_jsonl) as fh:
         lines = fh.read().strip().splitlines()
@@ -407,6 +422,7 @@ def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     {"noise": {"fp_score_sigma": 0.5}},
     {"teachers": [{"full_coverage": True}]},
     {"scenario": {"speed_cap": 15.0}},
+    {"seed": True},
 ])
 def test_simulate_rejects_invalid_or_removed_config(tmp_path, payload):
     cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mapfuse.fedlearn import (
     FEATURE_DIM,
@@ -34,6 +35,7 @@ from oracles import (
     local_train_per_frame,
     loss_gradient_per_frame,
     loss_per_frame,
+    predict_reference,
     run_federated_per_frame,
 )
 
@@ -122,6 +124,66 @@ def test_predict_direction_flip():
     frame = random_frame(rng, n=5)
     for i, det in enumerate(predict(params, frame)):
         assert direction_bin(det.state.yaw) == 1
+
+
+# Observed (cos, sin) pairs on the +-pi seam: atan2 gives +pi and -pi
+# exactly for sin = +0.0 and -0.0, and lands one side or the other of
+# it for the tiny sines.
+SEAM = [(-1.0, 0.0), (-1.0, -0.0), (-1.0, 5e-324), (-1.0, -5e-324),
+        (math.cos(math.pi), math.sin(math.pi)),
+        (math.cos(-math.pi), math.sin(-math.pi))]
+observed_yaws = st.one_of(
+    st.sampled_from(SEAM),
+    st.floats(-4.0, 4.0).map(lambda t: (math.cos(t), math.sin(t))),
+)
+
+
+@st.composite
+def predict_cases(draw):
+    """A frame of up to 12 candidates, empty frames included, and params
+    whose angle head moves yaws across the seam and whose direction head
+    may vote one bin for every row, flipping each yaw that points the
+    other way."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(observed_yaws, min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    feats = random_frame(rng, n).candidates.copy()
+    feats[:, F_COS_YAW] = [c for c, _ in pairs]
+    feats[:, F_SIN_YAW] = [s for _, s in pairs]
+    spec = ModelSpec()
+    w = default_init_params(spec).values.reshape(spec.head_rows, -1).copy()
+    w += rng.normal(0.0, draw(st.sampled_from([0.0, 0.1, 1.0])), w.shape)
+    vote = draw(st.sampled_from([None, 0, 1]))
+    if vote is not None:
+        w[7 + vote, F_CONST] += 50.0
+    return ModelParams(w.reshape(-1)), SensorFrame(0.0, feats)
+
+
+def detection_hexes(detections):
+    return [[float(v).hex() for v in (d.state.category, *d.state.center,
+                                       *d.state.extents, d.state.yaw, d.score)]
+            for d in detections]
+
+
+def seam_case():
+    """Every SEAM pair once, under params that vote the back bin."""
+    feats = random_frame(np.random.default_rng(0), len(SEAM)).candidates
+    feats[:, [F_COS_YAW, F_SIN_YAW]] = SEAM
+    w = default_init_params().values.copy()
+    w[8 * FEATURE_DIM + F_CONST] = 50.0
+    return ModelParams(w), SensorFrame(0.0, feats)
+
+
+@given(predict_cases())
+@example((default_init_params(), SensorFrame(0.0, np.zeros((0, FEATURE_DIM)))))
+@example(seam_case())
+@settings(max_examples=300, deadline=None)
+def test_predict_rows_are_the_per_row_reference_bit_for_bit(case):
+    params, frame = case
+    rows = predict(params, frame).rows
+    assert rows.shape == (frame.candidates.shape[0], 9)
+    assert [[v.hex() for v in row] for row in rows.tolist()] == (
+        detection_hexes(predict_reference(params, frame)))
 
 
 def test_loss_zero_label_frame():

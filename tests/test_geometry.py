@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapfuse.geometry import (
     IDENTITY_POSE,
@@ -238,7 +238,22 @@ pairs = st.builds(
 )
 
 
+# Finite boxes whose reach squares past the float range, or whose areas
+# overflow to inf: scalar and matrix IoU must agree on them too.
+HUGE_PAIRS = [
+    (make_state(10, 2, 0.75, 1e200, 2, 1.5, 0.0),
+     make_state(12, 40, 0.75, 4, 2, 1.5, 0.0)),
+    (make_state(0, 0, 0, 1e200, 2, 1.5, 0.1),
+     make_state(5, 0, 0, 4, 2, 1.5, 0.0)),
+    (make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.0),
+     make_state(5, 0, 0, 4, 2, 1.5, 0.0)),
+    (make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.0),
+     make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.3)),
+]
+
+
 @given(st.lists(pairs, max_size=6))
+@example(HUGE_PAIRS)
 @settings(max_examples=300, deadline=None)
 def test_iou_bev_matrix_is_iou_bev_bit_for_bit(box_pairs):
     # Every first box against every second one: besides each stressed

@@ -295,6 +295,24 @@ def test_out_of_range_category_is_a_bad_entry():
                 ((box(1, 2, cat=cat), 0.5),)))
 
 
+@pytest.mark.parametrize("value", [-1, 2 ** 32, 1.5])
+@pytest.mark.parametrize("field", ["sender", "receiver"])
+def test_header_id_off_the_uint32_range_is_a_value_error(field, value):
+    msg = dataclasses.replace(upload_msg([(box(1, 2), 0.5)]),
+                              **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        encode_message(msg)
+
+
+def test_run_frame_rejects_a_vehicle_id_the_header_cannot_carry():
+    sc = generate_scenario(ScenarioConfig(duration=5.0, num_objects=20),
+                           seed=0)
+    lm = LocalMap(-3, 0.0, [ScoredDetection(box(1, 2), 0.5)],
+                  Pose((0.0, 0.0, 0.0), 0.0))
+    with pytest.raises(ValueError, match="sender must lie in"):
+        run_frame(sc, 0, QUIET, default_init_params(), local_maps=[lm])
+
+
 def test_payload_kind_mismatch_rejected():
     pair = (box(1, 2), 0.5)
     for kind, payload in [
@@ -539,6 +557,11 @@ def test_run_config_from_dict_builds_nested():
     (DetectorNoiseSpec, ("noise",), "score_sigma", math.inf),
     (DetectorNoiseSpec, ("noise",), "bias", [math.nan, 0, 0, 0, 0, 0, 0]),
     (DetectorNoiseSpec, ("noise",), "bias", [0, 0, 0, 0, 0, 0, -math.inf]),
+    # JSON's true and false are Python bools, which are Integrals.
+    (RunConfig, (), "seed", True),
+    (RunConfig, (), "sensor_seed", False),
+    (TrainConfig, ("train",), "local_epochs", True),
+    (ScenarioConfig, ("scenario",), "num_vehicles", True),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):

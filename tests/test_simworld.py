@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from mapfuse.fedlearn import (
+    F_CATEGORY,
     F_CONST,
     F_COS_YAW,
     F_HEIGHT,
+    F_SCORE,
     F_SIN_YAW,
     F_X,
     FEATURE_DIM,
@@ -286,6 +288,34 @@ def test_sense_deterministic_and_features_match_boxes():
         assert abs(angle_diff(obs_yaw, det.state.yaw)) < 1e-9
         assert feat[F_CONST] == 1.0
 
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+def test_sense_candidates_are_its_map_rows_bit_for_bit():
+    # Flips and a yaw bias push raw yaws past pi, so the wrap and the
+    # trig of the wrapped yaw both show in the bits.
+    sc = generate_scenario(small_config(), seed=6)
+    noise = DetectorNoiseSpec(center_sigma=0.3, extent_sigma=0.1,
+                              yaw_sigma=0.5, flip_prob=0.5,
+                              false_positive_rate=2.0, score_sigma=0.5,
+                              bias=(0.1, -0.2, 0.0, 0.1, 0.0, 0.0, 2.5))
+    clutter = 0
+    for f in range(0, sc.num_frames, 10):
+        for k in range(sc.num_vehicles):
+            lm, frame = sense(sc, k, f, noise, seed=3)
+            rows, feats = lm.detections.rows, frame.candidates
+            assert feats.shape == (len(rows), FEATURE_DIM)
+            clutter += frame.source_ids.count(None)
+            assert (hexes(feats[:, F_CATEGORY : F_HEIGHT + 1])
+                    == hexes(rows[:, 0:7]))
+            yaws = rows[:, 7].tolist()
+            cos, sin = [math.cos(t) for t in yaws], [math.sin(t) for t in yaws]
+            assert hexes(feats[:, F_COS_YAW]) == hexes(cos)
+            assert hexes(feats[:, F_SIN_YAW]) == hexes(sin)
+            assert hexes(feats[:, F_SCORE]) == hexes(rows[:, 8])
+    assert clutter > 0
 
 def test_sense_miss_probability_one_drops_everything():
     sc = generate_scenario(small_config(), seed=7)
