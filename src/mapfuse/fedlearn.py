@@ -446,14 +446,20 @@ def local_train(
     rng = np.random.default_rng(seed)
     w = params.values
     n = len(dataset)
-    for _ in range(cfg.local_epochs):
-        rows, bounds = dataset.in_order(rng.permutation(n))
-        for start in range(0, n, cfg.batch_size):
-            stop = min(start + cfg.batch_size, n)
-            batch = rows.take(slice(bounds[start], bounds[stop]))
-            grad = _gradient(_forward(w, batch, spec), batch,
-                             cfg.loss_coefficients)
-            w = w - cfg.learning_rate * grad
+    # A step that overflows leaves w non-finite; that is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            rows, bounds = dataset.in_order(rng.permutation(n))
+            for start in range(0, n, cfg.batch_size):
+                stop = min(start + cfg.batch_size, n)
+                batch = rows.take(slice(bounds[start], bounds[stop]))
+                grad = _gradient(_forward(w, batch, spec), batch,
+                                 cfg.loss_coefficients)
+                w = w - cfg.learning_rate * grad
+    if not np.isfinite(w).all():
+        raise InputError(
+            "local training diverged to non-finite parameters; lower "
+            "train.learning_rate or train.loss_coefficients")
     return ModelParams(w)
 
 

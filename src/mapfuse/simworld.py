@@ -17,14 +17,8 @@ import numpy as np
 
 from mapfuse import fedlearn
 from mapfuse.fedlearn import FEATURE_DIM, SensorFrame
-from mapfuse.fusion import Boxes, LocalMap
-from mapfuse.geometry import (
-    InputError,
-    ObjectState,
-    Pose,
-    transform_to_local,
-    wrap_angle,
-)
+from mapfuse.fusion import Boxes, LocalMap, RowError
+from mapfuse.geometry import InputError, ObjectState, Pose, wrap_angle
 
 OCCLUSION_RAYS = 32
 
@@ -333,9 +327,10 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     # platoon's own road weighted more heavily than the crossing one.
     platoon_tail = None
 
-    placed_xy: list[np.ndarray] = []
-    placed_yaw: list[np.ndarray] = []
-    for obj in range(config.num_objects):
+    m = config.num_objects
+    xy_all = np.empty((config.num_frames, m, 2))
+    yaw_all = np.empty((config.num_frames, m))
+    for obj in range(m):
         is_vehicle = obj < config.num_vehicles
         for attempt in range(config.max_attempts):
             if is_vehicle:
@@ -366,14 +361,14 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             if not is_vehicle:
                 s0 = rng.uniform(-speed * config.duration, config.span)
             xy, yaw = path.eval(s0 + speed * times)
-            if placed_xy:
-                others = np.stack(placed_xy, axis=1)  # (T, n, 2)
-                delta = others - xy[:, None, :]
-                min_d2 = np.einsum("tnk,tnk->tn", delta, delta).min()
-                if min_d2 < config.min_separation ** 2:
+            if obj:
+                # Per coordinate, so numpy's inner loops run over objects.
+                dx = xy_all[:, :obj, 0] - xy[:, 0, None]     # (T, obj)
+                dy = xy_all[:, :obj, 1] - xy[:, 1, None]
+                if (dx * dx + dy * dy).min() < config.min_separation ** 2:
                     continue
-            placed_xy.append(xy)
-            placed_yaw.append(yaw)
+            xy_all[:, obj] = xy
+            yaw_all[:, obj] = yaw
             if is_vehicle:
                 platoon_tail = s0
             break
@@ -383,9 +378,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 "crowded for the requested object count"
             )
 
-    xy = np.stack(placed_xy, axis=1)
-    yaw = np.stack(placed_yaw, axis=1)
-    m = config.num_objects
     extents = np.column_stack(
         [
             rng.uniform(4.2, 4.8, m),
@@ -394,7 +386,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         ]
     )
     categories = np.zeros(m, dtype=int)
-    return Scenario(config, seed, xy, yaw, extents, categories)
+    return Scenario(config, seed, xy_all, yaw_all, extents, categories)
 
 
 def _corners(xy, yaw, extents):
@@ -417,25 +409,38 @@ def _corners(xy, yaw, extents):
     return np.einsum("nij,nkj->nki", rot, local) + xy[:, None, :]
 
 
+def _wrap_near(theta):
+    """theta wrapped into [-pi, pi] up to rounding: quicker than the
+    exact wrap_angles, for the widened pairing test only."""
+    return theta - 2 * math.pi * np.rint(theta / (2 * math.pi))
+
+
 def _ray_hits(origins, dx, dy, starts, edges):
-    """Positive ray parameter of each row's rays against its segments.
+    """Nearest positive ray parameter of each row's rays over its segments.
 
     origins: (P, 2); ray directions (dx, dy): (P, R) each; segment k of
     row n runs from starts[n, k] to starts[n, k] + edges[n, k], both
-    (P, E, 2).  Returns (P, E, R) with inf where the ray misses.
+    (P, E, 2).  Returns (P, R) with inf where every segment is missed.
+    The segments are taken one at a time, so no temporary is larger than
+    (P, R).
     """
     p = starts - origins[:, None, :]                      # (P, E, 2)
-    px, py = p[..., 0, None], p[..., 1, None]             # (P, E, 1)
-    ex, ey = edges[..., 0, None], edges[..., 1, None]
-    dx, dy = dx[:, None], dy[:, None]                     # (P, 1, R)
-    denom = dx * ey - dy * ex
-    cpe = px * ey - py * ex
-    cpu = px * dy - py * dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cpe / denom
-        s = cpu / denom
-    valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
-    return np.where(valid, t, np.inf)
+    best = np.full(dx.shape, np.inf)
+    # A denominator near zero is a miss whatever t and s come to, even
+    # when dividing by it overflows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(starts.shape[1]):
+            px, py = p[:, k, 0, None], p[:, k, 1, None]   # (P, 1)
+            ex, ey = edges[:, k, 0, None], edges[:, k, 1, None]
+            denom = dx * ey - dy * ex                     # (P, R)
+            cpe = px * ey - py * ex
+            cpu = px * dy - py * dx
+            t = cpe / denom
+            s = cpu / denom
+            valid = ((np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0)
+                     & (t > 1e-9))
+            np.minimum(best, t, out=best, where=valid)
+    return best
 
 
 def visible_objects(
@@ -473,21 +478,29 @@ def visible_objects(
     ray_ang = b_t + np.linspace(lo, hi, OCCLUSION_RAYS, axis=-1)  # (T, R)
 
     # Pair each target with its own box and with every strictly nearer
-    # box whose bounding disc, widened by 1e-6 rad, can meet the target's
-    # rays.  The pairs left out would only add misses to the minima below.
-    d = dist[veh]                                         # (T, M)
+    # box whose corner bearings, widened by 1e-6 rad, can meet the
+    # target's rays.  The pairs left out would only add misses to the
+    # minima below.  Each box's corners span [span_lo, span_hi] about its
+    # centre's bearing, per vehicle.  A box within twice its bounding
+    # radius of the ego may surround it or nearly touch it, and is taken
+    # to span every bearing.
     r = np.hypot(scenario.extents[:, 0], scenario.extents[:, 1]) / 2.0
-    half = np.where(d > r, np.arcsin(r / np.maximum(d, r)), math.pi)
-    mid = (bearing[veh] - b_t + math.pi) % (2 * math.pi) - math.pi
-    low, high = mid - half - 1e-6, mid + half + 1e-6
-    pairs = (d < dist[veh, tgt, None]) & (
+    oc = corners - ego[:, None, None]                     # (V, M, 4, 2)
+    rel_c = _wrap_near(np.arctan2(oc[..., 1], oc[..., 0])
+                       - bearing[..., None])
+    near = dist <= 2.0 * r                                # (V, M)
+    span_lo = np.where(near, -math.pi, rel_c.min(axis=-1))
+    span_hi = np.where(near, math.pi, rel_c.max(axis=-1))
+    mid = _wrap_near(bearing[veh] - b_t)
+    low, high = mid + span_lo[veh] - 1e-6, mid + span_hi[veh] + 1e-6
+    pairs = (dist[veh] < dist[veh, tgt, None]) & (
         (low <= hi[:, None]) & (high >= lo[:, None])
         | (low <= -math.pi) | (high >= math.pi))
     pairs[range(tgt.size), tgt] = True
     p_t, p_o = np.nonzero(pairs)                          # target-major
     edges = np.roll(corners, -1, axis=1) - corners
     t = _ray_hits(ego[veh[p_t]], np.cos(ray_ang)[p_t], np.sin(ray_ang)[p_t],
-                  corners[p_o], edges[p_o]).min(axis=1)   # (P, R)
+                  corners[p_o], edges[p_o])               # (P, R)
 
     own = p_o == tgt[p_t]
     t_target = t[own]
@@ -514,18 +527,33 @@ def sense(
     """Simulate one vehicle's detector output for one frame.
 
     Deterministic in (scenario, seed, vehicle, frame).  The returned
-    candidate features embed exactly the emitted detection boxes.
+    candidate features embed exactly the emitted detection boxes.  Raises
+    InputError when the noise settings take a detection out of the finite
+    range.
     """
     sensor = scenario.config.sensor
     pose = scenario.pose(frame, vehicle)
     rng = np.random.default_rng([seed, vehicle, frame])
     vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
 
+    # The truth of every visible object as Python floats, moved into the
+    # vehicle's frame with transform_to_local's own expressions.
+    ids = [obj_id for obj_id, _, _ in vis]
+    truth = zip(scenario.xy[frame, ids].tolist(),
+                scenario.yaw[frame, ids].tolist(),
+                scenario.z[ids].tolist(),
+                scenario.extents[ids].tolist(),
+                scenario.categories[ids].tolist())
+    px, py, pz = pose.position
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    bx, by, bz, bl, bw, bh, byaw = noise.bias
+
     # One row per detection: (category, x, y, z, l, w, h, raw yaw, score,
     # distance / range, occlusion).
     rows: list[tuple] = []
     sources: list[int | None] = []
-    for obj_id, dist, occl in vis:
+    for (obj_id, dist, occl), ((x, y), truth_yaw, z, (l, w, h), cat) in zip(
+            vis, truth):
         p_miss = min(
             max(
                 noise.miss_prob
@@ -537,22 +565,14 @@ def sense(
         )
         if rng.random() < p_miss:
             continue
-        local = transform_to_local(scenario.object_state(frame, obj_id), pose)
+        dx, dy = x - px, y - py
         scale = 1.0 + noise.noise_dist_scale * (dist / sensor.range + occl)
-        center = np.array(local.center) + rng.normal(
-            0.0, noise.center_sigma * scale, 3
-        )
-        extents = np.maximum(
-            np.array(local.extents)
-            + rng.normal(0.0, noise.extent_sigma * scale, 3),
-            0.2,
-        )
-        yaw = local.yaw + rng.normal(0.0, noise.yaw_sigma * scale)
+        nx, ny, nz = rng.normal(0.0, noise.center_sigma * scale, 3).tolist()
+        nl, nw, nh = rng.normal(0.0, noise.extent_sigma * scale, 3).tolist()
+        yaw = (wrap_angle(wrap_angle(truth_yaw) - pose.heading)
+               + rng.normal(0.0, noise.yaw_sigma * scale))
         flip = rng.random() < noise.flip_prob
-        bias = noise.bias
-        center += bias[0:3]
-        extents = np.maximum(extents + np.array(bias[3:6]), 0.2)
-        yaw += bias[6]
+        yaw += byaw
         if flip:
             yaw += math.pi
         score = (
@@ -561,8 +581,18 @@ def sense(
             - SCORE_OCCL_COEFF * occl
             + rng.normal(0.0, noise.score_sigma)
         )
-        rows.append((local.category, *center, *extents, yaw, score,
-                     dist / sensor.range, occl))
+        # (local + noise) + bias; extents floored at 0.2 before and
+        # after the bias.
+        rows.append((
+            cat,
+            (c * dx + s * dy + nx) + bx,
+            (-s * dx + c * dy + ny) + by,
+            (z - pz + nz) + bz,
+            max(max(l + nl, 0.2) + bl, 0.2),
+            max(max(w + nw, 0.2) + bw, 0.2),
+            max(max(h + nh, 0.2) + bh, 0.2),
+            yaw, score, dist / sensor.range, occl,
+        ))
         sources.append(obj_id)
 
     n_fp = int(rng.poisson(noise.false_positive_rate))
@@ -583,7 +613,14 @@ def sense(
         sources.append(None)
 
     rows = np.array(rows, dtype=float).reshape(-1, 11)
-    boxes = Boxes.from_rows(rows[:, :9])
+    try:
+        boxes = Boxes.from_rows(rows[:, :9])
+    except RowError as exc:
+        raise InputError(
+            f"vehicle {vehicle}, frame {frame}: detection {exc.row}: "
+            f"{exc.reason}; the detector noise settings (noise.*_sigma, "
+            "noise.noise_dist_scale, noise.bias) are too large for finite "
+            "boxes") from None
     box = boxes.rows
     yaws = box[:, 7].tolist()
     features = np.empty((len(rows), FEATURE_DIM))

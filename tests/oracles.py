@@ -8,14 +8,21 @@ import numpy as np
 from mapfuse.association import ClusterConfig
 from mapfuse.evalbench import SLICE_NAMES, match_detections
 from mapfuse.fedlearn import (
+    F_CATEGORY,
+    F_CONST,
     F_COS_YAW,
+    F_DISTANCE,
     F_HEIGHT,
+    F_OCCLUSION,
+    F_SCORE,
     F_SIN_YAW,
     F_X,
+    FEATURE_DIM,
     FEATURE_SCALES,
     LossBreakdown,
     ModelParams,
     ModelSpec,
+    SensorFrame,
     _check_features,
     _check_params,
     _heads,
@@ -32,10 +39,12 @@ from mapfuse.geometry import (
     angle_diff,
     iou_bev,
     transform_to_global,
+    transform_to_local,
     wrap_angle,
 )
 from mapfuse.fusion import (
     _TINY,
+    Boxes,
     FusionResult,
     GlobalMap,
     LocalMap,
@@ -51,7 +60,15 @@ from mapfuse.orchestrator import (
     MessageKind,
     V2xMessage,
 )
-from mapfuse.simworld import OCCLUSION_RAYS, _corners
+from mapfuse.simworld import (
+    FP_SCORE_MEAN,
+    FP_SCORE_SIGMA,
+    OCCLUSION_RAYS,
+    SCORE_BASE,
+    SCORE_DIST_COEFF,
+    SCORE_OCCL_COEFF,
+    _corners,
+)
 
 ORACLE_MAX_POINTS = 200
 
@@ -274,6 +291,29 @@ def visible_objects_per_target(scenario, vehicle, frame):
             continue
         out.append((int(t_id), float(dist[t_id]), occl))
     return out
+
+
+def ray_hits_reference(origins, dx, dy, starts, edges):
+    """Positive ray parameter of each row's rays against each of its
+    segments, all segments at once: (P, E, R) with inf where the ray
+    misses.  simworld._ray_hits is its minimum over the segments.
+
+    origins: (P, 2); ray directions (dx, dy): (P, R) each; segment k of
+    row n runs from starts[n, k] to starts[n, k] + edges[n, k], both
+    (P, E, 2).
+    """
+    p = starts - origins[:, None, :]                      # (P, E, 2)
+    px, py = p[..., 0, None], p[..., 1, None]             # (P, E, 1)
+    ex, ey = edges[..., 0, None], edges[..., 1, None]
+    dx, dy = dx[:, None], dy[:, None]                     # (P, 1, R)
+    denom = dx * ey - dy * ex
+    cpe = px * ey - py * ex
+    cpu = px * dy - py * dx
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = cpe / denom
+        s = cpu / denom
+    valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
+    return np.where(valid, t, np.inf)
 
 
 def _segment_ray_hits(origin, dirs, segments):
@@ -819,3 +859,101 @@ def run_frame_reference(local_maps, frame_time, fuse_fn_name):
         result.global_map.objects))
     per_kind[MessageKind.GLOBAL_MAP_BROADCAST] = len(broadcast)
     return result, sum(per_kind.values()), per_kind
+
+
+def sense_reference(scenario, vehicle, frame, noise, seed, visibility=None):
+    """Reference sensing: each detection through an ObjectState, moved by
+    transform_to_local, noised with 3-element numpy arrays.
+
+    Returns ``simworld.sense(scenario, vehicle, frame, noise, seed,
+    visibility)``.
+    """
+    sensor = scenario.config.sensor
+    pose = scenario.pose(frame, vehicle)
+    rng = np.random.default_rng([seed, vehicle, frame])
+    vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
+
+    # One row per detection: (category, x, y, z, l, w, h, raw yaw, score,
+    # distance / range, occlusion).
+    rows = []
+    sources = []
+    for obj_id, dist, occl in vis:
+        p_miss = min(
+            max(
+                noise.miss_prob
+                + noise.miss_dist_coeff * dist / sensor.range
+                + noise.miss_occl_coeff * occl,
+                0.0,
+            ),
+            1.0,
+        )
+        if rng.random() < p_miss:
+            continue
+        local = transform_to_local(scenario.object_state(frame, obj_id), pose)
+        scale = 1.0 + noise.noise_dist_scale * (dist / sensor.range + occl)
+        center = np.array(local.center) + rng.normal(
+            0.0, noise.center_sigma * scale, 3
+        )
+        extents = np.maximum(
+            np.array(local.extents)
+            + rng.normal(0.0, noise.extent_sigma * scale, 3),
+            0.2,
+        )
+        yaw = local.yaw + rng.normal(0.0, noise.yaw_sigma * scale)
+        flip = rng.random() < noise.flip_prob
+        bias = noise.bias
+        center += bias[0:3]
+        extents = np.maximum(extents + np.array(bias[3:6]), 0.2)
+        yaw += bias[6]
+        if flip:
+            yaw += math.pi
+        score = (
+            SCORE_BASE
+            - SCORE_DIST_COEFF * dist / sensor.range
+            - SCORE_OCCL_COEFF * occl
+            + rng.normal(0.0, noise.score_sigma)
+        )
+        rows.append((local.category, *center, *extents, yaw, score,
+                     dist / sensor.range, occl))
+        sources.append(obj_id)
+
+    n_fp = int(rng.poisson(noise.false_positive_rate))
+    for _ in range(n_fp):
+        angle = rng.uniform(-sensor.fov / 2.0, sensor.fov / 2.0)
+        radius = sensor.range * math.sqrt(rng.random())
+        extents = (
+            4.5 + rng.normal(0.0, 0.3),
+            2.0 + rng.normal(0.0, 0.15),
+            1.5 + rng.normal(0.0, 0.1),
+        )
+        extents = tuple(max(e, 0.5) for e in extents)
+        yaw = rng.uniform(-math.pi, math.pi)
+        score = FP_SCORE_MEAN + rng.normal(0.0, FP_SCORE_SIGMA)
+        rows.append((0, radius * math.cos(angle), radius * math.sin(angle),
+                     extents[2] / 2.0, *extents, yaw, score,
+                     radius / sensor.range, 0.0))
+        sources.append(None)
+
+    rows = np.array(rows, dtype=float).reshape(-1, 11)
+    boxes = Boxes.from_rows(rows[:, :9])
+    box = boxes.rows
+    yaws = box[:, 7].tolist()
+    features = np.empty((len(rows), FEATURE_DIM))
+    features[:, F_CATEGORY : F_HEIGHT + 1] = box[:, 0:7]
+    features[:, F_COS_YAW] = [math.cos(t) for t in yaws]
+    features[:, F_SIN_YAW] = [math.sin(t) for t in yaws]
+    features[:, F_DISTANCE : F_OCCLUSION + 1] = rows[:, 9:11]
+    features[:, F_SCORE] = box[:, 8]
+    features[:, F_CONST] = 1.0
+    local_map = LocalMap(
+        vehicle_id=vehicle,
+        frame_time=scenario.frame_time(frame),
+        detections=boxes,
+        pose=pose,
+    )
+    sensor_frame = SensorFrame(
+        frame_time=scenario.frame_time(frame),
+        candidates=features,
+        source_ids=tuple(sources),
+    )
+    return local_map, sensor_frame

@@ -505,3 +505,38 @@ def test_trained_methods_need_training_frames(tmp_path, capsys):
     cfg.write_text(json.dumps(payload))
     assert main(["evaluate", "--config", str(cfg), "--out",
                  str(tmp_path / "report.json")]) == 0
+
+
+# Finite settings that overflow on the way: the detector noise takes a
+# box past the float range, or the SGD steps diverge.  Both are invalid
+# configuration (exit 2), where they used to fail as a fault (exit 3).
+OVERFLOWING = {"scenario": {"duration": 5.0, "num_objects": 20},
+               "train": {"max_rounds": 1, "train_window": [0.0, 2.0]}}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("setting", ["score_sigma", "center_sigma"])
+def test_noise_that_overflows_exits_2(tmp_path, capsys, command, setting):
+    payload = json.loads(json.dumps(OVERFLOWING))
+    payload["train"]["sampling_ratio"] = 10
+    payload["noise"] = {setting: 1e308}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fields must be finite" in err and "noise" in err
+    assert not out.exists()
+
+
+def test_training_that_diverges_exits_2(tmp_path, capsys):
+    # The default sampling ratio: with 10, this config trains finitely.
+    payload = json.loads(json.dumps(OVERFLOWING))
+    payload["train"]["loss_coefficients"] = [1e308, 1e308, 1e308]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "model.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "train.learning_rate" in err and "train.loss_coefficients" in err
+    assert not out.exists()

@@ -29,7 +29,7 @@ from mapfuse.fedlearn import (
     save_checkpoint,
     training_curve_csv,
 )
-from mapfuse.geometry import ObjectState, angle_diff
+from mapfuse.geometry import InputError, ObjectState, angle_diff
 
 from oracles import (
     local_train_per_frame,
@@ -246,6 +246,20 @@ def test_local_train_reduces_loss_and_is_deterministic():
     assert np.array_equal(out1.values, out2.values)
     after = np.mean([loss(out1, f, l).total for f, l in dataset])
     assert after < before
+
+
+def test_local_train_that_diverges_is_invalid_input():
+    # Finite settings whose steps overflow leave no finite parameters:
+    # that is a configuration to reject, not a fault of the program.
+    rng = np.random.default_rng(5)
+    dataset = []
+    for _ in range(4):
+        frame = random_frame(rng)
+        dataset.append((frame, random_labels(rng, frame)))
+    cfg = TrainConfig(loss_coefficients=(1e308, 1e308, 1e308))
+    with pytest.raises(InputError, match="train.learning_rate") as info:
+        local_train(default_init_params(), dataset, cfg)
+    assert "train.loss_coefficients" in str(info.value)
 
 
 def test_local_train_empty_dataset_is_identity():

@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapfuse.fedlearn import (
     F_CATEGORY,
@@ -15,12 +17,15 @@ from mapfuse.fedlearn import (
     FEATURE_DIM,
 )
 from mapfuse.fusion import three_stage_fuse
-from mapfuse.geometry import angle_diff, transform_to_global
+from mapfuse.geometry import InputError, angle_diff, transform_to_global
+from mapfuse.orchestrator import default_benchmark_noise
 from mapfuse.simworld import (
+    OCCLUSION_RAYS,
     DetectorNoiseSpec,
     Scenario,
     ScenarioConfig,
     SensorSpec,
+    _ray_hits,
     generate_scenario,
     scenario_to_jsonl,
     sense,
@@ -28,6 +33,8 @@ from mapfuse.simworld import (
 )
 from oracles import (
     iou_3d,
+    ray_hits_reference,
+    sense_reference,
     visible_objects_per_target,
     visible_objects_per_vehicle,
 )
@@ -141,6 +148,17 @@ def test_visible_objects_matches_per_vehicle_reference(cfg, seed, step):
             assert sc.visibility(k, f) == fleet[k]
 
 
+@pytest.mark.parametrize("name", ["crowded", "fov-2pi"])
+def test_visible_objects_of_a_turned_crossing_match_the_reference(name):
+    # Turned, the platoon heads off the x axis, and bearings and corner
+    # spans cross the +-pi seam in other places.
+    sc = turned(crossing(name), 2.5)
+    for f in range(0, sc.num_frames, 25):
+        fleet = visible_objects(sc, f)
+        for k in range(sc.num_vehicles):
+            assert fleet[k] == visible_objects_per_vehicle(sc, k, f)
+
+
 @pytest.mark.parametrize("vehicle, frame", [
     (7, 0), (5, 0), (-1, 0), (0, -1), (0, 20),
 ], ids=["vehicle-7", "vehicle-5", "vehicle-minus-1", "frame-minus-1",
@@ -202,8 +220,8 @@ def test_occluder_disc_grazing_the_ray_span(gap):
     # The target 40 m ahead spans rays up to its near corner's bearing.
     # The occluder, 20 m out, has its bounding disc's lower tangent `gap`
     # rad beyond that top ray: overlapping (the box blocks some rays),
-    # just overlapping (the disc meets the rays, the box does not),
-    # inside the 1e-6 rad margin, and beyond it.
+    # just overlapping (the disc meets the rays, the box does not), just
+    # inside 1e-6 rad, and beyond it.
     top = math.atan2(1.0, 40.0 - 2.25)
     theta = top + gap + math.asin(CAR_RADIUS / 20.0)
     sc = still_scenario(
@@ -215,6 +233,24 @@ def test_occluder_disc_grazing_the_ray_span(gap):
         assert 0.0 < target[0][2] < 1.0
     else:
         assert target == [(1, 40.0, 0.0)]
+
+
+@pytest.mark.parametrize("gap", [-0.01, -1e-9, 5e-7, 2e-6])
+def test_occluder_corner_grazing_the_ray_span(gap):
+    # The target 40 m ahead spans rays between its near corners' bearings,
+    # +-top.  The occluder, 20 m out, has its lowest corner's bearing
+    # `gap` rad beyond the second ray from the top: the pairing must keep
+    # a box whose corner reaches just past a ray.  still_view checks the
+    # result against the references, which pair every box.
+    top = math.atan2(1.0, 40.0 - 2.25)
+    ray = -top + 30 * (2 * top) / (OCCLUSION_RAYS - 1)
+    y = 1.0 + (20.0 + 2.25) * math.tan(ray + gap)
+    sc = still_scenario([(0.0, 0.0), (40.0, 0.0), (20.0, y)], [CAR] * 3)
+    [target] = [v for v in still_view(sc) if v[0] == 1]
+    if gap < 0.0:
+        assert 0.0 < target[2] < 1.0
+    else:
+        assert target == (1, 40.0, 0.0)
 
 
 def test_occluder_beside_the_ego_inside_its_own_disc():
@@ -316,6 +352,154 @@ def test_sense_candidates_are_its_map_rows_bit_for_bit():
             assert hexes(feats[:, F_SIN_YAW]) == hexes(sin)
             assert hexes(feats[:, F_SCORE]) == hexes(rows[:, 8])
     assert clutter > 0
+
+CROSSINGS = {
+    "default": ScenarioConfig(),
+    "crowded": ScenarioConfig(num_vehicles=10, num_objects=80),
+    "fov-2pi": ScenarioConfig(sensor=SensorSpec(fov=2 * math.pi)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def crossing(name):
+    return generate_scenario(CROSSINGS[name], seed=0)
+
+
+def special_or(values, lo, hi):
+    return st.one_of(st.sampled_from(values), st.floats(lo, hi))
+
+
+# Every setting is either one of its edge values or a float in range:
+# misses and flips that always or never happen, zero sigmas, many false
+# positives, and an extent bias of -10 that hits both 0.2 floors.
+NOISE_SPECS = st.builds(
+    DetectorNoiseSpec,
+    miss_prob=special_or([0.0, 1.0], 0.0, 1.0),
+    miss_dist_coeff=st.floats(-1.0, 1.0),
+    miss_occl_coeff=st.floats(-1.0, 1.0),
+    false_positive_rate=special_or([0.0, 5.0], 0.0, 5.0),
+    center_sigma=special_or([0.0], 0.0, 2.0),
+    extent_sigma=special_or([0.0], 0.0, 3.0),
+    yaw_sigma=special_or([0.0], 0.0, 2.0),
+    noise_dist_scale=special_or([0.0], 0.0, 3.0),
+    flip_prob=special_or([0.0, 1.0], 0.0, 1.0),
+    bias=st.tuples(*[special_or([0.0], -3.0, 3.0)] * 3,
+                   *[special_or([0.0, -10.0], -10.0, 3.0)] * 3,
+                   special_or([0.0], -4.0, 4.0)),
+    score_sigma=special_or([0.0], 0.0, 2.0),
+)
+
+
+def turned(sc, phi):
+    """sc with the whole crossing turned by phi about the origin.
+
+    The platoon of a generated crossing always heads along +x; turned,
+    its headings are not 0 and the yaws, left unwrapped, leave [-pi, pi).
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    x, y = sc.xy[..., 0], sc.xy[..., 1]
+    xy = np.stack([c * x - s * y, s * x + c * y], axis=-1)
+    return Scenario(sc.config, sc.seed, xy, sc.yaw + phi, sc.extents,
+                    sc.categories)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(CROSSINGS)),
+       turn=special_or([0.0], -7.0, 7.0),
+       frame=st.integers(0, 1009), seed=st.integers(0, 2**32 - 1),
+       noise=NOISE_SPECS)
+def test_sense_matches_reference(name, turn, frame, seed, noise):
+    sc = crossing(name) if turn == 0.0 else turned(crossing(name), turn)
+    for k in range(sc.num_vehicles):
+        assert_sense_is_reference(sc, k, frame, noise, seed)
+
+
+# Wide extent noise with a positive length bias and a -10 width bias, so
+# that each 0.2 floor decides some extents.
+HEAVY_NOISE = DetectorNoiseSpec(
+    miss_prob=0.1, false_positive_rate=2.0, center_sigma=0.5,
+    extent_sigma=3.0, yaw_sigma=0.5, noise_dist_scale=1.0, flip_prob=0.5,
+    bias=(0.3, -0.2, 0.1, 0.5, -10.0, 1.0, 2.5), score_sigma=0.5)
+
+
+@pytest.mark.parametrize("noise", [default_benchmark_noise(), HEAVY_NOISE],
+                         ids=["benchmark", "heavy"])
+@pytest.mark.parametrize("name", sorted(CROSSINGS))
+@pytest.mark.parametrize("turn", [0.0, 2.5])
+def test_sense_matches_reference_every_tenth_frame(name, turn, noise):
+    # A sweep shows the wraps, which differ from the reference's only in
+    # the last bit of some yaws.
+    sc = crossing(name) if turn == 0.0 else turned(crossing(name), turn)
+    for f in range(0, sc.num_frames, 10):
+        for k in range(sc.num_vehicles):
+            assert_sense_is_reference(sc, k, f, noise, seed=f)
+
+
+def assert_sense_is_reference(sc, vehicle, frame, noise, seed):
+    # Bit for bit: the rows feed the reports' hashes.
+    lm, sf = sense(sc, vehicle, frame, noise, seed)
+    ref_lm, ref_sf = sense_reference(sc, vehicle, frame, noise, seed)
+    assert hexes(lm.detections.rows) == hexes(ref_lm.detections.rows)
+    assert hexes(sf.candidates) == hexes(ref_sf.candidates)
+    assert sf.source_ids == ref_sf.source_ids
+    assert lm.pose == ref_lm.pose
+
+
+@st.composite
+def ray_rows(draw):
+    """Rows of (origin, rays, four segments) on a small integer grid.
+
+    Each ray runs through one of the row's corners, parallel to one of
+    its segments (a zero denominator), or at a random angle; a stretch of
+    about 1e9 puts a hit's ray parameter next to the 1e-9 cut-off.
+    """
+    coord = st.integers(-6, 6).map(float)
+    point = st.tuples(coord, coord)
+    stretch = st.sampled_from([1.0, 0.5, 1e9, 1e9 * (1 + 2**-50),
+                               1e9 * (1 - 2**-50)])
+    n_rows, n_rays = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    origins, dx, dy, starts = [], [], [], []
+    for _ in range(n_rows):
+        o = draw(point)
+        corners = [draw(point) for _ in range(4)]
+        edges = [(b[0] - a[0], b[1] - a[1])
+                 for a, b in zip(corners, corners[1:] + corners[:1])]
+        row_dx, row_dy = [], []
+        for _ in range(n_rays):
+            kind, k = draw(st.sampled_from(["corner", "edge", "angle"])), \
+                draw(st.integers(0, 3))
+            if kind == "corner":
+                d = (corners[k][0] - o[0], corners[k][1] - o[1])
+            elif kind == "edge":
+                d = edges[k]
+            else:
+                a = draw(st.floats(-math.pi, math.pi))
+                d = (math.cos(a), math.sin(a))
+            m = draw(stretch)
+            row_dx.append(d[0] * m)
+            row_dy.append(d[1] * m)
+        origins.append(o)
+        starts.append(corners)
+        dx.append(row_dx)
+        dy.append(row_dy)
+    starts = np.array(starts)
+    edges = np.roll(starts, -1, axis=1) - starts
+    return np.array(origins), np.array(dx), np.array(dy), starts, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_rows())
+def test_ray_hits_is_the_reference_minimum_over_edges(rows):
+    assert (hexes(_ray_hits(*rows))
+            == hexes(ray_hits_reference(*rows).min(axis=1)))
+
+
+def test_sense_noise_that_overflows_is_invalid_input():
+    sc = generate_scenario(small_config(), seed=6)
+    noise = DetectorNoiseSpec(center_sigma=1e308)
+    with pytest.raises(InputError, match=r"vehicle 0, frame 10: .*noise"):
+        sense(sc, 0, 10, noise, seed=0)
+
 
 def test_sense_miss_probability_one_drops_everything():
     sc = generate_scenario(small_config(), seed=7)
