@@ -84,25 +84,25 @@ def distill_labels(
     Each detection is labeled from its cluster's fused object: either by
     the first teacher in the registry that labels that object (ground
     truth, transformed into the vehicle frame) or by the fused object
-    itself.
+    itself.  The teachers are asked once per cluster.
     """
+    targets = []
+    for fused_state, _ in result.fused_all:
+        for teacher in registry:
+            target = teacher.label(fused_state, frame)
+            if target is not None:
+                break
+        else:
+            target = fused_state
+        targets.append(target)
     out: dict[int, LabelSet] = {}
     for lm in local_maps:
         clusters = result.labels.get(lm.vehicle_id)
         if clusters is None or len(clusters) != len(lm.detections):
             raise ValueError("cluster labels do not match the local maps")
-        labels: list[ObjectState] = []
-        for cluster in clusters:
-            target = fused_state = result.fused_all[cluster][0]
-            for teacher in registry:
-                label = teacher.label(fused_state, frame)
-                if label is not None:
-                    target = label
-                    break
-            labels.append(transform_to_local(target, lm.pose))
-        out[lm.vehicle_id] = LabelSet(
-            frame_time=lm.frame_time, labels=tuple(labels)
-        )
+        labels = tuple(transform_to_local(targets[cluster], lm.pose)
+                       for cluster in clusters)
+        out[lm.vehicle_id] = LabelSet(frame_time=lm.frame_time, labels=labels)
     return out
 
 

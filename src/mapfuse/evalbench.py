@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mapfuse.fusion import _field, _json_object
+from mapfuse.fusion import Boxes, _field, _json_object
 from mapfuse.geometry import ObjectState, iou_bev_matrix
 from mapfuse.simworld import Scenario
 
@@ -104,14 +104,16 @@ def overlap_rows(
     iou_threshold: float = IOU_THRESHOLD,
 ) -> list[list[tuple[int, float]]]:
     """The IoU pass: per prediction, the (truth index, IoU) pairs that
-    reach the threshold, in truth order.
+    reach the threshold, in truth order.  The predictions are a Boxes
+    block or (state, score) pairs.
 
     All pairs go through one array pass (geometry.iou_bev_matrix), so a
     caller with several prediction sets passes their concatenation once
     and splits the rows.
     """
-    ious = iou_bev_matrix([state for state, _ in predictions], truths)
-    rows: list[list[tuple[int, float]]] = [[] for _ in predictions]
+    ious = iou_bev_matrix(Boxes(predictions).rows, truths)
+    # len, not iteration: iterating a block makes its ObjectStates.
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(predictions))]
     hit_i, hit_j = np.nonzero(ious >= iou_threshold)
     for i, j, v in zip(hit_i.tolist(), hit_j.tolist(),
                        ious[hit_i, hit_j].tolist()):

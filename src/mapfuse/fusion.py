@@ -40,7 +40,8 @@ MAX_CATEGORY = 0xFFFF
 
 @dataclass(frozen=True)
 class ScoredDetection:
-    """A detected box with its raw (pre-sigmoid) confidence score."""
+    """A detected box with its raw (pre-sigmoid) confidence score; it
+    iterates and indexes as the pair (state, score)."""
 
     state: ObjectState
     score: float
@@ -51,6 +52,9 @@ class ScoredDetection:
 
     def __iter__(self):
         return iter((self.state, self.score))
+
+    def __getitem__(self, i):
+        return (self.state, self.score)[i]
 
 
 class RowError(ValueError):
@@ -88,55 +92,44 @@ def _check_rows(rows: np.ndarray) -> None:
     raise RowError(row, reason)
 
 
-def _pair_rows(pairs) -> np.ndarray:
-    """The (N, 9) box rows of (state, score) pairs."""
-    return np.array([(s.category, *s.center, *s.extents, s.yaw, score)
-                     for s, score in pairs], dtype=float).reshape(-1, 9)
-
-
-def box_rows(boxes) -> np.ndarray:
-    """The (N, 9) box rows of a block, or of (state, score) pairs whose
-    categories are checked (ObjectState checks the other fields)."""
-    if isinstance(boxes, Boxes):
-        return boxes.rows
-    rows = _pair_rows(boxes)
-    for row, cat in enumerate(rows[:, 0].tolist()):
-        if not (cat.is_integer() and 0 <= cat <= MAX_CATEGORY):
-            raise RowError(
-                row, f"category must be an integer in [0, {MAX_CATEGORY}]")
-    return rows
-
-
 class Boxes(Sequence):
     """An immutable sequence of ScoredDetection held as one read-only
-    (N, 9) array of rows (category, x, y, z, l, w, h, yaw, score);
+    (N, 9) array ``rows`` of (category, x, y, z, l, w, h, yaw, score);
     ``vecs`` is its first eight columns and ``scores`` its last.
 
     Every row is a valid box with a finite score and a category in
     [0, MAX_CATEGORY], so any block can cross the wire.  ``Boxes(items)``
-    takes ScoredDetections or (state, score) pairs, which ObjectState has
-    checked already, and keeps them; their rows are made, and their
-    categories checked, when first read.  ``Boxes.from_rows`` checks rows
-    at once, and its items are made on first use.  A slice is a block.  A
-    block equals another block or sequence of pairs with the same rows.
+    takes another block, whose rows and items it shares, or
+    ScoredDetections or (state, score) pairs, whose rows it builds and
+    checks at once and whose items it keeps.  ``Boxes.from_rows`` checks
+    rows and wraps the yaw.  A block given no items makes them from its
+    rows on first use.  A slice is a block.  A block equals another block
+    or sequence of pairs with the same rows.
     """
 
-    __slots__ = ("_rows", "_items")
+    __slots__ = ("rows", "_items")
 
     def __init__(self, items=()):
-        self._set(None, tuple(
-            d if isinstance(d, ScoredDetection) else ScoredDetection(*d)
-            for d in items))
-
-    def _set(self, rows, items):
-        object.__setattr__(self, "_rows", rows)
+        if isinstance(items, Boxes):
+            rows, items = items.rows, items._items
+        else:
+            items = tuple(d if isinstance(d, ScoredDetection)
+                          else ScoredDetection(*d) for d in items)
+            rows = np.array([(d.state.category, *d.state.center,
+                              *d.state.extents, d.state.yaw, d.score)
+                             for d in items], dtype=float).reshape(-1, 9)
+            _check_rows(rows)
+            rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_items", items)
 
     @classmethod
     def _of(cls, rows, items=None) -> "Boxes":
-        """A block of read-only rows that are valid already."""
+        """A block of rows that are valid already, made read-only."""
+        rows.setflags(write=False)
         block = object.__new__(cls)
-        block._set(rows, items)
+        object.__setattr__(block, "rows", rows)
+        object.__setattr__(block, "_items", items)
         return block
 
     @classmethod
@@ -148,16 +141,7 @@ class Boxes(Sequence):
             raise ValueError(f"expected (N, 9) rows, got {rows.shape}")
         _check_rows(rows)
         rows[:, 7] = wrap_angles(rows[:, 7])
-        rows.setflags(write=False)
         return cls._of(rows)
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            rows = box_rows(self._items)
-            rows.setflags(write=False)
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
 
     @property
     def vecs(self) -> np.ndarray:
@@ -171,35 +155,29 @@ class Boxes(Sequence):
         if self._items is None:
             object.__setattr__(self, "_items", tuple(
                 ScoredDetection(ObjectState.from_row(row[:8]), row[8])
-                for row in self._rows.tolist()))
+                for row in self.rows.tolist()))
         return self._items
 
     def __len__(self) -> int:
-        return len(self._items if self._rows is None else self._rows)
+        return len(self.rows)
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
             return self._detections()[i]
-        if self._rows is None:
-            return Boxes._of(None, self._items[i])
         items = None if self._items is None else self._items[i]
-        return Boxes._of(self._rows[i], items)
+        return Boxes._of(self.rows[i], items)
 
     def __iter__(self):
         return iter(self._detections())
 
     def __add__(self, other) -> "Boxes":
-        return Boxes((*self, *other))
+        return Boxes._of(np.concatenate((self.rows, Boxes(other).rows)))
 
     def __eq__(self, other):
-        if isinstance(other, Boxes):
-            rows = other.rows
-        else:
-            try:
-                rows = _pair_rows(other)
-            except (TypeError, ValueError, AttributeError):
-                return NotImplemented
-        return np.array_equal(self.rows, rows)
+        try:
+            return np.array_equal(self.rows, Boxes(other).rows)
+        except (TypeError, ValueError, AttributeError):
+            return NotImplemented
 
     def __hash__(self):
         # + 0.0 turns -0.0, which equals 0.0, into 0.0.
@@ -250,7 +228,6 @@ def frame_boxes(local_maps: Sequence[LocalMap]) -> Boxes:
     if np.count_nonzero(finite) != rows.size:
         raise RowError(int(finite.all(axis=1).argmin()),
                        "box leaves the finite range in the global frame")
-    rows.setflags(write=False)
     return Boxes._of(rows)
 
 
@@ -263,13 +240,18 @@ def map_slices(local_maps: Sequence[LocalMap]) -> list[slice]:
 
 @dataclass(frozen=True)
 class GlobalMap:
-    """The fused global-frame map: (state, fused score) pairs."""
+    """The fused global-frame map as one Boxes block (pairs are stored as
+    one), which the repr lists as (state, fused score) pairs."""
 
     frame_time: float
-    objects: tuple[tuple[ObjectState, float], ...]
+    objects: Boxes
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "objects", Boxes(self.objects))
+
+    def __repr__(self) -> str:
+        pairs = tuple(tuple(d) for d in self.objects)
+        return f"GlobalMap(frame_time={self.frame_time!r}, objects={pairs!r})"
 
 
 @dataclass(frozen=True)
@@ -286,15 +268,18 @@ class FusionConfig:
 class FusionResult:
     """Output of the three-stage pipeline.
 
-    fused_all keeps every cluster's fused object (before pruning), indexed
-    by cluster label; labels maps each vehicle id to its detections'
-    cluster labels, so the label-generation stage can find each
-    detection's fused object.
+    fused_all keeps every cluster's fused object (before pruning) as a
+    block indexed by cluster label (a sequence of pairs is stored as
+    one); labels maps each vehicle id to its detections' cluster labels,
+    so the label-generation stage can find each detection's fused object.
     """
 
     global_map: GlobalMap
     labels: dict[int, list[int]]
-    fused_all: list[tuple[ObjectState, float]]
+    fused_all: Boxes
+
+    def __post_init__(self):
+        self.fused_all = Boxes(self.fused_all)
 
 
 _TINY = np.finfo(float).tiny   # smallest normal double
@@ -342,8 +327,9 @@ def _fuse_block(
     vecs: np.ndarray,
     scores: np.ndarray,
     weights: np.ndarray,
-) -> list[tuple[ObjectState, float]]:
-    """Fuse G clusters of n members each under (G, n) normalized weights.
+) -> np.ndarray:
+    """Fuse G clusters of n members each under (G, n) normalized weights
+    into (G, 9) box rows.
 
     ``vecs`` holds the members' (G, n, 8) rows (``ObjectState.to_vector``)
     and ``scores`` their raw scores.
@@ -353,7 +339,9 @@ def _fuse_block(
     weighted mean of the raw scores.
     """
     w = weights
-    cont = _weighted_sum(w, vecs[:, :, 1:7]).tolist()
+    fused = np.empty((len(w), 9))
+    fused[:, 1:7] = _weighted_sum(w, vecs[:, :, 1:7])
+    fused[:, 8] = _weighted_sum(w, scores)
 
     # Yaw on the circle.  Members pointing against the dominant member
     # (angular gap beyond pi/2) are flipped by pi before averaging so an
@@ -364,25 +352,26 @@ def _fuse_block(
     yaws = np.where(np.abs(gap) <= math.pi / 2, yaws, yaws + math.pi)
     sin_sum = _weighted_sum(w, np.sin(yaws)).tolist()
     cos_sum = _weighted_sum(w, np.cos(yaws)).tolist()
-    fused_score = _weighted_sum(w, scores).tolist()
     ref = ref.tolist()
-    categories = vecs[:, :, 0].astype(int).tolist()
 
-    fused = []
-    for g, (members, row) in enumerate(zip(categories, w.tolist())):
+    fused_categories, fused_yaws = [], []
+    for g, (members, row) in enumerate(zip(
+            vecs[:, :, 0].astype(int).tolist(), w.tolist())):
         if math.hypot(sin_sum[g], cos_sum[g]) < 1e-12:
             yaw = ref[g]
         else:
             yaw = math.atan2(sin_sum[g], cos_sum[g])
+        # Wrapped twice, as an ObjectState made with a wrapped yaw is (see
+        # tests/oracles.py): the second wrap maps pi to -pi.
+        fused_yaws.append(wrap_angle(wrap_angle(yaw)))
         # Category by weighted vote; ties by higher total weight then
         # lower id.
         votes: dict[int, float] = {}
         for c, wi in zip(members, row):
             votes[c] = votes.get(c, 0.0) + wi
-        category = min(votes, key=lambda c: (-votes[c], c))
-        x, y, z, l, wd, h = cont[g]
-        fused.append((ObjectState(category, (x, y, z), (l, wd, h),
-                                  wrap_angle(yaw)), fused_score[g]))
+        fused_categories.append(min(votes, key=lambda c: (-votes[c], c)))
+    fused[:, 0] = fused_categories
+    fused[:, 7] = fused_yaws
     return fused
 
 
@@ -399,8 +388,7 @@ def _max_score_rule(vecs, scores):
     # argmax keeps the first of tied maxima: the lowest member index.
     g = np.arange(len(scores))
     best = scores.argmax(axis=1)
-    return [(ObjectState.from_row(row), score) for row, score
-            in zip(vecs[g, best].tolist(), scores[g, best].tolist())]
+    return np.column_stack((vecs[g, best], scores[g, best]))
 
 
 def compute_weights(scores: Sequence[float]) -> np.ndarray:
@@ -416,20 +404,20 @@ def fuse_cluster(
     states: Sequence[ObjectState],
     scores: Sequence[float],
     weights: np.ndarray,
-) -> tuple[ObjectState, float]:
+) -> ScoredDetection:
     """Fuse one cluster of global-frame states under normalized weights
     (see :func:`_fuse_block`)."""
-    return _fuse_block(
+    return Boxes._of(_fuse_block(
         np.stack([s.to_vector() for s in states])[None],
         np.asarray(scores, dtype=float).reshape(1, -1),
         np.asarray(weights, dtype=float).reshape(1, -1),
-    )[0]
+    ))[0]
 
 
-def prune_overlaps(
-    objects: Sequence[tuple[ObjectState, float]], delta: float
-) -> list[tuple[ObjectState, float]]:
-    """Greedy score-descending suppression of overlapping boxes.
+def prune_overlaps(objects, delta: float) -> Boxes:
+    """Greedy score-descending suppression of overlapping boxes, given as
+    a block or (state, score) pairs; the kept boxes are returned as a
+    block, in the order they were kept.
 
     Keeps an object iff its BEV IoU with every already-kept object is at
     most delta.  Ties in score keep the earlier input entry first.  Pairs
@@ -438,20 +426,23 @@ def prune_overlaps(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    order = sorted(range(len(objects)), key=lambda i: (-objects[i][1], i))
-    states = [state for state, _ in objects]
-    touch = circle_prefilter(states, states)
+    rows = Boxes(objects).rows
+    scores = rows[:, 8].tolist()
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    touch = circle_prefilter(rows, rows)
     np.fill_diagonal(touch, False)
     near = touch.any(axis=1).tolist()
+    vecs = rows[:, :8].tolist()
     kept: list[int] = []
     for i in order:
         if near[i]:
             row = touch[i]
-            if not all(iou_bev(states[i], states[k]) <= delta
+            state = ObjectState.from_row(vecs[i])
+            if not all(iou_bev(state, ObjectState.from_row(vecs[k])) <= delta
                        for k in kept if row[k]):
                 continue
         kept.append(i)
-    return [objects[i] for i in kept]
+    return Boxes._of(rows[kept])
 
 
 class _Center:
@@ -466,13 +457,14 @@ class _Center:
 def _fuse_frame(
     local_maps: Sequence[LocalMap],
     cfg: FusionConfig,
-    rule: Callable[[np.ndarray, np.ndarray], list[tuple[ObjectState, float]]],
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> FusionResult:
     """Associate, fuse the clusters, and prune.
 
     Clusters go to ``rule(vecs, scores)`` one size group at a time: the
     G clusters with n members each as their (G, n, 8) global-frame rows
-    and (G, n) scores, members in vehicle order, then detection order.
+    and (G, n) scores, members in vehicle order, then detection order;
+    the rule returns the G fused (G, 9) box rows.
     The maps are taken in vehicle-id order, so the result does not depend
     on the order in which they arrive.
     """
@@ -499,7 +491,7 @@ def _fuse_frame(
     vehicle_labels = {lm.vehicle_id: labels[s]
                       for lm, s in zip(local_maps, map_slices(local_maps))}
 
-    fused_all: list = [None] * num_objects
+    fused = np.empty((num_objects, 9))
     if keys:
         label = np.array(labels)
         # members[starts[c]:starts[c] + size[c]] are cluster c's detections
@@ -510,12 +502,13 @@ def _fuse_frame(
         for n in sorted(set(size.tolist())):
             clusters = np.flatnonzero(size == n)
             idx = members[starts[clusters, None] + np.arange(n)]
-            for c, obj in zip(clusters.tolist(),
-                              rule(vecs[idx], scores[idx])):
-                fused_all[c] = obj
-    pruned = prune_overlaps(fused_all, cfg.delta)
+            fused[clusters] = rule(vecs[idx], scores[idx])
+    # Checked, not wrapped again as Boxes.from_rows would: a fused field
+    # can overflow, but the yaw is final.
+    _check_rows(fused)
+    fused_all = Boxes._of(fused)
     return FusionResult(
-        global_map=GlobalMap(frame_time, tuple(pruned)),
+        global_map=GlobalMap(frame_time, prune_overlaps(fused_all, cfg.delta)),
         labels=vehicle_labels,
         fused_all=fused_all,
     )
@@ -554,13 +547,11 @@ FUSE_RULES = {
 # --- serialization -----------------------------------------------------------
 
 
-def _state_to_dict(state: ObjectState) -> dict:
-    return {
-        "category": state.category,
-        "center": list(state.center),
-        "extents": list(state.extents),
-        "yaw": state.yaw,
-    }
+def _box_records(boxes: Boxes) -> list[dict]:
+    """Each box of a block as a JSON object."""
+    return [{"category": int(cat), "center": [x, y, z], "extents": [l, w, h],
+             "yaw": yaw, "score": score}
+            for cat, x, y, z, l, w, h, yaw, score in boxes.rows.tolist()]
 
 
 def _finite(v) -> bool:
@@ -570,6 +561,8 @@ def _finite(v) -> bool:
 
 _KINDS = {
     "an integer": lambda v: type(v) is int,
+    f"an integer in [0, {MAX_CATEGORY}]":
+        lambda v: type(v) is int and 0 <= v <= MAX_CATEGORY,
     "a finite number": _finite,
     "an object": lambda v: type(v) is dict,
     "a list of finite numbers":
@@ -615,7 +608,7 @@ def _field(record: dict, key: str, kind: str, where: str = ""):
 
 def _state_from_dict(d: dict, where: str) -> ObjectState:
     fields = (
-        _field(d, "category", "an integer", where),
+        _field(d, "category", f"an integer in [0, {MAX_CATEGORY}]", where),
         tuple(_field(d, "center", "a list of finite numbers", where)),
         tuple(_field(d, "extents", "a list of finite numbers", where)),
         _field(d, "yaw", "a finite number", where),
@@ -635,13 +628,8 @@ def _scored_from_dict(d: dict, where: str) -> tuple[ObjectState, float]:
 
 def global_map_to_json(gmap: GlobalMap) -> str:
     """One JSONL record for a fused frame."""
-    record = {
-        "frame_time": gmap.frame_time,
-        "objects": [
-            {**_state_to_dict(state), "score": score}
-            for state, score in gmap.objects
-        ],
-    }
+    record = {"frame_time": gmap.frame_time,
+              "objects": _box_records(gmap.objects)}
     return json.dumps(record, sort_keys=True)
 
 
@@ -650,10 +638,10 @@ def global_map_from_json(line: str) -> GlobalMap:
     malformed field."""
     record = _json_object(line, "global map")
     frame_time = float(_field(record, "frame_time", "a finite number"))
-    objects = tuple(
+    objects = [
         _scored_from_dict(o, f"objects[{n}]")
         for n, o in enumerate(_field(record, "objects", "a list of objects"))
-    )
+    ]
     return GlobalMap(frame_time=frame_time, objects=objects)
 
 
@@ -682,9 +670,7 @@ def local_map_to_json(lm: LocalMap) -> str:
         "vehicle_id": lm.vehicle_id,
         "frame_time": lm.frame_time,
         "pose": {"position": list(lm.pose.position), "heading": lm.pose.heading},
-        "detections": [
-            {**_state_to_dict(d.state), "score": d.score} for d in lm.detections
-        ],
+        "detections": _box_records(lm.detections),
     }
     return json.dumps(record, sort_keys=True)
 
@@ -710,8 +696,8 @@ def local_map_from_json(line: str) -> LocalMap:
              for n, d in enumerate(detections)]
     lm = LocalMap(vehicle_id, frame_time, pairs, pose)
     try:
-        # Checks the categories, which must fit the wire, and that every
-        # box stays finite when the server moves it to the global frame.
+        # Checks that every box stays finite when the server moves it to
+        # the global frame.
         frame_boxes([lm])
     except RowError as exc:
         raise InputError(

@@ -274,22 +274,34 @@ def iou_bev(a: ObjectState, b: ObjectState) -> float:
 
 # The array forms below repeat the scalar functions above operation for
 # operation: numpy's elementwise + - * / are the same IEEE double
-# operations as Python's, so the results are bit-identical.
+# operations as Python's, so the results are bit-identical.  They take
+# boxes as (N, >=8) rows (category, x, y, z, l, w, h, yaw, ...), or as a
+# sequence of ObjectStates.
 
 
-def stacked_footprint_corners(states: Sequence[ObjectState]) -> np.ndarray:
-    """footprint_corners of every state, shape (N, 4, 2).
+def _rows(boxes) -> np.ndarray:
+    """boxes as (N, >=8) rows: an array as it is, a sequence of
+    ObjectStates as their to_vector rows."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    return np.array([(s.category, *s.center, *s.extents, s.yaw)
+                     for s in boxes], dtype=float).reshape(-1, 8)
+
+
+def stacked_footprint_corners(boxes) -> np.ndarray:
+    """footprint_corners of every box, shape (N, 4, 2).
 
     cos and sin come from math per box, as in footprint_corners (numpy's
     vectorised kernels may round differently), and the rotation is one
     stacked matmul, which rounds as the per-box one does.
     """
-    yaw = [obj.yaw for obj in states]
+    rows = _rows(boxes)
+    yaw = rows[:, 7].tolist()
     c = np.array([math.cos(t) for t in yaw], dtype=float)
     s = np.array([math.sin(t) for t in yaw], dtype=float)
-    hx = 0.5 * np.array([obj.extents[0] for obj in states], dtype=float)
-    hy = 0.5 * np.array([obj.extents[1] for obj in states], dtype=float)
-    center = np.array([obj.center[:2] for obj in states], dtype=float)
+    hx = 0.5 * rows[:, 4]
+    hy = 0.5 * rows[:, 5]
+    center = rows[:, 1:3]
     local = np.stack([hx, hy, -hx, hy, -hx, -hy, hx, -hy], -1)
     rot = np.stack([c, -s, s, c], -1).reshape(-1, 2, 2)
     return (np.matmul(local.reshape(-1, 4, 2), rot.transpose(0, 2, 1))
@@ -350,11 +362,12 @@ def clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, 0.5 * acc, 0.0)
 
 
-def _plane_fields(states: Sequence[ObjectState]) -> np.ndarray:
-    """Rows of x, y, l, w and the footprint's half-diagonal, shape (N, 5)."""
-    return np.array([(s.center[0], s.center[1], s.extents[0], s.extents[1],
-                      0.5 * math.hypot(s.extents[0], s.extents[1]))
-                     for s in states], dtype=float).reshape(-1, 5)
+def _plane_fields(boxes) -> np.ndarray:
+    """Rows of x, y, l, w and the footprint's half-diagonal (math.hypot
+    per box, as in _footprint_overlap), shape (N, 5)."""
+    return np.array([(x, y, l, w, 0.5 * math.hypot(l, w)) for x, y, l, w
+                     in _rows(boxes)[:, [1, 2, 4, 5]].tolist()],
+                    dtype=float).reshape(-1, 5)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -374,9 +387,7 @@ def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return touch
 
 
-def circle_prefilter(
-    a: Sequence[ObjectState], b: Sequence[ObjectState]
-) -> np.ndarray:
+def circle_prefilter(a, b) -> np.ndarray:
     """Whether footprints a[i] and b[j] may overlap, shape (len(a), len(b)).
 
     True exactly where iou_bev's circle test lets the pair through to the
@@ -388,14 +399,13 @@ def circle_prefilter(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def iou_bev_matrix(
-    a: Sequence[ObjectState], b: Sequence[ObjectState]
-) -> np.ndarray:
+def iou_bev_matrix(a, b) -> np.ndarray:
     """iou_bev(a[i], b[j]) for every pair, shape (len(a), len(b)).
 
     One circle prefilter over all pairs, corners built once per box and
     one clip over the pairs that pass.
     """
+    a, b = _rows(a), _rows(b)
     ious = np.zeros((len(a), len(b)))
     if not len(a) or not len(b):
         return ious

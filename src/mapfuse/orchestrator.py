@@ -49,7 +49,6 @@ from mapfuse.fusion import (
     LocalMap,
     GlobalMap,
     RowError,
-    box_rows,
     frame_boxes,
     map_slices,
     three_stage_fuse,
@@ -132,7 +131,7 @@ _ROW = np.dtype([("cat", "<f8"), ("f", "<f8", (8,))])
 
 def _pack_boxes(payload) -> np.ndarray:
     # Every row's category is a whole number in the uint16 range.
-    return box_rows(payload).view(_ROW)[:, 0].astype(_BOX)
+    return Boxes(payload).rows.view(_ROW)[:, 0].astype(_BOX)
 
 
 def _unpack_boxes(entries: np.ndarray) -> Boxes:
@@ -154,7 +153,7 @@ def _uint32(value, what: str) -> int:
 def _pack_labels(payload) -> np.ndarray:
     payload = tuple(payload)
     idx = [_uint32(i, "detection index") for i, _ in payload]
-    rows = box_rows([(s, 0.0) for _, s in payload])
+    rows = Boxes([(s, 0.0) for _, s in payload]).rows
     entries = np.empty(len(idx), _LABEL)
     entries["idx"] = idx
     entries["cat"] = rows[:, 0]
@@ -600,11 +599,11 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 local_maps=refined_maps[method.params],
                 fuse_fn=FUSE_RULES[method.rule],
             )
-            pred_sets[m] = [list(gmap.objects)]
+            pred_sets[m] = [gmap.objects]
         # One IoU pass over every set's predictions, split back by set.
         all_rows = overlap_rows(
-            [p for sets in pred_sets.values() for preds in sets
-             for p in preds],
+            sum((preds for sets in pred_sets.values() for preds in sets),
+                Boxes()),
             fleet_truths,
         )
         start = 0
@@ -612,7 +611,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
             for k, preds in enumerate(sets):
                 rows = all_rows[start:start + len(preds)]
                 start += len(preds)
-                scores = [score for _, score in preds]
+                scores = preds.scores.tolist()
                 if methods[m].rule is not None:
                     assigned = greedy_assign(scores, rows)
                     fleet_acc[m].add(scores, assigned, fleet_bits, density)

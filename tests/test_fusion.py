@@ -187,6 +187,12 @@ def bits(fused):
             float(score).hex())
 
 
+def fused_pairs(rows):
+    """A rule's (G, 9) fused rows as (state, score) pairs, each yaw kept
+    as its row holds it."""
+    return [(ObjectState.from_row(r[:8]), r[8]) for r in rows.tolist()]
+
+
 # Yaws at and next to the +-pi seam, where wrapping and flipping meet.
 seam_yaws = st.one_of(
     st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
@@ -244,8 +250,9 @@ def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
     n = scores.shape[1]
     weights = _weights(scores)
     for members, row, got_w, weighted, mean, best in zip(
-            states, scores, weights, _weighted_rule(vecs, scores),
-            _mean_rule(vecs, scores), _max_score_rule(vecs, scores)):
+            states, scores, weights, fused_pairs(_weighted_rule(vecs, scores)),
+            fused_pairs(_mean_rule(vecs, scores)),
+            fused_pairs(_max_score_rule(vecs, scores))):
         want_w = compute_weights_reference(row)
         assert got_w.tobytes() == want_w.tobytes()
         assert compute_weights(row).tobytes() == want_w.tobytes()
@@ -278,8 +285,9 @@ def test_size_group_kernel_when_sin_and_cos_sums_cancel(group, data):
                               max_size=g * n))
     weights = np.repeat(np.reshape(half, (g, n)), 2, axis=1)
     weights[:, 1::2] *= -1.0
-    for members, row, w, got in zip(states, scores, weights,
-                                    _fuse_block(vecs, scores, weights)):
+    for members, row, w, got in zip(
+            states, scores, weights,
+            fused_pairs(_fuse_block(vecs, scores, weights))):
         want = fuse_cluster_reference(members, row, w)
         assert bits(got) == bits(want)
 
@@ -495,11 +503,11 @@ def test_boxes_from_rows_checks_once_and_wraps_the_yaw():
         assert info.value.row == row
     with pytest.raises(ValueError, match="expected"):
         Boxes.from_rows(rows[:, :8])
-    # Items are kept as they are; their rows are checked when first read.
-    wide = Boxes([(box(0, 0, cat=70000), 1.0)])
-    assert wide[0].state.category == 70000
-    with pytest.raises(RowError, match="category"):
-        wide.rows
+    # Items are checked when the block is made: a category must fit the
+    # wire.
+    with pytest.raises(RowError, match="category") as info:
+        Boxes([(box(0, 0), 1.0), (box(0, 0, cat=70000), 1.0)])
+    assert info.value.row == 1
     record = json.loads(local_map_to_json(lmap(0, [(box(0, 0), 1.0)])))
     record["detections"][0]["category"] = 70000
     with pytest.raises(InputError, match=r"detections\[0\].*category"):
@@ -527,6 +535,23 @@ def test_empty_input():
     assert res.fused_all == []
     assert res.labels == {}
     assert res.global_map.objects == ()
+
+
+def test_global_map_repr_lists_its_boxes_as_pairs():
+    # The edge_fusion benchmark's output digest hashes this repr.
+    gmap = GlobalMap(0.5, [(box(1.0, 2.0, 0.25), 1.5),
+                           (box(-0.0, 30.0, cat=2), -1.0)])
+    assert repr(gmap) == (
+        "GlobalMap(frame_time=0.5, objects=("
+        "(ObjectState(category=0, center=(1.0, 2.0, 0.75), "
+        "extents=(4.0, 2.0, 1.5), yaw=0.25), 1.5), "
+        "(ObjectState(category=2, center=(-0.0, 30.0, 0.75), "
+        "extents=(4.0, 2.0, 1.5), yaw=0.0), -1.0)))")
+    # A fused map made from rows reads the same.
+    fused = baseline_max_score_fuse(
+        [lmap(0, [(box(-0.0, 30.0, cat=2), -1.0), (box(1.0, 2.0, 0.25), 1.5)],
+              t=0.5)]).global_map
+    assert repr(fused) == repr(gmap).replace("-0.0", "0.0")
 
 
 def test_global_map_json_round_trip():
@@ -557,6 +582,22 @@ def test_global_map_json_round_trip():
 def test_global_map_from_json_names_the_bad_field(record, field):
     with pytest.raises(ValueError, match=field):
         global_map_from_json(json.dumps(record))
+
+
+@pytest.mark.parametrize("category", [-1, 70000, 10 ** 400],
+                         ids=["negative", "wide", "huge"])
+def test_map_records_reject_a_category_off_the_wire(category):
+    # Each is an InputError naming the field, in either kind of map: a
+    # huge integer must not overflow on its way to a float row.
+    lm = lmap(0, [(box(0, 0), 1.0)])
+    for to_json, from_json, entry in [
+            (local_map_to_json, local_map_from_json, "detections"),
+            (global_map_to_json, global_map_from_json, "objects")]:
+        record = json.loads(to_json(
+            lm if entry == "detections" else GlobalMap(0.0, lm.detections)))
+        record[entry][0]["category"] = category
+        with pytest.raises(InputError, match=rf"'{entry}\[0\]\.category'"):
+            from_json(json.dumps(record))
 
 
 def test_local_map_json_round_trip():

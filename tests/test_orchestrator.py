@@ -19,6 +19,7 @@ from mapfuse.evalbench import (
 from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
 from mapfuse.fusion import (
     FUSE_RULES,
+    Boxes,
     FusionConfig,
     LocalMap,
     ScoredDetection,
@@ -449,6 +450,32 @@ def test_run_frame_with_an_empty_map_matches_the_scalar_reference(fuse):
     ]
     check_run_frame_against_reference(fuse, maps)
     check_run_frame_against_reference(fuse, maps[:1])
+
+
+def test_fusing_blocks_builds_no_object_state(monkeypatch):
+    # Maps held as row blocks, fusing to three boxes that do not touch (one
+    # of two members), cross association, fusion, pruning and the wire as
+    # rows: no ObjectState is made on the way.
+    pose = Pose((3.0, -2.0, 0.0), 0.4)
+    maps = [LocalMap(k, 0.0, Boxes.from_rows(
+                [[0.0, x + 0.5 * k, 1.0, 0.75, 4.0, 2.0, 1.5, 0.2, k - 0.5]
+                 for x in (0.0, 20.0 + 20.0 * k)]), pose)
+            for k in range(2)]
+    params = default_init_params()
+    made = []
+    post_init = ObjectState.__post_init__
+
+    def counted(state):
+        made.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(ObjectState, "__post_init__", counted)
+    for fuse in FUSE_FNS:
+        assert len(fuse(maps).global_map.objects) == 3
+        gmap, _ = run_frame(FLEET_SCENE, 3, QUIET, params, local_maps=maps,
+                            fuse_fn=fuse)
+        assert len(gmap.objects) == 3
+    assert made == []
 
 
 def test_run_config_from_dict_rejects_unknown_keys():

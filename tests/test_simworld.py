@@ -279,6 +279,52 @@ def test_occluder_bearing_wrapping_past_pi():
     assert view[1][2] == 0.0
 
 
+def test_occluder_around_the_ego():
+    # The ego stands inside a 16 m x 6 m box centred 3 m behind it, so
+    # every ray leaves through the box's front face at x = 5 and the car
+    # 30 m ahead is hidden.  The box's corners lie at +-31 and +-165
+    # degrees, none among the target's rays (within +-2.1 degrees): the
+    # pairing keeps the box because it lies within twice its bounding
+    # radius of the ego (the near rule), and, its corners spanning more
+    # than pi about its own bearing, by the seam clause as well.
+    sc = still_scenario([(0.0, 0.0), (-3.0, 0.0), (30.0, 0.0)],
+                        [CAR, (16.0, 6.0, 1.5), CAR])
+    assert still_view(sc) == []
+
+
+def test_occluder_across_the_seam_from_the_target_rays():
+    # The ego stands inside a long target centred ahead, whose rays run
+    # from -177.4 to +150.9 degrees about the target's bearing.  A small
+    # box 1.5 m behind the ego spans +165.1 to +187.6 degrees on that
+    # scale: past +180, where it meets the lowest ray at -177.4.  Only
+    # the seam clause pairs the two, and the box blocks that one ray.
+    a = math.radians(185.0)
+    sc = still_scenario(
+        [(0.0, 0.0), (3.0, 0.5), (1.5 * math.cos(a), 1.5 * math.sin(a))],
+        [CAR, (20.0, 4.0, 1.5), (0.5, 0.5, 1.5)])
+    view = still_view(sc)
+    assert [v[0] for v in view] == [1]
+    assert view[0][2] == 1 / OCCLUSION_RAYS
+
+
+def test_occluder_corner_on_the_lowest_ray():
+    # The occluder's upper front corner starts on the ray from the ego
+    # through the target's lower near corner, the bearing of its lowest
+    # ray, and moves up one ulp at a time until the ray meets the box.
+    # Near that point the corner's bearing and the ray's agree to within
+    # rounding, and the 1e-6 rad widening keeps the pair; every step must
+    # match the references.
+    bottom = math.atan2(1.0, 30.0 - 2.25)
+    y = -(1.0 + (20.0 + 2.25) * math.tan(bottom))
+    for _ in range(64):
+        sc = still_scenario([(0.0, 0.0), (30.0, 0.0), (20.0, y)], [CAR] * 3)
+        [target] = [v for v in still_view(sc) if v[0] == 1]
+        if target[2] > 0.0:
+            break
+        y = math.nextafter(y, math.inf)
+    assert target == (1, 30.0, 1 / OCCLUSION_RAYS)
+
+
 def test_equally_distant_object_never_occludes():
     # Both boxes are centred 20 m ahead.  The long one's near face
     # (x = 17.75) lies in front of the wide one's (x = 19) on the middle
