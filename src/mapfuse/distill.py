@@ -30,7 +30,7 @@ from mapfuse.fusion import (
     LocalMap,
     three_stage_fuse,
 )
-from mapfuse.geometry import ObjectState, transform_to_local
+from mapfuse.geometry import ObjectState, rows_to_local
 from mapfuse.simworld import DetectorNoiseSpec, Scenario, sense
 
 
@@ -40,7 +40,8 @@ class RoadSideUnit:
 
     Labels a fused object with the state of the nearest true object,
     provided the object sits inside the disc and a true object lies
-    within match_radius of it.
+    within match_radius of it.  ``lookup`` answers a frame's fused
+    centres at once; ``label`` is its one-box form.
     """
 
     center: tuple[float, float]
@@ -49,23 +50,24 @@ class RoadSideUnit:
     match_radius: float = 2.0
 
     def covers(self, state: ObjectState) -> bool:
-        return (
-            math.hypot(
-                state.center[0] - self.center[0],
-                state.center[1] - self.center[1],
-            )
-            <= self.radius
-        )
+        x, y = state.center[:2]
+        return math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
+
+    def lookup(self, centers: np.ndarray, frame: int) -> np.ndarray:
+        """For each (x, y) row of centers, the id of the true object that
+        labels it, or -1: one centre x object distance block."""
+        covered = np.array([
+            math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
+            for x, y in centers.tolist()], dtype=bool)
+        xy = self.scenario.xy[frame]
+        d = np.hypot(xy[:, 0] - centers[:, 0, None],
+                     xy[:, 1] - centers[:, 1, None])      # (C, M)
+        found = covered & (d.min(axis=1) <= self.match_radius)
+        return np.where(found, d.argmin(axis=1), -1)
 
     def label(self, state: ObjectState, frame: int) -> ObjectState | None:
-        if not self.covers(state):
-            return None
-        xy = self.scenario.xy[frame]
-        d = np.hypot(xy[:, 0] - state.center[0], xy[:, 1] - state.center[1])
-        best = int(np.argmin(d))
-        if d[best] > self.match_radius:
-            return None
-        return self.scenario.object_state(frame, best)
+        best = int(self.lookup(np.array([state.center[:2]]), frame)[0])
+        return None if best < 0 else self.scenario.object_state(frame, best)
 
 
 def full_coverage_registry(scenario: Scenario) -> tuple[RoadSideUnit]:
@@ -84,25 +86,26 @@ def distill_labels(
     Each detection is labeled from its cluster's fused object: either by
     the first teacher in the registry that labels that object (ground
     truth, transformed into the vehicle frame) or by the fused object
-    itself.  The teachers are asked once per cluster.
+    itself.  Each teacher answers the frame's fused centres at once.
     """
-    targets = []
-    for fused_state, _ in result.fused_all:
-        for teacher in registry:
-            target = teacher.label(fused_state, frame)
-            if target is not None:
-                break
-        else:
-            target = fused_state
-        targets.append(target)
+    fused = result.fused_all.vecs
+    targets = np.array(fused)                             # (C, 8) rows
+    unlabeled = np.ones(len(fused), dtype=bool)
+    for teacher in registry:
+        found = teacher.lookup(fused[:, 1:3], frame)
+        hit = unlabeled & (found >= 0)
+        targets[hit] = teacher.scenario.truth_rows(frame, found[hit])
+        unlabeled &= ~hit
     out: dict[int, LabelSet] = {}
     for lm in local_maps:
         clusters = result.labels.get(lm.vehicle_id)
         if clusters is None or len(clusters) != len(lm.detections):
             raise ValueError("cluster labels do not match the local maps")
-        labels = tuple(transform_to_local(targets[cluster], lm.pose)
-                       for cluster in clusters)
-        out[lm.vehicle_id] = LabelSet(frame_time=lm.frame_time, labels=labels)
+        rows = rows_to_local(targets[list(clusters)], (lm.pose,),
+                             (len(clusters),))
+        out[lm.vehicle_id] = LabelSet(
+            frame_time=lm.frame_time,
+            labels=tuple(map(ObjectState.from_row, rows.tolist())))
     return out
 
 
@@ -168,14 +171,5 @@ def run_perfect_fl(
     sensor_seed: int = 0,
 ) -> ModelParams:
     """Federated training with perfect teacher labels everywhere."""
-    return run_edfl(
-        scenario,
-        frames,
-        noise,
-        init,
-        train_cfg,
-        fusion_cfg,
-        spec,
-        sensor_seed,
-        registry=full_coverage_registry(scenario),
-    )
+    return run_edfl(scenario, frames, noise, init, train_cfg, fusion_cfg, spec,
+                    sensor_seed, registry=full_coverage_registry(scenario))

@@ -100,12 +100,13 @@ def tag_objects(
 
 def overlap_rows(
     predictions: Sequence[tuple[ObjectState, float]],
-    truths: Sequence[ObjectState],
+    truths: Sequence[ObjectState] | np.ndarray,
     iou_threshold: float = IOU_THRESHOLD,
 ) -> list[list[tuple[int, float]]]:
     """The IoU pass: per prediction, the (truth index, IoU) pairs that
     reach the threshold, in truth order.  The predictions are a Boxes
-    block or (state, score) pairs.
+    block or (state, score) pairs; the truths are states or their
+    (n, 8) rows (Scenario.truth_rows).
 
     All pairs go through one array pass (geometry.iou_bev_matrix), so a
     caller with several prediction sets passes their concatenation once

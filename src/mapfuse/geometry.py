@@ -121,35 +121,24 @@ class Pose:
 IDENTITY_POSE = Pose(position=(0.0, 0.0, 0.0), heading=0.0)
 
 
-def transform_to_global(obj: ObjectState, pose: Pose) -> ObjectState:
-    """Map an object from the pose's local frame into the global frame."""
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    x, y, z = obj.center
-    px, py, pz = pose.position
-    return ObjectState(
-        category=obj.category,
-        center=(c * x - s * y + px, s * x + c * y + py, z + pz),
-        extents=obj.extents,
-        yaw=obj.yaw + pose.heading,
-    )
+def _pose_rows(poses: Sequence[Pose], counts: Sequence[int]) -> np.ndarray:
+    """Per row: (c, s), (-s, c), the position and the heading, the first
+    counts[0] rows under poses[0], the next counts[1] under poses[1], and
+    so on.  cos and sin come from math per pose."""
+    return np.repeat(np.array([
+        (c, s, -s, c, *p.position, p.heading) for p in poses
+        for c, s in [(math.cos(p.heading), math.sin(p.heading))]
+    ], dtype=float).reshape(-1, 8), counts, axis=0)
 
 
 def rows_to_global(
     vecs: np.ndarray, poses: Sequence[Pose], counts: Sequence[int]
 ) -> np.ndarray:
-    """transform_to_global on rows (category, x, y, z, l, w, h, yaw, ...);
-    any further columns are copied as they are.
-
-    The first counts[0] rows are under poses[0], the next counts[1] under
-    poses[1], and so on.  cos and sin come from math per pose and every
-    other step is the scalar function's, so the rows are bit-identical to
-    its states, -0.0 turned +0.0 by the added position included.
-    """
-    # Per row: (c, s), (-s, c), the position and the heading.
-    pose = np.repeat(np.reshape([
-        (c, s, -s, c, *p.position, p.heading) for p in poses
-        for c, s in [(math.cos(p.heading), math.sin(p.heading))]
-    ], (-1, 8)), counts, axis=0)
+    """Rows (category, x, y, z, l, w, h, yaw, ...) moved from each pose's
+    frame into the global frame (rows per pose as in _pose_rows), the yaw
+    wrapped and further columns copied.  Each step is elementwise, so a
+    row's bits do not depend on the other rows in the call."""
+    pose = _pose_rows(poses, counts)
     out = np.array(vecs, dtype=float)
     # x (c, s) + y (-s, c) + (px, py) is (c x - s y + px, s x + c y + py)
     # to the bit: y (-s) is -(s y) exactly, and adding it subtracts s y.
@@ -160,18 +149,39 @@ def rows_to_global(
     return out
 
 
+def rows_to_local(
+    vecs: np.ndarray, poses: Sequence[Pose], counts: Sequence[int]
+) -> np.ndarray:
+    """The exact inverse of rows_to_global: rows moved from the global
+    frame into each pose's local frame, (c dx + s dy, -s dx + c dy) for
+    the offset (dx, dy) from the pose's position."""
+    pose = _pose_rows(poses, counts)
+    out = np.array(vecs, dtype=float)
+    d = vecs[:, 1:3] - pose[:, 4:6]
+    # dx (c, -s) + dy (s, c): columns 0 and 2, then 1 and 3.
+    out[:, 1:3] = d[:, 0:1] * pose[:, 0:3:2] + d[:, 1:2] * pose[:, 1:4:2]
+    out[:, 3] -= pose[:, 6]
+    out[:, 7] = wrap_angles(vecs[:, 7] - pose[:, 7])
+    return out
+
+
+def _transform(rows_fn, obj: ObjectState, pose: Pose) -> ObjectState:
+    """obj moved by a one-row call of rows_fn, its category as it is; a
+    field beyond the finite range raises ObjectState's ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = rows_fn(np.array([[0.0, *obj.center, *obj.extents, obj.yaw]]),
+                      (pose,), (1,))
+    return ObjectState.from_row((obj.category, *row[0, 1:].tolist()))
+
+
+def transform_to_global(obj: ObjectState, pose: Pose) -> ObjectState:
+    """Map an object from the pose's local frame into the global frame."""
+    return _transform(rows_to_global, obj, pose)
+
+
 def transform_to_local(obj: ObjectState, pose: Pose) -> ObjectState:
     """Exact inverse of :func:`transform_to_global`."""
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    px, py, pz = pose.position
-    x, y, z = obj.center
-    dx, dy = x - px, y - py
-    return ObjectState(
-        category=obj.category,
-        center=(c * dx + s * dy, -s * dx + c * dy, z - pz),
-        extents=obj.extents,
-        yaw=obj.yaw - pose.heading,
-    )
+    return _transform(rows_to_local, obj, pose)
 
 
 def footprint_corners(obj: ObjectState) -> np.ndarray:

@@ -563,8 +563,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
                   for k in range(k_count)]
         fleet_tags, density = tag_objects(scenario, f)
-        fleet_truths = [scenario.object_state(f, t.object_id)
-                        for t in fleet_tags]
+        fleet_truths = scenario.truth_rows(
+            f, [t.object_id for t in fleet_tags])
         fleet_bits = slice_bits(fleet_tags, density)
         # Each vehicle's visible objects are a subset of the fleet's: its
         # slice masks are over the fleet truths, and a fleet truth the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from mapfuse import fedlearn
 from mapfuse.fedlearn import FEATURE_DIM, SensorFrame
 from mapfuse.fusion import Boxes, LocalMap, RowError
-from mapfuse.geometry import InputError, ObjectState, Pose, wrap_angle
+from mapfuse.geometry import (InputError, ObjectState, Pose, wrap_angle,
+                               wrap_angles)
 
 OCCLUSION_RAYS = 32
 
@@ -151,6 +153,11 @@ class ScenarioConfig:
                                  "and finite")
         if self.num_frames < 1:
             raise ValueError("duration * frame_rate gives no frame")
+        # numpy indexes at most intp's maximum in bytes; the largest array
+        # is the (frames, objects, 2) float trajectories.
+        if self.num_frames * self.num_objects > np.iinfo(np.intp).max // 16:
+            raise ValueError("num_objects objects over duration * frame_rate "
+                             "frames exceed what numpy can index")
         if not self.speed_max / self.frame_rate <= self.span:
             raise ValueError("speed_max / frame_rate exceeds span: an object "
                              "would cross the arena within one frame")
@@ -275,16 +282,21 @@ class Scenario:
     def frame_time(self, frame: int) -> float:
         return frame / self.config.frame_rate
 
+    def truth_rows(self, frame: int, objects) -> np.ndarray:
+        """Ground truth as (n, 8) rows (category, x, y, z, l, w, h, yaw),
+        the yaw wrapped, of the given integer object ids at a frame."""
+        objects = np.fromiter(map(operator.index, objects), np.intp)
+        if not 0 <= frame < self.num_frames or objects.size and not (
+                0 <= objects.min() and objects.max() < self.num_objects):
+            raise ValueError(f"no such object among {objects.tolist()} at "
+                             f"frame {frame}")
+        return np.column_stack((
+            self.categories[objects], self.xy[frame, objects],
+            self.z[objects], self.extents[objects],
+            wrap_angles(self.yaw[frame, objects])))
+
     def object_state(self, frame: int, obj: int) -> ObjectState:
-        if not (0 <= frame < self.num_frames and 0 <= obj < self.num_objects):
-            raise ValueError(f"no such object {obj} at frame {frame}")
-        return ObjectState(
-            category=int(self.categories[obj]),
-            center=(self.xy[frame, obj, 0], self.xy[frame, obj, 1],
-                    self.z[obj]),
-            extents=tuple(self.extents[obj]),
-            yaw=self.yaw[frame, obj],
-        )
+        return ObjectState.from_row(self.truth_rows(frame, (obj,))[0].tolist())
 
     def _check(self, vehicle: int, frame: int) -> None:
         if not 0 <= vehicle < self.num_vehicles:
@@ -481,16 +493,13 @@ def visible_objects(
     # box whose corner bearings, widened by 1e-6 rad, can meet the
     # target's rays.  The pairs left out would only add misses to the
     # minima below.  Each box's corners span [span_lo, span_hi] about its
-    # centre's bearing, per vehicle.  A box within twice its bounding
-    # radius of the ego may surround it or nearly touch it, and is taken
-    # to span every bearing.
-    r = np.hypot(scenario.extents[:, 0], scenario.extents[:, 1]) / 2.0
+    # centre's bearing, per vehicle.  A box around the ego has corners
+    # more than pi apart about that bearing, so its window crosses +-pi
+    # and the seam clause pairs it.
     oc = corners - ego[:, None, None]                     # (V, M, 4, 2)
     rel_c = _wrap_near(np.arctan2(oc[..., 1], oc[..., 0])
                        - bearing[..., None])
-    near = dist <= 2.0 * r                                # (V, M)
-    span_lo = np.where(near, -math.pi, rel_c.min(axis=-1))
-    span_hi = np.where(near, math.pi, rel_c.max(axis=-1))
+    span_lo, span_hi = rel_c.min(axis=-1), rel_c.max(axis=-1)
     mid = _wrap_near(bearing[veh] - b_t)
     low, high = mid + span_lo[veh] - 1e-6, mid + span_hi[veh] + 1e-6
     pairs = (dist[veh] < dist[veh, tgt, None]) & (
@@ -536,14 +545,10 @@ def sense(
     rng = np.random.default_rng([seed, vehicle, frame])
     vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
 
-    # The truth of every visible object as Python floats, moved into the
-    # vehicle's frame with transform_to_local's own expressions.
-    ids = [obj_id for obj_id, _, _ in vis]
-    truth = zip(scenario.xy[frame, ids].tolist(),
-                scenario.yaw[frame, ids].tolist(),
-                scenario.z[ids].tolist(),
-                scenario.extents[ids].tolist(),
-                scenario.categories[ids].tolist())
+    # The visible objects' truth rows as Python floats, moved into the
+    # vehicle's frame with rows_to_local's expressions per object: a numpy
+    # call per vehicle costs more than its handful of rows.
+    truth = scenario.truth_rows(frame, [o for o, _, _ in vis]).tolist()
     px, py, pz = pose.position
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     bx, by, bz, bl, bw, bh, byaw = noise.bias
@@ -552,7 +557,7 @@ def sense(
     # distance / range, occlusion).
     rows: list[tuple] = []
     sources: list[int | None] = []
-    for (obj_id, dist, occl), ((x, y), truth_yaw, z, (l, w, h), cat) in zip(
+    for (obj_id, dist, occl), (cat, x, y, z, l, w, h, truth_yaw) in zip(
             vis, truth):
         p_miss = min(
             max(
@@ -569,7 +574,7 @@ def sense(
         scale = 1.0 + noise.noise_dist_scale * (dist / sensor.range + occl)
         nx, ny, nz = rng.normal(0.0, noise.center_sigma * scale, 3).tolist()
         nl, nw, nh = rng.normal(0.0, noise.extent_sigma * scale, 3).tolist()
-        yaw = (wrap_angle(wrap_angle(truth_yaw) - pose.heading)
+        yaw = (wrap_angle(truth_yaw - pose.heading)
                + rng.normal(0.0, noise.yaw_sigma * scale))
         flip = rng.random() < noise.flip_prob
         yaw += byaw
@@ -650,35 +655,22 @@ def sense(
 def scenario_to_jsonl(scenario: Scenario) -> str:
     """One JSONL record per frame: ground-truth states plus poses."""
     lines = []
+    every = range(scenario.num_objects)
     for f in range(scenario.num_frames):
+        rows = scenario.truth_rows(f, every).tolist()
         record = {
             "frame": f,
             "time": scenario.frame_time(f),
             "objects": [
-                {
-                    "id": m,
-                    "category": int(scenario.categories[m]),
-                    "center": [
-                        float(scenario.xy[f, m, 0]),
-                        float(scenario.xy[f, m, 1]),
-                        float(scenario.z[m]),
-                    ],
-                    "extents": [float(v) for v in scenario.extents[m]],
-                    "yaw": float(wrap_angle(scenario.yaw[f, m])),
-                }
-                for m in range(scenario.num_objects)
+                {"id": m, "category": int(r[0]), "center": r[1:4],
+                 "extents": r[4:7], "yaw": r[7]}
+                for m, r in enumerate(rows)
             ],
+            # The vehicles are the first objects; a pose is the truth's
+            # ground point and yaw.
             "poses": [
-                {
-                    "vehicle": k,
-                    "position": [
-                        float(scenario.xy[f, k, 0]),
-                        float(scenario.xy[f, k, 1]),
-                        0.0,
-                    ],
-                    "heading": float(wrap_angle(scenario.yaw[f, k])),
-                }
-                for k in range(scenario.num_vehicles)
+                {"vehicle": k, "position": [r[1], r[2], 0.0], "heading": r[7]}
+                for k, r in enumerate(rows[:scenario.num_vehicles])
             ],
         }
         lines.append(json.dumps(record, sort_keys=True))

@@ -19,6 +19,7 @@ from mapfuse.fedlearn import (
     F_X,
     FEATURE_DIM,
     FEATURE_SCALES,
+    LabelSet,
     LossBreakdown,
     ModelParams,
     ModelSpec,
@@ -38,8 +39,6 @@ from mapfuse.geometry import (
     _footprint_overlap,
     angle_diff,
     iou_bev,
-    transform_to_global,
-    transform_to_local,
     wrap_angle,
 )
 from mapfuse.fusion import (
@@ -72,6 +71,48 @@ from mapfuse.simworld import (
 
 ORACLE_MAX_POINTS = 200
 
+
+# --- frame transforms and ground truth, one box at a time ------------------
+
+
+def transform_to_global_reference(obj, pose):
+    """Reference ``geometry.transform_to_global``: the scalar expressions."""
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    x, y, z = obj.center
+    px, py, pz = pose.position
+    return ObjectState(
+        category=obj.category,
+        center=(c * x - s * y + px, s * x + c * y + py, z + pz),
+        extents=obj.extents,
+        yaw=obj.yaw + pose.heading,
+    )
+
+
+def transform_to_local_reference(obj, pose):
+    """Reference ``geometry.transform_to_local``: the scalar expressions."""
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    px, py, pz = pose.position
+    x, y, z = obj.center
+    dx, dy = x - px, y - py
+    return ObjectState(
+        category=obj.category,
+        center=(c * dx + s * dy, -s * dx + c * dy, z - pz),
+        extents=obj.extents,
+        yaw=obj.yaw - pose.heading,
+    )
+
+
+def object_state_reference(scenario, frame, obj):
+    """Reference ``Scenario.object_state``: one object read field by field
+    from the scenario's arrays."""
+    return ObjectState(
+        category=int(scenario.categories[obj]),
+        center=(scenario.xy[frame, obj, 0], scenario.xy[frame, obj, 1],
+                scenario.z[obj]),
+        extents=tuple(scenario.extents[obj]),
+        yaw=scenario.yaw[frame, obj],
+    )
+
 # Two 1.46 x 2.74 footprints whose bounding circles meet where pow() and a
 # product round one ulp apart: squared with pow(), as iou_bev's circle test
 # does, the center distance lies beyond the sum of the half-diagonals;
@@ -81,6 +122,38 @@ POW_BOUNDARY_PAIR = (
     ObjectState(0, (float.fromhex("0x1.8d670278e0d37p+1"), 0.0, 0.0),
                 (1.46, 2.74, 1.0), 0.0),
 )
+
+
+def rsu_label_reference(teacher, state, frame):
+    """Reference ``RoadSideUnit.label``: one object distance scan per
+    box."""
+    if not teacher.covers(state):
+        return None
+    xy = teacher.scenario.xy[frame]
+    d = np.hypot(xy[:, 0] - state.center[0], xy[:, 1] - state.center[1])
+    best = int(np.argmin(d))
+    if d[best] > teacher.match_radius:
+        return None
+    return object_state_reference(teacher.scenario, frame, best)
+
+
+def distill_labels_reference(local_maps, result, frame, registry=()):
+    """Reference ``distill.distill_labels``: per fused box, the teachers
+    asked in turn, and each target moved into a vehicle's frame on its
+    own."""
+    targets = []
+    for fused_state, _ in result.fused_all:
+        for teacher in registry:
+            target = rsu_label_reference(teacher, fused_state, frame)
+            if target is not None:
+                break
+        else:
+            target = fused_state
+        targets.append(target)
+    return {lm.vehicle_id: LabelSet(lm.frame_time, tuple(
+                transform_to_local_reference(targets[cluster], lm.pose)
+                for cluster in result.labels[lm.vehicle_id]))
+            for lm in local_maps}
 
 
 def _closure_partition(entries, cfg: ClusterConfig) -> list[int]:
@@ -801,7 +874,7 @@ def _reference_rule(fuse_fn_name):
 
 def fuse_frame_reference(local_maps, fuse_fn_name, delta=0.1):
     """Reference ``fusion._fuse_frame``: each detection moved to the global
-    frame by ``transform_to_global``, clusters from the transitive
+    frame by ``transform_to_global_reference``, clusters from the transitive
     closure, each cluster fused on its own in vehicle-then-detection
     order, and the scalar pruning loop."""
     if not local_maps:
@@ -811,7 +884,8 @@ def fuse_frame_reference(local_maps, fuse_fn_name, delta=0.1):
     for lm in local_maps:
         for n, det in enumerate(lm.detections):
             entries.append(
-                (lm.vehicle_id, n, transform_to_global(det.state, lm.pose)))
+                (lm.vehicle_id, n,
+                 transform_to_global_reference(det.state, lm.pose)))
             scores.append(det.score)
     count, labels = cluster_brute_force_oracle(entries, ClusterConfig())
     members = [[] for _ in range(count)]
@@ -837,8 +911,9 @@ def run_frame_reference(local_maps, frame_time, fuse_fn_name):
     per_kind = {}
     server_maps = []
     for lm in local_maps:
-        upload = tuple((transform_to_global(d.state, lm.pose), d.score)
-                       for d in lm.detections)
+        upload = tuple(
+            (transform_to_global_reference(d.state, lm.pose), d.score)
+            for d in lm.detections)
         wire = struct_encode_message(V2xMessage(
             MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
         per_kind[MessageKind.LOCAL_MAP_UPLOAD] = (
@@ -863,7 +938,7 @@ def run_frame_reference(local_maps, frame_time, fuse_fn_name):
 
 def sense_reference(scenario, vehicle, frame, noise, seed, visibility=None):
     """Reference sensing: each detection through an ObjectState, moved by
-    transform_to_local, noised with 3-element numpy arrays.
+    transform_to_local_reference, noised with 3-element numpy arrays.
 
     Returns ``simworld.sense(scenario, vehicle, frame, noise, seed,
     visibility)``.
@@ -889,7 +964,8 @@ def sense_reference(scenario, vehicle, frame, noise, seed, visibility=None):
         )
         if rng.random() < p_miss:
             continue
-        local = transform_to_local(scenario.object_state(frame, obj_id), pose)
+        local = transform_to_local_reference(
+            object_state_reference(scenario, frame, obj_id), pose)
         scale = 1.0 + noise.noise_dist_scale * (dist / sensor.range + occl)
         center = np.array(local.center) + rng.normal(
             0.0, noise.center_sigma * scale, 3

@@ -403,12 +403,28 @@ def test_undecodable_input_exits_2(tmp_path, capsys):
     # Valid settings that no placement can meet: too crowded an arena.
     {"num_objects": 60, "span": 20.0, "min_separation": 8.0,
      "max_attempts": 5},
+    # Sizes whose arrays numpy cannot index (it raises before allocating).
+    {"num_objects": 18446744073709551616},
+    {"duration": 1e200},
 ])
 def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": {"duration": 1.0, **scenario}}))
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"num_objects": 18446744073709551616}, "num_objects"),
+    ({"duration": 1e200}, "duration"),
+])
+def test_simulate_names_a_size_numpy_cannot_index(tmp_path, capsys,
+                                                   scenario, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,12 @@ from mapfuse.simworld import (
     ScenarioConfig,
     generate_scenario,
     sense,
+)
+
+from oracles import (
+    distill_labels_reference,
+    object_state_reference,
+    rsu_label_reference,
 )
 
 NOISE = DetectorNoiseSpec(center_sigma=0.1, extent_sigma=0.05, yaw_sigma=0.03,
@@ -57,6 +66,56 @@ def test_rsu_labels_with_nearest_truth():
     rsu_tight = RoadSideUnit(center=(0.0, 0.0), radius=1e9, scenario=sc,
                              match_radius=0.1)
     assert rsu_tight.label(probe, 10) is None
+
+
+def hexes(state):
+    return [float(v).hex() for v in state.to_vector()]
+
+
+def test_teacher_frame_lookup_is_the_per_box_label_loop():
+    sc = small_scenario()
+    other = small_scenario(seed=4)
+    for frame in (0, 20, 45, 90):
+        maps, res = sensed_frame(sc, frame)
+        fused = [state for state, _ in res.fused_all]
+        # A fused box that a teacher labels sits exactly on the edge of
+        # one disc and just outside a disc one ulp smaller, and its truth
+        # exactly at one teacher's match radius; the other discs overlap
+        # it and each other, and one teacher answers from another
+        # scenario, so which teacher labels first shows.
+        x, y = next(s for s in fused
+                    if rsu_label_reference(full_coverage_registry(sc)[0], s,
+                                           frame) is not None).center[:2]
+        edge = math.hypot(x - 10.0, y - (-5.0))
+        reach = np.hypot(sc.xy[frame, :, 0] - x, sc.xy[frame, :, 1] - y).min()
+        registry = (
+            RoadSideUnit((10.0, -5.0), math.nextafter(edge, 0.0), sc),
+            RoadSideUnit((10.0, -5.0), edge, sc),
+            RoadSideUnit((x, y), 15.0, sc, match_radius=0.5),
+            RoadSideUnit((0.0, 0.0), 40.0, sc),
+            RoadSideUnit((0.0, 0.0), 1e9, sc, match_radius=float(reach)),
+            RoadSideUnit((0.0, 0.0), 1e9, other, match_radius=50.0),
+            RoadSideUnit((0.0, 0.0), 1e9, sc),
+        )
+        probe = ObjectState(0, (x, y, 0.75), (4.0, 2.0, 1.5), 0.0)
+        assert rsu_label_reference(registry[0], probe, frame) is None
+        for teacher in (registry[1], registry[4]):
+            assert rsu_label_reference(teacher, probe, frame) is not None
+        for teacher in registry:
+            want = [rsu_label_reference(teacher, s, frame) for s in fused]
+            ids = teacher.lookup(res.fused_all.vecs[:, 1:3], frame).tolist()
+            assert [None if i < 0 else
+                    object_state_reference(teacher.scenario, frame, i)
+                    for i in ids] == want
+            assert [teacher.label(s, frame) for s in fused] == want
+        pairs = list(itertools.permutations(registry[:6], 2))
+        for regs in [(), registry, *pairs, *(p + registry[6:] for p in pairs)]:
+            got = distill_labels(maps, res, frame, registry=regs)
+            want = distill_labels_reference(maps, res, frame, regs)
+            assert got.keys() == want.keys()
+            for k in got:
+                assert list(map(hexes, got[k].labels)) == list(
+                    map(hexes, want[k].labels))
 
 
 def test_registry_first_covering_teacher_wins():

@@ -18,6 +18,7 @@ from mapfuse.geometry import (
     iou_bev,
     iou_bev_matrix,
     rows_to_global,
+    rows_to_local,
     stacked_footprint_corners,
     transform_to_global,
     transform_to_local,
@@ -27,7 +28,12 @@ from mapfuse.orchestrator import default_benchmark_config
 from mapfuse.orchestrator import testing_frames as eval_window_frames
 from mapfuse.simworld import generate_scenario, sense
 
-from oracles import POW_BOUNDARY_PAIR, iou_3d
+from oracles import (
+    POW_BOUNDARY_PAIR,
+    iou_3d,
+    transform_to_global_reference,
+    transform_to_local_reference,
+)
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)
 angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -342,17 +348,45 @@ row_boxes = st.builds(make_state, signed_coords, signed_coords,
                       st.integers(0, 2))
 
 
-@given(st.lists(st.tuples(row_poses, st.lists(row_boxes, max_size=5)),
+# Each row transform with its one-row form and the scalar reference.
+row_transforms = st.sampled_from([
+    (rows_to_global, transform_to_global, transform_to_global_reference),
+    (rows_to_local, transform_to_local, transform_to_local_reference),
+])
+
+
+@given(row_transforms,
+       st.lists(st.tuples(row_poses, st.lists(row_boxes, max_size=5)),
                 max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_row_transform_is_transform_to_global_bit_for_bit(frame):
+def test_row_transform_is_transform_to_global_bit_for_bit(transforms, frame):
+    rows_fn, one_row, reference = transforms
     poses = [pose for pose, _ in frame]
     counts = [len(states) for _, states in frame]
     vecs = np.array([s.to_vector() for _, states in frame for s in states])
-    got = rows_to_global(vecs.reshape(-1, 8), poses, counts)
-    want = [transform_to_global(s, pose)
-            for pose, states in frame for s in states]
+    got = rows_fn(vecs.reshape(-1, 8), poses, counts)
+    want = [reference(s, pose) for pose, states in frame for s in states]
+    ones = [one_row(s, pose) for pose, states in frame for s in states]
     assert got.shape == (len(want), 8)
-    for row, state in zip(got.tolist(), want):
-        assert [v.hex() for v in row] == [
-            float(v).hex() for v in state.to_vector()]
+    for row, one, state in zip(got.tolist(), ones, want, strict=True):
+        hexes = [float(v).hex() for v in state.to_vector()]
+        assert [v.hex() for v in row] == hexes
+        assert [float(v).hex() for v in one.to_vector()] == hexes
+        assert type(one.category) is int and one.category == state.category
+
+
+def test_scalar_transforms_reject_a_box_beyond_the_finite_range():
+    # The global x overflows and the local offset from a pose at -1.7e308
+    # does too; either way the box fails as the scalar reference does,
+    # and with no numpy warning (warnings are errors here).
+    huge = make_state(1.7e308, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, category=2)
+    pose = Pose((1.7e308, 0.0, 0.0), 0.0)
+    far = Pose((-1.7e308, 0.0, 0.0), 0.0)
+    for fn, ref, p in ((transform_to_global, transform_to_global_reference,
+                        pose),
+                       (transform_to_local, transform_to_local_reference,
+                        far)):
+        with pytest.raises(ValueError, match="finite"):
+            ref(huge, p)
+        with pytest.raises(ValueError, match="finite"):
+            fn(huge, p)

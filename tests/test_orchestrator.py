@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
-from mapfuse.distill import run_edfl, run_perfect_fl
+from mapfuse.distill import distill_labels, run_edfl, run_perfect_fl
 from mapfuse.evalbench import (
     IOU_THRESHOLD,
     match_detections,
@@ -27,7 +27,7 @@ from mapfuse.fusion import (
     baseline_mean_fuse,
     three_stage_fuse,
 )
-from mapfuse.geometry import ObjectState, Pose, transform_to_global
+from mapfuse.geometry import ObjectState, Pose, iou_bev
 from mapfuse.orchestrator import (
     BROADCAST_ID,
     ByteLedger,
@@ -63,9 +63,11 @@ from oracles import (
     SliceAccumulator,
     average_precision_reference,
     iou_3d,
+    object_state_reference,
     run_frame_reference,
     struct_decode_message,
     struct_encode_message,
+    transform_to_global_reference,
 )
 
 QUIET = DetectorNoiseSpec()
@@ -718,6 +720,36 @@ def test_run_experiment_small_and_deterministic():
     assert set(ts.per_vehicle_ap) == set(range(5))
 
 
+def test_run_experiment_builds_object_states_only_for_labels_and_pruning(
+        monkeypatch):
+    # Truths, teacher answers and targets travel as rows: the only states
+    # made are the training labels distill_labels returns and the boxes
+    # pruning scores with the scalar iou_bev.
+    made, kept = [], []
+    post_init = ObjectState.__post_init__
+
+    def counted(state):
+        made.append(state)
+        post_init(state)
+
+    def labels(*args, **kwargs):
+        out = distill_labels(*args, **kwargs)
+        kept.extend(lbl for ls in out.values() for lbl in ls.labels)
+        return out
+
+    def scored(a, b):
+        kept.extend((a, b))
+        return iou_bev(a, b)
+
+    monkeypatch.setattr(ObjectState, "__post_init__", counted)
+    monkeypatch.setattr("mapfuse.distill.distill_labels", labels)
+    monkeypatch.setattr("mapfuse.fusion.iou_bev", scored)
+    run_experiment(small_run_config(), test_frames=list(range(60, 120, 10)))
+    assert kept
+    known = {id(state) for state in kept}
+    assert [state for state in made if id(state) not in known] == []
+
+
 def reference_scores(cfg, frames):
     """Scores run_experiment's methods with one direct match_detections
     call per prediction set and truth set: a local map against its
@@ -751,7 +783,7 @@ def reference_scores(cfg, frames):
 
     for f in frames:
         fleet_tags, density = tag_objects(scenario, f)
-        fleet_truths = [scenario.object_state(f, t.object_id)
+        fleet_truths = [object_state_reference(scenario, f, t.object_id)
                         for t in fleet_tags]
         veh_tags = [tag_objects(scenario, f, vehicles=[k])
                     for k in range(k_count)]
@@ -780,9 +812,10 @@ def reference_scores(cfg, frames):
                     veh[m][k][1] += len(seen)
             else:
                 for k, (tags, dens_k) in enumerate(veh_tags):
-                    preds = [(transform_to_global(d.state, maps[k].pose),
-                              d.score) for d in maps[k].detections]
-                    truths = [scenario.object_state(f, t.object_id)
+                    preds = [(transform_to_global_reference(
+                                  d.state, maps[k].pose), d.score)
+                             for d in maps[k].detections]
+                    truths = [object_state_reference(scenario, f, t.object_id)
                               for t in tags]
                     own_acc[m][k].add_frame(preds, truths, tags, dens_k)
                     assigned = match_detections(preds, fleet_truths, thr)

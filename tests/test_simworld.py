@@ -33,6 +33,7 @@ from mapfuse.simworld import (
 )
 from oracles import (
     iou_3d,
+    object_state_reference,
     ray_hits_reference,
     sense_reference,
     visible_objects_per_target,
@@ -187,6 +188,43 @@ def test_object_state_rejects_out_of_range_ids(frame, obj):
     sc.object_state(19, 36)
     with pytest.raises(ValueError, match="no such object"):
         sc.object_state(frame, obj)
+    with pytest.raises(ValueError, match="no such object"):
+        sc.truth_rows(frame, [0, obj])
+
+
+def seam_scenario(seed):
+    """One frame of boxes at yaws on and about the +-pi seam, with signed
+    zero and tiny coordinates and every category."""
+    yaws = [math.pi, -math.pi, 3 * math.pi, -0.0, math.nextafter(math.pi, 0),
+            math.nextafter(-math.pi, 0), -7.5, 1e-300]
+    m = len(yaws)
+    xy = [(-0.0, 0.0), (1e-300, -2.5), (0.0, -0.0), (30.0, 4.0),
+          (-12.5, 7.25), (5e-324, 1.0), (100.0, -100.0), (-0.0, -0.0)]
+    return Scenario(ScenarioConfig(num_vehicles=1, num_objects=m), seed,
+                    np.array([xy]), np.array([yaws]),
+                    np.tile([4.5, 2.0, 1.5], (m, 1)), np.arange(m) % 3)
+
+
+@pytest.mark.parametrize("make", [
+    functools.partial(generate_scenario, ScenarioConfig(duration=3.0)),
+    functools.partial(generate_scenario, ScenarioConfig(
+        duration=2.0, num_vehicles=10, num_objects=80)),
+    seam_scenario,
+], ids=["crossing", "crowded-crossing", "seam"])
+def test_truth_rows_are_object_state_bit_for_bit(make):
+    for seed in range(3):
+        sc = make(seed=seed)
+        objects = list(range(sc.num_objects))[::-1]
+        for f in range(sc.num_frames):
+            rows = sc.truth_rows(f, objects)
+            assert rows.shape == (len(objects), 8)
+            for row, obj in zip(rows.tolist(), objects):
+                want = [float(v).hex() for v in
+                        object_state_reference(sc, f, obj).to_vector()]
+                assert [v.hex() for v in row] == want
+                assert [float(v).hex() for v in
+                        sc.object_state(f, obj).to_vector()] == want
+        assert sc.truth_rows(0, []).shape == (0, 8)
 
 
 def still_scenario(xy, extents, sensor=SensorSpec()):
