@@ -102,10 +102,6 @@ def _cmd_fuse(args) -> int:
             raise InputError(f"line {number}: {exc}") from None
     if not local_maps:
         raise InputError("no local maps in input")
-    if len({lm.frame_time for lm in local_maps}) != 1:
-        raise InputError("local maps must all belong to one frame")
-    if len({lm.vehicle_id for lm in local_maps}) != len(local_maps):
-        raise InputError("local maps must have distinct vehicle ids")
     result = FUSE_RULES[args.method](local_maps, cfg.fusion)
     if args.format == "kitti":
         text = "\n".join(global_map_to_kitti(result.global_map)) + "\n"

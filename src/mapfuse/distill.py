@@ -28,6 +28,7 @@ from mapfuse.fusion import (
     FusionConfig,
     FusionResult,
     LocalMap,
+    map_slices,
     three_stage_fuse,
 )
 from mapfuse.geometry import ObjectState, rows_to_local
@@ -86,7 +87,8 @@ def distill_labels(
     Each detection is labeled from its cluster's fused object: either by
     the first teacher in the registry that labels that object (ground
     truth, transformed into the vehicle frame) or by the fused object
-    itself.  Each teacher answers the frame's fused centres at once.
+    itself.  Each teacher answers the frame's fused centres at once, and
+    one row transform moves every vehicle's targets into its frame.
     """
     fused = result.fused_all.vecs
     targets = np.array(fused)                             # (C, 8) rows
@@ -96,17 +98,20 @@ def distill_labels(
         hit = unlabeled & (found >= 0)
         targets[hit] = teacher.scenario.truth_rows(frame, found[hit])
         unlabeled &= ~hit
-    out: dict[int, LabelSet] = {}
+    clusters = []
     for lm in local_maps:
-        clusters = result.labels.get(lm.vehicle_id)
-        if clusters is None or len(clusters) != len(lm.detections):
+        labels = result.labels.get(lm.vehicle_id)
+        if labels is None or len(labels) != len(lm.detections):
             raise ValueError("cluster labels do not match the local maps")
-        rows = rows_to_local(targets[list(clusters)], (lm.pose,),
-                             (len(clusters),))
-        out[lm.vehicle_id] = LabelSet(
+        clusters += labels
+    rows = rows_to_local(targets[clusters], [lm.pose for lm in local_maps],
+                         [len(lm.detections) for lm in local_maps]).tolist()
+    return {
+        lm.vehicle_id: LabelSet(
             frame_time=lm.frame_time,
-            labels=tuple(map(ObjectState.from_row, rows.tolist())))
-    return out
+            labels=tuple(map(ObjectState.from_row, rows[s])))
+        for lm, s in zip(local_maps, map_slices(local_maps))
+    }
 
 
 def build_distilled_datasets(

@@ -247,13 +247,6 @@ class Accumulator:
         self.add([score for _, score in predictions], assigned,
                  slice_bits(tags, density), density)
 
-    def extend(self, other: "Accumulator") -> None:
-        """Pool another accumulator's records and truths after this one's."""
-        self.scores += other.scores
-        self.matched += other.matched
-        self.bits += other.bits
-        self.truth_bits += other.truth_bits
-
     def results(self) -> dict[str, float | None]:
         records = np.column_stack((self.scores, self.matched))
         bits = np.array(self.bits, dtype=np.int64)

@@ -348,7 +348,7 @@ def _fuse_block(
     # orientation-flipped witness cannot drag the mean sideways.
     yaws = vecs[:, :, 7]
     ref = yaws[np.arange(len(yaws)), w.argmax(axis=1)]
-    gap = (yaws - ref[:, None] + math.pi) % (2.0 * math.pi) - math.pi
+    gap = wrap_angles(yaws - ref[:, None])
     yaws = np.where(np.abs(gap) <= math.pi / 2, yaws, yaws + math.pi)
     sin_sum = _weighted_sum(w, np.sin(yaws)).tolist()
     cos_sum = _weighted_sum(w, np.cos(yaws)).tolist()
@@ -466,7 +466,8 @@ def _fuse_frame(
     and (G, n) scores, members in vehicle order, then detection order;
     the rule returns the G fused (G, 9) box rows.
     The maps are taken in vehicle-id order, so the result does not depend
-    on the order in which they arrive.
+    on the order in which they arrive.  An InputError when two maps share
+    a vehicle id or a frame time differs, or a fused box is not finite.
     """
     if not local_maps:
         return FusionResult(GlobalMap(0.0, ()), {}, [])
@@ -474,11 +475,11 @@ def _fuse_frame(
     if len(set(vehicle_ids)) != len(vehicle_ids):
         # Detections are keyed by (vehicle_id, index): a repeated id would
         # merge two vehicles' maps and silently drop detections.
-        raise ValueError(f"duplicate vehicle ids in {vehicle_ids}")
+        raise InputError(f"duplicate vehicle ids in {vehicle_ids}")
     local_maps = sorted(local_maps, key=lambda lm: lm.vehicle_id)
     frame_time = local_maps[0].frame_time
     if any(lm.frame_time != frame_time for lm in local_maps):
-        raise ValueError("local maps must share a frame time")
+        raise InputError("local maps must share a frame time")
 
     rows = frame_boxes(local_maps).rows
     vecs, scores = rows[:, :8], rows[:, 8]
@@ -499,13 +500,17 @@ def _fuse_frame(
         members = np.argsort(label, kind="stable")
         size = np.bincount(label)
         starts = np.cumsum(size) - size
-        for n in sorted(set(size.tolist())):
-            clusters = np.flatnonzero(size == n)
-            idx = members[starts[clusters, None] + np.arange(n)]
-            fused[clusters] = rule(vecs[idx], scores[idx])
-    # Checked, not wrapped again as Boxes.from_rows would: a fused field
-    # can overflow, but the yaw is final.
-    _check_rows(fused)
+        # Members near the float range can fuse past it: rejected below.
+        with np.errstate(over="ignore"):
+            for n in sorted(set(size.tolist())):
+                clusters = np.flatnonzero(size == n)
+                idx = members[starts[clusters, None] + np.arange(n)]
+                fused[clusters] = rule(vecs[idx], scores[idx])
+    # Checked, not wrapped again as Boxes.from_rows would: the yaw is final.
+    try:
+        _check_rows(fused)
+    except RowError as exc:
+        raise InputError(f"fused box {exc.row}: {exc.reason}") from None
     fused_all = Boxes._of(fused)
     return FusionResult(
         global_map=GlobalMap(frame_time, prune_overlaps(fused_all, cfg.delta)),

@@ -523,7 +523,11 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     Each frame makes one IoU pass over all its prediction sets (each
     broadcast map and each vehicle's map) against the fleet's truths.
     Every assignment the frame's scores need, against the fleet or masked
-    to one vehicle's truths, is a greedy run on that set's rows.
+    to one vehicle's truths, is a greedy run on that set's rows.  A local
+    method adds each vehicle's own-truth run to its one fleet accumulator
+    as it goes.  AP stable-sorts the records by score, so the order they
+    are added in matters only between equal scores: those keep frame
+    order, then vehicle order.
 
     A ConfigError when there is no test frame, or no training frame for
     a method that needs trained parameters.
@@ -547,11 +551,9 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
 
     k_count = scenario.num_vehicles
     # Fleet AP: a fused method's broadcast map against every object the
-    # fleet sees; a local method pools its vehicles' own maps, each against
-    # what that vehicle sees, vehicle after vehicle.
+    # fleet sees; a local method's vehicles' own maps, each against what
+    # that vehicle sees, frame after frame, vehicle after vehicle.
     fleet_acc = {m: Accumulator() for m in methods}
-    veh_acc = {m: [Accumulator() for _ in range(k_count)]
-               for m, method in methods.items() if method.rule is None}
     # Per-vehicle AP: the broadcast map against one vehicle's objects (hits
     # on other fleet objects are ignored), or one vehicle's own map as a
     # stand-alone global map against everything the fleet sees.
@@ -622,12 +624,10 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                                           fleet_bits, density)
                     bits, dens_k = veh_bits[k]
                     own = greedy_assign(scores, rows, bits)
-                    veh_acc[m][k].add(scores, own, bits, dens_k)
+                    fleet_acc[m].add(scores, own, bits, dens_k)
 
     results = {}
     for m in methods:
-        for acc in veh_acc.get(m, ()):
-            fleet_acc[m].extend(acc)
         results[m] = MethodResult(
             m, fleet_acc[m].results(),
             {k: acc.results()["overall"]

@@ -473,7 +473,7 @@ def visible_objects(
     dist = np.hypot(rel[..., 0], rel[..., 1])
     dist[range(nv), range(nv)] = np.inf
     bearing = np.arctan2(rel[..., 1], rel[..., 0])
-    ang = (bearing - yaw[:nv, None] + math.pi) % (2 * math.pi) - math.pi
+    ang = wrap_angles(bearing - yaw[:nv, None])
     veh, tgt = np.nonzero(
         (dist <= sensor.range) & (np.abs(ang) <= sensor.fov / 2.0))
     visible = [[] for _ in range(nv)]
@@ -483,9 +483,7 @@ def visible_objects(
     corners = _corners(xy, yaw, scenario.extents)         # (M, 4, 2)
     tc = corners[tgt] - ego[veh, None]                    # (T, 4, 2)
     b_t = bearing[veh, tgt, None]
-    corner_ang = (
-        np.arctan2(tc[..., 1], tc[..., 0]) - b_t + math.pi
-    ) % (2 * math.pi) - math.pi
+    corner_ang = wrap_angles(np.arctan2(tc[..., 1], tc[..., 0]) - b_t)
     lo, hi = corner_ang.min(axis=1), corner_ang.max(axis=1)
     ray_ang = b_t + np.linspace(lo, hi, OCCLUSION_RAYS, axis=-1)  # (T, R)
 

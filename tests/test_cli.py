@@ -1,12 +1,17 @@
+import copy
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapfuse.cli import build_parser, main
 from mapfuse.fedlearn import load_checkpoint
@@ -38,10 +43,9 @@ def small_config(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def frame_jsonl(tmp_path):
-    # Two vehicles seeing the same two objects with different scores, so
-    # the fusion rule actually changes the output.
+def frame_maps():
+    """Two vehicles seeing the same two objects with different scores, so
+    the fusion rule actually changes the output."""
     def lm(vid, dx, score):
         return LocalMap(
             vehicle_id=vid,
@@ -59,10 +63,13 @@ def frame_jsonl(tmp_path):
             pose=IDENTITY_POSE,
         )
 
-    lines = [local_map_to_json(lm(0, 0.0, 0.2)),
-             local_map_to_json(lm(1, 0.8, 1.5))]
+    return [lm(0, 0.0, 0.2), lm(1, 0.8, 1.5)]
+
+
+@pytest.fixture
+def frame_jsonl(tmp_path):
     path = tmp_path / "frame.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(map(local_map_to_json, frame_maps())) + "\n")
     return str(path)
 
 
@@ -151,7 +158,7 @@ def test_fuse_of_finite_boxes_too_large_to_square(tmp_path, capsys):
     assert sorted(o["extents"][0] for o in objects) == [4.0, 1e200]
 
 
-def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
+def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path, capsys):
     with open(frame_jsonl) as fh:
         lines = fh.read().strip().splitlines()
     doc = json.loads(lines[1])
@@ -159,9 +166,12 @@ def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path):
     bad = tmp_path / "mixed.jsonl"
     bad.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
     assert main(["fuse", str(bad)]) == 2
+    # Fusion's own map-set check, not a copy in the command.
+    assert capsys.readouterr().err == (
+        "error: local maps must share a frame time\n")
 
 
-def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path):
+def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path, capsys):
     with open(frame_jsonl) as fh:
         lines = fh.read().strip().splitlines()
     doc = json.loads(lines[1])
@@ -169,6 +179,22 @@ def test_fuse_rejects_duplicate_vehicle_ids(frame_jsonl, tmp_path):
     bad = tmp_path / "duplicate.jsonl"
     bad.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
     assert main(["fuse", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: duplicate vehicle ids in [0, 0]\n")
+
+
+def test_fuse_rejects_maps_that_fuse_past_the_float_range(tmp_path, capsys):
+    # Each box is finite where it enters, but weights that sum to just
+    # over 1 take the fused centre past the largest double.
+    records = [local_map_to_json(LocalMap(
+        k, 0.0, [(ObjectState(0, (sys.float_info.max, 2.0, 0.75),
+                              (4, 2, 1.5), 0.0), float(k))], IDENTITY_POSE))
+        for k in range(3)]
+    bad = tmp_path / "far.jsonl"
+    bad.write_text("\n".join(records) + "\n")
+    assert main(["fuse", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fused box 0: fields must be finite\n")
 
 
 GOOD_MAP = json.loads(local_map_to_json(LocalMap(
@@ -297,6 +323,88 @@ def test_report_rejects_malformed_report(report, field, tmp_path, capsys):
     assert main(["report", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# What the input-file fuzz puts in place of a field: non-finite, huge and
+# wrongly typed JSON values.
+ODD_VALUES = (math.nan, math.inf, -math.inf, 1e308, 2**64, 10**400, True,
+              False, None, "", "x", [], {}, [1.0], {"a": 1})
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a parsed JSON document, parents first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _holds(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and type(key) is int and key < len(node)
+
+
+def mutated(draw, doc):
+    """A copy of doc with one to three fields replaced by ODD_VALUES; a
+    field that an earlier replacement took away is left out."""
+    doc = json.loads(json.dumps(doc))
+    paths = draw(st.lists(st.sampled_from(list(_paths(doc))),
+                          min_size=1, max_size=3, unique=True))
+    for *parents, last in paths:
+        node = doc
+        for key in parents:
+            node = node[key] if _holds(node, key) else None
+        if _holds(node, last):
+            node[last] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return doc
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _no_constant(text: str):
+    raise AssertionError(f"{text} written")
+
+
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@FUZZ
+@given(data=st.data(), method=st.sampled_from(sorted(FUSE_RULES)))
+def test_fuse_exits_0_or_2_on_mutated_local_maps(data, method):
+    records = mutated(data.draw,
+                      [json.loads(local_map_to_json(lm))
+                       for lm in frame_maps()])
+    with tempfile.TemporaryDirectory() as tmp:
+        maps, out = Path(tmp, "maps.jsonl"), Path(tmp, "fused.jsonl")
+        maps.write_text("".join(json.dumps(r) + "\n" for r in records))
+        status = main(["fuse", str(maps), "--method", method,
+                       "--out", str(out)])
+        assert status in (0, 2)
+        if status == 0:
+            json.loads(out.read_text(), parse_float=_finite_number,
+                       parse_int=_finite_number,
+                       parse_constant=_no_constant)
+
+
+@FUZZ
+@given(data=st.data())
+def test_report_exits_0_or_2_on_mutated_reports(data):
+    report = mutated(data.draw, GOOD_REPORT)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "report.json"), Path(tmp, "radar.csv")
+        path.write_text(json.dumps(report))
+        status = main(["report", str(path), "--out", str(out)])
+        assert status in (0, 2)
+        if status == 0:
+            for row in list(csv.reader(io.StringIO(out.read_text())))[1:]:
+                for cell in row[1:]:
+                    assert cell == "" or math.isfinite(float(cell)), cell
 
 
 def test_bench_is_deterministic(small_config, tmp_path, capsys):

@@ -179,19 +179,48 @@ def random_frame(draw):
     return tags, density, scores, assigned
 
 
-@given(data=st.data(), pools=st.integers(1, 3))
-def test_accumulator_equals_the_per_slice_oracle(data, pools):
+@given(data=st.data())
+def test_accumulator_equals_the_per_slice_oracle(data):
     acc, oracle = Accumulator(), SliceAccumulator()
-    for _ in range(pools):
-        part, part_oracle = Accumulator(), SliceAccumulator()
-        for _ in range(data.draw(st.integers(0, 4))):
-            tags, density, scores, assigned = random_frame(data.draw)
-            part.add(scores, assigned, slice_bits(tags, density), density)
-            part_oracle.add(scores, assigned,
-                            slice_membership(tags, density))
-        acc.extend(part)
-        oracle.extend(part_oracle)
+    for _ in range(data.draw(st.integers(0, 8))):
+        tags, density, scores, assigned = random_frame(data.draw)
+        acc.add(scores, assigned, slice_bits(tags, density), density)
+        oracle.add(scores, assigned, slice_membership(tags, density))
     assert acc.results() == oracle.results()
+
+
+def _bits(ap):
+    return None if ap is None else ap.hex()
+
+
+@given(data=st.data(),
+       scores=st.lists(st.floats(allow_nan=False), unique=True, max_size=30),
+       num_truths=st.integers(0, 40))
+def test_average_precision_ignores_the_order_of_distinct_scores(
+        data, scores, num_truths):
+    # run_experiment adds a local method's records frame by frame, not
+    # vehicle by vehicle: with distinct scores that order cannot show.
+    records = [(s, data.draw(st.booleans())) for s in scores]
+    shuffled = data.draw(st.permutations(records))
+    assert (_bits(average_precision(shuffled, num_truths))
+            == _bits(average_precision(records, num_truths)))
+
+
+def test_average_precision_keeps_record_order_between_equal_scores():
+    # A hit and a miss at one score: taken hit first, the hit comes at
+    # full precision; taken miss first, at half.
+    assert average_precision([(1.0, True), (1.0, False)], 1) == 1.0
+    assert average_precision([(1.0, False), (1.0, True)], 1) == 0.5
+    # So the order in which an accumulator is fed matters between ties.
+    hit = ([1.0], [0], [SLICE_BITS["overall"]], "LD")
+    miss = ([1.0], [None], [], "LD")
+    hit_first, miss_first = Accumulator(), Accumulator()
+    for frame in (hit, miss):
+        hit_first.add(*frame)
+    for frame in (miss, hit):
+        miss_first.add(*frame)
+    assert hit_first.results()["overall"] == 1.0
+    assert miss_first.results()["overall"] == 0.5
 
 
 def reference_match(predictions, truths, iou_threshold):

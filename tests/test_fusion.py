@@ -347,7 +347,7 @@ def test_three_stage_counts_and_alignment():
 
 def test_three_stage_requires_common_frame_time():
     maps = [lmap(0, [], t=0.0), lmap(1, [], t=1.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="share a frame time"):
         three_stage_fuse(maps)
 
 
@@ -379,7 +379,7 @@ def test_duplicate_vehicle_ids_are_rejected(fuse):
     # first: the fused map would hold only the x=50 box.
     maps = [lmap(0, [ScoredDetection(box(0.0, 0.0), 1.0)]),
             lmap(0, [ScoredDetection(box(50.0, 0.0), 1.0)])]
-    with pytest.raises(ValueError, match="duplicate vehicle ids"):
+    with pytest.raises(InputError, match="duplicate vehicle ids"):
         fuse(maps)
 
 
