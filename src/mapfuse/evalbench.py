@@ -247,16 +247,17 @@ class Accumulator:
         self.add([score for _, score in predictions], assigned,
                  slice_bits(tags, density), density)
 
-    def results(self) -> dict[str, float | None]:
+    def results(self, slices=SLICE_NAMES) -> dict[str, float | None]:
+        """AP of each named slice, every slice by default."""
         records = np.column_stack((self.scores, self.matched))
         bits = np.array(self.bits, dtype=np.int64)
         truth_bits = np.array(self.truth_bits, dtype=np.int64)
         return {
             name: average_precision(
-                records[(bits & bit) != 0],
-                int(np.count_nonzero(truth_bits & bit)),
+                records[(bits & SLICE_BITS[name]) != 0],
+                int(np.count_nonzero(truth_bits & SLICE_BITS[name])),
             )
-            for name, bit in SLICE_BITS.items()
+            for name in slices
         }
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mapfuse.geometry import InputError, ObjectState, wrap_angle
-from mapfuse.fusion import Boxes
+from mapfuse.fusion import Boxes, RowError
 
 # Candidate feature layout.  Box fields are embedded raw so they stay
 # identical to the emitted detection; yaw travels as cos/sin.
@@ -216,7 +216,8 @@ def predict(
     params: ModelParams, frame: SensorFrame, spec: ModelSpec | None = None
 ) -> Boxes:
     """Refine every candidate into a scored detection (deterministic):
-    one block row per candidate, in candidate order."""
+    one block row per candidate, in candidate order.  An InputError when
+    a candidate refines past the float range."""
     spec = spec or ModelSpec()
     _check_params(params, spec)
     _check_features(frame, spec)
@@ -224,10 +225,13 @@ def predict(
     feats = frame.candidates
     scaled = feats / FEATURE_SCALES[: spec.feature_dim]
 
-    box_res = scaled @ box_h.T                      # (n, 6)
-    angle_res = scaled @ angle_h                    # (n,)
-    dir_logits = scaled @ dir_h.T                   # (n, 2)
-    cls_logits = scaled @ cls_h.T                   # (n, C)
+    # Overflow gives a non-finite field, rejected below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        box_res = scaled @ box_h.T                      # (n, 6)
+        angle_res = scaled @ angle_h                    # (n,)
+        dir_logits = scaled @ dir_h.T                   # (n, 2)
+        cls_logits = scaled @ cls_h.T                   # (n, C)
+        fields = feats[:, F_X : F_HEIGHT + 1] + box_res
 
     # math.atan2, wrap_angle and the direction test stay per row: numpy's
     # arctan2 rounds differently from math's, and its cos may.
@@ -239,11 +243,13 @@ def predict(
         if pred_bin != direction_bin(yaw):
             yaw = wrap_angle(yaw + math.pi)
         yaws.append(yaw)
-    fields = feats[:, F_X : F_HEIGHT + 1] + box_res
-    return Boxes.from_rows(np.column_stack([
-        np.argmax(cls_logits, axis=1), fields[:, 0:3],
-        np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
-    ]))
+    try:
+        return Boxes.from_rows(np.column_stack([
+            np.argmax(cls_logits, axis=1), fields[:, 0:3],
+            np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
+        ]))
+    except RowError as exc:
+        raise InputError(f"refined box {exc.row}: {exc.reason}") from None
 
 
 def _smooth_l1(r: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,23 +38,12 @@ CATEGORY_NAMES = {0: "Car", 1: "Pedestrian", 2: "Cyclist"}
 MAX_CATEGORY = 0xFFFF
 
 
-@dataclass(frozen=True)
-class ScoredDetection:
-    """A detected box with its raw (pre-sigmoid) confidence score; it
-    iterates and indexes as the pair (state, score)."""
+class ScoredDetection(NamedTuple):
+    """A detected box with its raw (pre-sigmoid) confidence score.  The
+    blocks it enters check the score (see Boxes)."""
 
     state: ObjectState
     score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError("score must be finite")
-
-    def __iter__(self):
-        return iter((self.state, self.score))
-
-    def __getitem__(self, i):
-        return (self.state, self.score)[i]
 
 
 class RowError(ValueError):
@@ -99,37 +88,32 @@ class Boxes(Sequence):
 
     Every row is a valid box with a finite score and a category in
     [0, MAX_CATEGORY], so any block can cross the wire.  ``Boxes(items)``
-    takes another block, whose rows and items it shares, or
-    ScoredDetections or (state, score) pairs, whose rows it builds and
-    checks at once and whose items it keeps.  ``Boxes.from_rows`` checks
-    rows and wraps the yaw.  A block given no items makes them from its
-    rows on first use.  A slice is a block.  A block equals another block
-    or sequence of pairs with the same rows.
+    takes another block, whose rows it shares, or (state, score) pairs
+    such as ScoredDetections, whose rows it builds and checks at once.
+    ``Boxes.from_rows`` checks rows and wraps the yaw.  A block keeps
+    only its rows and makes its items from them on first use.  A slice
+    is a block.  A block equals another block or sequence of pairs with
+    the same rows.
     """
 
     __slots__ = ("rows", "_items")
 
     def __init__(self, items=()):
-        if isinstance(items, Boxes):
-            rows, items = items.rows, items._items
-        else:
-            items = tuple(d if isinstance(d, ScoredDetection)
-                          else ScoredDetection(*d) for d in items)
-            rows = np.array([(d.state.category, *d.state.center,
-                              *d.state.extents, d.state.yaw, d.score)
-                             for d in items], dtype=float).reshape(-1, 9)
+        if not isinstance(items, Boxes):
+            rows = np.array([(s.category, *s.center, *s.extents, s.yaw, c)
+                             for s, c in items], dtype=float).reshape(-1, 9)
             _check_rows(rows)
-            rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_items", items)
+            items = Boxes._of(rows)
+        object.__setattr__(self, "rows", items.rows)
+        object.__setattr__(self, "_items", None)
 
     @classmethod
-    def _of(cls, rows, items=None) -> "Boxes":
+    def _of(cls, rows) -> "Boxes":
         """A block of rows that are valid already, made read-only."""
         rows.setflags(write=False)
         block = object.__new__(cls)
         object.__setattr__(block, "rows", rows)
-        object.__setattr__(block, "_items", items)
+        object.__setattr__(block, "_items", None)
         return block
 
     @classmethod
@@ -164,8 +148,7 @@ class Boxes(Sequence):
     def __getitem__(self, i):
         if not isinstance(i, slice):
             return self._detections()[i]
-        items = None if self._items is None else self._items[i]
-        return Boxes._of(self.rows[i], items)
+        return Boxes._of(self.rows[i])
 
     def __iter__(self):
         return iter(self._detections())
@@ -570,8 +553,8 @@ _KINDS = {
         lambda v: type(v) is int and 0 <= v <= MAX_CATEGORY,
     "a finite number": _finite,
     "an object": lambda v: type(v) is dict,
-    "a list of finite numbers":
-        lambda v: type(v) is list and all(map(_finite, v)),
+    "three finite numbers":
+        lambda v: type(v) is list and len(v) == 3 and all(map(_finite, v)),
     "a list of objects":
         lambda v: type(v) is list and all(type(d) is dict for d in v),
     "an object of objects":
@@ -611,24 +594,17 @@ def _field(record: dict, key: str, kind: str, where: str = ""):
     return record[key]
 
 
-def _state_from_dict(d: dict, where: str) -> ObjectState:
-    fields = (
+def _box_rows(boxes: list, entry: str) -> Boxes:
+    """A list of JSON boxes as a block: every field's kind is checked
+    (an InputError names the first bad one), then every row (RowError)."""
+    return Boxes.from_rows(np.array([(
         _field(d, "category", f"an integer in [0, {MAX_CATEGORY}]", where),
-        tuple(_field(d, "center", "a list of finite numbers", where)),
-        tuple(_field(d, "extents", "a list of finite numbers", where)),
+        *_field(d, "center", "three finite numbers", where),
+        *_field(d, "extents", "three finite numbers", where),
         _field(d, "yaw", "a finite number", where),
-    )
-    try:
-        return ObjectState(*fields)
-    except ValueError as exc:
-        raise InputError(f"field {where!r}: {exc}") from None
-
-
-def _scored_from_dict(d: dict, where: str) -> tuple[ObjectState, float]:
-    return (
-        _state_from_dict(d, where),
-        float(_field(d, "score", "a finite number", where)),
-    )
+        _field(d, "score", "a finite number", where),
+    ) for n, d in enumerate(boxes) for where in [f"{entry}[{n}]"]],
+        dtype=float).reshape(-1, 9))
 
 
 def global_map_to_json(gmap: GlobalMap) -> str:
@@ -643,11 +619,11 @@ def global_map_from_json(line: str) -> GlobalMap:
     malformed field."""
     record = _json_object(line, "global map")
     frame_time = float(_field(record, "frame_time", "a finite number"))
-    objects = [
-        _scored_from_dict(o, f"objects[{n}]")
-        for n, o in enumerate(_field(record, "objects", "a list of objects"))
-    ]
-    return GlobalMap(frame_time=frame_time, objects=objects)
+    objects = _field(record, "objects", "a list of objects")
+    try:
+        return GlobalMap(frame_time, _box_rows(objects, "objects"))
+    except RowError as exc:
+        raise InputError(f"field 'objects[{exc.row}]': {exc.reason}") from None
 
 
 def kitti_label_line(state: ObjectState, score: float) -> str:
@@ -690,19 +666,13 @@ def local_map_from_json(line: str) -> LocalMap:
     vehicle_id = _field(record, "vehicle_id", "an integer")
     frame_time = float(_field(record, "frame_time", "a finite number"))
     pose = _field(record, "pose", "an object")
-    position = _field(pose, "position", "a list of finite numbers", "pose")
-    heading = _field(pose, "heading", "a finite number", "pose")
+    pose = Pose(_field(pose, "position", "three finite numbers", "pose"),
+                _field(pose, "heading", "a finite number", "pose"))
     detections = _field(record, "detections", "a list of objects")
     try:
-        pose = Pose(position=tuple(position), heading=heading)
-    except ValueError as exc:
-        raise InputError(f"field 'pose': {exc}") from None
-    pairs = [_scored_from_dict(d, f"detections[{n}]")
-             for n, d in enumerate(detections)]
-    lm = LocalMap(vehicle_id, frame_time, pairs, pose)
-    try:
-        # Checks that every box stays finite when the server moves it to
-        # the global frame.
+        lm = LocalMap(vehicle_id, frame_time,
+                      _box_rows(detections, "detections"), pose)
+        # Every box must stay finite in the global frame too.
         frame_boxes([lm])
     except RowError as exc:
         raise InputError(

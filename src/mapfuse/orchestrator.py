@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import struct
+import sys
 import typing
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -383,13 +384,23 @@ class RunConfig:
                                   ">= 0")
 
 
+def _json_float(value, where: str):
+    """A JSON integer for a float field as a double; a ConfigError naming
+    the field for a boolean or an integer past the float range."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) in (bool, int):
+        raise ConfigError(f"{where} must be a number within the float range")
+    return value
+
+
 def _from_json(cls, value, path: str):
     """Build the config dataclass cls from parsed JSON.
 
     The dataclass fields are the schema: a field whose type is a dataclass
     takes an object, a tuple field takes a list (its items are built the
-    same way when they are dataclasses), and any other value goes to the
-    constructor, which validates it.
+    same way when they are dataclasses), a float field or item a number
+    (_json_float), and any other value goes to the constructor.
     """
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config root'} must be an object")
@@ -401,7 +412,9 @@ def _from_json(cls, value, path: str):
         if key not in names:
             raise ConfigError(f"unknown key {where}")
         hint = hints[key]
-        if dataclasses.is_dataclass(hint):
+        if hint is float:
+            item = _json_float(item, where)
+        elif dataclasses.is_dataclass(hint):
             item = _from_json(hint, item, where)
         elif typing.get_origin(hint) is tuple:
             if not isinstance(item, list):
@@ -409,6 +422,9 @@ def _from_json(cls, value, path: str):
             sub = typing.get_args(hint)[0]
             if dataclasses.is_dataclass(sub):
                 item = [_from_json(sub, x, f"{where}[]") for x in item]
+            elif sub is float:
+                item = [_json_float(x, f"{where}[{n}]")
+                        for n, x in enumerate(item)]
             item = tuple(item)
         kwargs[key] = item
     try:
@@ -416,7 +432,7 @@ def _from_json(cls, value, path: str):
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a JSON integer too large for a float.
+        # OverflowError: a frame count of duration * frame_rate = inf.
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
@@ -630,7 +646,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     for m in methods:
         results[m] = MethodResult(
             m, fleet_acc[m].results(),
-            {k: acc.results()["overall"]
+            {k: acc.results(["overall"])["overall"]
              for k, acc in enumerate(per_vehicle[m])},
             ledgers[m].total,
         )

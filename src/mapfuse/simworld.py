@@ -43,6 +43,11 @@ FP_SCORE_SIGMA = 0.5
 # where numpy's Poisson sampler fails would already exhaust memory.
 MAX_FALSE_POSITIVE_RATE = 100.0
 
+# Largest accepted arena length (m): span, |lane_offset|, min_separation
+# and speed_max * duration.  Squared distances between the points a
+# scenario places then stay inside the float range.
+MAX_LENGTH = 1e150
+
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -141,12 +146,11 @@ class ScenarioConfig:
                              "<= speed_max < inf")
         if not 0.0 <= self.turn_prob <= 1.0:
             raise ValueError("turn_prob must lie in [0, 1]")
-        if not abs(self.lane_offset) < math.inf:
-            raise ValueError("lane_offset must be finite")
-        if not 0.0 < self.span < math.inf:
-            raise ValueError("span must be positive and finite")
-        if not self.min_separation > 0.0:
-            raise ValueError("min_separation must be positive")
+        if not abs(self.lane_offset) <= MAX_LENGTH:
+            raise ValueError(f"|lane_offset| must be at most {MAX_LENGTH}")
+        for name in ("span", "min_separation"):
+            if not 0.0 < getattr(self, name) <= MAX_LENGTH:
+                raise ValueError(f"{name} must lie in (0, {MAX_LENGTH}]")
         for v in (self.duration, self.frame_rate):
             if not 0.0 < v < math.inf:
                 raise ValueError("duration and frame_rate must be positive "
@@ -161,6 +165,8 @@ class ScenarioConfig:
         if not self.speed_max / self.frame_rate <= self.span:
             raise ValueError("speed_max / frame_rate exceeds span: an object "
                              "would cross the arena within one frame")
+        if not self.speed_max * self.duration <= MAX_LENGTH:
+            raise ValueError(f"speed_max * duration exceeds {MAX_LENGTH}")
 
     @property
     def num_frames(self) -> int:

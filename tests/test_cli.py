@@ -220,6 +220,15 @@ GOOD_MAP = json.loads(local_map_to_json(LocalMap(
     ({**GOOD_MAP,
       "detections": [{**GOOD_MAP["detections"][0], "category": 1.5}]},
      "field 'detections[0].category'"),
+    # A short vector is reported at its own field.
+    ({**GOOD_MAP,
+      "detections": [{**GOOD_MAP["detections"][0], "center": [5.0, 1.0]}]},
+     "field 'detections[0].center'"),
+    ({**GOOD_MAP,
+      "detections": [{**GOOD_MAP["detections"][0], "extents": [4.0, 2.0]}]},
+     "field 'detections[0].extents'"),
+    ({**GOOD_MAP, "pose": {**GOOD_MAP["pose"], "position": [0.0, 0.0]}},
+     "field 'pose.position'"),
     # Finite in the vehicle's frame, past the float range in the global one.
     ({**GOOD_MAP,
       "pose": {**GOOD_MAP["pose"], "position": [1.7e308, 0.0, 0.0]},
@@ -229,6 +238,7 @@ GOOD_MAP = json.loads(local_map_to_json(LocalMap(
 ], ids=["detections-number", "detections-of-number", "pose-null",
         "record-list", "vehicle-id-float", "vehicle-id-bool", "pose-missing",
         "frame-time-nan", "position-null", "category-float",
+        "center-short", "extents-short", "position-short",
         "global-overflow"])
 def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
                                           record, field):
@@ -346,9 +356,10 @@ def _holds(node, key) -> bool:
     return isinstance(node, list) and type(key) is int and key < len(node)
 
 
-def mutated(draw, doc):
-    """A copy of doc with one to three fields replaced by ODD_VALUES; a
-    field that an earlier replacement took away is left out."""
+def mutated(draw, doc, values=ODD_VALUES, keep=lambda path, value: False):
+    """A copy of doc with one to three fields replaced by values; a field
+    that an earlier replacement took away, or where keep(path, value),
+    is left as it is."""
     doc = json.loads(json.dumps(doc))
     paths = draw(st.lists(st.sampled_from(list(_paths(doc))),
                           min_size=1, max_size=3, unique=True))
@@ -357,7 +368,9 @@ def mutated(draw, doc):
         for key in parents:
             node = node[key] if _holds(node, key) else None
         if _holds(node, last):
-            node[last] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+            value = draw(st.sampled_from(values))
+            if not keep((*parents, last), value):
+                node[last] = copy.deepcopy(value)
     return doc
 
 
@@ -369,6 +382,12 @@ def _finite_number(text: str) -> float:
 
 def _no_constant(text: str):
     raise AssertionError(f"{text} written")
+
+
+def _finite_json(text):
+    """Parse text, asserting that every number in it is finite."""
+    json.loads(text, parse_float=_finite_number, parse_int=_finite_number,
+               parse_constant=_no_constant)
 
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
@@ -387,9 +406,7 @@ def test_fuse_exits_0_or_2_on_mutated_local_maps(data, method):
                        "--out", str(out)])
         assert status in (0, 2)
         if status == 0:
-            json.loads(out.read_text(), parse_float=_finite_number,
-                       parse_int=_finite_number,
-                       parse_constant=_no_constant)
+            _finite_json(out.read_text())
 
 
 @FUZZ
@@ -405,6 +422,80 @@ def test_report_exits_0_or_2_on_mutated_reports(data):
             for row in list(csv.reader(io.StringIO(out.read_text())))[1:]:
                 for cell in row[1:]:
                     assert cell == "" or math.isfinite(float(cell)), cell
+
+
+# A small valid run: 2 s, 10 objects, 3 vehicles, one training round.
+FUZZ_CONFIG = {
+    "scenario": {"duration": 2.0, "num_objects": 10, "num_vehicles": 3,
+                 "lane_offset": 2.75, "span": 220.0, "min_separation": 5.0,
+                 "max_attempts": 300,
+                 "sensor": {"range": 100.0, "fov": 1.5}},
+    "noise": {"miss_prob": 0.05, "miss_dist_coeff": 0.15,
+              "center_sigma": 0.05, "noise_dist_scale": 2.0,
+              "false_positive_rate": 0.1, "score_sigma": 0.5,
+              "bias": [0.1, 0.15, 0.0, -0.25, -0.12, 0.0, 0.02]},
+    "fusion": {"cluster": {"eps": 2.0}, "delta": 0.1},
+    "train": {"learning_rate": 0.001, "max_rounds": 1, "local_epochs": 1,
+              "loss_coefficients": [1.0, 2.0, 0.2],
+              "train_window": [0.0, 1.0], "sampling_ratio": 10},
+    "teachers": [{"x": 0.0, "y": 0.0, "radius": 60.0}],
+    "methods": ["local_edfl", "fusion_three_stage"],
+    "seed": 1,
+}
+
+# A huge but valid count runs the training or the placement loop almost
+# without end (no cap is set), so these fields draw no huge integer.
+LOOP_COUNTS = {("train", "max_rounds"), ("train", "local_epochs"),
+               ("scenario", "max_attempts")}
+
+
+def _keep_config_field(path, value) -> bool:
+    if path in LOOP_COUNTS and type(value) is int and value > 1000:
+        return True
+    # An empty object gives a section its defaults: the full-size run,
+    # valid and far slower than the rest.
+    return value == {} and path in {("scenario",), ("train",)}
+
+
+def _mutated_config_run(data, command, output):
+    """Run command on a mutated FUZZ_CONFIG: it exits 0 or 2, and an
+    exit-0 run writes only finite numbers, as output(path) reads them."""
+    config = mutated(data.draw, FUZZ_CONFIG, ODD_VALUES + (1e300, -1e308),
+                     _keep_config_field)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "config.json"), Path(tmp, "out")
+        path.write_text(json.dumps(config))
+        status = main([command, "--config", str(path), "--out", str(out)])
+        assert status in (0, 2), config
+        if status == 0:
+            output(out)
+
+
+# simulate takes about 7 ms a case, so it runs more of them.
+@settings(FUZZ, max_examples=1000)
+@given(data=st.data())
+def test_simulate_exits_0_or_2_on_mutated_configs(data):
+    def finite_lines(path):
+        for line in path.read_text().splitlines():
+            _finite_json(line)
+
+    _mutated_config_run(data, "simulate", finite_lines)
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_exits_0_or_2_on_mutated_configs(data):
+    def finite_checkpoint(path):
+        assert np.isfinite(load_checkpoint(path).values).all()
+
+    _mutated_config_run(data, "train", finite_checkpoint)
+
+
+@FUZZ
+@given(data=st.data())
+def test_evaluate_exits_0_or_2_on_mutated_configs(data):
+    _mutated_config_run(data, "evaluate",
+                        lambda path: _finite_json(path.read_text()))
 
 
 def test_bench_is_deterministic(small_config, tmp_path, capsys):
@@ -514,6 +605,14 @@ def test_undecodable_input_exits_2(tmp_path, capsys):
     # Sizes whose arrays numpy cannot index (it raises before allocating).
     {"num_objects": 18446744073709551616},
     {"duration": 1e200},
+    # Lengths whose squares overflow in the generator, and a boolean or a
+    # huge integer in a float field.
+    {"min_separation": 1e300},
+    {"lane_offset": 1e300},
+    {"lane_offset": -1e308},
+    {"span": 1e200, "num_vehicles": 1},
+    {"duration": True},
+    {"span": 10 ** 400},
 ])
 def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"
@@ -547,6 +646,17 @@ def test_simulate_names_a_size_numpy_cannot_index(tmp_path, capsys,
     {"teachers": [{"full_coverage": True}]},
     {"scenario": {"speed_cap": 15.0}},
     {"seed": True},
+    # JSON integers too large for a double, in each section that reads
+    # them, and booleans in float fields.
+    {"train": {"learning_rate": 10 ** 400}},
+    {"train": {"loss_coefficients": [1.0, 10 ** 400, 0.2]}},
+    {"train": {"train_window": [0.0, 10 ** 400]}},
+    {"scenario": {"sensor": {"range": 10 ** 400}}},
+    {"noise": {"score_sigma": 10 ** 400}},
+    {"fusion": {"cluster": {"eps": 10 ** 400}}},
+    {"teachers": [{"radius": 10 ** 400}]},
+    {"fusion": {"delta": True}},
+    {"noise": {"bias": [0.0, 0.0, 0.0, False, 0.0, 0.0, 0.0]}},
 ])
 def test_simulate_rejects_invalid_or_removed_config(tmp_path, payload):
     cfg = tmp_path / "cfg.json"
@@ -650,6 +760,20 @@ def test_noise_that_overflows_exits_2(tmp_path, capsys, command, setting):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "fields must be finite" in err and "noise" in err
+    assert not out.exists()
+
+
+def test_detections_that_refine_past_the_float_range_exit_2(tmp_path,
+                                                           capsys):
+    # Sensed boxes near 1e300 are finite, but trained parameters refine
+    # them past the float range (found by the config fuzz; exit 3 before).
+    payload = json.loads(json.dumps(FUZZ_CONFIG))
+    payload["noise"]["center_sigma"] = 1e300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "refined box 0: fields must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
         save_checkpoint(ModelParams(np.arange(n, dtype=float)), p)
         with pytest.raises(ValueError, match=f"holds {n} parameters.*143"):
             load_checkpoint(p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_with_flipped_or_cut_bytes_loads_or_raises_input_error(
+        data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.ckpt")
+        save_checkpoint(ModelParams(np.random.default_rng(8).normal(size=143)),
+                        path)
+        blob = bytearray(path.read_bytes())
+        for at, mask in data.draw(st.lists(st.tuples(
+                st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                max_size=4)):
+            blob[at] ^= mask
+        cut = data.draw(st.none() | st.integers(0, len(blob) - 1))
+        path.write_bytes(blob if cut is None else blob[:cut])
+        try:
+            params = load_checkpoint(path)
+        except InputError:
+            return
+        assert len(params) == 143 and np.isfinite(params.values).all()
 
 
 def test_train_config_validation():

@@ -452,7 +452,9 @@ def test_boxes_is_a_sequence_of_scored_detections():
     dets = (ScoredDetection(box(1, 2, 0.5), 0.25),
             ScoredDetection(box(-0.0, 3, cat=2), -1.0))
     block = Boxes(dets)
-    assert len(block) == 2 and tuple(block) == dets and block[1] is dets[1]
+    # The block keeps its rows only: its items are rebuilt from them.
+    assert len(block) == 2 and tuple(block) == dets and block[1] == dets[1]
+    assert repr(tuple(block)) == repr(dets)
     assert block == dets and block == [tuple(d) for d in dets]
     assert block != dets[:1] and block != 5
     assert block.vecs.tolist() == [list(d.state.to_vector()) for d in dets]
@@ -475,6 +477,27 @@ def test_boxes_is_a_sequence_of_scored_detections():
     for copied in (copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
         assert repr(copied) == repr(part) and copied == part
     assert lmap(0, dets).detections == block
+
+
+def test_scored_detection_is_a_typed_pair():
+    det = ScoredDetection(box(1, 2, 0.5), 0.25)
+    state, score = det
+    assert (state, score) == (det.state, det.score) == (box(1, 2, 0.5), 0.25)
+    assert det == (box(1, 2, 0.5), 0.25) and tuple(det) == (state, score)
+    assert repr(det) == (
+        "ScoredDetection(state=ObjectState(category=0, center=(1.0, 2.0, "
+        "0.75), extents=(4.0, 2.0, 1.5), yaw=0.5), score=0.25)")
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_every_block_rejects_a_non_finite_score(score):
+    # A pair does not check its score; each block it can enter does.
+    pairs = [ScoredDetection(box(0, 0), 1.0),
+             ScoredDetection(box(9, 0), score)]
+    for make in (Boxes, lambda p: lmap(0, p), lambda p: GlobalMap(0.0, p)):
+        with pytest.raises(RowError, match="finite") as info:
+            make(pairs)
+        assert info.value.row == 1
 
 
 def test_boxes_from_rows_checks_once_and_wraps_the_yaw():
@@ -576,9 +599,14 @@ def test_global_map_json_round_trip():
     ({"objects": [5], "frame_time": 0.5}, "'objects'"),
     ({"objects": [{"score": 1.0}], "frame_time": 0.5},
      "'objects\\[0\\].category'"),
+    ({"objects": [{"category": 0, "center": [1.0, 2.0]}], "frame_time": 0.5},
+     "'objects\\[0\\].center'"),
+    ({"objects": [{"category": 0, "center": [1.0, 2.0, 0.5],
+                   "extents": [4.0, 2.0, 1.5, 1.0]}], "frame_time": 0.5},
+     "'objects\\[0\\].extents'"),
 ], ids=["root-list", "root-null", "objects-number", "frame-time-string",
         "frame-time-missing", "objects-missing", "object-number",
-        "category-missing"])
+        "category-missing", "center-short", "extents-long"])
 def test_global_map_from_json_names_the_bad_field(record, field):
     with pytest.raises(ValueError, match=field):
         global_map_from_json(json.dumps(record))

@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
 from mapfuse.distill import distill_labels, run_edfl, run_perfect_fl
+from mapfuse import evalbench
 from mapfuse.evalbench import (
     IOU_THRESHOLD,
+    SLICE_NAMES,
     match_detections,
     tag_objects,
 )
@@ -591,6 +593,11 @@ def test_run_config_from_dict_builds_nested():
     (RunConfig, (), "sensor_seed", False),
     (TrainConfig, ("train",), "local_epochs", True),
     (ScenarioConfig, ("scenario",), "num_vehicles", True),
+    # Lengths whose squares overflow on the way (simworld.MAX_LENGTH).
+    (ScenarioConfig, ("scenario",), "min_separation", 1e300),
+    (ScenarioConfig, ("scenario",), "lane_offset", 1e300),
+    (ScenarioConfig, ("scenario",), "lane_offset", -1e308),
+    (ScenarioConfig, ("scenario",), "span", 1e300),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
     with pytest.raises(ValueError):
@@ -600,6 +607,42 @@ def test_config_rejects_invalid_values(cls, section, key, value):
     for name in reversed(section):
         payload = [payload] if name == "[]" else {name: payload}
     with pytest.raises(ConfigError):
+        run_config_from_dict(payload)
+
+
+# Every float field and float list of a RunConfig, as a JSON path.
+FLOAT_FIELDS = [
+    "train.learning_rate", "train.loss_coefficients.1",
+    "train.train_window.1", "scenario.duration", "scenario.frame_rate",
+    "scenario.span", "scenario.lane_offset", "scenario.speed_min",
+    "scenario.speed_max", "scenario.turn_prob", "scenario.min_separation",
+    "scenario.sensor.range", "scenario.sensor.fov", "noise.miss_prob",
+    "noise.miss_dist_coeff", "noise.miss_occl_coeff",
+    "noise.false_positive_rate", "noise.center_sigma", "noise.extent_sigma",
+    "noise.yaw_sigma", "noise.noise_dist_scale", "noise.flip_prob",
+    "noise.bias.3", "noise.score_sigma", "fusion.cluster.eps",
+    "fusion.delta", "teachers.0.x", "teachers.0.y", "teachers.0.radius",
+]
+
+
+@pytest.mark.parametrize("value", [10 ** 400, True, False])
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_config_names_a_float_field_it_cannot_read(path, value):
+    # A JSON integer past the float range used to pass "x < math.inf" and
+    # overflow later, and a JSON boolean used to read as 0 or 1.
+    payload = {"train": {"loss_coefficients": [1.0, 2.0, 0.2],
+                         "train_window": [0.0, 25.5]},
+               "noise": {"bias": [0.0] * 7}, "teachers": [{}]}
+    *parents, last = path.split(".")
+    node = payload
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else (
+            node.setdefault(key, {}))
+    node[int(last) if isinstance(node, list) else last] = value
+    # The error names a list item as "[n]", a teacher's field as "[].x".
+    where = re.sub(r"\.(\d+)$", r"[\1]", path).replace(".0.", "[].")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{where} must be a number within the float range")):
         run_config_from_dict(payload)
 
 
@@ -844,6 +887,28 @@ def test_run_experiment_matches_direct_matching_reference():
         ap, per_vehicle = reference[m]
         assert report.methods[m].ap == ap, m
         assert report.methods[m].per_vehicle_ap == per_vehicle, m
+
+
+def test_per_vehicle_ap_reads_the_overall_slice_alone(monkeypatch):
+    # Each method scores 9 slices fleet-wide and one per vehicle, and the
+    # report equals one read from every vehicle's full slice table.
+    cfg = small_run_config(methods=["local_no_fl", "fusion_three_stage"])
+    frames = [60, 90]
+    calls = []
+    average_precision = evalbench.average_precision
+
+    def counted(*args):
+        calls.append(args)
+        return average_precision(*args)
+
+    monkeypatch.setattr(evalbench, "average_precision", counted)
+    report = run_experiment(cfg, test_frames=frames)
+    assert len(calls) == 2 * (len(SLICE_NAMES) + cfg.scenario.num_vehicles)
+    results = evalbench.Accumulator.results
+    monkeypatch.setattr(evalbench.Accumulator, "results",
+                        lambda self, slices=(): results(self))
+    assert run_experiment(cfg, test_frames=frames).to_json() == (
+        report.to_json())
 
 
 def test_default_benchmark_config_composition():
