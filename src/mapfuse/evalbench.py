@@ -72,9 +72,10 @@ def tag_objects(
 ) -> tuple[list[BenchmarkTag], str]:
     """Tag every object visible to at least one vehicle; label the frame.
 
-    Distance and occlusion are taken from the best-placed witness (the
-    minimum over all vehicles that see the object).  The second return
-    value is the frame's density slice, "LD" or "HD".
+    Distance and occlusion are taken from the best-placed of the given
+    vehicles that see the object.  The second return value is their
+    density slice, "LD" or "HD" (one vehicle alone is never HD), and
+    run_experiment scores every method at the whole fleet's.
     """
     if vehicles is None:
         vehicles = range(scenario.num_vehicles)
@@ -83,17 +84,8 @@ def tag_objects(
         for obj, dist, occl in scenario.visibility(k, frame):
             d, o, w = best.get(obj, (math.inf, math.inf, 0))
             best[obj] = (min(d, dist), min(o, occl), w + 1)
-    tags = [
-        BenchmarkTag(
-            object_id=obj,
-            distance=d,
-            occlusion=o,
-            witnesses=w,
-            distance_slice=distance_slice(d),
-            occlusion_slice=occlusion_slice(o),
-        )
-        for obj, (d, o, w) in sorted(best.items())
-    ]
+    tags = [BenchmarkTag(obj, d, o, w, distance_slice(d), occlusion_slice(o))
+            for obj, (d, o, w) in sorted(best.items())]
     density = "HD" if any(t.witnesses >= MIN_WITNESSES for t in tags) else "LD"
     return tags, density
 
@@ -101,10 +93,9 @@ def tag_objects(
 def overlap_rows(
     predictions: Sequence[tuple[ObjectState, float]],
     truths: Sequence[ObjectState] | np.ndarray,
-    iou_threshold: float = IOU_THRESHOLD,
 ) -> list[list[tuple[int, float]]]:
     """The IoU pass: per prediction, the (truth index, IoU) pairs that
-    reach the threshold, in truth order.  The predictions are a Boxes
+    reach IOU_THRESHOLD, in truth order.  The predictions are a Boxes
     block or (state, score) pairs; the truths are states or their
     (n, 8) rows (Scenario.truth_rows).
 
@@ -115,7 +106,7 @@ def overlap_rows(
     ious = iou_bev_matrix(Boxes(predictions).rows, truths)
     # len, not iteration: iterating a block makes its ObjectStates.
     rows: list[list[tuple[int, float]]] = [[] for _ in range(len(predictions))]
-    hit_i, hit_j = np.nonzero(ious >= iou_threshold)
+    hit_i, hit_j = np.nonzero(ious >= IOU_THRESHOLD)
     for i, j, v in zip(hit_i.tolist(), hit_j.tolist(),
                        ious[hit_i, hit_j].tolist()):
         rows[i].append((j, v))
@@ -148,17 +139,16 @@ def greedy_assign(
 def match_detections(
     predictions: Sequence[tuple[ObjectState, float]],
     truths: Sequence[ObjectState],
-    iou_threshold: float = IOU_THRESHOLD,
 ) -> list[int | None]:
     """Greedy one-to-one matching in descending score order.
 
     Returns, per prediction, the index of the matched truth or None.
     Equal scores are broken by the lower prediction index; each prediction
-    takes the unclaimed truth with the highest overlap at or above the
-    threshold, the lower truth index on ties.  This is one IoU pass and
-    one greedy run on it.
+    takes the unclaimed truth with the highest overlap at or above
+    IOU_THRESHOLD, the lower truth index on ties.  This is one IoU pass
+    and one greedy run on it.
     """
-    rows = overlap_rows(predictions, truths, iou_threshold)
+    rows = overlap_rows(predictions, truths)
     return greedy_assign([score for _, score in predictions], rows)
 
 

@@ -262,8 +262,9 @@ def _footprint_overlap(a: ObjectState, b: ObjectState) -> tuple[float, float, fl
     rb = 0.5 * math.hypot(b.extents[0], b.extents[1])
     if dx * dx + dy * dy > _square(ra + rb):
         return 0.0, area_a, area_b
-    ca = [tuple(p) for p in footprint_corners(a)]
-    cb = [tuple(p) for p in footprint_corners(b)]
+    # Python floats: a huge footprint overflows to inf and nan silently.
+    ca = [tuple(p) for p in footprint_corners(a).tolist()]
+    cb = [tuple(p) for p in footprint_corners(b).tolist()]
     inter = _polygon_area(convex_clip(ca, cb))
     return max(inter, 0.0), area_a, area_b
 

@@ -532,9 +532,10 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     """Train the configured variants, run the test window, build a report.
 
     Local methods score each vehicle's own detections against the objects
-    that vehicle can see; fused methods score the broadcast map against
-    everything the fleet can see.  All sensing draws are shared across
-    methods, so differences come only from the model and fusion rule.
+    that vehicle can see, in that vehicle's distance and occlusion slices;
+    fused methods score the broadcast map against everything the fleet can
+    see.  Every method scores a frame at the fleet's density.  All sensing
+    draws are shared, so methods differ only by model and fusion rule.
 
     Each frame makes one IoU pass over all its prediction sets (each
     broadcast map and each vehicle's map) against the fleet's truths.
@@ -589,10 +590,10 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
         # vehicle does not see has mask 0, so the masks are its truth mask.
         veh_bits = []
         for k in range(k_count):
-            tags, dens_k = tag_objects(scenario, f, vehicles=[k])
-            seen = {t.object_id: t for t in tags}
-            veh_bits.append((slice_bits(
-                [seen.get(t.object_id) for t in fleet_tags], dens_k), dens_k))
+            seen = {t.object_id: t
+                    for t in tag_objects(scenario, f, vehicles=[k])[0]}
+            veh_bits.append(slice_bits(
+                [seen.get(t.object_id) for t in fleet_tags], density))
 
         refined_maps = {
             pname: [
@@ -633,14 +634,13 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
                 if methods[m].rule is not None:
                     assigned = greedy_assign(scores, rows)
                     fleet_acc[m].add(scores, assigned, fleet_bits, density)
-                    for acc, (bits, dens_v) in zip(per_vehicle[m], veh_bits):
-                        acc.add(scores, assigned, bits, dens_v)
+                    for acc, bits in zip(per_vehicle[m], veh_bits):
+                        acc.add(scores, assigned, bits, density)
                 else:
                     per_vehicle[m][k].add(scores, greedy_assign(scores, rows),
                                           fleet_bits, density)
-                    bits, dens_k = veh_bits[k]
-                    own = greedy_assign(scores, rows, bits)
-                    fleet_acc[m].add(scores, own, bits, dens_k)
+                    own = greedy_assign(scores, rows, veh_bits[k])
+                    fleet_acc[m].add(scores, own, veh_bits[k], density)
 
     results = {}
     for m in methods:

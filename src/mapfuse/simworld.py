@@ -392,6 +392,9 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             break
         else:
             raise InputError(
+                f"could not place platoon vehicle {obj}: min_separation "
+                f"{config.min_separation:g} m or span {config.span:g} m "
+                "swallows its 8-20 m start gap" if is_vehicle else
                 "could not place all objects; the configured arena is too "
                 "crowded for the requested object count"
             )

@@ -19,9 +19,12 @@ from mapfuse.fusion import (
     FUSE_RULES,
     LocalMap,
     ScoredDetection,
+    global_map_from_json,
+    global_map_to_json,
     local_map_to_json,
+    three_stage_fuse,
 )
-from mapfuse.geometry import IDENTITY_POSE, ObjectState
+from mapfuse.geometry import IDENTITY_POSE, InputError, ObjectState
 from mapfuse.orchestrator import METHODS
 
 SMALL = {
@@ -156,6 +159,20 @@ def test_fuse_of_finite_boxes_too_large_to_square(tmp_path, capsys):
     assert main(["fuse", str(path)]) == 0
     objects = json.loads(capsys.readouterr().out)["objects"]
     assert sorted(o["extents"][0] for o in objects) == [4.0, 1e200]
+
+
+def test_fuse_of_aligned_boxes_whose_areas_overflow(tmp_path, capsys):
+    # Two vehicles each see one footprint whose area overflows to inf; the
+    # boxes overlap, so pruning takes their IoU, which is 0 and no warning.
+    path = tmp_path / "huge.jsonl"
+    path.write_text("".join(local_map_to_json(LocalMap(
+        k, 0.0, [(ObjectState(0, (10.0 * k, 0.0, 0.75), (1e160, 1e160, 1.5),
+                              0.0), 1.0)], IDENTITY_POSE)) + "\n"
+        for k in range(2)))
+    assert main(["fuse", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(json.loads(out)["objects"]) == 2
 
 
 def test_fuse_rejects_mixed_frames(frame_jsonl, tmp_path, capsys):
@@ -424,6 +441,25 @@ def test_report_exits_0_or_2_on_mutated_reports(data):
                     assert cell == "" or math.isfinite(float(cell)), cell
 
 
+# A record of the global-map JSONL that `dmf fuse` writes.
+GOOD_GLOBAL_MAP = json.loads(global_map_to_json(
+    three_stage_fuse(frame_maps()).global_map))
+
+
+@FUZZ
+@given(data=st.data())
+def test_global_map_reader_raises_only_input_error_on_mutated_records(data):
+    # A mutated record is rejected with an InputError or read into finite
+    # rows.
+    record = mutated(data.draw, GOOD_GLOBAL_MAP)
+    try:
+        gmap = global_map_from_json(json.dumps(record))
+    except InputError:
+        return
+    assert math.isfinite(gmap.frame_time)
+    assert np.isfinite(gmap.objects.rows).all()
+
+
 # A small valid run: 2 s, 10 objects, 3 vehicles, one training round.
 FUZZ_CONFIG = {
     "scenario": {"duration": 2.0, "num_objects": 10, "num_vehicles": 3,
@@ -619,6 +655,24 @@ def test_simulate_rejects_invalid_scenario(tmp_path, scenario):
     cfg.write_text(json.dumps({"scenario": {"duration": 1.0, **scenario}}))
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    # The span's float spacing (64-128 m) swallows the 8-20 m start gaps.
+    {"span": 1e18},
+    # The separation is beyond those gaps.
+    {"min_separation": 30.0},
+], ids=["span-1e18", "min-separation-30"])
+def test_simulate_names_the_platoon_it_cannot_place(tmp_path, capsys,
+                                                     scenario):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {
+        "duration": 2.0, "num_objects": 10, "num_vehicles": 3, **scenario}}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not place platoon vehicle 1:")
+    assert "min_separation" in err and "span" in err
+    assert "crowded" not in err
 
 
 @pytest.mark.parametrize("scenario, field", [

@@ -1,9 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from mapfuse.evalbench import (
+    IOU_THRESHOLD,
     Accumulator,
     BenchmarkTag,
     EvalReport,
@@ -62,14 +61,18 @@ def test_match_greedy_score_order():
 
 def test_match_requires_iou_threshold():
     assert match_detections([(box(3.0, 0), 1.0)], [box(0, 0)]) == [None]
-    assert match_detections([(box(0, 0), 1.0)], [box(0, 0)],
-                            iou_threshold=1.0) == [0]
+    assert match_detections([(box(0, 0), 1.0)], [box(0, 0)]) == [0]
+    # Shifted along a 4 m box, IoU is (4 - d) / (4 + d): d = 0.7 gives
+    # 0.702 (a match) and d = 0.71 gives 0.698 (none) at IOU_THRESHOLD.
+    assert IOU_THRESHOLD == 0.7
+    assert match_detections([(box(0.7, 0), 1.0)], [box(0, 0)]) == [0]
+    assert match_detections([(box(0.71, 0), 1.0)], [box(0, 0)]) == [None]
 
 
 def test_match_one_to_one():
     t = [box(0, 0), box(0.4, 0)]
     preds = [(box(0.0, 0), 2.0), (box(0.4, 0), 1.0)]
-    assigned = match_detections(preds, t, iou_threshold=0.3)
+    assigned = match_detections(preds, t)
     assert assigned == [0, 1]
 
 
@@ -223,14 +226,14 @@ def test_average_precision_keeps_record_order_between_equal_scores():
     assert miss_first.results()["overall"] == 0.5
 
 
-def reference_match(predictions, truths, iou_threshold):
+def reference_match(predictions, truths):
     """Greedy matching as one scalar loop, skipping claimed truths."""
     order = sorted(range(len(predictions)),
                    key=lambda i: (-predictions[i][1], i))
     assigned = [None] * len(predictions)
     taken = [False] * len(truths)
     for i in order:
-        best_j, best_iou = None, iou_threshold
+        best_j, best_iou = None, IOU_THRESHOLD
         for j, truth in enumerate(truths):
             if taken[j]:
                 continue
@@ -243,10 +246,13 @@ def reference_match(predictions, truths, iou_threshold):
     return assigned
 
 
+# Boxes near one of two anchors 10 m apart: about a quarter of the pairs
+# at one anchor reach IOU_THRESHOLD, and pairs across anchors never touch.
 small_box_st = st.builds(
-    lambda x, y, yaw, l, w: box(x, y, yaw, l, w),
-    st.floats(-3, 3), st.floats(-3, 3), st.floats(-math.pi, math.pi),
-    st.floats(1, 5), st.floats(1, 3),
+    lambda anchor, x, y, yaw, l, w: box(anchor + x, y, yaw, l, w),
+    st.sampled_from([0.0, 10.0]), st.floats(-0.5, 0.5),
+    st.floats(-0.5, 0.5), st.floats(-0.2, 0.2),
+    st.floats(3.5, 4.5), st.floats(1.8, 2.2),
 )
 
 
@@ -257,43 +263,33 @@ small_box_st = st.builds(
     ),
     truths_masks=st.lists(st.tuples(small_box_st, st.booleans()),
                           max_size=6),
-    iou_threshold=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
 )
-def test_masked_greedy_equals_matching_the_subset(preds, truths_masks,
-                                                  iou_threshold):
+def test_masked_greedy_equals_matching_the_subset(preds, truths_masks):
     truths = [t for t, _ in truths_masks]
     mask = [m for _, m in truths_masks]
     subset = [j for j, m in enumerate(mask) if m]
     scores = [score for _, score in preds]
-    rows = overlap_rows(preds, truths, iou_threshold)
-    direct = match_detections(preds, [truths[j] for j in subset],
-                              iou_threshold)
+    rows = overlap_rows(preds, truths)
+    direct = match_detections(preds, [truths[j] for j in subset])
     assert greedy_assign(scores, rows, mask) == [
         None if i is None else subset[i] for i in direct
     ]
-    assert direct == reference_match(preds, [truths[j] for j in subset],
-                                     iou_threshold)
-    assert greedy_assign(scores, rows) == reference_match(
-        preds, truths, iou_threshold
-    )
+    assert direct == reference_match(preds, [truths[j] for j in subset])
+    assert greedy_assign(scores, rows) == reference_match(preds, truths)
 
 
 @given(
     sets=st.lists(st.lists(st.tuples(small_box_st, st.just(1.0)),
                            max_size=4), max_size=4),
     truths=st.lists(small_box_st, max_size=5),
-    iou_threshold=st.sampled_from([0.0, 0.3, 0.7]),
 )
-def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(
-        sets, truths, iou_threshold):
-    joined = overlap_rows([p for preds in sets for p in preds], truths,
-                          iou_threshold)
-    per_set = [row for preds in sets
-               for row in overlap_rows(preds, truths, iou_threshold)]
+def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(sets, truths):
+    joined = overlap_rows([p for preds in sets for p in preds], truths)
+    per_set = [row for preds in sets for row in overlap_rows(preds, truths)]
     assert joined == per_set
     assert joined == [
         [(j, iou_bev(state, t)) for j, t in enumerate(truths)
-         if iou_bev(state, t) >= iou_threshold]
+         if iou_bev(state, t) >= IOU_THRESHOLD]
         for preds in sets for state, _ in preds
     ]
 

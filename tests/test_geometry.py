@@ -255,6 +255,8 @@ HUGE_PAIRS = [
      make_state(5, 0, 0, 4, 2, 1.5, 0.0)),
     (make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.0),
      make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.3)),
+    (make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.0),
+     make_state(0, 0, 0, 1e160, 1e160, 1.5, 0.0)),
 ]
 
 

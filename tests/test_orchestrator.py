@@ -13,7 +13,6 @@ from mapfuse.association import ClusterConfig
 from mapfuse.distill import distill_labels, run_edfl, run_perfect_fl
 from mapfuse import evalbench
 from mapfuse.evalbench import (
-    IOU_THRESHOLD,
     SLICE_NAMES,
     match_detections,
     tag_objects,
@@ -797,7 +796,8 @@ def reference_scores(cfg, frames):
     """Scores run_experiment's methods with one direct match_detections
     call per prediction set and truth set: a local map against its
     vehicle's truths and against the fleet's, a fused map against the
-    fleet's once for the fleet AP and once per vehicle.
+    fleet's once for the fleet AP and once per vehicle.  Every method
+    scores a frame at the fleet's density.
 
     Returns {method: (ap, per_vehicle_ap)}.
     """
@@ -817,7 +817,6 @@ def reference_scores(cfg, frames):
             spec, cfg.sensor_seed,
             registry=build_teacher_registry(cfg, scenario))
     k_count = scenario.num_vehicles
-    thr = IOU_THRESHOLD
     fleet_acc = {m: SliceAccumulator() for m in cfg.methods}
     own_acc = {m: [SliceAccumulator() for _ in range(k_count)]
                for m in cfg.methods}
@@ -828,7 +827,7 @@ def reference_scores(cfg, frames):
         fleet_tags, density = tag_objects(scenario, f)
         fleet_truths = [object_state_reference(scenario, f, t.object_id)
                         for t in fleet_tags]
-        veh_tags = [tag_objects(scenario, f, vehicles=[k])
+        veh_tags = [tag_objects(scenario, f, vehicles=[k])[0]
                     for k in range(k_count)]
         sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
                   for k in range(k_count)]
@@ -845,23 +844,23 @@ def reference_scores(cfg, frames):
                 preds = list(gmap.objects)
                 fleet_acc[m].add_frame(preds, fleet_truths, fleet_tags,
                                        density)
-                for k, (tags, _) in enumerate(veh_tags):
+                for k, tags in enumerate(veh_tags):
                     seen = {t.object_id for t in tags}
-                    assigned = match_detections(preds, fleet_truths, thr)
+                    assigned = match_detections(preds, fleet_truths)
                     for (_, score), j in zip(preds, assigned):
                         if (j is None
                                 or fleet_tags[j].object_id in seen):
                             veh[m][k][0].append((score, j is not None))
                     veh[m][k][1] += len(seen)
             else:
-                for k, (tags, dens_k) in enumerate(veh_tags):
+                for k, tags in enumerate(veh_tags):
                     preds = [(transform_to_global_reference(
                                   d.state, maps[k].pose), d.score)
                              for d in maps[k].detections]
                     truths = [object_state_reference(scenario, f, t.object_id)
                               for t in tags]
-                    own_acc[m][k].add_frame(preds, truths, tags, dens_k)
-                    assigned = match_detections(preds, fleet_truths, thr)
+                    own_acc[m][k].add_frame(preds, truths, tags, density)
+                    assigned = match_detections(preds, fleet_truths)
                     veh[m][k][0].extend(
                         (score, j is not None)
                         for (_, score), j in zip(preds, assigned))
@@ -887,6 +886,10 @@ def test_run_experiment_matches_direct_matching_reference():
         ap, per_vehicle = reference[m]
         assert report.methods[m].ap == ap, m
         assert report.methods[m].per_vehicle_ap == per_vehicle, m
+    # A local method's frames are dense when the fleet's are: one vehicle
+    # alone is never MIN_WITNESSES witnesses.
+    assert any(report.methods[m].ap["HD"] is not None
+               for m in cfg.methods if METHODS[m].rule is None)
 
 
 def test_per_vehicle_ap_reads_the_overall_slice_alone(monkeypatch):
