@@ -6,6 +6,12 @@ average (the closed-form weighted least-squares solution for the
 continuous box fields), then greedily prune overlapping fused boxes.
 Mean-fusion and max-score-fusion baselines share the same association and
 pruning stages.
+
+A rule fuses a frame's clusters in one call.  What it computes per member
+or per cluster runs once for the frame; only the weight normalization,
+the choice of each cluster's dominant member and the weighted sums run
+per group of equal-size clusters, so that every sum rounds as one
+cluster's own sum does.
 """
 
 from __future__ import annotations
@@ -123,6 +129,12 @@ class Boxes(Sequence):
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 9:
             raise ValueError(f"expected (N, 9) rows, got {rows.shape}")
+        return cls._adopt(rows)
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray) -> "Boxes":
+        """A block of (N, 9) float rows that the caller hands over: checked
+        as from_rows checks them, the yaw wrapped in place."""
         _check_rows(rows)
         rows[:, 7] = wrap_angles(rows[:, 7])
         return cls._of(rows)
@@ -277,8 +289,9 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weights(scores: np.ndarray) -> np.ndarray:
-    """Normalized fusion weights of each row of a (G, n) score block.
+def _weights(raw: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Normalized fusion weights of each row of a (G, n) score block,
+    given the block's sigmoids ``raw``, which it overwrites.
 
     Each member is weighted by the sigmoid of its score, so a higher score
     earns more trust.  In a row whose largest sigmoid is subnormal (all
@@ -286,7 +299,6 @@ def _weights(scores: np.ndarray) -> np.ndarray:
     underflowed to 0, and the weights take their limit exp(s - max s),
     normalized.
     """
-    raw = _sigmoid(scores)
     low = ~(raw.max(axis=1) >= _TINY)
     if low.any():
         s = scores[low]
@@ -306,81 +318,107 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], x)[:, 0, :]
 
 
-def _fuse_block(
-    vecs: np.ndarray,
-    scores: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Fuse G clusters of n members each under (G, n) normalized weights
-    into (G, 9) box rows.
+def _size_groups(label: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The clusters of a frame's (N,) member labels by size: for each
+    member count n, in rising order, the ids of the G clusters of n
+    members, in rising order, and their (G, n) member indices, each row
+    in input order."""
+    size = np.bincount(label)
+    # The members by their cluster's size, then cluster, then input order.
+    order = np.argsort(size[label] * len(size) + label, kind="stable")
+    groups, start = [], 0
+    for n, g in enumerate(np.bincount(size).tolist()):
+        if g:
+            idx = order[start:start + g * n].reshape(g, n)
+            groups.append((label[idx[:, 0]], idx))
+            start += g * n
+    return groups
 
-    ``vecs`` holds the members' (G, n, 8) rows (``ObjectState.to_vector``)
-    and ``scores`` their raw scores.
+
+def _fuse_block(vecs, scores, label, groups, weights) -> np.ndarray:
+    """Fuse a frame's clusters into (C, 9) box rows, row c for cluster c.
+
+    ``vecs`` holds the frame's (N, 8) member rows (``ObjectState.to_vector``),
+    ``scores`` their raw scores and ``label`` their clusters; ``groups``
+    are the clusters by size (see :func:`_size_groups`), and ``weights``
+    one (G, n) block of normalized weights per group.
     Continuous fields are the weighted mean of the members (the minimizer
     of the weighted least-squares objective); yaw uses a weighted circular
     mean; the category is a weighted vote; the fused score is the
     weighted mean of the raw scores.
+    Only each cluster's dominant member (its largest weight) and the four
+    weighted sums are found per size group, each sum so that it rounds as
+    one cluster's ``w @ x`` does; the yaw flip, sin and cos, the circular
+    mean's angle and the vote run once for the frame.
     """
-    w = weights
-    fused = np.empty((len(w), 9))
-    fused[:, 1:7] = _weighted_sum(w, vecs[:, :, 1:7])
-    fused[:, 8] = _weighted_sum(w, scores)
+    count = label.max() + 1
+    fused = np.empty((count, 9))
+    ref = np.empty(count)
+    member_w = np.empty(len(scores))
+    yaws = vecs[:, 7]
+    for (clusters, idx), w in zip(groups, weights):
+        ref[clusters] = yaws[idx[np.arange(len(idx)), w.argmax(axis=1)]]
+        member_w[idx] = w
 
     # Yaw on the circle.  Members pointing against the dominant member
     # (angular gap beyond pi/2) are flipped by pi before averaging so an
     # orientation-flipped witness cannot drag the mean sideways.
-    yaws = vecs[:, :, 7]
-    ref = yaws[np.arange(len(yaws)), w.argmax(axis=1)]
-    gap = wrap_angles(yaws - ref[:, None])
-    yaws = np.where(np.abs(gap) <= math.pi / 2, yaws, yaws + math.pi)
-    sin_sum = _weighted_sum(w, np.sin(yaws)).tolist()
-    cos_sum = _weighted_sum(w, np.cos(yaws)).tolist()
-    ref = ref.tolist()
+    gap = wrap_angles(yaws - ref[label])
+    flipped = np.where(np.abs(gap) <= math.pi / 2, yaws, yaws + math.pi)
+    sin, cos = np.sin(flipped), np.cos(flipped)
+    sin_sum, cos_sum = np.empty(count), np.empty(count)
+    for (clusters, idx), w in zip(groups, weights):
+        fused[clusters, 1:7] = _weighted_sum(w, vecs[idx][:, :, 1:7])
+        fused[clusters, 8] = _weighted_sum(w, scores[idx])
+        sin_sum[clusters] = _weighted_sum(w, sin[idx])
+        cos_sum[clusters] = _weighted_sum(w, cos[idx])
 
-    fused_categories, fused_yaws = [], []
-    for g, (members, row) in enumerate(zip(
-            vecs[:, :, 0].astype(int).tolist(), w.tolist())):
-        if math.hypot(sin_sum[g], cos_sum[g]) < 1e-12:
-            yaw = ref[g]
-        else:
-            yaw = math.atan2(sin_sum[g], cos_sum[g])
+    fused_yaws = []
+    for s, c, r in zip(sin_sum.tolist(), cos_sum.tolist(), ref.tolist()):
+        yaw = r if math.hypot(s, c) < 1e-12 else math.atan2(s, c)
         # Wrapped twice, as an ObjectState made with a wrapped yaw is (see
         # tests/oracles.py): the second wrap maps pi to -pi.
         fused_yaws.append(wrap_angle(wrap_angle(yaw)))
-        # Category by weighted vote; ties by higher total weight then
-        # lower id.
-        votes: dict[int, float] = {}
-        for c, wi in zip(members, row):
-            votes[c] = votes.get(c, 0.0) + wi
-        fused_categories.append(min(votes, key=lambda c: (-votes[c], c)))
-    fused[:, 0] = fused_categories
     fused[:, 7] = fused_yaws
+    # Category by weighted vote, members in input order; ties by higher
+    # total weight then lower id.
+    votes: list[dict[int, float]] = [{} for _ in range(count)]
+    for c, cat, wi in zip(label.tolist(), vecs[:, 0].astype(int).tolist(),
+                          member_w.tolist()):
+        v = votes[c]
+        v[cat] = v.get(cat, 0.0) + wi
+    fused[:, 0] = [next(iter(v)) if len(v) == 1
+                   else min(v, key=lambda c: (-v[c], c)) for v in votes]
     return fused
 
 
-def _weighted_rule(vecs, scores):
-    return _fuse_block(vecs, scores, _weights(scores))
+def _weighted_rule(vecs, scores, label, groups):
+    raw = _sigmoid(scores)
+    return _fuse_block(vecs, scores, label, groups,
+                       [_weights(raw[idx], scores[idx]) for _, idx in groups])
 
 
-def _mean_rule(vecs, scores):
-    g, n = scores.shape
-    return _fuse_block(vecs, scores, np.full((g, n), 1.0 / n))
+def _mean_rule(vecs, scores, label, groups):
+    return _fuse_block(vecs, scores, label, groups,
+                       [np.full(idx.shape, 1.0 / idx.shape[1])
+                        for _, idx in groups])
 
 
-def _max_score_rule(vecs, scores):
-    # argmax keeps the first of tied maxima: the lowest member index.
-    g = np.arange(len(scores))
-    best = scores.argmax(axis=1)
-    return np.column_stack((vecs[g, best], scores[g, best]))
+def _max_score_rule(vecs, scores, label, groups):
+    best = np.empty(label.max() + 1, int)
+    for clusters, idx in groups:
+        # argmax keeps the first of tied maxima: the lowest member index.
+        best[clusters] = idx[np.arange(len(idx)), scores[idx].argmax(axis=1)]
+    return np.column_stack((vecs[best], scores[best]))
 
 
 def compute_weights(scores: Sequence[float]) -> np.ndarray:
     """Normalized fusion weights for one cluster's raw scores (see
     :func:`_weights`)."""
-    scores = np.asarray(scores, dtype=float)
+    scores = np.asarray(scores, dtype=float).reshape(1, -1)
     if scores.size == 0:
         raise ValueError("cluster must be non-empty")
-    return _weights(scores.reshape(1, -1))[0]
+    return _weights(_sigmoid(scores), scores)[0]
 
 
 def fuse_cluster(
@@ -390,10 +428,11 @@ def fuse_cluster(
 ) -> ScoredDetection:
     """Fuse one cluster of global-frame states under normalized weights
     (see :func:`_fuse_block`)."""
+    vecs = np.stack([s.to_vector() for s in states])
+    label = np.zeros(len(vecs), dtype=int)
     return Boxes._of(_fuse_block(
-        np.stack([s.to_vector() for s in states])[None],
-        np.asarray(scores, dtype=float).reshape(1, -1),
-        np.asarray(weights, dtype=float).reshape(1, -1),
+        vecs, np.asarray(scores, dtype=float).reshape(-1), label,
+        _size_groups(label), [np.asarray(weights, dtype=float).reshape(1, -1)],
     ))[0]
 
 
@@ -409,9 +448,12 @@ def prune_overlaps(objects, delta: float) -> Boxes:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    rows = Boxes(objects).rows
-    scores = rows[:, 8].tolist()
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    block = Boxes(objects)
+    if len(block) < 2:
+        return block
+    rows = block.rows
+    # A stable sort keeps tied scores in input order.
+    order = np.argsort(-rows[:, 8], kind="stable").tolist()
     touch = circle_prefilter(rows, rows)
     np.fill_diagonal(touch, False)
     near = touch.any(axis=1).tolist()
@@ -440,14 +482,16 @@ class _Center:
 def _fuse_frame(
     local_maps: Sequence[LocalMap],
     cfg: FusionConfig,
-    rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rule: Callable[[np.ndarray, np.ndarray, np.ndarray, list], np.ndarray],
 ) -> FusionResult:
     """Associate, fuse the clusters, and prune.
 
-    Clusters go to ``rule(vecs, scores)`` one size group at a time: the
-    G clusters with n members each as their (G, n, 8) global-frame rows
-    and (G, n) scores, members in vehicle order, then detection order;
-    the rule returns the G fused (G, 9) box rows.
+    The rule fuses the whole frame in one call,
+    ``rule(vecs, scores, label, groups)``: the frame's (N, 8) global-frame
+    rows and (N,) scores in vehicle order, then detection order, each
+    member's cluster label, and the clusters by size (see
+    :func:`_size_groups`); it returns the fused (C, 9) box rows, row c for
+    cluster c.
     The maps are taken in vehicle-id order, so the result does not depend
     on the order in which they arrive.  An InputError when two maps share
     a vehicle id or a frame time differs, or a fused box is not finite.
@@ -478,17 +522,9 @@ def _fuse_frame(
     fused = np.empty((num_objects, 9))
     if keys:
         label = np.array(labels)
-        # members[starts[c]:starts[c] + size[c]] are cluster c's detections
-        # in input order.
-        members = np.argsort(label, kind="stable")
-        size = np.bincount(label)
-        starts = np.cumsum(size) - size
         # Members near the float range can fuse past it: rejected below.
         with np.errstate(over="ignore"):
-            for n in sorted(set(size.tolist())):
-                clusters = np.flatnonzero(size == n)
-                idx = members[starts[clusters, None] + np.arange(n)]
-                fused[clusters] = rule(vecs[idx], scores[idx])
+            fused = rule(vecs, scores, label, _size_groups(label))
     # Checked, not wrapped again as Boxes.from_rows would: the yaw is final.
     try:
         _check_rows(fused)

@@ -9,8 +9,10 @@ with and without federated training.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
+import itertools
 import math
 import numbers
 import operator
@@ -136,7 +138,8 @@ def _pack_boxes(payload) -> np.ndarray:
 
 
 def _unpack_boxes(entries: np.ndarray) -> Boxes:
-    return Boxes.from_rows(entries.astype(_ROW).view((np.float64, 9)))
+    # The cast is the one copy: its rows are checked and wrapped in place.
+    return Boxes._adopt(entries.astype(_ROW).view((np.float64, 9)))
 
 
 def _uint32(value, what: str) -> int:
@@ -221,7 +224,19 @@ def _require(blob: bytes, offset: int, size: int, what: str) -> None:
         raise CodecError(f"truncated {what} at offset {offset}")
 
 
-def decode_message(blob: bytes) -> V2xMessage:
+class _Head(typing.NamedTuple):
+    """A blob's header, the offset and bytes of its whole entries, and
+    ``late``: the error to raise once those entries pass their check."""
+
+    kind: MessageKind
+    sender: int
+    receiver: int
+    offset: int
+    body: memoryview
+    late: CodecError | None
+
+
+def _read_head(blob: bytes) -> _Head:
     _require(blob, 0, _HEADER.size, "header")
     magic, version, kind_raw, sender, receiver = _HEADER.unpack_from(blob, 0)
     if magic != MESSAGE_MAGIC:
@@ -236,25 +251,74 @@ def decode_message(blob: bytes) -> V2xMessage:
     _require(blob, offset, _COUNT.size, "count")
     (count,) = _COUNT.unpack_from(blob, offset)
     offset += _COUNT.size
-
-    layout, name, _, unpack = _ENTRIES[kind]
+    layout, name, _, _ = _ENTRIES[kind]
     size = layout.itemsize
     # Only the entries the blob holds in full are read, so a huge count
     # on a short blob allocates nothing.  The entries before a truncated
     # one are checked first, as a reader going entry by entry would.
     whole = min(count, (len(blob) - offset) // size)
-    try:
-        payload = unpack(np.frombuffer(blob, layout, whole, offset))
-    except RowError as exc:
-        raise CodecError(f"invalid {name} at offset "
-                         f"{offset + exc.row * size}: {exc.reason}") from None
-    if whole < count:
-        raise CodecError(f"truncated {name} at offset {offset + whole * size}")
     end = offset + count * size
-    if end != len(blob):
-        raise CodecError(f"trailing bytes at offset {end}")
-    return V2xMessage(kind=kind, sender=sender, receiver=receiver,
-                      payload=payload)
+    late = None
+    if whole < count:
+        late = CodecError(f"truncated {name} at offset {offset + whole * size}")
+    elif end != len(blob):
+        late = CodecError(f"trailing bytes at offset {end}")
+    return _Head(kind, sender, receiver, offset,
+                 memoryview(blob)[offset:offset + whole * size], late)
+
+
+def _decode_blobs(blobs: Sequence[bytes]) -> list[V2xMessage]:
+    """Decode several messages at once: the entries of all the blobs of
+    one kind are read, checked and (for boxes) wrapped as one array, and
+    each message gets its slice of the payload.  On malformed bytes the
+    CodecError is the one decode_message raises on the first failing
+    blob."""
+    heads: list[_Head] = []
+    # The error of the first blob whose header fails, or whose entries
+    # are truncated or followed by trailing bytes; no later blob matters.
+    late = None
+    for blob in blobs:
+        try:
+            heads.append(_read_head(blob))
+        except CodecError as exc:
+            late = exc
+            break
+        late = heads[-1].late
+        if late is not None:
+            break
+    payloads: list = [None] * len(heads)
+    first = None   # (blob, CodecError) of the first invalid entry
+    for kind in dict.fromkeys(h.kind for h in heads):
+        layout, name, _, unpack = _ENTRIES[kind]
+        group = [i for i, h in enumerate(heads) if h.kind is kind]
+        ends = list(itertools.accumulate(
+            (len(heads[i].body) // layout.itemsize for i in group), initial=0))
+        try:
+            payload = unpack(np.frombuffer(
+                b"".join(heads[i].body for i in group), layout))
+        except RowError as exc:
+            k = bisect.bisect_right(ends, exc.row) - 1
+            at = heads[group[k]].offset + (exc.row - ends[k]) * layout.itemsize
+            if first is None or group[k] < first[0]:
+                first = (group[k], CodecError(
+                    f"invalid {name} at offset {at}: {exc.reason}"))
+            continue
+        for i, start, stop in zip(group, ends, ends[1:]):
+            payloads[i] = payload[start:stop]
+    if first is not None:
+        raise first[1]
+    if late is not None:
+        raise late
+    return [V2xMessage(kind=h.kind, sender=h.sender, receiver=h.receiver,
+                       payload=p) for h, p in zip(heads, payloads)]
+
+
+def decode_message(blob: bytes) -> V2xMessage:
+    """One message from its bytes, as the frame reader that run_frame
+    decodes a frame's uploads with reads one blob.  A CodecError names the
+    offset of the first malformed part: the header, then the first
+    invalid entry, then a truncated entry or trailing bytes."""
+    return _decode_blobs([blob])[0]
 
 
 @dataclass
@@ -295,9 +359,10 @@ def run_frame(
     """One sensing / upload / fuse / broadcast cycle.
 
     All vehicle detections cross the wire as global-frame payloads, moved
-    into that frame by one row transform for the whole frame; the server
-    reassembles them under an identity pose, so no pose exchange is
-    needed.  Returns the broadcast map and the bytes this frame moved,
+    into that frame by one row transform for the whole frame and encoded
+    one message per vehicle; the server decodes the frame's uploads in one
+    pass and reassembles them under an identity pose, so no pose exchange
+    is needed.  Returns the broadcast map and the bytes this frame moved,
     which are also recorded in ledger when one is given.
     If local_maps is given the sensing and refinement steps are skipped;
     that lets several methods share one set of measurements.
@@ -312,20 +377,16 @@ def run_frame(
             local_maps.append(dataclasses.replace(
                 raw, detections=predict(params, sensor_frame, spec)))
 
-    moved = 0
-    server_maps = []
-    frame_time = scenario.frame_time(frame)
+    wires = []
     for lm, upload in zip(local_maps, _global_boxes(local_maps)):
-        wire = encode_message(V2xMessage(
-            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
-        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wire))
-        moved += len(wire)
-        server_maps.append(LocalMap(
-            vehicle_id=lm.vehicle_id,
-            frame_time=frame_time,
-            detections=decode_message(wire).payload,
-            pose=IDENTITY_POSE,
-        ))
+        wires.append(encode_message(V2xMessage(
+            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload)))
+        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wires[-1]))
+    frame_time = scenario.frame_time(frame)
+    server_maps = [
+        LocalMap(vehicle_id=lm.vehicle_id, frame_time=frame_time,
+                 detections=msg.payload, pose=IDENTITY_POSE)
+        for lm, msg in zip(local_maps, _decode_blobs(wires))]
 
     if server_maps:
         gmap = fuse_fn(server_maps, fusion_cfg).global_map
@@ -335,7 +396,7 @@ def run_frame(
         MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
         gmap.objects))
     ledger.record(MessageKind.GLOBAL_MAP_BROADCAST, len(broadcast))
-    return gmap, moved + len(broadcast)
+    return gmap, sum(map(len, wires)) + len(broadcast)
 
 
 # --- configuration -----------------------------------------------------------

@@ -5,6 +5,10 @@ line (visible even under pytest capture).  The noisy five-seed benchmark
 reports are computed once per session and shared.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 import math
 import time
 
@@ -30,6 +34,7 @@ from mapfuse.fedlearn import (
     local_train,
     loss,
     loss_gradient,
+    predict,
 )
 from mapfuse.distill import full_coverage_registry, run_edfl, run_perfect_fl
 from mapfuse.fusion import (
@@ -51,7 +56,9 @@ from mapfuse.orchestrator import (
     default_benchmark_config,
     encode_message,
     run_experiment,
+    run_frame,
 )
+from mapfuse.orchestrator import testing_frames as eval_window_frames
 from mapfuse.simworld import (
     DetectorNoiseSpec,
     ScenarioConfig,
@@ -508,3 +515,63 @@ def test_criterion_8_determinism(capsys, tmp_path):
              f"exit codes ({code_a}, {code_b}), "
              f"{out_a.stat().st_size} bytes, identical={identical}")
     assert ok
+
+
+# --- reference outputs ---------------------------------------------------------
+
+# The sha256 of each acceptance seed's report JSON, and of the crowded
+# crossing's fused frames (below), as numpy 2.4 with OpenBLAS computes them.
+# Fusion and `predict` round through the BLAS build, so a build that rounds
+# differently gets its own values here; the check is never skipped.  A
+# change that sets out to change results updates them in the same diff.
+REPORT_SHA256 = {
+    0: "f30815628544246d12c6d3a430ad2cebc17e83e80a178096f812b01bb2f3e45a",
+    1: "a23cb616e53943ed8ec6e0e0b709d3441c1e71cb9d20f8a6880bd6a4a99ed54d",
+    2: "624d41f666dcfd1a3d2a6b14ddb2d232e6150f66dae3b3c7c35246c3b0921928",
+    3: "9e99430e97845305e7c220b807a3f665e55451788a2ea46328a4ee028cbdc0d8",
+    4: "8cbd1bc90e99fdd514148d3469b70ad00e7a6ea20549a4834193208690f1a3a4",
+}
+CROSSING_SHA256 = (
+    "b8cff411d0937ea8faf98949542e2db2ecbb298366909973484e9b19d0b3aca8")
+
+
+def numpy_build() -> str:
+    """numpy's version and BLAS build, for a pin's failure message."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return (f"numpy {np.__version__}, BLAS {blas.get('name')} "
+                f"{blas.get('version')}")
+    except TypeError:   # numpy before 1.25 only prints its configuration
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            np.show_config()
+        return f"numpy {np.__version__}, " + " ".join(out.getvalue().split())
+
+
+def test_acceptance_reports_are_the_reference_outputs(benchmark_reports):
+    reports, _ = benchmark_reports
+    got = {seed: hashlib.sha256(rep.to_json().encode()).hexdigest()
+           for seed, rep in reports.items()}
+    assert got == REPORT_SHA256, f"report sha256 differs on {numpy_build()}"
+
+
+def test_crowded_crossing_is_the_reference_output():
+    # As the edge_fusion benchmark hashes a frame: repr((bytes, map)) of
+    # run_frame, here on every 20th of its first 200 frames, with the
+    # untrained detector and sensor seed 0.
+    crossing = ScenarioConfig(num_vehicles=10, num_objects=80)
+    cfg = default_benchmark_config(0)
+    scenario = generate_scenario(crossing, cfg.seed)
+    params = default_init_params()
+    digests = []
+    for f in eval_window_frames(crossing, cfg.train)[:200:20]:
+        maps = [dataclasses.replace(raw, detections=predict(params, frame))
+                for raw, frame in (sense(scenario, k, f, cfg.noise,
+                                         cfg.sensor_seed)
+                                   for k in range(scenario.num_vehicles))]
+        gmap, nbytes = run_frame(scenario, f, cfg.noise, params, cfg.fusion,
+                                 local_maps=maps, fuse_fn=three_stage_fuse)
+        digests.append(
+            hashlib.sha256(repr((nbytes, gmap)).encode()).hexdigest())
+    got = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert got == CROSSING_SHA256, f"crossing sha256 differs on {numpy_build()}"

@@ -15,6 +15,8 @@ from mapfuse.fusion import (
     _fuse_block,
     _max_score_rule,
     _mean_rule,
+    _sigmoid,
+    _size_groups,
     _weighted_rule,
     _weights,
     GlobalMap,
@@ -206,12 +208,15 @@ raw_scores = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e4, 1e4),
 
 
 @st.composite
-def size_groups(draw):
-    """G clusters of n members each: member lists, their (G, n, 8)
-    vectors and (G, n) scores; a rule gets the vectors and scores."""
-    n = draw(st.integers(1, 12))
+def cluster_frames(draw):
+    """A frame of clusters of 1 to 12 members each, mixed sizes, nine or
+    more (where numpy's pairwise summation starts) drawn often: each
+    cluster's member list and scores, and the frame's (N,) cluster labels,
+    which interleave the clusters' members (see frame_kernel_args)."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(9, 12)),
+                          min_size=1, max_size=6))
     states, scores = [], []
-    for _ in range(draw(st.integers(1, 5))):
+    for n in sizes:
         base = draw(seam_yaws)
         members = []
         for _ in range(n):
@@ -239,22 +244,47 @@ def size_groups(draw):
             members[:] = [ObjectState(k % 2, m.center, m.extents, m.yaw)
                           for k, m in enumerate(members)]
         scores.append(row)
-    vecs = np.array([[m.to_vector() for m in members] for members in states])
-    return states, vecs, np.array(scores)
+    # Frame slot -> cluster; a cluster's k-th slot holds its k-th member.
+    label = draw(st.permutations(
+        [c for c, n in enumerate(sizes) for _ in range(n)]))
+    return states, [np.array(row) for row in scores], np.array(label)
 
 
-@given(size_groups())
+def frame_kernel_args(states, scores, label):
+    """A rule's arguments for a frame whose slots hold the clusters'
+    members as labelled: rows, scores, labels and size groups; each
+    group's rows are its clusters' members in frame order."""
+    members = [iter(zip(m, row)) for m, row in zip(states, scores)]
+    slots = [next(members[c]) for c in label]
+    vecs = np.array([m.to_vector() for m, _ in slots])
+    scores = np.array([score for _, score in slots])
+    groups = _size_groups(label)
+    for clusters, idx in groups:
+        for c, members in zip(clusters, idx):
+            assert members.tolist() == np.flatnonzero(label == c).tolist()
+    assert sorted(c for clusters, _ in groups for c in clusters) == list(
+        range(label.max() + 1))
+    return vecs, scores, label, groups
+
+
+@given(cluster_frames())
 @settings(max_examples=300, deadline=None)
-def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
-    states, vecs, scores = group
-    n = scores.shape[1]
-    weights = _weights(scores)
-    for members, row, got_w, weighted, mean, best in zip(
-            states, scores, weights, fused_pairs(_weighted_rule(vecs, scores)),
-            fused_pairs(_mean_rule(vecs, scores)),
-            fused_pairs(_max_score_rule(vecs, scores))):
+def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(frame):
+    states, cluster_scores, label = frame
+    args = frame_kernel_args(states, cluster_scores, label)
+    _, scores, _, groups = args
+    weights = {}
+    raw = _sigmoid(scores)
+    for clusters, idx in groups:
+        weights.update(zip(clusters.tolist(),
+                           _weights(raw[idx], scores[idx])))
+    for c, (members, row, weighted, mean, best) in enumerate(zip(
+            states, cluster_scores, fused_pairs(_weighted_rule(*args)),
+            fused_pairs(_mean_rule(*args)),
+            fused_pairs(_max_score_rule(*args)))):
+        n = len(members)
         want_w = compute_weights_reference(row)
-        assert got_w.tobytes() == want_w.tobytes()
+        assert weights[c].tobytes() == want_w.tobytes()
         assert compute_weights(row).tobytes() == want_w.tobytes()
         assert bits(weighted) == bits(
             fuse_cluster_reference(members, row, want_w))
@@ -267,28 +297,28 @@ def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(group):
         assert bits(best) == bits(want)
 
 
-@given(size_groups(), st.data())
+@given(cluster_frames(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_size_group_kernel_when_sin_and_cos_sums_cancel(group, data):
+def test_size_group_kernel_when_sin_and_cos_sums_cancel(frame, data):
     # Each member is followed by its half-size copy, the pair weighted +w
     # and -w: the sin and cos sums cancel, so the fused yaw falls back to
     # the dominant member's, while the extents stay positive.
-    states, _, scores = group
-    g, n = scores.shape
+    states, scores, label = frame
     states = [[m for s in members for m in
                (s, ObjectState(s.category, s.center,
                                tuple(0.5 * e for e in s.extents), s.yaw))]
               for members in states]
-    vecs = np.array([[m.to_vector() for m in members] for members in states])
-    scores = np.repeat(scores, 2, axis=1)
-    half = data.draw(st.lists(st.floats(0.1, 1.0), min_size=g * n,
-                              max_size=g * n))
-    weights = np.repeat(np.reshape(half, (g, n)), 2, axis=1)
-    weights[:, 1::2] *= -1.0
-    for members, row, w, got in zip(
-            states, scores, weights,
-            fused_pairs(_fuse_block(vecs, scores, weights))):
-        want = fuse_cluster_reference(members, row, w)
+    scores = [np.repeat(row, 2) for row in scores]
+    label = np.repeat(label, 2)
+    half = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(label) // 2,
+                              max_size=len(label) // 2))
+    member_w = np.repeat(half, 2)
+    member_w[1::2] *= -1.0
+    args = frame_kernel_args(states, scores, label)
+    fused = _fuse_block(*args, [member_w[idx] for _, idx in args[3]])
+    for c, (members, row, got) in enumerate(zip(states, scores,
+                                                fused_pairs(fused))):
+        want = fuse_cluster_reference(members, row, member_w[label == c])
         assert bits(got) == bits(want)
 
 

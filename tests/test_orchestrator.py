@@ -41,6 +41,7 @@ from mapfuse.orchestrator import (
     SERVER_ID,
     TeacherSpec,
     V2xMessage,
+    _decode_blobs,
     build_teacher_registry,
     decode_message,
     default_benchmark_config,
@@ -290,6 +291,69 @@ def test_huge_count_on_a_short_blob_raises_at_once():
     assert peak < 1 << 20
 
 
+def decoded_bits(msg):
+    return (msg.kind, msg.sender, msg.receiver, entry_bits(msg.payload))
+
+
+@given(st.lists(message_st(), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_frame_reader_decodes_each_blob_as_the_struct_codec(msgs):
+    # Messages of mixed kinds: each kind's entries are read as one array.
+    blobs = [struct_encode_message(m) for m in msgs]
+    assert [decoded_bits(m) for m in _decode_blobs(blobs)] == [
+        decoded_bits(struct_decode_message(b)) for b in blobs]
+
+
+raw_box_blob_st = st.builds(
+    lambda kind, entries: (
+        struct.pack("<4sHHII", b"DMF1", 1, kind, 7, SERVER_ID)
+        + struct.pack("<I", len(entries))
+        + b"".join(struct.pack("<H8d", c, *f) for c, f in entries)),
+    st.sampled_from([MessageKind.LOCAL_MAP_UPLOAD,
+                     MessageKind.GLOBAL_MAP_BROADCAST]),
+    st.lists(st.tuples(st.integers(0, 65535),
+                       st.lists(st.one_of(st.floats(-10, 10), any_double),
+                                min_size=8, max_size=8)),
+             max_size=3),
+)
+
+
+@given(st.lists(st.one_of(message_st().map(encode_message), framed_st,
+                          raw_box_blob_st), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_frame_reader_raises_the_first_failing_blobs_error(blobs):
+    for blob in blobs:
+        try:
+            decode_message(blob)
+        except CodecError as exc:
+            with pytest.raises(CodecError) as got:
+                _decode_blobs(blobs)
+            assert str(got.value) == str(exc)
+            return
+    assert [decoded_bits(m) for m in _decode_blobs(blobs)] == [
+        decoded_bits(decode_message(b)) for b in blobs]
+
+
+def test_frame_reader_reports_the_first_failing_blob():
+    good = encode_message(upload_msg([(box(1, 2), 0.5)]))
+    # The entry's x is 2 bytes into it, at offset 22.
+    bad_entry = good[:22] + struct.pack("<d", math.nan) + good[30:]
+    bad_header = b"XXXX" + good[4:]
+    truncated = good[:40]
+    for blobs, error in [
+        ([good, bad_entry, bad_header],
+         "invalid detection entry at offset 20: fields must be finite"),
+        ([good, bad_header, bad_entry], "bad magic at offset 0"),
+        ([bad_entry, truncated],
+         "invalid detection entry at offset 20: fields must be finite"),
+        ([truncated, bad_entry], "truncated detection entry at offset 20"),
+    ]:
+        with pytest.raises(CodecError) as info:
+            _decode_blobs(blobs)
+        assert str(info.value) == error
+    assert _decode_blobs([]) == []
+
+
 def test_out_of_range_category_is_a_bad_entry():
     for cat in (-1, 65536, 1.5):
         with pytest.raises(ValueError,
@@ -453,6 +517,29 @@ def test_run_frame_with_an_empty_map_matches_the_scalar_reference(fuse):
     ]
     check_run_frame_against_reference(fuse, maps)
     check_run_frame_against_reference(fuse, maps[:1])
+
+
+CROWDED = ScenarioConfig(num_vehicles=10, num_objects=80)
+
+
+@pytest.fixture(scope="module")
+def crowded_frames():
+    """Five frames of local maps on the edge_fusion benchmark's crowded
+    crossing: ten vehicles, the untrained detector."""
+    cfg = default_benchmark_config(0)
+    scenario = generate_scenario(CROWDED, cfg.seed)
+    params = default_init_params()
+    return [[dataclasses.replace(raw, detections=predict(params, frame))
+             for raw, frame in (sense(scenario, k, f, cfg.noise, 0)
+                                for k in range(scenario.num_vehicles))]
+            for f in eval_window_frames(CROWDED, cfg.train)[:200:40]]
+
+
+@pytest.mark.parametrize("fuse", FUSE_FNS)
+def test_run_frame_on_a_crowded_crossing_matches_the_scalar_reference(
+        fuse, crowded_frames):
+    for maps in crowded_frames:
+        check_run_frame_against_reference(fuse, maps)
 
 
 def test_fusing_blocks_builds_no_object_state(monkeypatch):
