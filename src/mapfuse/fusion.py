@@ -53,7 +53,8 @@ class ScoredDetection(NamedTuple):
 
 
 class RowError(ValueError):
-    """A box row failed its check; ``row`` is the first such row."""
+    """A box row, or a parameter entry on the wire, failed its check;
+    ``row`` is the first such row."""
 
     def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: {reason}")
@@ -164,9 +165,6 @@ class Boxes(Sequence):
 
     def __iter__(self):
         return iter(self._detections())
-
-    def __add__(self, other) -> "Boxes":
-        return Boxes._of(np.concatenate((self.rows, Boxes(other).rows)))
 
     def __eq__(self, other):
         try:

@@ -9,7 +9,6 @@ with and without federated training.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import enum
 import itertools
@@ -73,6 +72,7 @@ MESSAGE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHHII")
 _COUNT = struct.Struct("<I")
+_BODY = _HEADER.size + _COUNT.size   # where a blob's entries start
 
 
 @dataclass(frozen=True)
@@ -224,19 +224,9 @@ def _require(blob: bytes, offset: int, size: int, what: str) -> None:
         raise CodecError(f"truncated {what} at offset {offset}")
 
 
-class _Head(typing.NamedTuple):
-    """A blob's header, the offset and bytes of its whole entries, and
-    ``late``: the error to raise once those entries pass their check."""
-
-    kind: MessageKind
-    sender: int
-    receiver: int
-    offset: int
-    body: memoryview
-    late: CodecError | None
-
-
-def _read_head(blob: bytes) -> _Head:
+def _read_head(blob: bytes) -> tuple[MessageKind, int, int, int]:
+    """A blob's kind, sender, receiver and entry count, its header and
+    count checked."""
     _require(blob, 0, _HEADER.size, "header")
     magic, version, kind_raw, sender, receiver = _HEADER.unpack_from(blob, 0)
     if magic != MESSAGE_MAGIC:
@@ -247,78 +237,60 @@ def _read_head(blob: bytes) -> _Head:
         kind = MessageKind(kind_raw)
     except ValueError:
         raise CodecError("unknown message kind at offset 6") from None
-    offset = _HEADER.size
-    _require(blob, offset, _COUNT.size, "count")
-    (count,) = _COUNT.unpack_from(blob, offset)
-    offset += _COUNT.size
-    layout, name, _, _ = _ENTRIES[kind]
-    size = layout.itemsize
-    # Only the entries the blob holds in full are read, so a huge count
-    # on a short blob allocates nothing.  The entries before a truncated
-    # one are checked first, as a reader going entry by entry would.
-    whole = min(count, (len(blob) - offset) // size)
-    end = offset + count * size
-    late = None
-    if whole < count:
-        late = CodecError(f"truncated {name} at offset {offset + whole * size}")
-    elif end != len(blob):
-        late = CodecError(f"trailing bytes at offset {end}")
-    return _Head(kind, sender, receiver, offset,
-                 memoryview(blob)[offset:offset + whole * size], late)
-
-
-def _decode_blobs(blobs: Sequence[bytes]) -> list[V2xMessage]:
-    """Decode several messages at once: the entries of all the blobs of
-    one kind are read, checked and (for boxes) wrapped as one array, and
-    each message gets its slice of the payload.  On malformed bytes the
-    CodecError is the one decode_message raises on the first failing
-    blob."""
-    heads: list[_Head] = []
-    # The error of the first blob whose header fails, or whose entries
-    # are truncated or followed by trailing bytes; no later blob matters.
-    late = None
-    for blob in blobs:
-        try:
-            heads.append(_read_head(blob))
-        except CodecError as exc:
-            late = exc
-            break
-        late = heads[-1].late
-        if late is not None:
-            break
-    payloads: list = [None] * len(heads)
-    first = None   # (blob, CodecError) of the first invalid entry
-    for kind in dict.fromkeys(h.kind for h in heads):
-        layout, name, _, unpack = _ENTRIES[kind]
-        group = [i for i, h in enumerate(heads) if h.kind is kind]
-        ends = list(itertools.accumulate(
-            (len(heads[i].body) // layout.itemsize for i in group), initial=0))
-        try:
-            payload = unpack(np.frombuffer(
-                b"".join(heads[i].body for i in group), layout))
-        except RowError as exc:
-            k = bisect.bisect_right(ends, exc.row) - 1
-            at = heads[group[k]].offset + (exc.row - ends[k]) * layout.itemsize
-            if first is None or group[k] < first[0]:
-                first = (group[k], CodecError(
-                    f"invalid {name} at offset {at}: {exc.reason}"))
-            continue
-        for i, start, stop in zip(group, ends, ends[1:]):
-            payloads[i] = payload[start:stop]
-    if first is not None:
-        raise first[1]
-    if late is not None:
-        raise late
-    return [V2xMessage(kind=h.kind, sender=h.sender, receiver=h.receiver,
-                       payload=p) for h, p in zip(heads, payloads)]
+    _require(blob, _HEADER.size, _COUNT.size, "count")
+    (count,) = _COUNT.unpack_from(blob, _HEADER.size)
+    return kind, sender, receiver, count
 
 
 def decode_message(blob: bytes) -> V2xMessage:
-    """One message from its bytes, as the frame reader that run_frame
-    decodes a frame's uploads with reads one blob.  A CodecError names the
-    offset of the first malformed part: the header, then the first
-    invalid entry, then a truncated entry or trailing bytes."""
-    return _decode_blobs([blob])[0]
+    """One message from its bytes.  A CodecError names the offset of the
+    first malformed part: the header, then the first invalid entry, then
+    a truncated entry or trailing bytes."""
+    kind, sender, receiver, count = _read_head(blob)
+    layout, name, _, unpack = _ENTRIES[kind]
+    size = layout.itemsize
+    # Only the entries the blob holds in full are read, so a huge count
+    # on a short blob allocates nothing.
+    whole = min(count, (len(blob) - _BODY) // size)
+    try:
+        payload = unpack(np.frombuffer(blob, layout, whole, _BODY))
+    except RowError as exc:
+        raise CodecError(f"invalid {name} at offset "
+                         f"{_BODY + exc.row * size}: {exc.reason}") from None
+    if whole < count:
+        raise CodecError(f"truncated {name} at offset {_BODY + whole * size}")
+    if len(blob) != _BODY + count * size:
+        raise CodecError(f"trailing bytes at offset {_BODY + count * size}")
+    return V2xMessage(kind, sender, receiver, payload)
+
+
+def _decode_blobs(blobs: Sequence[bytes]) -> list[V2xMessage]:
+    """decode_message over each blob.  A batch of one kind whose blobs
+    hold exactly their counts of entries, as run_frame's uploads do, is
+    read as one array: its entries are checked (and box yaws wrapped)
+    once, and each message gets its slice.  Any other batch, or one with
+    an invalid entry, is decoded blob by blob, so a malformed batch
+    raises its first failing blob's CodecError."""
+    try:
+        heads = [_read_head(blob) for blob in blobs]
+    except CodecError:
+        heads = []
+    if len({kind for kind, *_ in heads}) == 1:
+        layout, _, _, unpack = _ENTRIES[heads[0][0]]
+        counts = [count for *_, count in heads]
+        if all(len(blob) == _BODY + n * layout.itemsize
+               for blob, n in zip(blobs, counts)):
+            try:
+                payload = unpack(np.frombuffer(b"".join(
+                    memoryview(blob)[_BODY:] for blob in blobs), layout))
+            except RowError:
+                pass
+            else:
+                ends = list(itertools.accumulate(counts, initial=0))
+                return [V2xMessage(kind, sender, receiver, payload[a:b])
+                        for (kind, sender, receiver, _), a, b
+                        in zip(heads, ends, ends[1:])]
+    return [decode_message(blob) for blob in blobs]
 
 
 @dataclass
@@ -362,7 +334,8 @@ def run_frame(
     into that frame by one row transform for the whole frame and encoded
     one message per vehicle; the server decodes the frame's uploads in one
     pass and reassembles them under an identity pose, so no pose exchange
-    is needed.  Returns the broadcast map and the bytes this frame moved,
+    is needed; each server map takes its vehicle id from its upload's
+    sender.  Returns the broadcast map and the bytes this frame moved,
     which are also recorded in ledger when one is given.
     If local_maps is given the sensing and refinement steps are skipped;
     that lets several methods share one set of measurements.
@@ -384,9 +357,9 @@ def run_frame(
         ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wires[-1]))
     frame_time = scenario.frame_time(frame)
     server_maps = [
-        LocalMap(vehicle_id=lm.vehicle_id, frame_time=frame_time,
+        LocalMap(vehicle_id=msg.sender, frame_time=frame_time,
                  detections=msg.payload, pose=IDENTITY_POSE)
-        for lm, msg in zip(local_maps, _decode_blobs(wires))]
+        for msg in _decode_blobs(wires)]
 
     if server_maps:
         gmap = fuse_fn(server_maps, fusion_cfg).global_map
@@ -681,9 +654,11 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
             )
             pred_sets[m] = [gmap.objects]
         # One IoU pass over every set's predictions, split back by set.
+        # The empty block's rows keep a run without methods going.
         all_rows = overlap_rows(
-            sum((preds for sets in pred_sets.values() for preds in sets),
-                Boxes()),
+            Boxes._of(np.concatenate([Boxes().rows, *(
+                preds.rows for sets in pred_sets.values()
+                for preds in sets)])),
             fleet_truths,
         )
         start = 0

@@ -178,7 +178,8 @@ def test_distill_labels_rejects_misaligned_maps():
     broken = LocalMap(
         vehicle_id=maps[0].vehicle_id,
         frame_time=maps[0].frame_time,
-        detections=maps[0].detections + (
+        detections=(
+            *maps[0].detections,
             ScoredDetection(ObjectState(0, (0, 0, 0.75), (4, 2, 1.5), 0.0),
                             1.0),
         ),

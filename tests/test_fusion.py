@@ -495,7 +495,6 @@ def test_boxes_is_a_sequence_of_scored_detections():
     assert (state, score) == (dets[0].state, 0.25)
     part = block[1:]
     assert isinstance(part, Boxes) and part == dets[1:]
-    assert block + (dets[0],) == dets + (dets[0],)
     # -0.0 == 0.0, so the blocks are equal and must hash alike.
     zero = Boxes([(box(0.0, 3, cat=2), -1.0)])
     assert part == zero and hash(part) == hash(zero)

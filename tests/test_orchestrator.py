@@ -285,6 +285,9 @@ def test_huge_count_on_a_short_blob_raises_at_once():
         with pytest.raises(CodecError,
                            match="truncated detection entry at offset 86"):
             decode_message(blob)
+        with pytest.raises(CodecError,
+                           match="truncated detection entry at offset 86"):
+            _decode_blobs([one, blob])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,7 +301,8 @@ def decoded_bits(msg):
 @given(st.lists(message_st(), max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_frame_reader_decodes_each_blob_as_the_struct_codec(msgs):
-    # Messages of mixed kinds: each kind's entries are read as one array.
+    # Messages of mixed kinds, which are decoded blob by blob, or of
+    # one kind, whose entries are read as one array.
     blobs = [struct_encode_message(m) for m in msgs]
     assert [decoded_bits(m) for m in _decode_blobs(blobs)] == [
         decoded_bits(struct_decode_message(b)) for b in blobs]
@@ -332,6 +336,56 @@ def test_frame_reader_raises_the_first_failing_blobs_error(blobs):
             return
     assert [decoded_bits(m) for m in _decode_blobs(blobs)] == [
         decoded_bits(decode_message(b)) for b in blobs]
+
+
+upload_st = st.builds(
+    lambda sender, pairs: V2xMessage(MessageKind.LOCAL_MAP_UPLOAD, sender,
+                                     SERVER_ID, tuple(pairs)),
+    st.integers(0, SERVER_ID),
+    st.lists(st.tuples(state_st, score_st), max_size=3),
+)
+
+
+@st.composite
+def upload_blob_st(draw):
+    """An upload blob, valid or with one fault: a NaN field, a zero
+    extent, a cut, a trailing byte or a count no blob can hold."""
+    blob = encode_message(draw(upload_st))
+    fault = draw(st.one_of(st.just("valid"), st.sampled_from(
+        ["nan", "zero extent", "truncated", "trailing", "huge count"])))
+    entries = (len(blob) - 20) // 66
+    if fault == "nan" and entries:
+        # The eight float fields follow an entry's 2-byte category.
+        at = 20 + 66 * draw(st.integers(0, entries - 1)) + 2 + 8 * draw(
+            st.integers(0, 7))
+        return blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:]
+    if fault == "zero extent" and entries:
+        # Fields 3 to 5 are the length, width and height.
+        at = 20 + 66 * draw(st.integers(0, entries - 1)) + 2 + 8 * draw(
+            st.integers(3, 5))
+        return blob[:at] + struct.pack("<d", 0.0) + blob[at + 8:]
+    if fault == "truncated":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if fault == "trailing":
+        return blob + b"\x00"
+    if fault == "huge count":
+        return blob[:16] + struct.pack("<I", 0xFFFFFFFF) + blob[20:]
+    return blob
+
+
+@given(st.lists(upload_blob_st(), min_size=2, max_size=6))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_frame_reader_on_upload_batches_is_decode_message_per_blob(blobs):
+    # The batches run_frame makes: one kind, so the one-array path serves
+    # every batch whose blobs are all valid.
+    try:
+        want = [decoded_bits(decode_message(b)) for b in blobs]
+    except CodecError as exc:
+        with pytest.raises(CodecError) as got:
+            _decode_blobs(blobs)
+        assert str(got.value) == str(exc)
+        return
+    assert [decoded_bits(m) for m in _decode_blobs(blobs)] == want
 
 
 def test_frame_reader_reports_the_first_failing_blob():
@@ -1057,6 +1111,15 @@ def test_experiment_rejects_an_empty_window():
     with pytest.raises(ConfigError, match="selects no training frames"):
         run_experiment(small_run_config(train={"train_window": [0.0, 0.02]}),
                        test_frames=[60])
+
+
+def test_experiment_without_methods_is_an_empty_report():
+    cfg = run_config_from_dict({"methods": [],
+                                "scenario": {"duration": 3.0},
+                                "train": {"train_window": [0.0, 1.0]}})
+    report = run_experiment(cfg)
+    assert report.frames == tuple(range(20, 60))
+    assert report.methods == {}
 
 
 def test_run_config_defaults_are_valid():
