@@ -47,9 +47,12 @@ def cluster_detections(
     n = len(detections)
     if not n:
         return 0, []
-    points = np.array([e[2].center[:2] for e in detections], dtype=float)
-    diff = points[:, None, :] - points[None, :, :]
-    neighbors = np.einsum("ijk,ijk->ij", diff, diff) <= cfg.eps * cfg.eps
+    x, y = np.array([e[2].center[:2] for e in detections], dtype=float).T
+    # Centres far apart may overflow to an infinite distance: no link.
+    with np.errstate(over="ignore"):
+        dx = x[:, None] - x
+        dy = y[:, None] - y
+        neighbors = dx * dx + dy * dy <= cfg.eps * cfg.eps
     # Work in rank order of (vehicle_id, detection_index): each detection
     # takes the smallest rank among its neighbours and itself, then jumps
     # to its label's label, until nothing changes.  Labels only fall and

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +20,9 @@ from mapfuse.fedlearn import (
     LabelSet,
     ModelParams,
     ModelSpec,
+    SensorFrame,
     TrainConfig,
-    predict,
+    predict_fleet,
     run_federated,
 )
 from mapfuse.fusion import (
@@ -32,7 +33,7 @@ from mapfuse.fusion import (
     three_stage_fuse,
 )
 from mapfuse.geometry import ObjectState, rows_to_local
-from mapfuse.simworld import DetectorNoiseSpec, Scenario, sense
+from mapfuse.simworld import DetectorNoiseSpec, Scenario, sense_fleet
 
 
 @dataclass
@@ -114,6 +115,62 @@ def distill_labels(
     }
 
 
+def refine_fleet(
+    params: ModelParams,
+    sensed: Sequence[tuple[LocalMap, SensorFrame]],
+    spec: ModelSpec | None = None,
+) -> list[LocalMap]:
+    """The fleet's sensed maps, as sense_fleet gives them, with each
+    map's detections refined under params by one predict_fleet call."""
+    boxes = predict_fleet(params, [sf for _, sf in sensed], spec)
+    return [dataclasses.replace(raw, detections=b)
+            for (raw, _), b in zip(sensed, boxes)]
+
+
+class WindowFrame(NamedTuple):
+    """One training frame, sensed, refined and fused: the part of a
+    distilled dataset that does not depend on the teachers."""
+
+    frame: int
+    sensor_frames: list[SensorFrame]
+    local_maps: list[LocalMap]
+    fused: FusionResult
+
+
+def fuse_window(
+    scenario: Scenario,
+    frames: Sequence[int],
+    noise: DetectorNoiseSpec,
+    params: ModelParams,
+    spec: ModelSpec,
+    fusion_cfg: FusionConfig,
+    sensor_seed: int,
+) -> list[WindowFrame]:
+    """Sense the fleet at each frame, refine its candidates under params
+    and fuse the refined maps: one sense_fleet, one predict_fleet and one
+    three_stage_fuse per frame."""
+    window = []
+    for f in frames:
+        sensed = sense_fleet(scenario, f, noise, sensor_seed)
+        local_maps = refine_fleet(params, sensed, spec)
+        window.append(WindowFrame(f, [sf for _, sf in sensed], local_maps,
+                                  three_stage_fuse(local_maps, fusion_cfg)))
+    return window
+
+
+def label_window(window: Sequence[WindowFrame], num_vehicles: int,
+                 registry: Sequence[RoadSideUnit] = ()):
+    """Each of the fleet's vehicles' distilled dataset: its (SensorFrame,
+    LabelSet) pairs, frame after frame, labelled by distill_labels with
+    the registry's teachers."""
+    datasets = [[] for _ in range(num_vehicles)]
+    for w in window:
+        labels = distill_labels(w.local_maps, w.fused, w.frame, registry)
+        for k, sensor_frame in enumerate(w.sensor_frames):
+            datasets[k].append((sensor_frame, labels[k]))
+    return datasets
+
+
 def build_distilled_datasets(
     scenario: Scenario,
     frames: Sequence[int],
@@ -124,20 +181,13 @@ def build_distilled_datasets(
     sensor_seed: int,
     registry: Sequence[RoadSideUnit] = (),
 ):
-    """Sense, fuse and label the given frames for every vehicle."""
-    k_count = scenario.num_vehicles
-    datasets = [[] for _ in range(k_count)]
-    for f in frames:
-        sensed = [sense(scenario, k, f, noise, sensor_seed) for k in range(k_count)]
-        local_maps = [
-            dataclasses.replace(raw, detections=predict(params, sf, spec))
-            for raw, sf in sensed
-        ]
-        result = three_stage_fuse(local_maps, fusion_cfg)
-        labels = distill_labels(local_maps, result, f, registry)
-        for k in range(k_count):
-            datasets[k].append((sensed[k][1], labels[k]))
-    return datasets
+    """Sense, fuse and label the given frames for every vehicle: one list
+    of (SensorFrame, LabelSet) pairs per vehicle, label_window over
+    fuse_window's frames.  A caller that labels one window with several
+    teacher sets calls the two itself."""
+    return label_window(fuse_window(scenario, frames, noise, params, spec,
+                                    fusion_cfg, sensor_seed),
+                        scenario.num_vehicles, registry)
 
 
 def run_edfl(
@@ -150,18 +200,26 @@ def run_edfl(
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
     registry: Sequence[RoadSideUnit] = (),
+    window: Sequence[WindowFrame] | None = None,
 ) -> ModelParams:
     """Ensemble-distillation federated learning over a training window.
 
     Labels come from the fused global map, overridden by any covering
     teachers; with a full-coverage registry this reduces to perfectly
-    labeled federated training.
+    labeled federated training.  window, when given, is fuse_window's
+    output for the same frames, noise, init, spec, fusion_cfg and
+    sensor_seed, which several variants can share; only its labelling
+    and the training are then left to do.  A ValueError when the
+    window's frames are not frames.
     """
     spec = spec or ModelSpec()
     fusion_cfg = fusion_cfg or FusionConfig()
-    datasets = build_distilled_datasets(
-        scenario, frames, noise, init, spec, fusion_cfg, sensor_seed, registry
-    )
+    if window is None:
+        window = fuse_window(scenario, frames, noise, init, spec, fusion_cfg,
+                             sensor_seed)
+    elif [w.frame for w in window] != list(frames):
+        raise ValueError("window does not hold the given frames")
+    datasets = label_window(window, scenario.num_vehicles, registry)
     return run_federated(datasets, init, train_cfg, spec, base_seed=sensor_seed)
 
 
@@ -174,7 +232,10 @@ def run_perfect_fl(
     fusion_cfg: FusionConfig | None = None,
     spec: ModelSpec | None = None,
     sensor_seed: int = 0,
+    window: Sequence[WindowFrame] | None = None,
 ) -> ModelParams:
-    """Federated training with perfect teacher labels everywhere."""
+    """Federated training with perfect teacher labels everywhere; window
+    as run_edfl takes it."""
     return run_edfl(scenario, frames, noise, init, train_cfg, fusion_cfg, spec,
-                    sensor_seed, registry=full_coverage_registry(scenario))
+                    sensor_seed, registry=full_coverage_registry(scenario),
+                    window=window)

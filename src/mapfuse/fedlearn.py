@@ -10,6 +10,7 @@ angle, box, direction) of the full-scale system.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import struct
@@ -212,25 +213,30 @@ def _check_features(frame: SensorFrame, spec: ModelSpec):
         )
 
 
-def predict(
-    params: ModelParams, frame: SensorFrame, spec: ModelSpec | None = None
-) -> Boxes:
-    """Refine every candidate into a scored detection (deterministic):
-    one block row per candidate, in candidate order.  An InputError when
-    a candidate refines past the float range."""
-    spec = spec or ModelSpec()
-    _check_params(params, spec)
-    _check_features(frame, spec)
-    box_h, angle_h, dir_h, cls_h = _heads(params.values, spec)
-    feats = frame.candidates
-    scaled = feats / FEATURE_SCALES[: spec.feature_dim]
+def _head_products(x: np.ndarray, heads) -> tuple[np.ndarray, ...]:
+    """The box, angle, direction and class head products of rows x."""
+    box_h, angle_h, dir_h, cls_h = heads
+    return x @ box_h.T, x @ angle_h, x @ dir_h.T, x @ cls_h.T
 
+
+def _refine(params: ModelParams, frames: Sequence[SensorFrame],
+            spec: ModelSpec) -> list[Boxes]:
+    """One or more frames' candidates refined, each frame's as a slice of
+    one block.  Raises RowError at the block's first bad row."""
+    heads = _heads(params.values, spec)
+    # Each frame's head products are taken on its own rows: how a product
+    # rounds a row can depend on the rows stacked with it (the angle
+    # head's gemv, a one-row product), so each rounds as its predict.
     # Overflow gives a non-finite field, rejected below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        box_res = scaled @ box_h.T                      # (n, 6)
-        angle_res = scaled @ angle_h                    # (n,)
-        dir_logits = scaled @ dir_h.T                   # (n, 2)
-        cls_logits = scaled @ cls_h.T                   # (n, C)
+        feats = np.concatenate([f.candidates for f in frames])
+        scaled = feats / FEATURE_SCALES[: spec.feature_dim]
+        ends = list(itertools.accumulate(
+            (f.candidates.shape[0] for f in frames), initial=0))
+        box_res, angle_res, dir_logits, cls_logits = map(
+            np.concatenate, zip(*(
+                _head_products(scaled[a:b], heads)
+                for a, b in itertools.pairwise(ends))))
         fields = feats[:, F_X : F_HEIGHT + 1] + box_res
 
     # math.atan2, wrap_angle and the direction test stay per row: numpy's
@@ -243,13 +249,49 @@ def predict(
         if pred_bin != direction_bin(yaw):
             yaw = wrap_angle(yaw + math.pi)
         yaws.append(yaw)
+    block = Boxes._adopt(np.column_stack([
+        np.argmax(cls_logits, axis=1), fields[:, 0:3],
+        np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
+    ]))
+    return [block[a:b] for a, b in itertools.pairwise(ends)]
+
+
+def predict(
+    params: ModelParams, frame: SensorFrame, spec: ModelSpec | None = None
+) -> Boxes:
+    """Refine every candidate into a scored detection (deterministic):
+    one block row per candidate, in candidate order.  predict_fleet's
+    code on one frame.  An InputError when a candidate refines past the
+    float range."""
+    spec = spec or ModelSpec()
+    _check_params(params, spec)
+    _check_features(frame, spec)
     try:
-        return Boxes.from_rows(np.column_stack([
-            np.argmax(cls_logits, axis=1), fields[:, 0:3],
-            np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
-        ]))
+        return _refine(params, [frame], spec)[0]
     except RowError as exc:
         raise InputError(f"refined box {exc.row}: {exc.reason}") from None
+
+
+def predict_fleet(
+    params: ModelParams,
+    frames: Sequence[SensorFrame],
+    spec: ModelSpec | None = None,
+) -> list[Boxes]:
+    """predict(params, frame, spec) of every frame, bit for bit, made as
+    one block: a frame's head products stay on its own rows, and the yaw
+    loop, the column fill and the row check run once.  A block that
+    fails its row check is redone frame by frame through predict, which
+    raises the first failing frame's InputError."""
+    spec = spec or ModelSpec()
+    _check_params(params, spec)
+    for frame in frames:
+        _check_features(frame, spec)
+    if not frames:
+        return []
+    try:
+        return _refine(params, frames, spec)
+    except RowError:
+        return [predict(params, frame, spec) for frame in frames]
 
 
 def _smooth_l1(r: np.ndarray) -> np.ndarray:

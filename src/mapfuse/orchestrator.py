@@ -25,6 +25,9 @@ import numpy as np
 
 from mapfuse.distill import (
     RoadSideUnit,
+    WindowFrame,
+    fuse_window,
+    refine_fleet,
     run_edfl,
     run_perfect_fl,
 )
@@ -42,7 +45,6 @@ from mapfuse.fedlearn import (
     ModelSpec,
     TrainConfig,
     default_init_params,
-    predict,
 )
 from mapfuse.fusion import (
     FUSE_RULES,
@@ -61,7 +63,7 @@ from mapfuse.simworld import (
     Scenario,
     ScenarioConfig,
     generate_scenario,
-    sense,
+    sense_fleet,
 )
 
 SERVER_ID = 0xFFFFFFFF
@@ -338,17 +340,16 @@ def run_frame(
     sender.  Returns the broadcast map and the bytes this frame moved,
     which are also recorded in ledger when one is given.
     If local_maps is given the sensing and refinement steps are skipped;
-    that lets several methods share one set of measurements.
+    that lets several methods share one set of measurements.  Otherwise
+    the fleet is sensed with one sense_fleet and refined with one
+    predict_fleet call.
     """
     spec = spec or ModelSpec()
     fusion_cfg = fusion_cfg or FusionConfig()
     ledger = ledger if ledger is not None else ByteLedger()
     if local_maps is None:
-        local_maps = []
-        for k in range(scenario.num_vehicles):
-            raw, sensor_frame = sense(scenario, k, frame, noise, sensor_seed)
-            local_maps.append(dataclasses.replace(
-                raw, detections=predict(params, sensor_frame, spec)))
+        local_maps = refine_fleet(
+            params, sense_fleet(scenario, frame, noise, sensor_seed), spec)
 
     wires = []
     for lm, upload in zip(local_maps, _global_boxes(local_maps)):
@@ -542,23 +543,28 @@ def _empty_window(cfg: RunConfig, use: str) -> ConfigError:
 
 
 def train_params(name: str, cfg: RunConfig, scenario: Scenario,
-                 frames: Sequence[int], init: ModelParams) -> ModelParams:
+                 frames: Sequence[int], init: ModelParams,
+                 window: Sequence[WindowFrame] | None = None) -> ModelParams:
     """The parameter set a Method names: init itself for "none", else init
     trained on frames by perfect-label FL ("perfect_fl") or by EDFL with
-    the configured teachers ("edfl").  A ConfigError when there are no
-    frames to train on, so that untrained parameters never pass as
-    trained."""
+    the configured teachers ("edfl").  window, if given, is those frames
+    as fuse_window senses, refines (under init) and fuses them for cfg;
+    without it the training call builds its own.  A ConfigError when
+    there are no frames to train on, so that untrained parameters never
+    pass as trained."""
     if name == "none":
         return init
     if not frames:
         raise _empty_window(cfg, "training")
     if name == "perfect_fl":
         return run_perfect_fl(scenario, frames, cfg.noise, init, cfg.train,
-                              cfg.fusion, sensor_seed=cfg.sensor_seed)
+                              cfg.fusion, sensor_seed=cfg.sensor_seed,
+                              window=window)
     if name == "edfl":
         return run_edfl(scenario, frames, cfg.noise, init, cfg.train,
                         cfg.fusion, sensor_seed=cfg.sensor_seed,
-                        registry=build_teacher_registry(cfg, scenario))
+                        registry=build_teacher_registry(cfg, scenario),
+                        window=window)
     raise ValueError(f"unknown parameter set {name!r}")
 
 
@@ -570,6 +576,12 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     fused methods score the broadcast map against everything the fleet can
     see.  Every method scores a frame at the fleet's density.  All sensing
     draws are shared, so methods differ only by model and fusion rule.
+
+    The training window is sensed, refined and fused once (fuse_window)
+    and handed to run_perfect_fl and run_edfl, each called once, which
+    label it with their own teachers and train.  Each test frame is
+    sensed with one sense_fleet and refined with one predict_fleet per
+    parameter set.
 
     Each frame makes one IoU pass over all its prediction sets (each
     broadcast map and each vehicle's map) against the fleet's truths.
@@ -593,12 +605,18 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     tr_frames = training_frames(cfg.scenario, cfg.train)
 
     methods = {m: METHODS[m] for m in cfg.methods}
+    names = dict.fromkeys(
+        method.params for m, method in METHODS.items() if m in methods)
+    # The training window, sensed, refined and fused once for every
+    # variant that trains on it, and dropped once they are trained.
+    window = None
+    if set(names) - {"none"}:
+        window = fuse_window(scenario, tr_frames, cfg.noise, init, spec,
+                             cfg.fusion, cfg.sensor_seed)
     # Each parameter set the methods need, trained once, in table order.
-    params = {
-        name: train_params(name, cfg, scenario, tr_frames, init)
-        for name in dict.fromkeys(
-            method.params for m, method in METHODS.items() if m in methods)
-    }
+    params = {name: train_params(name, cfg, scenario, tr_frames, init, window)
+              for name in names}
+    del window
 
     k_count = scenario.num_vehicles
     # Fleet AP: a fused method's broadcast map against every object the
@@ -613,8 +631,7 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     ledgers = {m: ByteLedger() for m in methods}
 
     for f in test_frames:
-        sensed = [sense(scenario, k, f, cfg.noise, cfg.sensor_seed)
-                  for k in range(k_count)]
+        sensed = sense_fleet(scenario, f, cfg.noise, cfg.sensor_seed)
         fleet_tags, density = tag_objects(scenario, f)
         fleet_truths = scenario.truth_rows(
             f, [t.object_id for t in fleet_tags])
@@ -629,14 +646,8 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
             veh_bits.append(slice_bits(
                 [seen.get(t.object_id) for t in fleet_tags], density))
 
-        refined_maps = {
-            pname: [
-                dataclasses.replace(
-                    raw, detections=predict(p, sensor_frame, spec))
-                for raw, sensor_frame in sensed
-            ]
-            for pname, p in params.items()
-        }
+        refined_maps = {pname: refine_fleet(p, sensed, spec)
+                        for pname, p in params.items()}
 
         # Per method, its prediction sets: the broadcast map of a fused
         # method, or each vehicle's own map, in the global frame, of a

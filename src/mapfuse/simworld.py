@@ -532,40 +532,25 @@ def visible_objects(
     return visible
 
 
-def sense(
-    scenario: Scenario,
-    vehicle: int,
-    frame: int,
-    noise: DetectorNoiseSpec,
-    seed: int,
-    visibility=None,
-) -> tuple[LocalMap, SensorFrame]:
-    """Simulate one vehicle's detector output for one frame.
+def _draw(rows: list, sources: list, scenario: Scenario, vehicle: int,
+          frame: int, pose: Pose, visibility, truth, noise, seed) -> None:
+    """Append one vehicle's detections at frame to rows and their object
+    ids (None for clutter) to sources.
 
-    Deterministic in (scenario, seed, vehicle, frame).  The returned
-    candidate features embed exactly the emitted detection boxes.  Raises
-    InputError when the noise settings take a detection out of the finite
-    range.
+    The vehicle draws from its own generator, per object, in visibility
+    order, then its clutter.  truth holds the visible objects' truth
+    rows as Python floats; each is moved into the vehicle's frame with
+    rows_to_local's expressions per object: a numpy call per vehicle
+    costs more than its handful of rows.  A row is (category, x, y, z,
+    l, w, h, raw yaw, score, distance / range, occlusion).
     """
     sensor = scenario.config.sensor
-    pose = scenario.pose(frame, vehicle)
     rng = np.random.default_rng([seed, vehicle, frame])
-    vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
-
-    # The visible objects' truth rows as Python floats, moved into the
-    # vehicle's frame with rows_to_local's expressions per object: a numpy
-    # call per vehicle costs more than its handful of rows.
-    truth = scenario.truth_rows(frame, [o for o, _, _ in vis]).tolist()
     px, py, pz = pose.position
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     bx, by, bz, bl, bw, bh, byaw = noise.bias
-
-    # One row per detection: (category, x, y, z, l, w, h, raw yaw, score,
-    # distance / range, occlusion).
-    rows: list[tuple] = []
-    sources: list[int | None] = []
     for (obj_id, dist, occl), (cat, x, y, z, l, w, h, truth_yaw) in zip(
-            vis, truth):
+            visibility, truth):
         p_miss = min(
             max(
                 noise.miss_prob
@@ -624,36 +609,95 @@ def sense(
                      radius / sensor.range, 0.0))
         sources.append(None)
 
+
+def _block(rows: list) -> tuple[Boxes, np.ndarray]:
+    """The detection rows as one checked Boxes block and the candidate
+    features made from its rows.  Raises RowError at the first bad row."""
     rows = np.array(rows, dtype=float).reshape(-1, 11)
+    boxes = Boxes.from_rows(rows[:, :9])
+    box = boxes.rows
+    yaws = box[:, 7].tolist()
+    features = np.empty((len(rows), FEATURE_DIM))
+    features[:, fedlearn.F_CATEGORY : fedlearn.F_HEIGHT + 1] = box[:, 0:7]
+    features[:, fedlearn.F_COS_YAW] = list(map(math.cos, yaws))
+    features[:, fedlearn.F_SIN_YAW] = list(map(math.sin, yaws))
+    features[:, fedlearn.F_DISTANCE : fedlearn.F_OCCLUSION + 1] = rows[:, 9:11]
+    features[:, fedlearn.F_SCORE] = box[:, 8]
+    features[:, fedlearn.F_CONST] = 1.0
+    return boxes, features
+
+
+def sense(
+    scenario: Scenario,
+    vehicle: int,
+    frame: int,
+    noise: DetectorNoiseSpec,
+    seed: int,
+    visibility=None,
+) -> tuple[LocalMap, SensorFrame]:
+    """Simulate one vehicle's detector output for one frame: sense_fleet's
+    draws and block for a fleet of one.
+
+    Deterministic in (scenario, seed, vehicle, frame).  The returned
+    candidate features embed exactly the emitted detection boxes.  Raises
+    InputError when the noise settings take a detection out of the finite
+    range.
+    """
+    pose = scenario.pose(frame, vehicle)
+    vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
+    truth = scenario.truth_rows(frame, [o for o, _, _ in vis]).tolist()
+    rows, sources = [], []
+    _draw(rows, sources, scenario, vehicle, frame, pose, vis, truth, noise,
+          seed)
     try:
-        boxes = Boxes.from_rows(rows[:, :9])
+        boxes, features = _block(rows)
     except RowError as exc:
         raise InputError(
             f"vehicle {vehicle}, frame {frame}: detection {exc.row}: "
             f"{exc.reason}; the detector noise settings (noise.*_sigma, "
             "noise.noise_dist_scale, noise.bias) are too large for finite "
             "boxes") from None
-    box = boxes.rows
-    yaws = box[:, 7].tolist()
-    features = np.empty((len(rows), FEATURE_DIM))
-    features[:, fedlearn.F_CATEGORY : fedlearn.F_HEIGHT + 1] = box[:, 0:7]
-    features[:, fedlearn.F_COS_YAW] = [math.cos(t) for t in yaws]
-    features[:, fedlearn.F_SIN_YAW] = [math.sin(t) for t in yaws]
-    features[:, fedlearn.F_DISTANCE : fedlearn.F_OCCLUSION + 1] = rows[:, 9:11]
-    features[:, fedlearn.F_SCORE] = box[:, 8]
-    features[:, fedlearn.F_CONST] = 1.0
-    local_map = LocalMap(
-        vehicle_id=vehicle,
-        frame_time=scenario.frame_time(frame),
-        detections=boxes,
-        pose=pose,
-    )
-    sensor_frame = SensorFrame(
-        frame_time=scenario.frame_time(frame),
-        candidates=features,
-        source_ids=tuple(sources),
-    )
-    return local_map, sensor_frame
+    frame_time = scenario.frame_time(frame)
+    return (LocalMap(vehicle, frame_time, boxes, pose),
+            SensorFrame(frame_time, features, tuple(sources)))
+
+
+def sense_fleet(
+    scenario: Scenario,
+    frame: int,
+    noise: DetectorNoiseSpec,
+    seed: int,
+) -> list[tuple[LocalMap, SensorFrame]]:
+    """Every vehicle's sense(scenario, k, frame, noise, seed), bit for bit,
+    in vehicle order, made as one block of rows.
+
+    Each vehicle draws from its own generator, so its detections do not
+    depend on the others'; one truth gather, one row check and one
+    feature array then serve the frame, and each vehicle gets its slices.
+    A block that fails its row check is redone vehicle by vehicle through
+    sense, which raises the first failing vehicle's InputError.
+    """
+    vehicles = range(scenario.num_vehicles)
+    poses = [scenario.pose(frame, k) for k in vehicles]
+    visibility = [scenario.visibility(k, frame) for k in vehicles]
+    truth = scenario.truth_rows(
+        frame, [o for vis in visibility for o, _, _ in vis]).tolist()
+    rows, sources, ends, at = [], [], [0], 0
+    for k, pose, vis in zip(vehicles, poses, visibility):
+        _draw(rows, sources, scenario, k, frame, pose, vis,
+              truth[at:at + len(vis)], noise, seed)
+        at += len(vis)
+        ends.append(len(rows))
+    try:
+        boxes, features = _block(rows)
+    except RowError:
+        return [sense(scenario, k, frame, noise, seed) for k in vehicles]
+    frame_time = scenario.frame_time(frame)
+    return [
+        (LocalMap(k, frame_time, boxes[a:b], pose),
+         SensorFrame(frame_time, features[a:b], tuple(sources[a:b])))
+        for k, pose, a, b in zip(vehicles, poses, ends, ends[1:])
+    ]
 
 
 # --- serialization -----------------------------------------------------------

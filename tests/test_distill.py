@@ -8,10 +8,16 @@ from mapfuse.distill import (
     RoadSideUnit,
     distill_labels,
     full_coverage_registry,
+    fuse_window,
     run_edfl,
     run_perfect_fl,
 )
-from mapfuse.fedlearn import TrainConfig, default_init_params, predict
+from mapfuse.fedlearn import (
+    ModelSpec,
+    TrainConfig,
+    default_init_params,
+    predict,
+)
 from mapfuse.fusion import FusionConfig, LocalMap, ScoredDetection, three_stage_fuse
 from mapfuse.geometry import IDENTITY_POSE, ObjectState, transform_to_local
 from mapfuse.orchestrator import build_teacher_registry, run_config_from_dict
@@ -215,3 +221,37 @@ def test_run_edfl_is_deterministic():
     a = run_edfl(sc, frames, NOISE, init, cfg, sensor_seed=2)
     b = run_edfl(sc, frames, NOISE, init, cfg, sensor_seed=2)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_variants_given_the_shared_window_train_as_without_it(seed):
+    # One window serves both variants; each labels it with its own
+    # teachers, and the parameters are the ones each makes alone.
+    sc = small_scenario()
+    frames = list(range(0, 40, 4))
+    init = default_init_params()
+    cfg = TrainConfig(max_rounds=2)
+    window = fuse_window(sc, frames, NOISE, init, ModelSpec(),
+                         FusionConfig(), seed)
+    assert [w.frame for w in window] == frames
+    for w in window:
+        for k, (sf, lm) in enumerate(zip(w.sensor_frames, w.local_maps)):
+            one = sense(sc, k, w.frame, NOISE, seed)[1]
+            assert sf.candidates.tobytes() == one.candidates.tobytes()
+            assert lm.detections.rows.tobytes() == (
+                predict(init, one).rows.tobytes())
+    registry = (RoadSideUnit(center=(0.0, 0.0), radius=30.0, scenario=sc),)
+    pairs = [
+        (run_perfect_fl(sc, frames, NOISE, init, cfg, sensor_seed=seed,
+                        window=window),
+         run_perfect_fl(sc, frames, NOISE, init, cfg, sensor_seed=seed)),
+        (run_edfl(sc, frames, NOISE, init, cfg, sensor_seed=seed,
+                  registry=registry, window=window),
+         run_edfl(sc, frames, NOISE, init, cfg, sensor_seed=seed,
+                  registry=registry)),
+    ]
+    for shared, alone in pairs:
+        assert shared.values.tobytes() == alone.values.tobytes()
+    assert pairs[0][0].values.tobytes() != pairs[1][0].values.tobytes()
+    with pytest.raises(ValueError, match="does not hold the given frames"):
+        run_edfl(sc, frames[1:], NOISE, init, cfg, window=window)

@@ -27,6 +27,7 @@ from mapfuse.fedlearn import (
     loss,
     loss_gradient,
     predict,
+    predict_fleet,
     run_federated,
     save_checkpoint,
     training_curve_csv,
@@ -186,6 +187,73 @@ def test_predict_rows_are_the_per_row_reference_bit_for_bit(case):
     assert rows.shape == (frame.candidates.shape[0], 9)
     assert [[v.hex() for v in row] for row in rows.tolist()] == (
         detection_hexes(predict_reference(params, frame)))
+
+
+@st.composite
+def fleet_cases(draw):
+    """Params and one to six frames refined under them, some cut to no
+    candidate or to one."""
+    cases = draw(st.lists(predict_cases(), min_size=1, max_size=6))
+    frames = []
+    for _, frame in cases:
+        n = draw(st.sampled_from([None, 0, 1]))
+        frames.append(frame if n is None else
+                      SensorFrame(0.0, frame.candidates[:n].copy()))
+    return cases[0][0], frames
+
+
+def block_hexes(block):
+    return [[v.hex() for v in row] for row in block.rows.tolist()]
+
+
+@given(fleet_cases())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_predict_fleet_is_the_per_row_reference_bit_for_bit(case):
+    # Through float.hex: whether a row slice's products round as a
+    # frame's own rests on the BLAS build.
+    params, frames = case
+    blocks = predict_fleet(params, frames)
+    assert len(blocks) == len(frames)
+    for block, frame in zip(blocks, frames):
+        assert block.rows.shape == (frame.candidates.shape[0], 9)
+        assert block_hexes(block) == detection_hexes(
+            predict_reference(params, frame))
+        assert block_hexes(block) == block_hexes(predict(params, frame))
+
+
+def test_predict_fleet_of_no_frames_is_empty():
+    assert predict_fleet(default_init_params(), []) == []
+
+
+def overflowing_frame(rows, bad):
+    """A frame of ``rows`` candidates whose rows in ``bad`` refine past
+    the float range under ``x_doubling_params``."""
+    feats = random_frame(np.random.default_rng(rows), rows).candidates.copy()
+    feats[bad, F_X] = 1.5e308
+    return SensorFrame(0.0, feats)
+
+
+def x_doubling_params():
+    """Params whose box head adds 100 times the scaled x to x: doubles it."""
+    w = default_init_params().values.copy()
+    w[F_X] = 100.0
+    return ModelParams(w)
+
+
+def test_predict_fleet_raises_the_first_failing_frames_error():
+    params = x_doubling_params()
+    good = overflowing_frame(3, [])
+    frames = [good, overflowing_frame(4, [2, 3]), overflowing_frame(2, [0])]
+    with pytest.raises(InputError) as first:
+        predict(params, frames[1])
+    assert str(first.value).startswith("refined box 2: fields must be finite")
+    with pytest.raises(InputError) as info:
+        predict_fleet(params, frames)
+    assert str(info.value) == str(first.value)
+    with pytest.raises(InputError, match="^refined box 0: "):
+        predict_fleet(params, [good, frames[2], frames[1]])
+    assert block_hexes(predict_fleet(params, [good])[0]) == block_hexes(
+        predict(params, good))
 
 
 def test_loss_zero_label_frame():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
 from mapfuse.distill import distill_labels, run_edfl, run_perfect_fl
-from mapfuse import evalbench
+from mapfuse import evalbench, orchestrator
 from mapfuse.evalbench import (
     SLICE_NAMES,
     match_detections,
@@ -1090,6 +1090,40 @@ def test_experiment_trains_each_needed_set_once_in_table_order(monkeypatch):
     assert list(report.methods) == list(cfg.methods)
     with pytest.raises(ValueError, match="parameter set"):
         train_params("perfect", cfg, None, [0], default_init_params())
+
+
+def test_experiment_makes_the_calls_the_benchmark_intercepts(monkeypatch):
+    # bench/workloads.py wraps these three names in orchestrator around
+    # run_experiment: it expects two trained models and reads each
+    # run_frame call's local_maps keyword.
+    calls = {name: [] for name in ("run_perfect_fl", "run_edfl",
+                                   "run_frame")}
+
+    def recorded(name):
+        target = getattr(orchestrator, name)
+
+        def wrapper(*args, **kwargs):
+            out = target(*args, **kwargs)
+            calls[name].append((kwargs, out))
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(orchestrator, name, recorded(name))
+    cfg = small_run_config(methods=list(METHOD_NAMES))
+    frames = [60, 70, 80]
+    report = run_experiment(cfg, test_frames=frames)
+    assert list(report.methods) == list(METHOD_NAMES)
+    spec = ModelSpec()
+    for name in ("run_perfect_fl", "run_edfl"):
+        assert len(calls[name]) == 1, name
+        (_, params), = calls[name]
+        assert len(params) == spec.num_params
+    fused = [m for m in METHOD_NAMES if METHODS[m].rule is not None]
+    assert len(calls["run_frame"]) == len(fused) * len(frames)
+    for kwargs, (gmap, nbytes) in calls["run_frame"]:
+        assert len(kwargs["local_maps"]) == cfg.scenario.num_vehicles
+        assert nbytes > 0
 
 
 def test_experiment_without_perfect_fl_methods_never_trains_it(

@@ -29,6 +29,7 @@ from mapfuse.simworld import (
     generate_scenario,
     scenario_to_jsonl,
     sense,
+    sense_fleet,
     visible_objects,
 )
 from oracles import (
@@ -498,6 +499,21 @@ def test_sense_matches_reference(name, turn, frame, seed, noise):
         assert_sense_is_reference(sc, k, frame, noise, seed)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(CROSSINGS)),
+       turn=special_or([0.0], -7.0, 7.0),
+       frame=st.integers(0, 1009), seed=st.integers(0, 2**32 - 1),
+       noise=NOISE_SPECS)
+def test_sense_fleet_is_the_reference_for_every_vehicle(name, turn, frame,
+                                                        seed, noise):
+    sc = crossing(name) if turn == 0.0 else turned(crossing(name), turn)
+    fleet = sense_fleet(sc, frame, noise, seed)
+    assert len(fleet) == sc.num_vehicles
+    for k, (lm, sf) in enumerate(fleet):
+        assert lm.vehicle_id == k
+        assert_pair_is_reference(lm, sf, sc, k, frame, noise, seed)
+
+
 # Wide extent noise with a positive length bias and a -10 width bias, so
 # that each 0.2 floor decides some extents.
 HEAVY_NOISE = DetectorNoiseSpec(
@@ -520,8 +536,12 @@ def test_sense_matches_reference_every_tenth_frame(name, turn, noise):
 
 
 def assert_sense_is_reference(sc, vehicle, frame, noise, seed):
-    # Bit for bit: the rows feed the reports' hashes.
     lm, sf = sense(sc, vehicle, frame, noise, seed)
+    assert_pair_is_reference(lm, sf, sc, vehicle, frame, noise, seed)
+
+
+def assert_pair_is_reference(lm, sf, sc, vehicle, frame, noise, seed):
+    # Bit for bit: the rows feed the reports' hashes.
     ref_lm, ref_sf = sense_reference(sc, vehicle, frame, noise, seed)
     assert hexes(lm.detections.rows) == hexes(ref_lm.detections.rows)
     assert hexes(sf.candidates) == hexes(ref_sf.candidates)
@@ -583,6 +603,49 @@ def test_sense_noise_that_overflows_is_invalid_input():
     noise = DetectorNoiseSpec(center_sigma=1e308)
     with pytest.raises(InputError, match=r"vehicle 0, frame 10: .*noise"):
         sense(sc, 0, 10, noise, seed=0)
+
+
+def first_sense_error(sc, frame, noise, seed):
+    """The InputError text of the first vehicle whose sense fails."""
+    for k in range(sc.num_vehicles):
+        try:
+            sense(sc, k, frame, noise, seed)
+        except InputError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("setting", ["score_sigma", "center_sigma",
+                                     "extent_sigma"])
+@pytest.mark.parametrize("frame", [0, 10, 50])
+def test_sense_fleet_raises_the_first_failing_vehicles_error(setting,
+                                                             frame):
+    # Overflowing noise fails some vehicles' rows and not others'; the
+    # fleet raises what sense raises for the first that fails, or, when
+    # none fails, is each vehicle's sense.
+    sc = generate_scenario(small_config(), seed=0)
+    noise = DetectorNoiseSpec(**{setting: 1e308})
+    expected = first_sense_error(sc, frame, noise, 0)
+    if expected is None:
+        for k, (lm, sf) in enumerate(sense_fleet(sc, frame, noise, 0)):
+            one_lm, one_sf = sense(sc, k, frame, noise, 0)
+            assert hexes(lm.detections.rows) == hexes(one_lm.detections.rows)
+            assert hexes(sf.candidates) == hexes(one_sf.candidates)
+        return
+    with pytest.raises(InputError) as info:
+        sense_fleet(sc, frame, noise, 0)
+    assert str(info.value) == expected
+
+
+def test_sense_fleet_on_the_clis_overflowing_config_names_vehicle_1():
+    # The scenario and score noise of the CLI's overflowing config: at
+    # frame 0 vehicle 0's rows stay finite and vehicle 1's do not.
+    sc = generate_scenario(small_config(), seed=0)
+    noise = DetectorNoiseSpec(score_sigma=1e308)
+    sense(sc, 0, 0, noise, 0)
+    with pytest.raises(InputError, match=r"^vehicle 1, frame 0: detection "
+                       r"0: fields must be finite; the detector noise"):
+        sense_fleet(sc, 0, noise, 0)
 
 
 def test_sense_miss_probability_one_drops_everything():
