@@ -141,23 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, out_required=False):
         p.add_argument("--config", help="JSON configuration file")
         if seed:
             p.add_argument("--seed", type=int, help="scenario seed override")
-        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--out", required=out_required, help="output path"
+                       + ("" if out_required else " (default: stdout)"))
 
     p = sub.add_parser("simulate", help="generate a scenario as JSONL")
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="federated training to a checkpoint")
-    common(p)
+    common(p, out_required=True)
     # The method table's trained parameter sets, in its order.
     p.add_argument("--method", default="edfl", choices=list(dict.fromkeys(
         m.params for m in METHODS.values() if m.params != "none")))
     p.set_defaults(func=_cmd_train)
-    p.set_defaults(need_out=True)
 
     p = sub.add_parser("fuse", help="fuse one frame of stored local maps")
     common(p, seed=False)
@@ -190,9 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code not in (0, None):
             return EXIT_USAGE
         return EXIT_OK
-    if getattr(args, "need_out", False) and not args.out:
-        sys.stderr.write("error: this command requires --out\n")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (InputError, ConfigError, CodecError, OSError) as exc:

@@ -240,14 +240,6 @@ def convex_clip(subject, clip) -> list[tuple[float, float]]:
     return output
 
 
-def _square(r: float) -> float:
-    """r ** 2, or +inf where pow() overflows."""
-    try:
-        return r ** 2
-    except OverflowError:
-        return math.inf
-
-
 # Huge boxes overflow to inf and nan; such a pair has IoU 0, not a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def _footprint_overlap(a: ObjectState, b: ObjectState) -> tuple[float, float, float]:
@@ -260,7 +252,7 @@ def _footprint_overlap(a: ObjectState, b: ObjectState) -> tuple[float, float, fl
     dy = a.center[1] - b.center[1]
     ra = 0.5 * math.hypot(a.extents[0], a.extents[1])
     rb = 0.5 * math.hypot(b.extents[0], b.extents[1])
-    if dx * dx + dy * dy > _square(ra + rb):
+    if dx * dx + dy * dy > (ra + rb) * (ra + rb):
         return 0.0, area_a, area_b
     # Python floats: a huge footprint overflows to inf and nan silently.
     ca = [tuple(p) for p in footprint_corners(a).tolist()]
@@ -388,14 +380,7 @@ def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     dy = fa[:, 1, None] - fb[None, :, 1]
     dist2 = dx * dx + dy * dy
     reach = fa[:, 4, None] + fb[None, :, 4]
-    reach2 = reach * reach
-    touch = ~(dist2 > reach2)
-    # _footprint_overlap squares with pow(), which can round reach ** 2 one
-    # ulp away from reach * reach: pairs that close take its exact test.
-    near = np.abs(dist2 - reach2) <= np.spacing(reach2)
-    for i, j in zip(*np.nonzero(near)):
-        touch[i, j] = not dist2[i, j] > _square(float(reach[i, j]))
-    return touch
+    return ~(dist2 > reach * reach)
 
 
 def circle_prefilter(a, b) -> np.ndarray:

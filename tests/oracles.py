@@ -114,12 +114,20 @@ def object_state_reference(scenario, frame, obj):
     )
 
 # Two 1.46 x 2.74 footprints whose bounding circles meet where pow() and a
-# product round one ulp apart: squared with pow(), as iou_bev's circle test
-# does, the center distance lies beyond the sum of the half-diagonals;
-# squared as reach * reach, it does not.
+# product round one ulp apart: squared with pow(), the center distance lies
+# beyond the sum of the half-diagonals; squared as reach * reach, as both
+# iou_bev's circle test and the array prefilter do, it does not.  The
+# footprints' facing edges lie 1.64 m apart, so their IoU is 0 either way.
 POW_BOUNDARY_PAIR = (
     ObjectState(0, (0.0, 0.0, 0.0), (1.46, 2.74, 1.0), 0.0),
     ObjectState(0, (float.fromhex("0x1.8d670278e0d37p+1"), 0.0, 0.0),
+                (1.46, 2.74, 1.0), 0.0),
+)
+# The same pair with the second center one ulp farther out: beyond the
+# reach under either squaring.
+OUTSIDE_BOUNDARY_PAIR = (
+    POW_BOUNDARY_PAIR[0],
+    ObjectState(0, (float.fromhex("0x1.8d670278e0d38p+1"), 0.0, 0.0),
                 (1.46, 2.74, 1.0), 0.0),
 )
 

@@ -119,6 +119,13 @@ def test_fuse_jsonl_and_kitti(frame_jsonl, tmp_path, capsys):
     assert captured.split()[0] in ("Car", "Pedestrian")
 
 
+def test_fuse_of_blank_lines_exits_2(tmp_path, capsys):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\t\n")
+    assert main(["fuse", str(blank)]) == 2
+    assert capsys.readouterr().err == "error: no local maps in input\n"
+
+
 def test_fuse_weight_mode_changes_result(frame_jsonl, capsys):
     # Score weighting is the three-stage rule; --method mean drops it.
     assert main(["fuse", frame_jsonl]) == 0
@@ -252,11 +259,13 @@ GOOD_MAP = json.loads(local_map_to_json(LocalMap(
       "detections": [{**GOOD_MAP["detections"][0],
                       "center": [1.7e308, 1.0, 0.75]}]},
      "field 'detections[0]'"),
+    # A string stands for the line as it is.
+    ("{\"vehicle_id\": 1,", "must be valid JSON"),
 ], ids=["detections-number", "detections-of-number", "pose-null",
         "record-list", "vehicle-id-float", "vehicle-id-bool", "pose-missing",
         "frame-time-nan", "position-null", "category-float",
         "center-short", "extents-short", "position-short",
-        "global-overflow"])
+        "global-overflow", "not-json"])
 def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
                                           record, field):
     # Malformed input exits 2 with the line and the field, not 3 from
@@ -264,7 +273,8 @@ def test_fuse_rejects_malformed_local_map(frame_jsonl, tmp_path, capsys,
     with open(frame_jsonl) as fh:
         first = fh.readline()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(first + json.dumps(record) + "\n")
+    line = record if isinstance(record, str) else json.dumps(record)
+    bad.write_text(first + line + "\n")
     assert main(["fuse", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and field in err

@@ -135,6 +135,9 @@ def test_accumulator_rejects_an_unaligned_frame():
     acc = Accumulator()
     with pytest.raises(ValueError, match="one assignment per score"):
         acc.add([1.0, 0.5], [None], [SLICE_BITS["overall"]], "LD")
+    with pytest.raises(ValueError, match="one tag per ground-truth object"):
+        acc.add_frame([(box(0, 0), 1.0)], [box(0, 0), box(50, 0)],
+                      [BenchmarkTag(0, 5.0, 0.0, 1, "SR", "NO")], "LD")
     assert acc.results()["overall"] is None
 
 

@@ -394,6 +394,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
         save_checkpoint(ModelParams(np.arange(n, dtype=float)), p)
         with pytest.raises(ValueError, match=f"holds {n} parameters.*143"):
             load_checkpoint(p)
+    save_checkpoint(default_init_params(), p)
+    good = p.read_bytes()
+    # A header of another version, and a NaN parameter.
+    p.write_bytes(good[:4] + (2).to_bytes(2, "little") + good[6:])
+    with pytest.raises(InputError, match="version 2"):
+        load_checkpoint(p)
+    p.write_bytes(good[:-8] + np.array([math.nan], "<f8").tobytes())
+    with pytest.raises(InputError, match="checkpoint: "):
+        load_checkpoint(p)
+
+
+def test_sensor_frame_validation():
+    with pytest.raises(ValueError, match="source_ids must align"):
+        SensorFrame(0.0, np.zeros((2, FEATURE_DIM)), (0,))
+    assert SensorFrame(0.0, []).candidates.shape == (0, FEATURE_DIM)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

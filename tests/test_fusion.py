@@ -633,9 +633,12 @@ def test_global_map_json_round_trip():
     ({"objects": [{"category": 0, "center": [1.0, 2.0, 0.5],
                    "extents": [4.0, 2.0, 1.5, 1.0]}], "frame_time": 0.5},
      "'objects\\[0\\].extents'"),
+    ({"objects": [{"category": 0, "center": [1.0, 2.0, 0.5],
+                   "extents": [4.0, 0.0, 1.5], "yaw": 0.0, "score": 1.0}],
+      "frame_time": 0.5}, "'objects\\[0\\]'"),
 ], ids=["root-list", "root-null", "objects-number", "frame-time-string",
         "frame-time-missing", "objects-missing", "object-number",
-        "category-missing", "center-short", "extents-long"])
+        "category-missing", "center-short", "extents-long", "extent-zero"])
 def test_global_map_from_json_names_the_bad_field(record, field):
     with pytest.raises(ValueError, match=field):
         global_map_from_json(json.dumps(record))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mapfuse import geometry
 from mapfuse.geometry import (
     IDENTITY_POSE,
     ObjectState,
@@ -29,6 +30,7 @@ from mapfuse.orchestrator import testing_frames as eval_window_frames
 from mapfuse.simworld import generate_scenario, sense
 
 from oracles import (
+    OUTSIDE_BOUNDARY_PAIR,
     POW_BOUNDARY_PAIR,
     iou_3d,
     transform_to_global_reference,
@@ -78,6 +80,8 @@ def test_object_state_validation():
                 make_state(*fields)
     s = make_state(0, 0, 0, 1, 1, 1, 4 * math.pi + 0.3)
     assert s.yaw == pytest.approx(0.3)
+    with pytest.raises(ValueError, match="three components"):
+        ObjectState(0, (0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
 
 
 def test_pose_validation():
@@ -86,6 +90,8 @@ def test_pose_validation():
             Pose((bad, 0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="finite"):
             Pose((0.0, 0.0, 0.0), bad)
+    with pytest.raises(ValueError, match="three components"):
+        Pose((0.0, 0.0), 0.0)
 
 
 def test_vector_round_trip():
@@ -262,6 +268,8 @@ HUGE_PAIRS = [
 
 @given(st.lists(pairs, max_size=6))
 @example(HUGE_PAIRS)
+@example([POW_BOUNDARY_PAIR])
+@example([OUTSIDE_BOUNDARY_PAIR])
 @settings(max_examples=300, deadline=None)
 def test_iou_bev_matrix_is_iou_bev_bit_for_bit(box_pairs):
     # Every first box against every second one: besides each stressed
@@ -295,14 +303,32 @@ def test_clip_areas_matches_convex_clip_beyond_eight_vertices():
         _polygon_area(poly) for poly in clipped]
 
 
-def test_circle_prefilter_squares_the_reach_as_iou_bev_does():
+def test_circle_prefilter_squares_the_reach_as_iou_bev_does(monkeypatch):
+    calls = []  # one entry per pair that iou_bev clips
+
+    def counting_clip(subject, clip):
+        calls.append(None)
+        return convex_clip(subject, clip)
+
+    monkeypatch.setattr(geometry, "convex_clip", counting_clip)
     a, b = POW_BOUNDARY_PAIR
     reach = 0.5 * math.hypot(1.46, 2.74) * 2.0
     dist2 = b.center[0] * b.center[0]
     # The pair lies between the two roundings of reach squared.
     assert reach ** 2 < dist2 <= reach * reach
-    # iou_bev rejects it before clipping, and so does the prefilter.
+    # iou_bev lets it through to the clip, and so does the prefilter; the
+    # footprints do not meet.
     assert _footprint_overlap(a, b)[0] == 0.0
+    assert len(calls) == 1
+    assert circle_prefilter([a, b], [a, b]).tolist() == [[True, True],
+                                                          [True, True]]
+    assert iou_bev_matrix([a], [b]).tolist() == [[iou_bev(a, b)]]
+    # One ulp farther out, both reject the pair before clipping.
+    a, b = OUTSIDE_BOUNDARY_PAIR
+    assert reach * reach < b.center[0] * b.center[0]
+    calls.clear()
+    assert _footprint_overlap(a, b)[0] == 0.0
+    assert calls == []
     assert circle_prefilter([a, b], [a, b]).tolist() == [[True, False],
                                                           [False, True]]
     assert iou_bev_matrix([a], [b]).tolist() == [[iou_bev(a, b)]]

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -738,12 +741,19 @@ def test_run_config_from_dict_builds_nested():
     (ScenarioConfig, ("scenario",), "lane_offset", 1e300),
     (ScenarioConfig, ("scenario",), "lane_offset", -1e308),
     (ScenarioConfig, ("scenario",), "span", 1e300),
+    # A trip of speed_max * duration past MAX_LENGTH.
+    (ScenarioConfig, ("scenario",),
+     ("span", "frame_rate", "speed_min", "speed_max", "duration"),
+     (1e150, 1.0, 0.0, 1e150, 10.0)),
 ])
 def test_config_rejects_invalid_values(cls, section, key, value):
+    # A tuple of keys sets those fields to the tuple of values.
+    fields = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
     with pytest.raises(ValueError):
-        cls(**{key: tuple(value) if isinstance(value, list) else value})
+        cls(**{k: tuple(v) if isinstance(v, list) else v
+               for k, v in fields.items()})
     # "[]" marks a list of objects, such as teachers.
-    payload = {key: value}
+    payload = fields
     for name in reversed(section):
         payload = [payload] if name == "[]" else {name: payload}
     with pytest.raises(ConfigError):
@@ -1124,6 +1134,30 @@ def test_experiment_makes_the_calls_the_benchmark_intercepts(monkeypatch):
     for kwargs, (gmap, nbytes) in calls["run_frame"]:
         assert len(kwargs["local_maps"]) == cfg.scenario.num_vehicles
         assert nbytes > 0
+
+
+def test_benchmark_tracer_rebinds_every_traced_name_and_changes_no_byte():
+    # bench/tracer.py rebinds each traced function wherever a mapfuse
+    # module holds it, and refuses to install if a reference is left.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    cfg = small_run_config()
+    untraced = run_experiment(cfg).to_json()
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        traced = run_experiment(cfg).to_json()
+    finally:
+        tracer.uninstall()
+    assert tracer.sites
+    assert traced == untraced
+    assert bench_tracer.coverage_errors("experiment", tracer) == []
+    # Uninstalled, every module holds its own functions again.
+    for module, name, _ in bench_tracer.TRACED:
+        fn = getattr(sys.modules[f"mapfuse.{module}"], name)
+        assert fn.__module__ == f"mapfuse.{module}", name
 
 
 def test_experiment_without_perfect_fl_methods_never_trains_it(
