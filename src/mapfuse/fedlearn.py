@@ -219,6 +219,13 @@ def _head_products(x: np.ndarray, heads) -> tuple[np.ndarray, ...]:
     return x @ box_h.T, x @ angle_h, x @ dir_h.T, x @ cls_h.T
 
 
+def _observed_yaws(feats: np.ndarray) -> list[float]:
+    """Each candidate's observed yaw, decoded per row with math.atan2:
+    numpy's arctan2 can round it an ulp away."""
+    return list(map(math.atan2, feats[:, F_SIN_YAW].tolist(),
+                    feats[:, F_COS_YAW].tolist()))
+
+
 def _refine(params: ModelParams, frames: Sequence[SensorFrame],
             spec: ModelSpec) -> list[Boxes]:
     """One or more frames' candidates refined, each frame's as a slice of
@@ -239,17 +246,17 @@ def _refine(params: ModelParams, frames: Sequence[SensorFrame],
                 for a, b in itertools.pairwise(ends))))
         fields = feats[:, F_X : F_HEIGHT + 1] + box_res
 
-    # math.atan2, wrap_angle and the direction test stay per row: numpy's
-    # arctan2 rounds differently from math's, and its cos may.
+    # wrap_angle and the direction test stay per row, as the yaw decode
+    # does: numpy's cos may round differently from math's.
     yaws = []
-    for sin_t, cos_t, res, pred_bin in zip(
-            feats[:, F_SIN_YAW].tolist(), feats[:, F_COS_YAW].tolist(),
-            angle_res.tolist(), np.argmax(dir_logits, axis=1).tolist()):
-        yaw = wrap_angle(math.atan2(sin_t, cos_t) + res)
+    for observed, res, pred_bin in zip(
+            _observed_yaws(feats), angle_res.tolist(),
+            np.argmax(dir_logits, axis=1).tolist()):
+        yaw = wrap_angle(observed + res)
         if pred_bin != direction_bin(yaw):
             yaw = wrap_angle(yaw + math.pi)
         yaws.append(yaw)
-    block = Boxes._adopt(np.column_stack([
+    block = Boxes.from_rows(np.column_stack([
         np.argmax(cls_logits, axis=1), fields[:, 0:3],
         np.maximum(fields[:, 3:6], 1e-3), yaws, cls_logits.max(axis=1),
     ]))
@@ -349,8 +356,9 @@ class PreparedDataset:
             targets=lbl[:, 1:7],
             target_yaw=lbl[:, 7],
             categories=lbl[:, 0].astype(int),
-            observed_yaw=np.arctan2(feats[:, F_SIN_YAW], feats[:, F_COS_YAW]),
-            bins=(np.cos(lbl[:, 7]) < 0.0).astype(int),
+            observed_yaw=np.array(_observed_yaws(feats)),
+            bins=np.array(list(map(direction_bin, lbl[:, 7].tolist())),
+                          dtype=int),
             frame_size=np.repeat(self.counts, self.counts).astype(np.float64),
         )
 
@@ -381,16 +389,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(values: np.ndarray, rows: _Rows, spec: ModelSpec) -> _Forward:
-    """One matmul per head over all rows."""
-    box_h, angle_h, dir_h, cls_h = _heads(values, spec)
-    x = rows.scaled
-    d_yaw = rows.observed_yaw + x @ angle_h - rows.target_yaw
+    """One matmul per head over all rows, as _refine takes them."""
+    box_res, angle_res, dir_logits, cls_logits = _head_products(
+        rows.scaled, _heads(values, spec))
+    d_yaw = rows.observed_yaw + angle_res - rows.target_yaw
     return _Forward(
-        residual=rows.observed + x @ box_h.T - rows.targets,
+        residual=rows.observed + box_res - rows.targets,
         sin_yaw=np.sin(d_yaw),
         cos_yaw=np.cos(d_yaw),
-        p_dir=_softmax(x @ dir_h.T),
-        p_cls=_softmax(x @ cls_h.T),
+        p_dir=_softmax(dir_logits),
+        p_cls=_softmax(cls_logits),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -98,12 +99,12 @@ class Boxes(Sequence):
     takes another block, whose rows it shares, or (state, score) pairs
     such as ScoredDetections, whose rows it builds and checks at once.
     ``Boxes.from_rows`` checks rows and wraps the yaw.  A block keeps
-    only its rows and makes its items from them on first use.  A slice
+    only its rows and makes its items from them on each read.  A slice
     is a block.  A block equals another block or sequence of pairs with
     the same rows.
     """
 
-    __slots__ = ("rows", "_items")
+    __slots__ = ("rows",)
 
     def __init__(self, items=()):
         if not isinstance(items, Boxes):
@@ -112,7 +113,6 @@ class Boxes(Sequence):
             _check_rows(rows)
             items = Boxes._of(rows)
         object.__setattr__(self, "rows", items.rows)
-        object.__setattr__(self, "_items", None)
 
     @classmethod
     def _of(cls, rows) -> "Boxes":
@@ -120,7 +120,6 @@ class Boxes(Sequence):
         rows.setflags(write=False)
         block = object.__new__(cls)
         object.__setattr__(block, "rows", rows)
-        object.__setattr__(block, "_items", None)
         return block
 
     @classmethod
@@ -130,12 +129,6 @@ class Boxes(Sequence):
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 9:
             raise ValueError(f"expected (N, 9) rows, got {rows.shape}")
-        return cls._adopt(rows)
-
-    @classmethod
-    def _adopt(cls, rows: np.ndarray) -> "Boxes":
-        """A block of (N, 9) float rows that the caller hands over: checked
-        as from_rows checks them, the yaw wrapped in place."""
         _check_rows(rows)
         rows[:, 7] = wrap_angles(rows[:, 7])
         return cls._of(rows)
@@ -148,23 +141,18 @@ class Boxes(Sequence):
     def scores(self) -> np.ndarray:
         return self.rows[:, 8]
 
-    def _detections(self) -> tuple[ScoredDetection, ...]:
-        if self._items is None:
-            object.__setattr__(self, "_items", tuple(
-                ScoredDetection(ObjectState.from_row(row[:8]), row[8])
-                for row in self.rows.tolist()))
-        return self._items
-
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
-        if not isinstance(i, slice):
-            return self._detections()[i]
-        return Boxes._of(self.rows[i])
+        if isinstance(i, slice):
+            return Boxes._of(self.rows[i])
+        # operator.index keeps tuple indexing: a float raises TypeError.
+        row = self.rows[operator.index(i)].tolist()
+        return ScoredDetection(ObjectState.from_row(row[:8]), row[8])
 
     def __iter__(self):
-        return iter(self._detections())
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
         try:
@@ -181,10 +169,10 @@ class Boxes(Sequence):
 
     def __reduce__(self):
         # copy and pickle rebuild a block from its items.
-        return Boxes, (self._detections(),)
+        return Boxes, (tuple(self),)
 
     def __repr__(self) -> str:
-        return f"Boxes({self._detections()!r})"
+        return f"Boxes({tuple(self)!r})"
 
 
 @dataclass(frozen=True)

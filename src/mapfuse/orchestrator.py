@@ -140,8 +140,7 @@ def _pack_boxes(payload) -> np.ndarray:
 
 
 def _unpack_boxes(entries: np.ndarray) -> Boxes:
-    # The cast is the one copy: its rows are checked and wrapped in place.
-    return Boxes._adopt(entries.astype(_ROW).view((np.float64, 9)))
+    return Boxes.from_rows(entries.astype(_ROW).view((np.float64, 9)))
 
 
 def _uint32(value, what: str) -> int:

@@ -526,7 +526,8 @@ def _loss_terms(params, frame, labels, spec):
     grad[0:6] = g_r.T @ scaled
 
     # Angle: smooth-L1 on sin(yaw error).
-    obs_yaw = np.arctan2(feats[:, F_SIN_YAW], feats[:, F_COS_YAW])
+    obs_yaw = np.array([math.atan2(s, c) for s, c in
+                        feats[:, [F_SIN_YAW, F_COS_YAW]].tolist()])
     yaw_p = obs_yaw + scaled @ angle_h
     d_yaw = yaw_p - yaw_t
     e = np.sin(d_yaw)

@@ -17,6 +17,7 @@ from mapfuse.fedlearn import (
     LabelSet,
     ModelParams,
     ModelSpec,
+    PreparedDataset,
     SensorFrame,
     TrainConfig,
     default_init_params,
@@ -254,6 +255,29 @@ def test_predict_fleet_raises_the_first_failing_frames_error():
         predict_fleet(params, [good, frames[2], frames[1]])
     assert block_hexes(predict_fleet(params, [good])[0]) == block_hexes(
         predict(params, good))
+
+
+def test_training_reads_a_candidate_as_predict_does():
+    # On numpy 2.4, np.arctan2 decodes the first yaw's cos and sin an ulp
+    # away from math.atan2; the others lie on the quadrant and direction
+    # boundaries.
+    edges = (math.pi, -math.pi, math.pi / 2, -math.pi / 2)
+    yaws = [-0.4379459833171597, *edges,
+            *(math.nextafter(e, d) for e in edges for d in (-4.0, 4.0))]
+    feats = np.zeros((len(yaws), FEATURE_DIM))
+    feats[:, F_X + 3 : F_HEIGHT + 1] = (4.0, 2.0, 1.5)
+    feats[:, F_COS_YAW] = [math.cos(y) for y in yaws]
+    feats[:, F_SIN_YAW] = [math.sin(y) for y in yaws]
+    feats[:, F_CONST] = 1.0
+    labels = tuple(ObjectState(0, (0.0, 0.0, 0.0), (4.0, 2.0, 1.5), y)
+                   for y in yaws)
+    rows = PreparedDataset([(SensorFrame(0.0, feats), LabelSet(0.0, labels))],
+                           ModelSpec()).rows
+    decoded = [math.atan2(s, c) for s, c in
+               zip(feats[:, F_SIN_YAW].tolist(), feats[:, F_COS_YAW].tolist())]
+    assert ([y.hex() for y in rows.observed_yaw.tolist()]
+            == [y.hex() for y in decoded])
+    assert rows.bins.tolist() == [direction_bin(lbl.yaw) for lbl in labels]
 
 
 def test_loss_zero_label_frame():

@@ -508,6 +508,20 @@ def test_boxes_is_a_sequence_of_scored_detections():
     assert lmap(0, dets).detections == block
 
 
+def test_boxes_indexes_as_a_tuple_does():
+    dets = (ScoredDetection(box(1, 2, 0.5), 0.25),
+            ScoredDetection(box(-0.0, 3, cat=2), -1.0))
+    block = Boxes(dets)
+    for i in (0, 1, -1, -2, np.int64(1), True):
+        assert block[i] == dets[i]
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            block[i]
+    for i in (1.0, np.float64(0.0), "0", (0, 1)):
+        with pytest.raises(TypeError):
+            block[i]
+
+
 def test_scored_detection_is_a_typed_pair():
     det = ScoredDetection(box(1, 2, 0.5), 0.25)
     state, score = det

@@ -1,5 +1,7 @@
 import dataclasses
 import importlib.util
+import inspect
+import itertools
 import json
 import math
 import re
@@ -1158,6 +1160,35 @@ def test_benchmark_tracer_rebinds_every_traced_name_and_changes_no_byte():
     for module, name, _ in bench_tracer.TRACED:
         fn = getattr(sys.modules[f"mapfuse.{module}"], name)
         assert fn.__module__ == f"mapfuse.{module}", name
+
+
+def test_edge_fusion_workload_runs_its_calls(monkeypatch):
+    # bench/workloads.py calls run_frame, predict and run_edfl with its own
+    # arguments; a signature change would end the benchmark in run_failed.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    before = sorted(p.name for p in bench.iterdir())
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        import workloads
+        edge = workloads.EdgeFusion()
+        state = edge.setup(0)
+        op = edge.operations(state)[0]
+        assert edge.check(state, op(), 0.0).errors == []
+        sensed = dict(itertools.islice(state.sensed.items(), 3))
+        ap = workloads.probe_ap(state.scenario, sensed, state.cfg,
+                                state.init, state.init)
+    finally:
+        for name in ("workloads", "tracer"):
+            sys.modules.pop(name, None)
+    assert set(ap) == set(workloads.AP_METHODS)
+    assert all(0.0 <= v <= 1.0 for v in ap.values())
+    # EdgeFusion.ap trains the fleet's detector with this call.
+    cfg = state.cfg
+    inspect.signature(run_edfl).bind(
+        state.scenario, state.frames, cfg.noise, state.init, cfg.train,
+        cfg.fusion, ModelSpec(), cfg.sensor_seed, registry=())
+    assert sorted(p.name for p in bench.iterdir()) == before
 
 
 def test_experiment_without_perfect_fl_methods_never_trains_it(
