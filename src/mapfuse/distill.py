@@ -33,7 +33,8 @@ from mapfuse.fusion import (
     three_stage_fuse,
 )
 from mapfuse.geometry import ObjectState, rows_to_local
-from mapfuse.simworld import DetectorNoiseSpec, Scenario, sense_fleet
+from mapfuse.simworld import (DetectorNoiseSpec, Scenario, frame_chunks,
+                               sense_fleet)
 
 
 @dataclass
@@ -117,14 +118,16 @@ def distill_labels(
 
 def refine_fleet(
     params: ModelParams,
-    sensed: Sequence[tuple[LocalMap, SensorFrame]],
+    sensed: Sequence[Sequence[tuple[LocalMap, SensorFrame]]],
     spec: ModelSpec | None = None,
-) -> list[LocalMap]:
-    """The fleet's sensed maps, as sense_fleet gives them, with each
-    map's detections refined under params by one predict_fleet call."""
-    boxes = predict_fleet(params, [sf for _, sf in sensed], spec)
-    return [dataclasses.replace(raw, detections=b)
-            for (raw, _), b in zip(sensed, boxes)]
+) -> list[list[LocalMap]]:
+    """Each frame's sensed maps, as sense_fleet gives them, with each
+    map's detections refined under params: one predict_fleet call over
+    every vehicle-frame, split back by frame."""
+    boxes = iter(predict_fleet(
+        params, [sf for fleet in sensed for _, sf in fleet], spec))
+    return [[dataclasses.replace(raw, detections=next(boxes))
+             for raw, _ in fleet] for fleet in sensed]
 
 
 class WindowFrame(NamedTuple):
@@ -147,14 +150,19 @@ def fuse_window(
     sensor_seed: int,
 ) -> list[WindowFrame]:
     """Sense the fleet at each frame, refine its candidates under params
-    and fuse the refined maps: one sense_fleet, one predict_fleet and one
-    three_stage_fuse per frame."""
+    and fuse the refined maps: one sense_fleet and one predict_fleet per
+    chunk of frames (simworld.frame_chunks), one three_stage_fuse per
+    frame."""
+    def prepare(chunk):
+        sensed = sense_fleet(scenario, chunk, noise, sensor_seed)
+        return sensed, refine_fleet(params, sensed, spec)
+
     window = []
-    for f in frames:
-        sensed = sense_fleet(scenario, f, noise, sensor_seed)
-        local_maps = refine_fleet(params, sensed, spec)
-        window.append(WindowFrame(f, [sf for _, sf in sensed], local_maps,
-                                  three_stage_fuse(local_maps, fusion_cfg)))
+    for chunk, (sensed, refined) in frame_chunks(scenario, frames, prepare):
+        for f, fleet, local_maps in zip(chunk, sensed, refined):
+            window.append(WindowFrame(
+                f, [sf for _, sf in fleet], local_maps,
+                three_stage_fuse(local_maps, fusion_cfg)))
     return window
 
 

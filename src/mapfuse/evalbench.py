@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from mapfuse.fusion import Boxes, _field, _json_object
-from mapfuse.geometry import ObjectState, iou_bev_matrix
+from mapfuse.geometry import (ObjectState, _rows, circle_prefilter,
+                              iou_bev_pairs)
 from mapfuse.simworld import Scenario
 
 IOU_THRESHOLD = 0.7
@@ -97,20 +98,29 @@ def overlap_rows(
     """The IoU pass: per prediction, the (truth index, IoU) pairs that
     reach IOU_THRESHOLD, in truth order.  The predictions are a Boxes
     block or (state, score) pairs; the truths are states or their
-    (n, 8) rows (Scenario.truth_rows).
+    (n, 8) rows (Scenario.truth_rows).  overlap_sets of one set."""
+    return overlap_sets([(predictions, truths)])[0]
 
-    All pairs go through one array pass (geometry.iou_bev_matrix), so a
-    caller with several prediction sets passes their concatenation once
-    and splits the rows.
-    """
-    ious = iou_bev_matrix(Boxes(predictions).rows, truths)
-    # len, not iteration: iterating a block makes its ObjectStates.
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(predictions))]
-    hit_i, hit_j = np.nonzero(ious >= IOU_THRESHOLD)
-    for i, j, v in zip(hit_i.tolist(), hit_j.tolist(),
-                       ious[hit_i, hit_j].tolist()):
+
+def overlap_sets(sets) -> list[list[list[tuple[int, float]]]]:
+    """overlap_rows of each (predictions, truths) set, from one IoU pass:
+    the circle prefilter runs per set, so no pair across sets is formed,
+    then one geometry.iou_bev_pairs scores every pair that passes.  A
+    caller with several prediction sets per truth set passes their
+    concatenation and splits the rows."""
+    preds = [Boxes(p).rows for p, _ in sets]
+    truths = [_rows(t) for _, t in sets]
+    pairs = [np.nonzero(circle_prefilter(p, t)) for p, t in zip(preds, truths)]
+    a0, b0 = (np.cumsum([0, *map(len, x)]) for x in (preds, truths))
+    ia = np.concatenate([i + a for (i, _), a in zip(pairs, a0)])
+    jb = np.concatenate([j for _, j in pairs])
+    ious = iou_bev_pairs(np.concatenate(preds), np.concatenate(truths), ia,
+                         jb + np.repeat(b0[:-1], [j.size for _, j in pairs]))
+    hit = ious >= IOU_THRESHOLD
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(a0[-1])]
+    for i, j, v in zip(ia[hit].tolist(), jb[hit].tolist(), ious[hit].tolist()):
         rows[i].append((j, v))
-    return rows
+    return [rows[a:b] for a, b in zip(a0, a0[1:])]
 
 
 def greedy_assign(

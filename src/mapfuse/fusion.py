@@ -362,9 +362,9 @@ def _fuse_block(vecs, scores, label, groups, weights) -> np.ndarray:
     fused_yaws = []
     for s, c, r in zip(sin_sum.tolist(), cos_sum.tolist(), ref.tolist()):
         yaw = r if math.hypot(s, c) < 1e-12 else math.atan2(s, c)
-        # Wrapped twice, as an ObjectState made with a wrapped yaw is (see
-        # tests/oracles.py): the second wrap maps pi to -pi.
-        fused_yaws.append(wrap_angle(wrap_angle(yaw)))
+        # One wrap: on atan2's range, or a stored row's wrapped yaw, it
+        # lands in [-pi, pi), where a second wrap changes no bit.
+        fused_yaws.append(wrap_angle(yaw))
     fused[:, 7] = fused_yaws
     # Category by weighted vote, members in input order; ties by higher
     # total weight then lower id.

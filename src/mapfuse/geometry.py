@@ -374,15 +374,6 @@ def _plane_fields(boxes) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _circles_touch(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """_footprint_overlap's circle test for every pair of field rows."""
-    dx = fa[:, 0, None] - fb[None, :, 0]
-    dy = fa[:, 1, None] - fb[None, :, 1]
-    dist2 = dx * dx + dy * dy
-    reach = fa[:, 4, None] + fb[None, :, 4]
-    return ~(dist2 > reach * reach)
-
-
 def circle_prefilter(a, b) -> np.ndarray:
     """Whether footprints a[i] and b[j] may overlap, shape (len(a), len(b)).
 
@@ -391,31 +382,39 @@ def circle_prefilter(a, b) -> np.ndarray:
     Every other pair has IoU 0.
     """
     fa = _plane_fields(a)
-    return _circles_touch(fa, fa if b is a else _plane_fields(b))
+    fb = fa if b is a else _plane_fields(b)
+    dx = fa[:, 0, None] - fb[None, :, 0]
+    dy = fa[:, 1, None] - fb[None, :, 1]
+    reach = fa[:, 4, None] + fb[None, :, 4]
+    return ~(dx * dx + dy * dy > reach * reach)
+
+
+def iou_bev_matrix(a, b) -> np.ndarray:
+    """iou_bev(a[i], b[j]) for every pair, shape (len(a), len(b)): the
+    circle prefilter over all pairs, then iou_bev_pairs over those that
+    pass."""
+    a, b = _rows(a), _rows(b)
+    ious = np.zeros((len(a), len(b)))
+    ia, ib = np.nonzero(circle_prefilter(a, b))
+    ious[ia, ib] = iou_bev_pairs(a, b, ia, ib)
+    return ious
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def iou_bev_matrix(a, b) -> np.ndarray:
-    """iou_bev(a[i], b[j]) for every pair, shape (len(a), len(b)).
-
-    One circle prefilter over all pairs, corners built once per box and
-    one clip over the pairs that pass.
-    """
-    a, b = _rows(a), _rows(b)
-    ious = np.zeros((len(a), len(b)))
-    if not len(a) or not len(b):
-        return ious
-    fa, fb = _plane_fields(a), _plane_fields(b)
-    ia, ib = np.nonzero(_circles_touch(fa, fb))
+def iou_bev_pairs(a, b, ia, ib) -> np.ndarray:
+    """iou_bev(a[i], b[j]) for each pair (i, j) of ia and ib that passes
+    the circle prefilter, a and b as (N, >=8) rows: corners built once
+    per box and one clip over the pairs.  No pair: no corners, no clip."""
+    if not len(ia):
+        return np.zeros(0)
     inter = clip_areas(stacked_footprint_corners(a)[ia],
                        stacked_footprint_corners(b)[ib])
     inter = np.where(inter < 0.0, 0.0, inter)
-    area_a, area_b = (fa[:, 2] * fa[:, 3])[ia], (fb[:, 2] * fb[:, 3])[ib]
+    area_a, area_b = (a[:, 4] * a[:, 5])[ia], (b[:, 4] * b[:, 5])[ib]
     union = area_a + area_b - inter
     iou = np.divide(inter, union, out=np.zeros_like(union),
                     where=union > 0.0)
     iou = np.where(iou < 0.0, 0.0, iou)
     iou = np.where(iou > 1.0, 1.0, iou)
     degenerate = (area_a < _DEGENERATE_AREA) | (area_b < _DEGENERATE_AREA)
-    ious[ia, ib] = np.where(degenerate, 0.0, iou)
-    return ious
+    return np.where(degenerate, 0.0, iou)

@@ -36,7 +36,7 @@ from mapfuse.evalbench import (
     EvalReport,
     MethodResult,
     greedy_assign,
-    overlap_rows,
+    overlap_sets,
     slice_bits,
     tag_objects,
 )
@@ -62,6 +62,7 @@ from mapfuse.simworld import (
     DetectorNoiseSpec,
     Scenario,
     ScenarioConfig,
+    frame_chunks,
     generate_scenario,
     sense_fleet,
 )
@@ -347,8 +348,8 @@ def run_frame(
     fusion_cfg = fusion_cfg or FusionConfig()
     ledger = ledger if ledger is not None else ByteLedger()
     if local_maps is None:
-        local_maps = refine_fleet(
-            params, sense_fleet(scenario, frame, noise, sensor_seed), spec)
+        [local_maps] = refine_fleet(
+            params, sense_fleet(scenario, [frame], noise, sensor_seed), spec)
 
     wires = []
     for lm, upload in zip(local_maps, _global_boxes(local_maps)):
@@ -578,18 +579,20 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
 
     The training window is sensed, refined and fused once (fuse_window)
     and handed to run_perfect_fl and run_edfl, each called once, which
-    label it with their own teachers and train.  Each test frame is
-    sensed with one sense_fleet and refined with one predict_fleet per
-    parameter set.
+    label it with their own teachers and train.  The test window goes in
+    chunks of frames (simworld.frame_chunks): each chunk is sensed with
+    one sense_fleet, refined with one predict_fleet per parameter set,
+    and its local maps are moved to the global frame once per set.
+    run_frame then runs per frame and fused method.
 
-    Each frame makes one IoU pass over all its prediction sets (each
-    broadcast map and each vehicle's map) against the fleet's truths.
-    Every assignment the frame's scores need, against the fleet or masked
-    to one vehicle's truths, is a greedy run on that set's rows.  A local
-    method adds each vehicle's own-truth run to its one fleet accumulator
-    as it goes.  AP stable-sorts the records by score, so the order they
-    are added in matters only between equal scores: those keep frame
-    order, then vehicle order.
+    Each chunk makes one IoU pass over all its frames' prediction sets
+    (each broadcast map and each vehicle's map) against each frame's
+    fleet truths.  Every assignment a frame's scores need, against the
+    fleet or masked to one vehicle's truths, is a greedy run on that
+    set's rows.  A local method adds each vehicle's own-truth run to its
+    one fleet accumulator as it goes.  AP stable-sorts the records by
+    score, so the order they are added in matters only between equal
+    scores: those keep frame order, then vehicle order.
 
     A ConfigError when there is no test frame, or no training frame for
     a method that needs trained parameters.
@@ -628,65 +631,77 @@ def run_experiment(cfg: RunConfig, test_frames: Sequence[int] | None = None) -> 
     per_vehicle = {m: [Accumulator() for _ in range(k_count)]
                    for m in methods}
     ledgers = {m: ByteLedger() for m in methods}
+    local = dict.fromkeys(method.params for method in methods.values()
+                          if method.rule is None)
 
-    for f in test_frames:
-        sensed = sense_fleet(scenario, f, cfg.noise, cfg.sensor_seed)
-        fleet_tags, density = tag_objects(scenario, f)
-        fleet_truths = scenario.truth_rows(
-            f, [t.object_id for t in fleet_tags])
-        fleet_bits = slice_bits(fleet_tags, density)
-        # Each vehicle's visible objects are a subset of the fleet's: its
-        # slice masks are over the fleet truths, and a fleet truth the
-        # vehicle does not see has mask 0, so the masks are its truth mask.
-        veh_bits = []
-        for k in range(k_count):
-            seen = {t.object_id: t
-                    for t in tag_objects(scenario, f, vehicles=[k])[0]}
-            veh_bits.append(slice_bits(
-                [seen.get(t.object_id) for t in fleet_tags], density))
+    def prepare(chunk):
+        sensed = sense_fleet(scenario, chunk, cfg.noise, cfg.sensor_seed)
+        refined = {p: refine_fleet(params[p], sensed, spec) for p in params}
+        # A local method's maps, one transform per parameter set.
+        return refined, {p: _global_boxes(sum(refined[p], [])) for p in local}
 
-        refined_maps = {pname: refine_fleet(p, sensed, spec)
-                        for pname, p in params.items()}
+    for chunk, (refined, moved) in frame_chunks(scenario, test_frames,
+                                                prepare):
+        frames = []
+        for i, f in enumerate(chunk):
+            fleet_tags, density = tag_objects(scenario, f)
+            # Per method, its prediction sets: the broadcast map of a
+            # fused method, or each vehicle's own map, in the global
+            # frame, of a local one.
+            pred_sets = {}
+            for m, method in methods.items():
+                if method.rule is None:
+                    pred_sets[m] = moved[method.params][i * k_count:
+                                                        (i + 1) * k_count]
+                    continue
+                gmap, _ = run_frame(
+                    scenario, f, cfg.noise, params[method.params], cfg.fusion,
+                    spec, cfg.sensor_seed, ledgers[m],
+                    local_maps=refined[method.params][i],
+                    fuse_fn=FUSE_RULES[method.rule],
+                )
+                pred_sets[m] = [gmap.objects]
+            frames.append((f, fleet_tags, density, pred_sets))
 
-        # Per method, its prediction sets: the broadcast map of a fused
-        # method, or each vehicle's own map, in the global frame, of a
-        # local one.
-        pred_sets = {}
-        for m, method in methods.items():
-            if method.rule is None:
-                pred_sets[m] = _global_boxes(refined_maps[method.params])
-                continue
-            gmap, _ = run_frame(
-                scenario, f, cfg.noise, params[method.params], cfg.fusion,
-                spec, cfg.sensor_seed, ledgers[m],
-                local_maps=refined_maps[method.params],
-                fuse_fn=FUSE_RULES[method.rule],
-            )
-            pred_sets[m] = [gmap.objects]
-        # One IoU pass over every set's predictions, split back by set.
-        # The empty block's rows keep a run without methods going.
-        all_rows = overlap_rows(
-            Boxes._of(np.concatenate([Boxes().rows, *(
+        # One IoU pass over every frame's prediction sets against its
+        # fleet's truths, split back by frame and set.  The empty block's
+        # rows keep a run without methods going.
+        all_rows = overlap_sets([
+            (Boxes._of(np.concatenate([Boxes().rows, *(
                 preds.rows for sets in pred_sets.values()
                 for preds in sets)])),
-            fleet_truths,
-        )
-        start = 0
-        for m, sets in pred_sets.items():
-            for k, preds in enumerate(sets):
-                rows = all_rows[start:start + len(preds)]
-                start += len(preds)
-                scores = preds.scores.tolist()
-                if methods[m].rule is not None:
+             scenario.truth_rows(f, [t.object_id for t in fleet_tags]))
+            for f, fleet_tags, _, pred_sets in frames])
+        for (f, fleet_tags, density, pred_sets), frame_rows in zip(
+                frames, all_rows):
+            fleet_bits = slice_bits(fleet_tags, density)
+            # Each vehicle's visible objects are a subset of the fleet's:
+            # its slice masks are over the fleet truths, and a fleet truth
+            # the vehicle does not see has mask 0, so the masks are its
+            # truth mask.
+            veh_bits = []
+            for k in range(k_count):
+                seen = {t.object_id: t
+                        for t in tag_objects(scenario, f, vehicles=[k])[0]}
+                veh_bits.append(slice_bits(
+                    [seen.get(t.object_id) for t in fleet_tags], density))
+            start = 0
+            for m, sets in pred_sets.items():
+                for k, preds in enumerate(sets):
+                    rows = frame_rows[start:start + len(preds)]
+                    start += len(preds)
+                    scores = preds.scores.tolist()
+                    if methods[m].rule is None:
+                        per_vehicle[m][k].add(
+                            scores, greedy_assign(scores, rows), fleet_bits,
+                            density)
+                        own = greedy_assign(scores, rows, veh_bits[k])
+                        fleet_acc[m].add(scores, own, veh_bits[k], density)
+                        continue
                     assigned = greedy_assign(scores, rows)
                     fleet_acc[m].add(scores, assigned, fleet_bits, density)
                     for acc, bits in zip(per_vehicle[m], veh_bits):
                         acc.add(scores, assigned, bits, density)
-                else:
-                    per_vehicle[m][k].add(scores, greedy_assign(scores, rows),
-                                          fleet_bits, density)
-                    own = greedy_assign(scores, rows, veh_bits[k])
-                    fleet_acc[m].add(scores, own, veh_bits[k], density)
 
     results = {}
     for m in methods:

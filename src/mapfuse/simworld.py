@@ -48,6 +48,10 @@ MAX_FALSE_POSITIVE_RATE = 100.0
 # scenario places then stay inside the float range.
 MAX_LENGTH = 1e150
 
+# Vehicle-object pairs per chunk of frames (frame_chunks): a chunk's
+# temporaries grow with its pairs, and past a few thousand it is slower.
+CHUNK_BUDGET = 1000
+
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -259,7 +263,7 @@ class Scenario:
 
     The first num_vehicles objects are the intelligent vehicles; their
     trajectories double as sensor poses.  Visibility results are memoized
-    per frame, for the whole fleet at once.
+    per frame for the whole fleet, one pass per cache_visibility call.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, xy, yaw, extents,
@@ -288,12 +292,14 @@ class Scenario:
     def frame_time(self, frame: int) -> float:
         return frame / self.config.frame_rate
 
-    def truth_rows(self, frame: int, objects) -> np.ndarray:
+    def truth_rows(self, frame, objects) -> np.ndarray:
         """Ground truth as (n, 8) rows (category, x, y, z, l, w, h, yaw),
-        the yaw wrapped, of the given integer object ids at a frame."""
+        the yaw wrapped, of the given integer object ids at a frame or,
+        given one frame per object, each at its own frame."""
         objects = np.fromiter(map(operator.index, objects), np.intp)
-        if not 0 <= frame < self.num_frames or objects.size and not (
-                0 <= objects.min() and objects.max() < self.num_objects):
+        frames = np.ravel(frame)
+        if np.any((frames < 0) | (frames >= self.num_frames)) or np.any(
+                (objects < 0) | (objects >= self.num_objects)):
             raise ValueError(f"no such object among {objects.tolist()} at "
                              f"frame {frame}")
         return np.column_stack((
@@ -318,10 +324,20 @@ class Scenario:
             heading=self.yaw[frame, vehicle],
         )
 
+    def cache_visibility(self, frames) -> None:
+        """Memoize the visibility of each of frames not memoized yet, and
+        of no other frame, by one pass over them."""
+        missing = [f for f in dict.fromkeys(frames) if f not in self._vis_cache]
+        for f in missing:
+            self._check(0, f)
+        if missing:
+            self._vis_cache.update(zip(missing,
+                                       visible_objects(self, missing)))
+
     def visibility(self, vehicle: int, frame: int):
         self._check(vehicle, frame)
         if frame not in self._vis_cache:
-            self._vis_cache[frame] = visible_objects(self, frame)
+            self.cache_visibility([frame])
         return self._vis_cache[frame][vehicle]
 
 
@@ -464,34 +480,39 @@ def _ray_hits(origins, dx, dy, starts, edges):
     return best
 
 
-def visible_objects(
-    scenario: Scenario, frame: int
-) -> list[list[tuple[int, float, float]]]:
+def visible_objects(scenario: Scenario, frame) -> list:
     """Objects inside each vehicle's sensor wedge, with distance and
-    occlusion: one list per vehicle, in ascending object id.
+    occlusion: one list per vehicle, in ascending object id.  Given a
+    sequence of frames, those lists per frame, from one pass.
 
     Occlusion is the fraction of rays across the object's angular span
     blocked by a strictly nearer object's footprint; fully occluded
-    objects are dropped.
+    objects are dropped.  Every formula is elementwise, so each value
+    rounds as in a one-frame pass; a target meets only its frame's boxes.
     """
+    frames = list(map(operator.index, np.ravel(frame)))
     sensor = scenario.config.sensor
-    nv = scenario.num_vehicles
-    xy, yaw = scenario.xy[frame], scenario.yaw[frame]
-    ego = xy[:nv]
-    rel = xy - ego[:, None]                               # (V, M, 2)
+    nv, m = scenario.num_vehicles, scenario.num_objects
+    xy, yaw = scenario.xy[frames], scenario.yaw[frames]   # (F, M, 2), (F, M)
+    ego = xy[:, :nv]                                      # (F, V, 2)
+    rel = xy[:, None] - ego[:, :, None]                   # (F, V, M, 2)
     dist = np.hypot(rel[..., 0], rel[..., 1])
-    dist[range(nv), range(nv)] = np.inf
+    dist[:, range(nv), range(nv)] = np.inf
     bearing = np.arctan2(rel[..., 1], rel[..., 0])
-    ang = wrap_angles(bearing - yaw[:nv, None])
-    veh, tgt = np.nonzero(
+    ang = wrap_angles(bearing - yaw[:, :nv, None])
+    fr, veh, tgt = np.nonzero(
         (dist <= sensor.range) & (np.abs(ang) <= sensor.fov / 2.0))
-    visible = [[] for _ in range(nv)]
+    visible = [[[] for _ in range(nv)] for _ in frames]
     if tgt.size == 0:
-        return visible
+        return visible if np.ndim(frame) else visible[0]
 
-    corners = _corners(xy, yaw, scenario.extents)         # (M, 4, 2)
-    tc = corners[tgt] - ego[veh, None]                    # (T, 4, 2)
-    b_t = bearing[veh, tgt, None]
+    corners = _corners(xy.reshape(-1, 2), yaw.reshape(-1),
+                       np.tile(scenario.extents, (len(frames), 1)))
+    # Rows of the (frame, vehicle) and (frame, object) axes, flattened.
+    ego, dist = ego.reshape(-1, 2), dist.reshape(-1, m)
+    fv, ft = fr * nv + veh, fr * m + tgt
+    tc = corners[ft] - ego[fv, None]                      # (T, 4, 2)
+    b_t = bearing.reshape(-1, m)[fv, tgt, None]
     corner_ang = wrap_angles(np.arctan2(tc[..., 1], tc[..., 0]) - b_t)
     lo, hi = corner_ang.min(axis=1), corner_ang.max(axis=1)
     ray_ang = b_t + np.linspace(lo, hi, OCCLUSION_RAYS, axis=-1)  # (T, R)
@@ -503,20 +524,22 @@ def visible_objects(
     # centre's bearing, per vehicle.  A box around the ego has corners
     # more than pi apart about that bearing, so its window crosses +-pi
     # and the seam clause pairs it.
-    oc = corners - ego[:, None, None]                     # (V, M, 4, 2)
+    oc = (corners.reshape(len(frames), 1, m, 4, 2)
+          - ego.reshape(len(frames), nv, 1, 1, 2))        # (F, V, M, 4, 2)
     rel_c = _wrap_near(np.arctan2(oc[..., 1], oc[..., 0])
-                       - bearing[..., None])
+                       - bearing[..., None]).reshape(-1, m, 4)
     span_lo, span_hi = rel_c.min(axis=-1), rel_c.max(axis=-1)
-    mid = _wrap_near(bearing[veh] - b_t)
-    low, high = mid + span_lo[veh] - 1e-6, mid + span_hi[veh] + 1e-6
-    pairs = (dist[veh] < dist[veh, tgt, None]) & (
+    mid = _wrap_near(bearing.reshape(-1, m)[fv] - b_t)
+    low, high = mid + span_lo[fv] - 1e-6, mid + span_hi[fv] + 1e-6
+    pairs = (dist[fv] < dist[fv, tgt, None]) & (
         (low <= hi[:, None]) & (high >= lo[:, None])
         | (low <= -math.pi) | (high >= math.pi))
     pairs[range(tgt.size), tgt] = True
     p_t, p_o = np.nonzero(pairs)                          # target-major
     edges = np.roll(corners, -1, axis=1) - corners
-    t = _ray_hits(ego[veh[p_t]], np.cos(ray_ang)[p_t], np.sin(ray_ang)[p_t],
-                  corners[p_o], edges[p_o])               # (P, R)
+    box = fr[p_t] * m + p_o
+    t = _ray_hits(ego[fv[p_t]], np.cos(ray_ang)[p_t], np.sin(ray_ang)[p_t],
+                  corners[box], edges[box])               # (P, R)
 
     own = p_o == tgt[p_t]
     t_target = t[own]
@@ -526,10 +549,11 @@ def visible_objects(
     blocked = hit & (t_occ < t_target - 1e-9)
     # A target no ray hits has no blocked ray either: 0 / 1 = 0.
     occl = blocked.sum(axis=1) / np.maximum(hit.sum(axis=1), 1)
-    for k, i, o in zip(veh, tgt, occl):
+    for f, k, v, i, o in zip(fr.tolist(), veh.tolist(), fv.tolist(),
+                             tgt.tolist(), occl.tolist()):
         if o < 1.0 - 1e-12:
-            visible[k].append((int(i), float(dist[k, i]), float(o)))
-    return visible
+            visible[f][k].append((i, float(dist[v, i]), o))
+    return visible if np.ndim(frame) else visible[0]
 
 
 def _draw(rows: list, sources: list, scenario: Scenario, vehicle: int,
@@ -664,40 +688,64 @@ def sense(
 
 def sense_fleet(
     scenario: Scenario,
-    frame: int,
+    frame,
     noise: DetectorNoiseSpec,
     seed: int,
-) -> list[tuple[LocalMap, SensorFrame]]:
+) -> list:
     """Every vehicle's sense(scenario, k, frame, noise, seed), bit for bit,
-    in vehicle order, made as one block of rows.
+    in vehicle order, made as one block of rows.  Given a sequence of
+    frames, that list per frame, from one block.
 
-    Each vehicle draws from its own generator, so its detections do not
-    depend on the others'; one truth gather, one row check and one
-    feature array then serve the frame, and each vehicle gets its slices.
-    A block that fails its row check is redone vehicle by vehicle through
-    sense, which raises the first failing vehicle's InputError.
+    Each vehicle-frame draws from its own generator, so its detections
+    depend on no other's; one visibility pass, one truth gather, one row
+    check and one feature array then serve the frames, and each
+    vehicle-frame gets its slices.  A block that fails its row check is
+    redone through sense, frame by frame and vehicle by vehicle, which
+    raises the first failing one's InputError.
     """
-    vehicles = range(scenario.num_vehicles)
-    poses = [scenario.pose(frame, k) for k in vehicles]
-    visibility = [scenario.visibility(k, frame) for k in vehicles]
+    frames = list(map(operator.index, np.ravel(frame)))
+    nv = scenario.num_vehicles
+    fleet = [(f, k, scenario.pose(f, k)) for f in frames for k in range(nv)]
+    scenario.cache_visibility(frames)
+    visibility = [scenario.visibility(k, f) for f, k, _ in fleet]
     truth = scenario.truth_rows(
-        frame, [o for vis in visibility for o, _, _ in vis]).tolist()
+        [f for (f, _, _), vis in zip(fleet, visibility) for _ in vis],
+        [o for vis in visibility for o, _, _ in vis]).tolist()
     rows, sources, ends, at = [], [], [0], 0
-    for k, pose, vis in zip(vehicles, poses, visibility):
-        _draw(rows, sources, scenario, k, frame, pose, vis,
+    for (f, k, pose), vis in zip(fleet, visibility):
+        _draw(rows, sources, scenario, k, f, pose, vis,
               truth[at:at + len(vis)], noise, seed)
         at += len(vis)
         ends.append(len(rows))
     try:
         boxes, features = _block(rows)
     except RowError:
-        return [sense(scenario, k, frame, noise, seed) for k in vehicles]
-    frame_time = scenario.frame_time(frame)
-    return [
-        (LocalMap(k, frame_time, boxes[a:b], pose),
-         SensorFrame(frame_time, features[a:b], tuple(sources[a:b])))
-        for k, pose, a, b in zip(vehicles, poses, ends, ends[1:])
-    ]
+        sensed = [sense(scenario, k, f, noise, seed) for f, k, _ in fleet]
+    else:
+        sensed = [(LocalMap(k, scenario.frame_time(f), boxes[a:b], pose),
+                   SensorFrame(scenario.frame_time(f), features[a:b],
+                               tuple(sources[a:b])))
+                  for (f, k, pose), a, b in zip(fleet, ends, ends[1:])]
+    fleets = [sensed[i:i + nv] for i in range(0, len(sensed), nv)]
+    return fleets if np.ndim(frame) else fleets[0]
+
+
+def frame_chunks(scenario: Scenario, frames, prepare):
+    """(chunk, prepare(chunk)) for frames in consecutive chunks of
+    max(1, CHUNK_BUDGET // (vehicles * objects)) frames, made lazily.  A
+    chunk whose prepare raises a ValueError is redone frame by frame, each
+    frame prepared once the previous one is used, so the error raised is
+    the one a frame-by-frame run meets first."""
+    frames = list(frames)
+    size = max(1, CHUNK_BUDGET // (scenario.num_vehicles
+                                   * scenario.num_objects))
+    for at in range(0, len(frames), size):
+        chunk = frames[at:at + size]
+        try:
+            prepared = [(chunk, prepare(chunk))]
+        except ValueError:
+            prepared = (([f], prepare([f])) for f in chunk)
+        yield from prepared
 
 
 # --- serialization -----------------------------------------------------------

@@ -15,6 +15,7 @@ from mapfuse.evalbench import (
     match_detections,
     occlusion_slice,
     overlap_rows,
+    overlap_sets,
     slice_bits,
     tag_objects,
 )
@@ -285,8 +286,12 @@ def test_masked_greedy_equals_matching_the_subset(preds, truths_masks):
     sets=st.lists(st.lists(st.tuples(small_box_st, st.just(1.0)),
                            max_size=4), max_size=4),
     truths=st.lists(small_box_st, max_size=5),
+    frames=st.lists(st.tuples(
+        st.lists(st.tuples(small_box_st, st.just(1.0)), max_size=4),
+        st.lists(small_box_st, max_size=5)), min_size=1, max_size=4),
 )
-def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(sets, truths):
+def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(sets, truths,
+                                                              frames):
     joined = overlap_rows([p for preds in sets for p in preds], truths)
     per_set = [row for preds in sets for row in overlap_rows(preds, truths)]
     assert joined == per_set
@@ -295,6 +300,12 @@ def test_overlap_rows_of_a_concatenation_are_the_per_set_rows(sets, truths):
          if iou_bev(state, t) >= IOU_THRESHOLD]
         for preds in sets for state, _ in preds
     ]
+    # A chunk of frames, each with its own truths, in one pass: each
+    # frame's rows, bit for bit.
+    def hexed(rows):
+        return [[(j, v.hex()) for j, v in row] for row in rows]
+    assert ([hexed(rows) for rows in overlap_sets(frames)]
+            == [hexed(overlap_rows(p, t)) for p, t in frames])
 
 
 def test_overlap_rows_with_nothing_to_pair():

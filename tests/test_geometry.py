@@ -61,6 +61,13 @@ def test_wrap_angle_range_and_fixed_points():
         w = wrap_angle(a)
         assert -math.pi <= w < math.pi
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
+    # On [-pi, pi], atan2's range, one wrap is final: a second changes no
+    # bit (fusion wraps a fused yaw once).
+    for y in (math.pi, -math.pi):
+        for a in (y, math.nextafter(y, 0.0),
+                  math.nextafter(math.nextafter(y, 0.0), 0.0)):
+            w = wrap_angle(a)
+            assert wrap_angle(w).hex() == w.hex()
 
 
 def test_angle_diff_shortest_arc():
@@ -334,10 +341,20 @@ def test_circle_prefilter_squares_the_reach_as_iou_bev_does(monkeypatch):
     assert iou_bev_matrix([a], [b]).tolist() == [[iou_bev(a, b)]]
 
 
-def test_batched_iou_of_empty_sets():
+def test_batched_iou_of_empty_sets(monkeypatch):
     one = [make_state(0, 0, 0, 1, 1, 1, 0)]
     assert iou_bev_matrix([], one).shape == (0, 1)
     assert iou_bev_matrix(one, []).shape == (1, 0)
+    # When no pair passes the circle test, no corners are built and
+    # nothing is clipped.
+    def refuse(*args):
+        raise AssertionError("built corners for no pair")
+
+    monkeypatch.setattr(geometry, "stacked_footprint_corners", refuse)
+    far = [make_state(0, 50, 0, 1, 1, 1, 0)]
+    assert iou_bev_matrix(one, far).tolist() == [[0.0]]
+    assert iou_bev_matrix([], one).shape == (0, 1)
+    monkeypatch.undo()
     assert circle_prefilter([], one).shape == (0, 1)
     assert stacked_footprint_corners([]).shape == (0, 4, 2)
     assert clip_areas(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)

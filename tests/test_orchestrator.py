@@ -15,14 +15,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
-from mapfuse.distill import distill_labels, run_edfl, run_perfect_fl
+from mapfuse.distill import (distill_labels, refine_fleet, run_edfl,
+                             run_perfect_fl)
 from mapfuse import evalbench, orchestrator
 from mapfuse.evalbench import (
     SLICE_NAMES,
     match_detections,
     tag_objects,
 )
-from mapfuse.fedlearn import ModelSpec, TrainConfig, default_init_params, predict
+from mapfuse.fedlearn import (ModelParams, ModelSpec, TrainConfig,
+                              default_init_params, predict)
 from mapfuse.fusion import (
     FUSE_RULES,
     Boxes,
@@ -64,6 +66,7 @@ from mapfuse.simworld import (
     SensorSpec,
     generate_scenario,
     sense,
+    sense_fleet,
 )
 
 from oracles import (
@@ -1226,3 +1229,26 @@ def test_run_config_defaults_are_valid():
     assert cfg.methods == METHOD_NAMES
     with pytest.raises(ConfigError):
         RunConfig(methods=("nope",))
+
+
+def test_a_chunk_refines_and_moves_to_the_global_frame_as_its_frames_do():
+    # One predict_fleet over a chunk's vehicle-frames and one transform
+    # of all its maps give each frame's own results, bit for bit.
+    cfg = default_benchmark_config(0)
+    sc = generate_scenario(cfg.scenario, cfg.seed)
+    spec = ModelSpec()
+    init = default_init_params(spec).values
+    params = ModelParams(init + np.random.default_rng(3).normal(
+        0.0, 0.05, init.shape))
+    frames = [0, 1, 2, 3, 4, 250, 499]
+    sensed = sense_fleet(sc, frames, cfg.noise, cfg.sensor_seed)
+    chunk = refine_fleet(params, sensed, spec)
+    moved = orchestrator._global_boxes(sum(chunk, []))
+    k = sc.num_vehicles
+    assert len(chunk) == len(frames) and len(moved) == k * len(frames)
+    for i, fleet in enumerate(sensed):
+        [one] = refine_fleet(params, [fleet], spec)
+        assert ([lm.detections.rows.tobytes() for lm in chunk[i]]
+                == [lm.detections.rows.tobytes() for lm in one])
+        assert ([b.rows.tobytes() for b in moved[i * k:(i + 1) * k]]
+                == [b.rows.tobytes() for b in orchestrator._global_boxes(one)])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -18,7 +19,8 @@ from mapfuse.fedlearn import (
 )
 from mapfuse.fusion import three_stage_fuse
 from mapfuse.geometry import InputError, angle_diff, transform_to_global
-from mapfuse.orchestrator import default_benchmark_noise
+from mapfuse.orchestrator import (default_benchmark_config,
+                                  default_benchmark_noise)
 from mapfuse.simworld import (
     OCCLUSION_RAYS,
     DetectorNoiseSpec,
@@ -26,6 +28,7 @@ from mapfuse.simworld import (
     ScenarioConfig,
     SensorSpec,
     _ray_hits,
+    frame_chunks,
     generate_scenario,
     scenario_to_jsonl,
     sense,
@@ -148,6 +151,21 @@ def test_visible_objects_matches_per_vehicle_reference(cfg, seed, step):
         for k in range(sc.num_vehicles):
             assert fleet[k] == visible_objects_per_vehicle(sc, k, f)
             assert sc.visibility(k, f) == fleet[k]
+    # A chunk of frames is its frames' one-frame passes, bit for bit.
+    frames = list(range(0, sc.num_frames, step))
+    for size in (2, 5, 17):
+        for at in range(0, len(frames), size):
+            chunk = frames[at:at + size]
+            assert (view_hexes(visible_objects(sc, chunk))
+                    == [view_hexes(visible_objects(sc, f)) for f in chunk])
+
+
+def view_hexes(view):
+    """A visibility result with every float as float.hex, so that equal
+    results are bit for bit the same."""
+    if view and isinstance(view[0], tuple):
+        return [(i, d.hex(), o.hex()) for i, d, o in view]
+    return [view_hexes(v) for v in view]
 
 
 @pytest.mark.parametrize("name", ["crowded", "fov-2pi"])
@@ -226,6 +244,11 @@ def test_truth_rows_are_object_state_bit_for_bit(make):
                 assert [float(v).hex() for v in
                         sc.object_state(f, obj).to_vector()] == want
         assert sc.truth_rows(0, []).shape == (0, 8)
+        # One frame per object: each row is its own frame's.
+        frames = [f for f in range(sc.num_frames) for _ in objects]
+        assert hexes(sc.truth_rows(frames, objects * sc.num_frames)) == [
+            h for f in range(sc.num_frames)
+            for h in hexes(sc.truth_rows(f, objects))]
 
 
 def still_scenario(xy, extents, sensor=SensorSpec()):
@@ -252,6 +275,14 @@ def test_visible_objects_without_target_in_range():
     # One box beyond the 100 m range ahead, one in range beside the wedge.
     sc = still_scenario([(0.0, 0.0), (150.0, 0.0), (0.0, 20.0)], [CAR] * 3)
     assert still_view(sc) == []
+    # In a chunk, beside a frame whose boxes are in view, and alone.
+    near = still_scenario([(0.0, 0.0), (40.0, 0.0), (20.0, 1.0)], [CAR] * 3)
+    chunked = Scenario(sc.config, 0, np.concatenate([sc.xy, near.xy, sc.xy]),
+                       np.zeros((3, 3)), sc.extents, sc.categories)
+    views = visible_objects(chunked, [0, 1, 2])
+    assert views == [[[]], visible_objects(near, [0])[0], [[]]]
+    assert views[1] == [still_view(near)] and views[1] != [[]]
+    assert visible_objects(chunked, [0, 2]) == [[[]], [[]]]
 
 
 @pytest.mark.parametrize("gap", [-0.08, -1e-3, 5e-7, 2e-6])
@@ -512,6 +543,14 @@ def test_sense_fleet_is_the_reference_for_every_vehicle(name, turn, frame,
     for k, (lm, sf) in enumerate(fleet):
         assert lm.vehicle_id == k
         assert_pair_is_reference(lm, sf, sc, k, frame, noise, seed)
+    # Sensed in a chunk beside another frame, the frame is the same.
+    [_, chunked] = sense_fleet(sc, [frame ^ 1, frame], noise, seed)
+    for (lm, sf), (c_lm, c_sf) in zip(fleet, chunked, strict=True):
+        assert (c_lm.vehicle_id, c_lm.frame_time, c_lm.pose) == (
+            lm.vehicle_id, lm.frame_time, lm.pose)
+        assert hexes(c_lm.detections.rows) == hexes(lm.detections.rows)
+        assert hexes(c_sf.candidates) == hexes(sf.candidates)
+        assert c_sf.source_ids == sf.source_ids
 
 
 # Wide extent noise with a positive length bias and a -10 width bias, so
@@ -643,9 +682,31 @@ def test_sense_fleet_on_the_clis_overflowing_config_names_vehicle_1():
     sc = generate_scenario(small_config(), seed=0)
     noise = DetectorNoiseSpec(score_sigma=1e308)
     sense(sc, 0, 0, noise, 0)
-    with pytest.raises(InputError, match=r"^vehicle 1, frame 0: detection "
-                       r"0: fields must be finite; the detector noise"):
+    first = (r"^vehicle 1, frame 0: detection 0: fields must be finite; "
+             r"the detector noise")
+    with pytest.raises(InputError, match=first):
         sense_fleet(sc, 0, noise, 0)
+    # A chunk whose block fails is redone through sense, frame by frame:
+    # the same first error, and no frame outside the chunk is sensed.
+    with pytest.raises(InputError, match=first):
+        sense_fleet(sc, [0, 1, 2], noise, 0)
+    sc = generate_scenario(small_config(), seed=0)
+    chunks = frame_chunks(sc, range(sc.num_frames),
+                          lambda chunk: sense_fleet(sc, chunk, noise, 0))
+    with pytest.raises(InputError, match=first):
+        next(chunks)
+    assert sorted(sc._vis_cache) == list(range(10))
+
+
+def test_a_chunk_holds_about_a_thousand_vehicle_object_pairs():
+    # 5 x 37 on the benchmark's crossing, 10 x 80 on the crowded one.
+    for cfg, size in [(default_benchmark_config(0).scenario, 5),
+                      (CROSSINGS["crowded"], 1)]:
+        sc = generate_scenario(dataclasses.replace(cfg, duration=1.0), 0)
+        frames = list(range(12))
+        chunks = [c for c, _ in frame_chunks(sc, frames, lambda c: None)]
+        assert chunks == [frames[i:i + size]
+                          for i in range(0, len(frames), size)]
 
 
 def test_sense_miss_probability_one_drops_everything():
