@@ -283,7 +283,7 @@ def _weights(raw: np.ndarray, scores: np.ndarray) -> np.ndarray:
     earns more trust.  In a row whose largest sigmoid is subnormal (all
     scores below about -708), the sigmoids have lost precision or
     underflowed to 0, and the weights take their limit exp(s - max s),
-    normalized.
+    normalized.  _weighted_rule skips this test in a frame without one.
     """
     low = ~(raw.max(axis=1) >= _TINY)
     if low.any():
@@ -379,9 +379,14 @@ def _fuse_block(vecs, scores, label, groups, weights) -> np.ndarray:
 
 
 def _weighted_rule(vecs, scores, label, groups):
+    """_weights per group, or, when no member's sigmoid is subnormal and so
+    no row takes their limit, only the normalization _weights ends with."""
     raw = _sigmoid(scores)
-    return _fuse_block(vecs, scores, label, groups,
-                       [_weights(raw[idx], scores[idx]) for _, idx in groups])
+    blocks = [(raw[idx], idx) for _, idx in groups]
+    weights = ([w / w.sum(axis=1, keepdims=True) for w, _ in blocks]
+               if raw.min() >= _TINY else
+               [_weights(w, scores[idx]) for w, idx in blocks])
+    return _fuse_block(vecs, scores, label, groups, weights)
 
 
 def _mean_rule(vecs, scores, label, groups):
@@ -496,17 +501,18 @@ def _fuse_frame(
 
     rows = frame_boxes(local_maps).rows
     vecs, scores = rows[:, :8], rows[:, 8]
-    keys = [(lm.vehicle_id, n) for lm in local_maps
-            for n in range(len(lm.detections))]
+    slices = map_slices(local_maps)
+    centers = vecs[:, 1:3].tolist()
     num_objects, labels = cluster_detections(
-        [(v, n, _Center(c)) for (v, n), c in zip(keys, vecs[:, 1:3].tolist())],
+        [(lm.vehicle_id, n, _Center(c)) for lm, s in zip(local_maps, slices)
+         for n, c in enumerate(centers[s])],
         cfg.cluster)
 
     vehicle_labels = {lm.vehicle_id: labels[s]
-                      for lm, s in zip(local_maps, map_slices(local_maps))}
+                      for lm, s in zip(local_maps, slices)}
 
     fused = np.empty((num_objects, 9))
-    if keys:
+    if labels:
         label = np.array(labels)
         # Members near the float range can fuse past it: rejected below.
         with np.errstate(over="ignore"):

@@ -27,12 +27,16 @@ class InputError(ValueError):
 
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to the half-open interval [-pi, pi)."""
-    return (theta + math.pi) % _TWO_PI - math.pi
+    out = (theta + math.pi) % _TWO_PI - math.pi
+    # Just below -pi the remainder rounds up to 2 pi: pi is -pi there.
+    return -math.pi if out == math.pi else out
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """wrap_angle of every element; numpy's % rounds as Python's does."""
-    return (theta + math.pi) % _TWO_PI - math.pi
+    out = (theta + math.pi) % _TWO_PI - math.pi
+    out[out == math.pi] = -math.pi
+    return out
 
 
 def angle_diff(a: float, b: float) -> float:
@@ -80,7 +84,7 @@ class ObjectState:
         """The state of a checked row (category, x, y, z, l, w, h, yaw)
         whose yaw is already wrapped.
 
-        The yaw is kept as it is: a second wrap maps pi to -pi.
+        The yaw is kept as it is: a second wrap changes no wrapped yaw.
         """
         cat, x, y, z, l, w, h, yaw = row
         obj = cls(int(cat), (x, y, z), (l, w, h), yaw)

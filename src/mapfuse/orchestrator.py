@@ -206,6 +206,15 @@ _ENTRIES = {
     MessageKind.LABEL_BROADCAST: (
         _LABEL, "label entry", _pack_labels, _unpack_labels),
 }
+_KINDS = {kind.value: kind for kind in MessageKind}   # a header's kind field
+
+
+def _head(kind: MessageKind, sender, receiver, count: int) -> bytes:
+    """A blob's header and entry count, as _read_head reads them."""
+    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind,
+                         _uint32(sender, "sender"),
+                         _uint32(receiver, "receiver"))
+            + _COUNT.pack(count))
 
 
 def encode_message(msg: V2xMessage) -> bytes:
@@ -215,10 +224,8 @@ def encode_message(msg: V2xMessage) -> bytes:
         entries = pack(msg.payload)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"bad {name} in {kind.name} payload: {exc}") from None
-    return (_HEADER.pack(MESSAGE_MAGIC, MESSAGE_VERSION, kind,
-                         _uint32(msg.sender, "sender"),
-                         _uint32(msg.receiver, "receiver"))
-            + _COUNT.pack(len(entries)) + entries.tobytes())
+    return (_head(kind, msg.sender, msg.receiver, len(entries))
+            + entries.tobytes())
 
 
 def _require(blob: bytes, offset: int, size: int, what: str) -> None:
@@ -235,10 +242,9 @@ def _read_head(blob: bytes) -> tuple[MessageKind, int, int, int]:
         raise CodecError("bad magic at offset 0")
     if version != MESSAGE_VERSION:
         raise CodecError("unsupported version at offset 4")
-    try:
-        kind = MessageKind(kind_raw)
-    except ValueError:
-        raise CodecError("unknown message kind at offset 6") from None
+    kind = _KINDS.get(kind_raw)
+    if kind is None:
+        raise CodecError("unknown message kind at offset 6")
     _require(blob, _HEADER.size, _COUNT.size, "count")
     (count,) = _COUNT.unpack_from(blob, _HEADER.size)
     return kind, sender, receiver, count
@@ -332,13 +338,13 @@ def run_frame(
 ) -> tuple[GlobalMap, int]:
     """One sensing / upload / fuse / broadcast cycle.
 
-    All vehicle detections cross the wire as global-frame payloads, moved
-    into that frame by one row transform for the whole frame and encoded
-    one message per vehicle; the server decodes the frame's uploads in one
-    pass and reassembles them under an identity pose, so no pose exchange
-    is needed; each server map takes its vehicle id from its upload's
-    sender.  Returns the broadcast map and the bytes this frame moved,
-    which are also recorded in ledger when one is given.
+    All vehicle detections cross the wire as global-frame payloads: one
+    row transform and one pack for the frame, then one blob per vehicle,
+    its header and its slice of the entries, as encode_message writes it.
+    The server decodes the uploads in one pass and reassembles them under
+    an identity pose, so no pose exchange is needed; each server map
+    takes its vehicle id from its upload's sender.  Returns the broadcast
+    map and the bytes this frame moved, also recorded in ledger if given.
     If local_maps is given the sensing and refinement steps are skipped;
     that lets several methods share one set of measurements.  Otherwise
     the fleet is sensed with one sense_fleet and refined with one
@@ -351,11 +357,12 @@ def run_frame(
         [local_maps] = refine_fleet(
             params, sense_fleet(scenario, [frame], noise, sensor_seed), spec)
 
-    wires = []
-    for lm, upload in zip(local_maps, _global_boxes(local_maps)):
-        wires.append(encode_message(V2xMessage(
-            MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload)))
-        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, len(wires[-1]))
+    entries = _pack_boxes(frame_boxes(local_maps))   # one pack per frame
+    wires = [_head(MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID,
+                   s.stop - s.start) + entries[s].tobytes()
+             for lm, s in zip(local_maps, map_slices(local_maps))]
+    if wires:
+        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, sum(map(len, wires)))
     frame_time = scenario.frame_time(frame)
     server_maps = [
         LocalMap(vehicle_id=msg.sender, frame_time=frame_time,

@@ -915,16 +915,17 @@ def run_frame_reference(local_maps, frame_time, fuse_fn_name):
     """Reference ``orchestrator.run_frame`` on given local maps: each
     detection moved to the global frame and encoded on its own, decoded
     entry by entry into ScoredDetections, and fused by
-    ``fuse_frame_reference``.  Returns the fusion result, the bytes moved
-    and the bytes per message kind."""
+    ``fuse_frame_reference``.  Returns the fusion result, the bytes moved,
+    the bytes per message kind and the upload blobs in vehicle order."""
     per_kind = {}
-    server_maps = []
+    server_maps, uploads = [], []
     for lm in local_maps:
         upload = tuple(
             (transform_to_global_reference(d.state, lm.pose), d.score)
             for d in lm.detections)
         wire = struct_encode_message(V2xMessage(
             MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID, upload))
+        uploads.append(wire)
         per_kind[MessageKind.LOCAL_MAP_UPLOAD] = (
             per_kind.get(MessageKind.LOCAL_MAP_UPLOAD, 0) + len(wire))
         server_maps.append(LocalMap(
@@ -942,7 +943,7 @@ def run_frame_reference(local_maps, frame_time, fuse_fn_name):
         MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
         result.global_map.objects))
     per_kind[MessageKind.GLOBAL_MAP_BROADCAST] = len(broadcast)
-    return result, sum(per_kind.values()), per_kind
+    return result, sum(per_kind.values()), per_kind, uploads
 
 
 def sense_reference(scenario, vehicle, frame, noise, seed, visibility=None):

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapfuse.association import ClusterConfig
 from mapfuse.fusion import (
@@ -43,6 +43,7 @@ from mapfuse.geometry import (
     Pose,
     angle_diff,
     transform_to_global,
+    wrap_angle,
 )
 from oracles import (
     POW_BOUNDARY_PAIR,
@@ -267,7 +268,27 @@ def frame_kernel_args(states, scores, label):
     return vecs, scores, label, groups
 
 
+def scored_frame(cluster_scores, label):
+    """A cluster_frames frame of clusters with the given scores, their
+    members side by side (every third one flipped), in the slots label
+    gives them."""
+    states = [[ObjectState(k % 3, (2.0 * c + 0.3 * k, -1.0 * k, 0.5),
+                           (4.0, 2.0, 1.5),
+                           0.3 * k - 1.0 + (math.pi if k == 2 else 0.0))
+               for k in range(len(row))]
+              for c, row in enumerate(cluster_scores)]
+    return (states, [np.array(row, dtype=float) for row in cluster_scores],
+            np.array(label))
+
+
 @given(cluster_frames())
+# Every member's sigmoid a normal double: each group is only normalized.
+@example(scored_frame([[1.5, -0.5, 3.0], [0.25], [-4.0, 2.0]],
+                      [0, 2, 1, 0, 2, 0]))
+# One cluster's scores all below -708, next to ordinary clusters: that
+# cluster takes the exp(s - max s) limit.
+@example(scored_frame([[1.0, -2.0], [-750.0, -720.5, -800.0], [0.5, 4.0]],
+                      [1, 0, 2, 1, 0, 2, 1]))
 @settings(max_examples=300, deadline=None)
 def test_size_group_kernel_is_the_per_cluster_fusion_bit_for_bit(frame):
     states, cluster_scores, label = frame
@@ -544,17 +565,17 @@ def test_every_block_rejects_a_non_finite_score(score):
 
 
 def test_boxes_from_rows_checks_once_and_wraps_the_yaw():
-    # Just below -pi, the wrap rounds up to +pi exactly; a second wrap
-    # would give -pi.
+    # Just below -pi, the bare remainder formula rounds up to +pi
+    # exactly; wrap_angle, which the block uses, gives -pi.
     below = math.nextafter(-math.pi, -math.inf)
-    assert wrap(below) == math.pi and wrap(wrap(below)) == -math.pi
+    assert wrap(below) == math.pi and wrap_angle(below) == -math.pi
     rows = np.array([[1.0, 0, 0, 0, 4, 2, 1.5, 3 * math.pi, 0.5],
                      [0.0, 5, 5, 0, 4, 2, 1.5, below, 1.0]])
     block = Boxes.from_rows(rows)
     assert rows[0, 7] == 3 * math.pi   # the caller's rows are not touched
-    assert block.vecs[:, 7].tolist() == [wrap(3 * math.pi), math.pi]
+    assert block.vecs[:, 7].tolist() == [wrap(3 * math.pi), -math.pi]
     # Items are made from the rows without a second wrap.
-    assert [d.state.yaw for d in block] == [wrap(3 * math.pi), math.pi]
+    assert [d.state.yaw for d in block] == [wrap(3 * math.pi), -math.pi]
     assert block[0].state.category == 1 and block[1].score == 1.0
     for row, col, bad, reason in [
         (1, 3, math.nan, "finite"), (0, 8, math.inf, "finite"),

@@ -24,6 +24,7 @@ from mapfuse.geometry import (
     transform_to_global,
     transform_to_local,
     wrap_angle,
+    wrap_angles,
 )
 from mapfuse.orchestrator import default_benchmark_config
 from mapfuse.orchestrator import testing_frames as eval_window_frames
@@ -68,6 +69,12 @@ def test_wrap_angle_range_and_fixed_points():
                   math.nextafter(math.nextafter(y, 0.0), 0.0)):
             w = wrap_angle(a)
             assert wrap_angle(w).hex() == w.hex()
+    # Just below -pi the remainder rounds up to 2 pi: both forms still
+    # give -pi, not pi.
+    below = math.nextafter(-math.pi, -4.0)
+    assert wrap_angle(below).hex() == (-math.pi).hex()
+    assert [w.hex() for w in wrap_angles(np.array([below, -0.0])).tolist()
+            ] == [(-math.pi).hex(), wrap_angle(-0.0).hex()]
 
 
 def test_angle_diff_shortest_arc():

@@ -536,18 +536,29 @@ def fleets(draw):
 
 
 def check_run_frame_against_reference(fuse, maps):
-    results = []
+    results, blobs = [], []
 
     def recorded(local_maps, cfg):
         results.append(fuse(local_maps, cfg))
         return results[-1]
 
+    decode_blobs = orchestrator._decode_blobs
+
+    def recorded_blobs(wires):
+        blobs.extend(wires)
+        return decode_blobs(wires)
+
     ledger = ByteLedger()
-    gmap, nbytes = run_frame(FLEET_SCENE, 3, QUIET, default_init_params(),
-                             ledger=ledger, local_maps=maps,
-                             fuse_fn=recorded)
-    want, want_bytes, want_kinds = run_frame_reference(
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orchestrator, "_decode_blobs", recorded_blobs)
+        gmap, nbytes = run_frame(FLEET_SCENE, 3, QUIET,
+                                 default_init_params(), ledger=ledger,
+                                 local_maps=maps, fuse_fn=recorded)
+    want, want_bytes, want_kinds, want_blobs = run_frame_reference(
         maps, FLEET_SCENE.frame_time(3), fuse.__name__)
+    # The uploads the server reads are the per-vehicle struct encodings,
+    # byte for byte, in arrival order.
+    assert blobs == want_blobs
     assert repr(gmap) == repr(want.global_map)
     assert nbytes == want_bytes
     assert ledger.per_kind == want_kinds
