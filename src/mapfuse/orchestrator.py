@@ -361,8 +361,9 @@ def run_frame(
     wires = [_head(MessageKind.LOCAL_MAP_UPLOAD, lm.vehicle_id, SERVER_ID,
                    s.stop - s.start) + entries[s].tobytes()
              for lm, s in zip(local_maps, map_slices(local_maps))]
+    upload_bytes = sum(map(len, wires))
     if wires:
-        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, sum(map(len, wires)))
+        ledger.record(MessageKind.LOCAL_MAP_UPLOAD, upload_bytes)
     frame_time = scenario.frame_time(frame)
     server_maps = [
         LocalMap(vehicle_id=msg.sender, frame_time=frame_time,
@@ -377,7 +378,7 @@ def run_frame(
         MessageKind.GLOBAL_MAP_BROADCAST, SERVER_ID, BROADCAST_ID,
         gmap.objects))
     ledger.record(MessageKind.GLOBAL_MAP_BROADCAST, len(broadcast))
-    return gmap, sum(map(len, wires)) + len(broadcast)
+    return gmap, upload_bytes + len(broadcast)
 
 
 # --- configuration -----------------------------------------------------------
