@@ -52,16 +52,16 @@ class RoadSideUnit:
     scenario: Scenario
     match_radius: float = 2.0
 
-    def covers(self, state: ObjectState) -> bool:
-        x, y = state.center[:2]
+    def _in_disc(self, x: float, y: float) -> bool:
         return math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
+
+    def covers(self, state: ObjectState) -> bool:
+        return self._in_disc(*state.center[:2])
 
     def lookup(self, centers: np.ndarray, frame: int) -> np.ndarray:
         """For each (x, y) row of centers, the id of the true object that
         labels it, or -1: one centre x object distance block."""
-        covered = np.array([
-            math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
-            for x, y in centers.tolist()], dtype=bool)
+        covered = np.array(list(map(self._in_disc, *centers.T.tolist())), bool)
         xy = self.scenario.xy[frame]
         d = np.hypot(xy[:, 0] - centers[:, 0, None],
                      xy[:, 1] - centers[:, 1, None])      # (C, M)

@@ -19,7 +19,7 @@ import numpy as np
 from mapfuse import fedlearn
 from mapfuse.fedlearn import FEATURE_DIM, SensorFrame
 from mapfuse.fusion import Boxes, LocalMap, RowError
-from mapfuse.geometry import (InputError, ObjectState, Pose, wrap_angle,
+from mapfuse.geometry import (InputError, ObjectState, Pose, rows_to_local,
                                wrap_angles)
 
 OCCLUSION_RAYS = 32
@@ -557,24 +557,22 @@ def visible_objects(scenario: Scenario, frame) -> list:
 
 
 def _draw(rows: list, sources: list, scenario: Scenario, vehicle: int,
-          frame: int, pose: Pose, visibility, truth, noise, seed) -> None:
+          frame: int, visibility, local, noise, seed) -> None:
     """Append one vehicle's detections at frame to rows and their object
     ids (None for clutter) to sources.
 
     The vehicle draws from its own generator, per object, in visibility
-    order, then its clutter.  truth holds the visible objects' truth
-    rows as Python floats; each is moved into the vehicle's frame with
-    rows_to_local's expressions per object: a numpy call per vehicle
-    costs more than its handful of rows.  A row is (category, x, y, z,
-    l, w, h, raw yaw, score, distance / range, occlusion).
+    order, then its clutter.  local holds the visible objects' truth rows
+    as Python floats, already in the vehicle's frame (_sense_block moves a
+    block's rows with one rows_to_local); a detection is its row plus
+    noise, then bias.  A row is (category, x, y, z, l, w, h, raw yaw,
+    score, distance / range, occlusion).
     """
     sensor = scenario.config.sensor
     rng = np.random.default_rng([seed, vehicle, frame])
-    px, py, pz = pose.position
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
     bx, by, bz, bl, bw, bh, byaw = noise.bias
-    for (obj_id, dist, occl), (cat, x, y, z, l, w, h, truth_yaw) in zip(
-            visibility, truth):
+    for (obj_id, dist, occl), (cat, x, y, z, l, w, h, yaw) in zip(
+            visibility, local):
         p_miss = min(
             max(
                 noise.miss_prob
@@ -586,12 +584,10 @@ def _draw(rows: list, sources: list, scenario: Scenario, vehicle: int,
         )
         if rng.random() < p_miss:
             continue
-        dx, dy = x - px, y - py
         scale = 1.0 + noise.noise_dist_scale * (dist / sensor.range + occl)
         nx, ny, nz = rng.normal(0.0, noise.center_sigma * scale, 3).tolist()
         nl, nw, nh = rng.normal(0.0, noise.extent_sigma * scale, 3).tolist()
-        yaw = (wrap_angle(truth_yaw - pose.heading)
-               + rng.normal(0.0, noise.yaw_sigma * scale))
+        yaw += rng.normal(0.0, noise.yaw_sigma * scale)
         flip = rng.random() < noise.flip_prob
         yaw += byaw
         if flip:
@@ -605,10 +601,7 @@ def _draw(rows: list, sources: list, scenario: Scenario, vehicle: int,
         # (local + noise) + bias; extents floored at 0.2 before and
         # after the bias.
         rows.append((
-            cat,
-            (c * dx + s * dy + nx) + bx,
-            (-s * dx + c * dy + ny) + by,
-            (z - pz + nz) + bz,
+            cat, (x + nx) + bx, (y + ny) + by, (z + nz) + bz,
             max(max(l + nl, 0.2) + bl, 0.2),
             max(max(w + nw, 0.2) + bw, 0.2),
             max(max(h + nh, 0.2) + bh, 0.2),
@@ -651,6 +644,35 @@ def _block(rows: list) -> tuple[Boxes, np.ndarray]:
     return boxes, features
 
 
+def _sense_block(scenario: Scenario, fleet: list, visibility: list,
+                 noise: DetectorNoiseSpec, seed: int) -> list:
+    """(LocalMap, SensorFrame) of each (frame, vehicle, pose) in fleet,
+    given its visibility list, made as one block of rows.
+
+    One truth gather and one rows_to_local move every visible object into
+    its vehicle-frame; each vehicle-frame then draws from its own
+    generator, so its detections depend on no other's.  One row check and
+    one feature array serve the block, and each vehicle-frame gets its
+    slices.  Raises RowError at the block's first bad row.
+    """
+    counts = [len(vis) for vis in visibility]
+    local = rows_to_local(scenario.truth_rows(
+        [f for (f, _, _), n in zip(fleet, counts) for _ in range(n)],
+        [o for vis in visibility for o, _, _ in vis]),
+        [pose for _, _, pose in fleet], counts).tolist()
+    rows, sources, ends, at = [], [], [0], 0
+    for (f, k, _), vis in zip(fleet, visibility):
+        _draw(rows, sources, scenario, k, f, vis, local[at:at + len(vis)],
+              noise, seed)
+        at += len(vis)
+        ends.append(len(rows))
+    boxes, features = _block(rows)
+    return [(LocalMap(k, scenario.frame_time(f), boxes[a:b], pose),
+             SensorFrame(scenario.frame_time(f), features[a:b],
+                         tuple(sources[a:b])))
+            for (f, k, pose), a, b in zip(fleet, ends, ends[1:])]
+
+
 def sense(
     scenario: Scenario,
     vehicle: int,
@@ -659,8 +681,8 @@ def sense(
     seed: int,
     visibility=None,
 ) -> tuple[LocalMap, SensorFrame]:
-    """Simulate one vehicle's detector output for one frame: sense_fleet's
-    draws and block for a fleet of one.
+    """Simulate one vehicle's detector output for one frame: _sense_block
+    on this one vehicle-frame, as sense_fleet builds it for each.
 
     Deterministic in (scenario, seed, vehicle, frame).  The returned
     candidate features embed exactly the emitted detection boxes.  Raises
@@ -669,21 +691,15 @@ def sense(
     """
     pose = scenario.pose(frame, vehicle)
     vis = scenario.visibility(vehicle, frame) if visibility is None else visibility
-    truth = scenario.truth_rows(frame, [o for o, _, _ in vis]).tolist()
-    rows, sources = [], []
-    _draw(rows, sources, scenario, vehicle, frame, pose, vis, truth, noise,
-          seed)
     try:
-        boxes, features = _block(rows)
+        return _sense_block(scenario, [(frame, vehicle, pose)], [vis], noise,
+                            seed)[0]
     except RowError as exc:
         raise InputError(
             f"vehicle {vehicle}, frame {frame}: detection {exc.row}: "
             f"{exc.reason}; the detector noise settings (noise.*_sigma, "
             "noise.noise_dist_scale, noise.bias) are too large for finite "
             "boxes") from None
-    frame_time = scenario.frame_time(frame)
-    return (LocalMap(vehicle, frame_time, boxes, pose),
-            SensorFrame(frame_time, features, tuple(sources)))
 
 
 def sense_fleet(
@@ -693,39 +709,23 @@ def sense_fleet(
     seed: int,
 ) -> list:
     """Every vehicle's sense(scenario, k, frame, noise, seed), bit for bit,
-    in vehicle order, made as one block of rows.  Given a sequence of
+    in vehicle order: one visibility pass, then _sense_block on every
+    vehicle-frame, with its one rows_to_local.  Given a sequence of
     frames, that list per frame, from one block.
 
-    Each vehicle-frame draws from its own generator, so its detections
-    depend on no other's; one visibility pass, one truth gather, one row
-    check and one feature array then serve the frames, and each
-    vehicle-frame gets its slices.  A block that fails its row check is
-    redone through sense, frame by frame and vehicle by vehicle, which
-    raises the first failing one's InputError.
+    A block that fails its row check is redone through sense, frame by
+    frame and vehicle by vehicle, which raises the first failing one's
+    InputError.
     """
     frames = list(map(operator.index, np.ravel(frame)))
     nv = scenario.num_vehicles
     fleet = [(f, k, scenario.pose(f, k)) for f in frames for k in range(nv)]
     scenario.cache_visibility(frames)
     visibility = [scenario.visibility(k, f) for f, k, _ in fleet]
-    truth = scenario.truth_rows(
-        [f for (f, _, _), vis in zip(fleet, visibility) for _ in vis],
-        [o for vis in visibility for o, _, _ in vis]).tolist()
-    rows, sources, ends, at = [], [], [0], 0
-    for (f, k, pose), vis in zip(fleet, visibility):
-        _draw(rows, sources, scenario, k, f, pose, vis,
-              truth[at:at + len(vis)], noise, seed)
-        at += len(vis)
-        ends.append(len(rows))
     try:
-        boxes, features = _block(rows)
+        sensed = _sense_block(scenario, fleet, visibility, noise, seed)
     except RowError:
         sensed = [sense(scenario, k, f, noise, seed) for f, k, _ in fleet]
-    else:
-        sensed = [(LocalMap(k, scenario.frame_time(f), boxes[a:b], pose),
-                   SensorFrame(scenario.frame_time(f), features[a:b],
-                               tuple(sources[a:b])))
-                  for (f, k, pose), a, b in zip(fleet, ends, ends[1:])]
     fleets = [sensed[i:i + nv] for i in range(0, len(sensed), nv)]
     return fleets if np.ndim(frame) else fleets[0]
 

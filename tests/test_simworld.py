@@ -588,6 +588,46 @@ def assert_pair_is_reference(lm, sf, sc, vehicle, frame, noise, seed):
     assert lm.pose == ref_lm.pose
 
 
+@functools.lru_cache(maxsize=None)
+def short_sighted():
+    """A platoon with 15 m sensors: at frames 0 and 1 the vehicles 0, 1
+    and 3 see no object while 2 and 4 each see the vehicle ahead."""
+    return generate_scenario(small_config(sensor=SensorSpec(range=15.0)), 0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=NOISE_SPECS)
+def test_sense_fleet_of_a_chunk_where_some_vehicles_see_nothing(seed, noise):
+    # The vehicle-frames with no visible object sit in the block between
+    # ones with rows, and each of those rows meets its own vehicle's pose.
+    sc = short_sighted()
+    frames = [0, 1]
+    assert [[len(sc.visibility(k, f)) for k in range(sc.num_vehicles)]
+            for f in frames] == [[0, 0, 1, 0, 1]] * 2
+    for f, fleet in zip(frames, sense_fleet(sc, frames, noise, seed),
+                        strict=True):
+        for k, (lm, sf) in enumerate(fleet):
+            assert lm.vehicle_id == k
+            assert_pair_is_reference(lm, sf, sc, k, f, noise, seed)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(vehicle=st.integers(0, 4), frame=st.integers(0, 1009),
+       seed=st.integers(0, 2**32 - 1), noise=NOISE_SPECS)
+def test_sense_of_no_visible_object_is_the_reference(vehicle, frame, seed,
+                                                     noise):
+    # An empty block goes through the move into the vehicle frame; only
+    # the vehicle's clutter is left.
+    sc = crossing("default")
+    lm, sf = sense(sc, vehicle, frame, noise, seed, visibility=[])
+    ref_lm, ref_sf = sense_reference(sc, vehicle, frame, noise, seed,
+                                     visibility=[])
+    assert hexes(lm.detections.rows) == hexes(ref_lm.detections.rows)
+    assert hexes(sf.candidates) == hexes(ref_sf.candidates)
+    assert sf.source_ids == ref_sf.source_ids == (None,) * len(sf.source_ids)
+    assert lm.pose == ref_lm.pose
+
+
 @st.composite
 def ray_rows(draw):
     """Rows of (origin, rays, four segments) on a small integer grid.

@@ -37,8 +37,8 @@ def test_stage_times_times_every_stage_and_changes_no_byte(monkeypatch,
         report.to_json().encode()).hexdigest()
     assert len(report.frames) == 20
     stages = out["stages"]
-    for name in ("visible_objects", "sense_fleet", "refine_fleet",
-                 "overlap_sets", "_global_boxes", "run_frame",
+    for name in ("visible_objects", "sense_fleet", "rows_to_local",
+                 "refine_fleet", "overlap_sets", "_global_boxes", "run_frame",
                  "greedy_assign", "tag_objects", "fuse_window",
                  "train_params", "encode_message", "_decode_blobs",
                  "_fuse_frame", "cluster_detections", "prune_overlaps"):

@@ -23,15 +23,16 @@ import time
 import mapfuse  # noqa: F401  (loads every mapfuse module)
 from mapfuse import orchestrator
 
-# Visibility, sensing, refinement and IoU scoring (overlap_sets is the
-# chunk form of overlap_rows), then the rest of the frame loop and
-# training, then the edge server's path inside run_frame and fuse_window:
-# the codec, association, the fusion frame (the rules call _fuse_frame
-# by its module name) and pruning.
+# Visibility, sensing, the moves into vehicle frames that sensing and
+# distillation make (rows_to_local), refinement and IoU scoring
+# (overlap_sets is the chunk form of overlap_rows), then the rest of the
+# frame loop and training, then the edge server's path inside run_frame
+# and fuse_window: the codec, association, the fusion frame (the rules
+# call _fuse_frame by its module name) and pruning.
 STAGES = (
-    "visible_objects", "sense_fleet", "refine_fleet", "overlap_rows",
-    "overlap_sets", "_global_boxes", "run_frame", "greedy_assign",
-    "tag_objects", "fuse_window", "train_params",
+    "visible_objects", "sense_fleet", "rows_to_local", "refine_fleet",
+    "overlap_rows", "overlap_sets", "_global_boxes", "run_frame",
+    "greedy_assign", "tag_objects", "fuse_window", "train_params",
     "encode_message", "_decode_blobs", "_fuse_frame", "cluster_detections",
     "prune_overlaps",
 )
